@@ -107,12 +107,15 @@ SizeRow measure(int size, const std::vector<double>& loss_rates) {
   ec.reliability.ack_timeout_s = 1.0;
   ec.reliability.max_backoff_s = 4.0;
 
+  // Loss is a quality-only mutation: it leaves routing metrics alone, so
+  // one build serves every loss level and sync() only advances its version.
+  net::RoutingTables rt = net::RoutingTables::build(base);
   SizeRow row;
   row.nodes = base.node_count();
   for (double loss : loss_rates) {
     net::Network net = base;
     for (const net::Link& l : base.links()) net.set_link_loss(l.a, l.b, loss);
-    const net::RoutingTables rt = net::RoutingTables::build(net);
+    IFLOW_CHECK(!rt.sync(net).full_rebuild);
     engine::Simulation sim(net, rt, mw.catalog(), ec, /*seed=*/19);
     deploy_all(sim, mw, views);
     sim.run();
