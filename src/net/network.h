@@ -199,7 +199,9 @@ class Network {
 
   /// Index of the cheapest usable (a, b) link, or kInvalidLink when the two
   /// nodes are not usably adjacent. This is the link Dijkstra relaxes, so
-  /// the engine uses it to charge bytes hop by hop.
+  /// admission pricing charges link load through it. The engine does not:
+  /// it resolves each hop to the first-added (a, b) link (DESIGN.md §11,
+  /// known gaps).
   std::uint32_t cheapest_usable_link(NodeId a, NodeId b) const;
 
   /// Indices into links() of the links incident to n.
