@@ -17,9 +17,11 @@
 //
 // Repair is incremental: `sync()` replays the Network's mutation log
 // instead of rebuilding from scratch. Quality-only changes (loss, jitter)
-// are free; in sparse mode non-relaxing events (link failures, cost
-// increases, node crashes) only invalidate cached rows whose shortest-path
-// trees actually used the touched element.
+// are free. On the dense tier, link and node faults and restores repair
+// each source row in place, recomputing only the nodes beyond the fault;
+// in sparse mode non-relaxing events (link failures, cost increases, node
+// crashes) only invalidate cached rows whose shortest-path trees actually
+// used the touched element.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +47,21 @@ struct RoutingOptions {
   std::size_t dense_node_limit = 2048;
 };
 
-/// What one `sync()` call did, for tests and the scale bench.
+/// What one `sync()` call did, for tests and the benches. Each row count is
+/// a number of source rows.
 struct RoutingSyncStats {
-  /// Dense in-place rebuild, or a sparse drop-everything (relaxing event,
-  /// topology change, or mutation-log truncation).
+  /// Dense: every row recomputed (cost change, added link, node-set change
+  /// or mutation-log truncation). Sparse: every cached row dropped (also on
+  /// any relaxing event).
   bool full_rebuild = false;
   /// Routing-neutral batch (loss/jitter only): nothing recomputed.
   bool quality_only = false;
-  std::size_t rows_retained = 0;  // sparse: cached rows that stayed exact
-  std::size_t rows_dropped = 0;   // sparse: cached rows invalidated
-  std::size_t rows_patched = 0;   // sparse: rows fixed up in place
+  /// Rows the batch left exact as they were (sparse: cached rows only).
+  std::size_t rows_retained = 0;
+  /// Dense: rows recomputed in full. Sparse: cached rows invalidated.
+  std::size_t rows_dropped = 0;
+  /// Rows repaired in place (sparse: crashed leaf nodes patched).
+  std::size_t rows_patched = 0;
 };
 
 /// All-pairs shortest-path view of a Network (see file comment for the
@@ -78,7 +85,10 @@ class RoutingTables {
 
   /// Replays the network's mutation log against this table in place:
   ///   * loss/jitter-only batches just advance the recorded version;
-  ///   * dense tables rebuild their matrices in place (same buffers);
+  ///   * dense tables repair each source row in place for link and node
+  ///     faults and restores: only the nodes whose shortest paths the batch
+  ///     changed are recomputed, and every answer stays bitwise-identical
+  ///     to a fresh build. Cost changes and added links rebuild every row;
   ///   * sparse tables drop only the cached rows an event can have touched:
   ///     a non-relaxing link event keeps every row whose cost- and
   ///     delay-shortest-path trees avoid that adjacency; a crashed node
@@ -156,6 +166,9 @@ class RoutingTables {
   struct Cache;  // defined in routing.cpp; holds the mutex + row map
 
   void rebuild_dense(const Network& net);
+  /// Dense tier: recomputes source row `src` of every matrix from scratch.
+  void dense_row(const Network& net, NodeId src);
+  RoutingSyncStats sync_dense(const Network& net);
   void reset_sparse(const Network& net);
   /// Locates or computes the row for `src`; caller holds the cache mutex.
   Row& row_locked(NodeId src) const;
@@ -173,6 +186,9 @@ class RoutingTables {
   std::vector<double> delay_;            // delay-weighted distances
   std::vector<double> cost_path_delay_;  // delay along cost-optimal paths
   std::vector<NodeId> next_hop_;         // next_hop_[a*n+b]: first hop a→b
+  /// cost_ties_[a] != 0: row a's cost tree was built with an equal-cost
+  /// tie, so sync() cannot repair it in place.
+  std::vector<std::uint8_t> cost_ties_;
 
   // Sparse tier (null in dense mode). The network pointer is non-owning and
   // must outlive the table; lazy rows are computed from it.
