@@ -164,7 +164,8 @@ class Middleware {
   std::vector<Redeployment> fail_node(net::NodeId n);
 
   /// Full crash: the node also stops forwarding, so every incident link
-  /// goes down with it and the network may partition. Routing is rebuilt,
+  /// goes down with it and the network may partition. Routing is synced in
+  /// place (RoutingTables::sync recomputes only what the crash touched),
   /// the node leaves the hierarchy, and the actives are reconciled exactly
   /// as for fail_node (plus edge-reachability checks).
   std::vector<Redeployment> crash_node(net::NodeId n);
@@ -174,8 +175,9 @@ class Middleware {
   /// suspended queries' attempt budgets, and resumes what can be resumed.
   std::vector<Redeployment> restore_node(net::NodeId n);
 
-  /// Takes the (a, b) link down; routing is rebuilt and actives whose data
-  /// edges became unroutable are migrated or suspended.
+  /// Takes the (a, b) link down; routing is synced in place, the hierarchy
+  /// refreshed, and actives whose data edges became unroutable are
+  /// migrated or suspended.
   std::vector<Redeployment> fail_link(net::NodeId a, net::NodeId b);
 
   /// Brings the (a, b) link back and resumes what can be resumed.
