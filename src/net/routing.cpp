@@ -389,18 +389,22 @@ void RoutingTables::reset_sparse(const Network& net) {
   cache_->rows.clear();
 }
 
+void RoutingTables::check_synced() const {
+  // Lazily computed rows read the live network; the cached rows all hold
+  // values for `version_`, so computing against a newer network state would
+  // silently mix snapshots. sync() first.
+  IFLOW_CHECK_MSG(
+      net_->version() == version_,
+      "sparse routing query against a mutated network (table at version "
+          << version_ << ", network at " << net_->version()
+          << "): call sync() before querying");
+}
+
 RoutingTables::Row& RoutingTables::row_locked(NodeId src) const {
   Cache& c = *cache_;
   auto it = c.rows.find(src);
   if (it == c.rows.end()) {
-    // Lazily computed rows read the live network; the cached rows all hold
-    // values for `version_`, so computing against a newer network state
-    // would silently mix snapshots. sync() first.
-    IFLOW_CHECK_MSG(
-        net_->version() == version_,
-        "sparse routing query against a mutated network (table at version "
-            << version_ << ", network at " << net_->version()
-            << "): call sync() before querying");
+    check_synced();
     Row row;
     dijkstra(*net_, src, kCostWeight, row.cost, row.parent,
              &row.cost_path_delay);
@@ -496,6 +500,34 @@ void RoutingTables::fill_costs(NodeId src, const NodeId* dst,
   for (std::size_t i = 0; i < count; ++i) {
     IFLOW_CHECK(dst[i] < n_);
     out[i] = row.cost[dst[i]];
+  }
+}
+
+void RoutingTables::cost_matrix(const NodeId* nodes, std::size_t m,
+                                double* out) const {
+  if (cache_ == nullptr) {
+    for (std::size_t i = 0; i < m; ++i) {
+      fill_costs(nodes[i], nodes, m, out + i * m);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < m; ++i) IFLOW_CHECK(nodes[i] < n_);
+  // A matrix row is read once, so a missing one is not worth a cache slot:
+  // inserting it would evict rows the planner reads again.
+  std::lock_guard<std::mutex> lock(cache_->mu);
+  std::vector<double> dist;
+  std::vector<NodeId> parent;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto it = cache_->rows.find(nodes[i]);
+    const double* row = nullptr;
+    if (it != cache_->rows.end()) {
+      row = it->second.cost.data();
+    } else {
+      check_synced();
+      dijkstra(*net_, nodes[i], kCostWeight, dist, parent, nullptr);
+      row = dist.data();
+    }
+    for (std::size_t j = 0; j < m; ++j) out[i * m + j] = row[nodes[j]];
   }
 }
 

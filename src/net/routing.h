@@ -130,6 +130,13 @@ class RoutingTables {
   void fill_costs(NodeId src, const NodeId* dst, std::size_t count,
                   double* out) const;
 
+  /// Square cost matrix among `nodes`: out[i·m + j] = cost(nodes[i],
+  /// nodes[j]) bit for bit, `out` holding m·m entries. The dense tier reads
+  /// its matrix. The sparse tier reads a resident row and runs a cost-only
+  /// Dijkstra for a missing one without caching it, so the LRU,
+  /// cached_rows() and peak_memory_bytes() stay as they were.
+  void cost_matrix(const NodeId* nodes, std::size_t m, double* out) const;
+
   std::size_t node_count() const { return n_; }
 
   /// Network::version() at build/sync time.
@@ -170,6 +177,9 @@ class RoutingTables {
   void dense_row(const Network& net, NodeId src);
   RoutingSyncStats sync_dense(const Network& net);
   void reset_sparse(const Network& net);
+  /// Sparse tier: CHECKs that the network has not moved past the table's
+  /// version before a lazy Dijkstra reads it.
+  void check_synced() const;
   /// Locates or computes the row for `src`; caller holds the cache mutex.
   Row& row_locked(NodeId src) const;
 

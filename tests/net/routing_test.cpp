@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -14,6 +16,8 @@
 
 namespace iflow::net {
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 Network make_line(int n, double cost = 1.0, double delay = 10.0) {
   Network net;
@@ -366,6 +370,80 @@ TEST(RoutingTest, SparseQueryAfterMutationWithoutSyncThrows) {
   net.fail_link(0, 1);
   // Cached row reads would silently mix versions; a fresh row CHECKs.
   EXPECT_THROW(rt.cost(1, 2), CheckError);
+}
+
+TEST(RoutingTest, CostMatrixEqualsCostBitwiseOnBothTiers) {
+  Prng prng(94);
+  Network net = make_transit_stub(TransitStubParams{}, prng);
+  net.crash_node(40);  // puts infinities in the matrix
+  std::vector<NodeId> nodes{40};
+  for (NodeId v = 0; v < net.node_count(); v += 5) nodes.push_back(v);
+  const std::size_t m = nodes.size();
+  for (const RoutingMode mode : {RoutingMode::kDense, RoutingMode::kSparse}) {
+    RoutingOptions opts;
+    opts.mode = mode;
+    opts.max_cached_rows = 4;
+    const RoutingTables rt = RoutingTables::build(net, opts);
+    std::vector<double> out(m * m);
+    rt.cost_matrix(nodes.data(), m, out.data());
+    EXPECT_TRUE(std::isinf(out[1]));
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        ASSERT_EQ(bits(out[i * m + j]), bits(rt.cost(nodes[i], nodes[j])))
+            << "sparse " << rt.sparse() << " pair " << nodes[i] << ","
+            << nodes[j];
+      }
+    }
+  }
+}
+
+TEST(RoutingTest, CostMatrixLeavesTheSparseCacheAlone) {
+  Prng prng(95);
+  const Network net = make_transit_stub(TransitStubParams{}, prng);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  opts.max_cached_rows = 4;
+  const RoutingTables rt = RoutingTables::build(net, opts);
+  rt.cost(3, 0);
+  rt.cost(7, 0);
+  const std::size_t rows = rt.cached_rows();
+  const std::size_t peak = rt.peak_memory_bytes();
+  std::vector<NodeId> nodes;  // row 3 is resident, the others are not
+  for (NodeId v = 0; v < net.node_count(); v += 3) nodes.push_back(v);
+  std::vector<double> out(nodes.size() * nodes.size());
+  rt.cost_matrix(nodes.data(), nodes.size(), out.data());
+  EXPECT_EQ(rt.cached_rows(), rows);
+  EXPECT_EQ(rt.peak_memory_bytes(), peak);
+}
+
+TEST(RoutingTest, CostMatrixReadsResidentRows) {
+  Network net = make_line(4);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables rt = RoutingTables::build(net, opts);
+  rt.cost(0, 3);
+  rt.cost(3, 0);
+  // Unsynced: a fresh Dijkstra would CHECK, and would price 0→3 at 7.
+  net.set_link_cost(1, 2, 5.0);
+  const NodeId nodes[] = {0, 3};
+  double out[4];
+  rt.cost_matrix(nodes, 2, out);
+  EXPECT_EQ(out[0], 0.0);
+  EXPECT_EQ(out[1], 3.0);
+  EXPECT_EQ(out[2], 3.0);
+  EXPECT_EQ(out[3], 0.0);
+}
+
+TEST(RoutingTest, CostMatrixAgainstUnsyncedNetworkThrows) {
+  Network net = make_line(4);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables rt = RoutingTables::build(net, opts);
+  rt.cost(0, 3);
+  net.fail_link(0, 1);
+  const NodeId nodes[] = {0, 2};  // row 2 is not resident
+  double out[4];
+  EXPECT_THROW(rt.cost_matrix(nodes, 2, out), CheckError);
 }
 
 }  // namespace
