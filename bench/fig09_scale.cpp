@@ -5,8 +5,9 @@
 // leaf clusters are the stub domains, and a tiered SparseOracle, then plans
 // a fixed workload through the Top-Down optimizer. Reported per cell:
 //   * hierarchy build and total plan time;
-//   * peak oracle memory (routing rows + leaf sketches) against the dense
-//     all-pairs equivalent (target: < 5% at 10k nodes);
+//   * peak oracle memory (routing rows + leaf sketches + the hierarchy with
+//     its coordinator matrix) against the dense all-pairs equivalent
+//     (target: < 5% at 10k nodes);
 //   * plan-quality ratio vs dense exact planning (1k cell only, where the
 //     dense baseline is still buildable);
 //   * incremental repair time after a single link failure vs recomputing
@@ -148,7 +149,8 @@ Cell run_cell(int target_nodes, std::uint64_t seed, int threads,
   const double sparse_cost = plan_workload(env, wl, &tape);
   cell.plan_ms = ms_since(t_plan);
   cell.digest = fnv1a(tape.str());
-  cell.peak_oracle_bytes = rt.peak_memory_bytes() + oracle.memory_bytes();
+  cell.peak_oracle_bytes = rt.peak_memory_bytes() + oracle.memory_bytes() +
+                           hierarchy.memory_bytes();
 
   if (dense_baseline) {
     // Exact all-pairs tier + the same hierarchy, no oracle: the planner

@@ -40,22 +40,40 @@ net::NodeId elect_coordinator(const std::vector<net::NodeId>& members,
       members, [&rt](std::uint32_t a, std::uint32_t b) { return rt.cost(a, b); });
 }
 
-/// Pairwise costs among `items` materialized as a row-major matrix through
-/// one routing row per item (fill_costs pins each source row exactly once),
-/// plus the item→matrix-index map the DistanceFn needs.
-std::vector<double> pairwise_costs(
-    const std::vector<net::NodeId>& items, const net::RoutingTables& rt,
-    std::unordered_map<net::NodeId, std::uint32_t>* pos) {
-  const std::size_t m = items.size();
-  pos->clear();
-  for (std::size_t i = 0; i < m; ++i) {
-    (*pos)[items[i]] = static_cast<std::uint32_t>(i);
+/// Clusters `items` level by level until a single cluster covers them,
+/// appending each level to `levels`; each level's coordinators are the
+/// items of the next.
+void cluster_upward(std::vector<net::NodeId> items, int max_cs,
+                    const DistanceFn& dist, Prng& prng,
+                    std::vector<std::vector<Cluster>>& levels) {
+  while (true) {
+    std::vector<Cluster> level;
+    if (items.size() <= static_cast<std::size_t>(max_cs)) {
+      Cluster top;
+      top.members = std::move(items);
+      top.coordinator = elect_coordinator(top.members, dist);
+      level.push_back(std::move(top));
+      levels.push_back(std::move(level));
+      return;
+    }
+    const int k = static_cast<int>((items.size() + max_cs - 1) /
+                                   static_cast<std::size_t>(max_cs));
+    KMedoidsResult km =
+        k_medoids(items, k, static_cast<std::size_t>(max_cs), dist, prng);
+    IFLOW_CHECK_MSG(km.clusters.size() >= 2,
+                    "clustering must make progress above max_cs nodes");
+    std::vector<net::NodeId> next;
+    next.reserve(km.clusters.size());
+    for (std::size_t c = 0; c < km.clusters.size(); ++c) {
+      Cluster cl;
+      cl.members.assign(km.clusters[c].begin(), km.clusters[c].end());
+      cl.coordinator = km.medoids[c];
+      next.push_back(cl.coordinator);
+      level.push_back(std::move(cl));
+    }
+    levels.push_back(std::move(level));
+    items = std::move(next);
   }
-  std::vector<double> mat(m * m);
-  for (std::size_t i = 0; i < m; ++i) {
-    rt.fill_costs(items[i], items.data(), m, mat.data() + i * m);
-  }
-  return mat;
 }
 
 }  // namespace
@@ -111,45 +129,15 @@ Hierarchy Hierarchy::build(const net::Network& net,
   h.max_cs_ = max_cs;
   h.node_count_ = net.node_count();
 
-  std::vector<std::uint32_t> items(net.node_count());
+  std::vector<net::NodeId> items(net.node_count());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    items[i] = static_cast<std::uint32_t>(i);
+    items[i] = static_cast<net::NodeId>(i);
   }
-  const DistanceFn dist = [&rt](std::uint32_t a, std::uint32_t b) {
-    return rt.cost(a, b);
-  };
-
-  // Cluster each level's node set until a single cluster covers it; that
-  // single cluster is the top level.
-  while (true) {
-    std::vector<Cluster> level;
-    if (items.size() <= static_cast<std::size_t>(max_cs)) {
-      Cluster top;
-      top.members.assign(items.begin(), items.end());
-      top.coordinator = elect_coordinator(top.members, rt);
-      level.push_back(std::move(top));
-      h.levels_.push_back(std::move(level));
-      break;
-    }
-    const int k = static_cast<int>((items.size() + max_cs - 1) /
-                                   static_cast<std::size_t>(max_cs));
-    KMedoidsResult km = k_medoids(items, k, static_cast<std::size_t>(max_cs),
-                                  dist, prng);
-    IFLOW_CHECK_MSG(km.clusters.size() >= 2,
-                    "clustering must make progress above max_cs nodes");
-    std::vector<std::uint32_t> next;
-    next.reserve(km.clusters.size());
-    for (std::size_t c = 0; c < km.clusters.size(); ++c) {
-      Cluster cl;
-      cl.members.assign(km.clusters[c].begin(), km.clusters[c].end());
-      cl.coordinator = km.medoids[c];
-      next.push_back(cl.coordinator);
-      level.push_back(std::move(cl));
-    }
-    h.levels_.push_back(std::move(level));
-    items = std::move(next);
-  }
-
+  cluster_upward(std::move(items), max_cs,
+                 [&rt](std::uint32_t a, std::uint32_t b) {
+                   return rt.cost(a, b);
+                 },
+                 prng, h.levels_);
   h.rebuild_derived(rt);
   return h;
 }
@@ -214,44 +202,21 @@ Hierarchy Hierarchy::build_partitioned(
   for (const auto& cl : leaf_level) items.push_back(cl.coordinator);
   h.levels_.push_back(std::move(leaf_level));
 
-  // Levels >= 2 cluster the promoted coordinators over true routing costs,
-  // materialized once per round (one routing row per coordinator).
-  while (true) {
-    std::unordered_map<net::NodeId, std::uint32_t> pos;
-    const std::vector<double> mat = pairwise_costs(items, rt, &pos);
-    const std::size_t m = items.size();
-    const DistanceFn dist = [&mat, &pos, m](std::uint32_t a, std::uint32_t b) {
-      return mat[static_cast<std::size_t>(pos.at(a)) * m + pos.at(b)];
-    };
-    std::vector<Cluster> level;
-    if (items.size() <= static_cast<std::size_t>(max_cs)) {
-      Cluster top;
-      top.members = items;
-      top.coordinator = elect_coordinator(top.members, dist);
-      level.push_back(std::move(top));
-      h.levels_.push_back(std::move(level));
-      break;
-    }
-    const int k = static_cast<int>((items.size() + max_cs - 1) /
-                                   static_cast<std::size_t>(max_cs));
-    KMedoidsResult km =
-        k_medoids(items, k, static_cast<std::size_t>(max_cs), dist, prng);
-    IFLOW_CHECK_MSG(km.clusters.size() >= 2,
-                    "clustering must make progress above max_cs nodes");
-    std::vector<net::NodeId> next;
-    next.reserve(km.clusters.size());
-    for (std::size_t c = 0; c < km.clusters.size(); ++c) {
-      Cluster cl;
-      cl.members.assign(km.clusters[c].begin(), km.clusters[c].end());
-      cl.coordinator = km.medoids[c];
-      next.push_back(cl.coordinator);
-      level.push_back(std::move(cl));
-    }
-    h.levels_.push_back(std::move(level));
-    items = std::move(next);
-  }
+  // Levels >= 2 cluster the promoted coordinators over true routing costs.
+  // Each of them is a leaf coordinator, so the coordinator matrix prices
+  // every round and is then kept for est_cost.
+  const std::size_t leaves = items.size();
+  std::vector<double> matrix(leaves * leaves);
+  rt.cost_matrix(items.data(), leaves, matrix.data());
+  std::unordered_map<net::NodeId, std::size_t> leaf;
+  for (std::size_t i = 0; i < leaves; ++i) leaf[items[i]] = i;
+  cluster_upward(std::move(items), max_cs,
+                 [&](std::uint32_t a, std::uint32_t b) {
+                   return matrix[leaf.at(a) * leaves + leaf.at(b)];
+                 },
+                 prng, h.levels_);
 
-  h.rebuild_derived(rt);
+  h.rebuild_derived(rt, std::move(matrix));
   return h;
 }
 
@@ -302,7 +267,30 @@ double Hierarchy::est_cost(net::NodeId a, net::NodeId b, int l) const {
   if (ra == net::kInvalidNode || rb == net::kInvalidNode) {
     return std::numeric_limits<double>::infinity();
   }
-  return rt_->cost(ra, rb);
+  if (l == 1) return rt_->cost(ra, rb);
+  const double cost = coord_cost(ra, rb);
+  // Fails when costs changed under the hierarchy without a refresh().
+  IFLOW_DCHECK(cost == rt_->cost(ra, rb));
+  return cost;
+}
+
+std::size_t Hierarchy::memory_bytes() const {
+  std::size_t bytes = (d_.size() + coord_cost_.size()) * sizeof(double);
+  for (const auto& clusters : levels_) {
+    for (const auto& cl : clusters) {
+      bytes += sizeof(Cluster) + cl.members.size() * sizeof(net::NodeId);
+    }
+  }
+  for (const auto& idx : cluster_idx_) {
+    bytes += idx.size() * sizeof(std::size_t);
+  }
+  for (const auto& rep : rep_) bytes += rep.size() * sizeof(net::NodeId);
+  for (const auto& level : underlying_) {
+    for (const auto& u : level) {
+      bytes += sizeof(u) + u.size() * sizeof(net::NodeId);
+    }
+  }
+  return bytes;
 }
 
 const std::vector<net::NodeId>& Hierarchy::underlying(net::NodeId coord,
@@ -314,11 +302,23 @@ const std::vector<net::NodeId>& Hierarchy::underlying(net::NodeId coord,
   return u;
 }
 
-void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
+void Hierarchy::rebuild_derived(const net::RoutingTables& rt,
+                                std::vector<double> matrix) {
   rt_ = &rt;
   node_count_ = rt.node_count();
   const std::size_t n = node_count_;
   const std::size_t h = levels_.size();
+
+  const std::size_t leaves = levels_[0].size();
+  if (matrix.empty()) {
+    std::vector<net::NodeId> coords;
+    coords.reserve(leaves);
+    for (const auto& cl : levels_[0]) coords.push_back(cl.coordinator);
+    matrix.resize(leaves * leaves);
+    rt.cost_matrix(coords.data(), leaves, matrix.data());
+  }
+  IFLOW_CHECK(matrix.size() == leaves * leaves);
+  coord_cost_ = std::move(matrix);
 
   cluster_idx_.assign(h, std::vector<std::size_t>(n, kNoCluster));
   rep_.assign(h, std::vector<net::NodeId>(n, net::kInvalidNode));
@@ -342,9 +342,12 @@ void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
         }
         continue;
       }
+      // Members above level 1 are leaf coordinators; level 1 has filled
+      // cluster_idx_[0] by now.
       for (auto a : cl.members) {
         for (auto b : cl.members) {
-          d_[li] = std::max(d_[li], rt.cost(a, b));
+          d_[li] =
+              std::max(d_[li], li == 0 ? rt.cost(a, b) : coord_cost(a, b));
         }
       }
     }

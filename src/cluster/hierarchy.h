@@ -12,6 +12,11 @@
 //   * underlying(c, l)      — the physical nodes beneath a level-l node,
 //     which is the planning domain the Top-Down algorithm recurses into.
 //
+// Every representative at level 2 and above is a Level-1 coordinator, so
+// the hierarchy keeps one matrix of routing costs among the Level-1
+// coordinators and answers est_cost and d(l) for l >= 2 from it, never
+// from a routing row.
+//
 // The structure supports runtime node joins and departures following the
 // paper's join protocol (walk down from the top, at each level descending
 // into the closest child cluster).
@@ -47,9 +52,9 @@ class Hierarchy {
   /// (coordinator election, splits of oversize partitions, d(1)) are
   /// computed on the induced subgraph of each partition — an upper bound on
   /// the true traversal cost, so the Theorem-1 slack stays sound — and the
-  /// routing tables are only consulted for promoted coordinators, one row
-  /// per coordinator. Partitions must be non-empty, disjoint, and cover
-  /// node ids < net.node_count().
+  /// routing tables are only consulted for the costs among the promoted
+  /// coordinators (the coordinator matrix). Partitions must be non-empty,
+  /// disjoint, and cover node ids < net.node_count().
   static Hierarchy build_partitioned(
       const net::Network& net, const net::RoutingTables& rt,
       const std::vector<std::vector<net::NodeId>>& partitions, int max_cs,
@@ -88,6 +93,8 @@ class Hierarchy {
   /// actual_cost(a,b) <= est_cost(a,b,l) + sum_{i<l} 2 d(i). Nodes that are
   /// not (or no longer) in the hierarchy estimate at +inf, so planners
   /// naturally price failed hosts out instead of tripping an assertion.
+  /// Level 1 reads the routing tables; higher levels read the coordinator
+  /// matrix (Debug CHECKs each read against the routing tables).
   double est_cost(net::NodeId a, net::NodeId b, int l) const;
 
   /// Physical nodes in the subtree under level-l node `coord` (for l == 1,
@@ -105,11 +112,18 @@ class Hierarchy {
   /// cluster a replacement is elected and the promotion chain repaired.
   void remove_node(net::NodeId n, const net::RoutingTables& rt);
 
-  /// Re-derives lookup tables (d(l), representatives, underlying sets)
-  /// against a freshly built routing snapshot. Call whenever the routing
-  /// tables the hierarchy was built against are rebuilt — the hierarchy
-  /// keeps a non-owning pointer to them.
+  /// Re-derives lookup tables (d(l), representatives, underlying sets, the
+  /// coordinator matrix) against the routing tables, to which the
+  /// hierarchy keeps a non-owning pointer. Call it after every rebuild and
+  /// after every sync() that can change a cost — any link or node fault or
+  /// restore, cost change or added link: the matrix holds a copy of the
+  /// costs. A quality-only sync (loss, jitter, degradation) changes no cost
+  /// and keeps the hierarchy valid without a refresh.
   void refresh(const net::RoutingTables& rt) { rebuild_derived(rt); }
+
+  /// Bytes held by the clusters, the derived lookup tables and the
+  /// coordinator matrix (L² doubles for L Level-1 clusters).
+  std::size_t memory_bytes() const;
 
   /// Internal consistency check (partitioning, coordinator membership,
   /// promotion chain); used by tests and after maintenance operations.
@@ -126,7 +140,15 @@ class Hierarchy {
   bool local_leaf_metrics() const { return local_leaf_metrics_; }
 
  private:
-  void rebuild_derived(const net::RoutingTables& rt);
+  /// `matrix`, when non-empty, is the coordinator matrix already computed
+  /// against `rt`.
+  void rebuild_derived(const net::RoutingTables& rt,
+                       std::vector<double> matrix = {});
+  /// Coordinator-matrix entry for two Level-1 coordinators.
+  double coord_cost(net::NodeId a, net::NodeId b) const {
+    return coord_cost_[cluster_idx_[0][a] * levels_[0].size() +
+                       cluster_idx_[0][b]];
+  }
   void handle_overflow(int level, std::size_t cluster_index,
                        const net::RoutingTables& rt, Prng& prng);
 
@@ -147,6 +169,10 @@ class Hierarchy {
   // underlying_[l-1][coord] — physical nodes beneath a level-l node; stored
   // sparsely as (node -> vector) keyed by node id in a dense vector.
   std::vector<std::vector<std::vector<net::NodeId>>> underlying_;
+  // Coordinator matrix, row-major L × L over Level-1 cluster indices:
+  // coord_cost_[i·L + j] = rt.cost(level(1)[i].coordinator,
+  // level(1)[j].coordinator).
+  std::vector<double> coord_cost_;
 };
 
 /// Row-major |members| × |members| shortest-path costs over the subgraph

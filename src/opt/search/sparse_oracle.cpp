@@ -157,7 +157,7 @@ SparseEstimate SparseOracle::estimate(net::NodeId a, net::NodeId b) const {
     const net::NodeId ra = h_->representative(a, l);
     const net::NodeId rb = h_->representative(b, l);
     if (h_->cluster_of(ra, l) == h_->cluster_of(rb, l)) {
-      return {rt_->cost(ra, rb), cluster::theorem1_slack(*h_, l)};
+      return {h_->est_cost(a, b, l), cluster::theorem1_slack(*h_, l)};
     }
   }
   // Unreachable in the hierarchy sense (cannot happen with a single top

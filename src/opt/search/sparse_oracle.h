@@ -12,11 +12,13 @@
 //            subgraph (full matrix for small leaves, landmark/pivot sketch
 //            min_p d(a,p)+d(p,b) for large ones)          → slack d(1)/2·d(1)
 //   tier 2 — cross-cluster:   Theorem-1 estimate at the lowest level l where
-//            the two representatives share a cluster      → slack Σ_{i<l} 2·d(i)
+//            the two representatives share a cluster, read from the
+//            hierarchy's coordinator matrix           → slack Σ_{i<l} 2·d(i)
 //
 // Memory is O(leaves · max_cs · pivots) for the sketches plus whatever
 // routing rows the sparse RoutingTables keeps resident — O(N·landmarks +
-// frontier), never O(N²). Every estimate is an over-approximation or a
+// frontier) — and the hierarchy's leaves² coordinator matrix; never the
+// O(N²) all-pairs tables. Every estimate is an over-approximation or a
 // Theorem-1 bound, so |estimate − exact| <= slack(a, b) holds in both
 // directions; `validate_pair` CHECKs that against the exact tables (tests
 // and the differential fuzzer run it; release queries never pay for it).

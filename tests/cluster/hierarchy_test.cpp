@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "cluster/theory.h"
@@ -391,6 +393,159 @@ TEST(HierarchyEdgeTest, ContainsReflectsMembership) {
   EXPECT_FALSE(h.contains(0));
   h.add_node(0, f.rt, prng);
   EXPECT_TRUE(h.contains(0));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+net::RoutingTables sparse_routing(const net::Network& net, std::size_t rows) {
+  net::RoutingOptions opts;
+  opts.mode = net::RoutingMode::kSparse;
+  opts.max_cached_rows = rows;
+  return net::RoutingTables::build(net, opts);
+}
+
+/// Dense routing for a classic hierarchy, sparse for a partitioned one (the
+/// scale path).
+net::RoutingTables routing_for(bool partitioned, const net::Network& net) {
+  return partitioned ? sparse_routing(net, 8) : net::RoutingTables::build(net);
+}
+
+/// Classic, or partitioned along the stub domains.
+Hierarchy build_hierarchy(bool partitioned, const net::Network& net,
+                          const net::RoutingTables& rt, Prng& prng) {
+  return partitioned ? Hierarchy::build_partitioned(
+                           net, rt, domain_partitions({}), 4, prng)
+                     : Hierarchy::build(net, rt, 4, prng);
+}
+
+/// Above level 1, every estimate is bit for bit the routing cost between
+/// the two representatives (+inf for nodes outside the hierarchy), and d(l)
+/// is the largest routing cost inside a level-l cluster.
+void expect_estimates_match_routing(const Hierarchy& h,
+                                    const net::RoutingTables& rt) {
+  const auto n = static_cast<net::NodeId>(rt.node_count());
+  for (int l = 2; l <= h.height(); ++l) {
+    for (net::NodeId a = 0; a < n; ++a) {
+      for (net::NodeId b = 0; b < n; ++b) {
+        const double est = h.est_cost(a, b, l);
+        if (!h.contains(a) || !h.contains(b)) {
+          ASSERT_TRUE(std::isinf(est)) << a << "," << b;
+          continue;
+        }
+        ASSERT_EQ(bits(est), bits(rt.cost(h.representative(a, l),
+                                          h.representative(b, l))))
+            << "level " << l << " pair " << a << "," << b;
+      }
+    }
+    double d = 0.0;
+    for (const Cluster& cl : h.level(l)) {
+      for (net::NodeId a : cl.members) {
+        for (net::NodeId b : cl.members) d = std::max(d, rt.cost(a, b));
+      }
+    }
+    ASSERT_EQ(bits(h.d(l)), bits(d)) << "level " << l;
+  }
+}
+
+TEST(CoordinatorMatrixTest, EstimatesMatchRoutingAfterBuild) {
+  for (const bool partitioned : {false, true}) {
+    Fixture f(51);
+    const net::RoutingTables rt = routing_for(partitioned, f.net);
+    Prng prng(1);
+    const Hierarchy h = build_hierarchy(partitioned, f.net, rt, prng);
+    ASSERT_GE(h.height(), 3) << "partitioned " << partitioned;
+    expect_estimates_match_routing(h, rt);
+  }
+}
+
+TEST(CoordinatorMatrixTest, EstimatesFollowFaultsAfterSyncAndRefresh) {
+  for (const bool partitioned : {false, true}) {
+    Fixture f(52);
+    net::RoutingTables rt = routing_for(partitioned, f.net);
+    Prng prng(2);
+    Hierarchy h = build_hierarchy(partitioned, f.net, rt, prng);
+    // Fail the first link of the cheapest route between two leaf
+    // coordinators, so a matrix entry must change.
+    const net::NodeId c0 = h.level(1).front().coordinator;
+    const net::NodeId c1 = h.level(1).back().coordinator;
+    const std::vector<net::NodeId> path = rt.cost_path(c0, c1);
+    ASSERT_GE(path.size(), 2u);
+    const double before = h.est_cost(c0, c1, 2);
+    f.net.fail_link(path[0], path[1]);
+    rt.sync(f.net);
+    h.refresh(rt);
+    EXPECT_NE(bits(h.est_cost(c0, c1, 2)), bits(before));
+    expect_estimates_match_routing(h, rt);
+    f.net.restore_link(path[0], path[1]);
+    rt.sync(f.net);
+    h.refresh(rt);
+    EXPECT_EQ(bits(h.est_cost(c0, c1, 2)), bits(before));
+    expect_estimates_match_routing(h, rt);
+  }
+}
+
+TEST(CoordinatorMatrixTest, CostChangeWithoutRefreshIsCaughtInDebug) {
+  Fixture f(55);
+  Prng prng(5);
+  const Hierarchy h = Hierarchy::build(f.net, f.rt, 4, prng);
+  const net::NodeId c0 = h.level(1).front().coordinator;
+  const net::NodeId c1 = h.level(1).back().coordinator;
+  const std::vector<net::NodeId> path = f.rt.cost_path(c0, c1);
+  ASSERT_GE(path.size(), 2u);
+  const double before = h.est_cost(c0, c1, 2);
+  f.net.fail_link(path[0], path[1]);
+  f.rt.sync(f.net);  // no refresh: the matrix still holds the old cost
+  ASSERT_NE(bits(f.rt.cost(c0, c1)), bits(before));
+#ifdef NDEBUG
+  EXPECT_EQ(bits(h.est_cost(c0, c1, 2)), bits(before));
+#else
+  EXPECT_THROW(h.est_cost(c0, c1, 2), CheckError);
+#endif
+}
+
+TEST(CoordinatorMatrixTest, EstimatesFollowRemoveAndAddNode) {
+  for (const bool partitioned : {false, true}) {
+    Fixture f(53);
+    const net::RoutingTables rt = routing_for(partitioned, f.net);
+    Prng prng(3);
+    Hierarchy h = build_hierarchy(partitioned, f.net, rt, prng);
+    // Emptying a leaf cluster renumbers the leaves after it; the top
+    // coordinator's removal re-elects on every level.
+    std::vector<net::NodeId> victims = h.level(1)[1].members;
+    const net::NodeId top = h.level(h.height()).front().coordinator;
+    if (std::find(victims.begin(), victims.end(), top) == victims.end()) {
+      victims.push_back(top);
+    }
+    for (const net::NodeId v : victims) {
+      h.remove_node(v, rt);
+      expect_estimates_match_routing(h, rt);
+    }
+    for (const net::NodeId v : victims) {
+      h.add_node(v, rt, prng);
+      expect_estimates_match_routing(h, rt);
+    }
+  }
+}
+
+TEST(CoordinatorMatrixTest, RefreshLeavesTheSparseRowCacheAlone) {
+  // More leaf clusters than cached rows: pricing the coordinators through
+  // the row cache would evict every planner row on each refresh.
+  Fixture f(54);
+  const net::RoutingTables rt = sparse_routing(f.net, 4);
+  Prng prng(4);
+  Hierarchy h = Hierarchy::build_partitioned(f.net, rt, domain_partitions({}),
+                                             8, prng);
+  const std::size_t leaves = h.level(1).size();
+  ASSERT_GT(leaves, 4u);
+  EXPECT_EQ(rt.cached_rows(), 0u);
+  rt.cost(5, 0);
+  rt.cost(9, 0);
+  const std::size_t rows = rt.cached_rows();
+  const std::size_t peak = rt.peak_memory_bytes();
+  h.refresh(rt);
+  EXPECT_EQ(rt.cached_rows(), rows);
+  EXPECT_EQ(rt.peak_memory_bytes(), peak);
+  EXPECT_GE(h.memory_bytes(), leaves * leaves * sizeof(double));
 }
 
 }  // namespace
