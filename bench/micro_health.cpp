@@ -17,6 +17,7 @@
 
 #include "common/check.h"
 #include "engine/health.h"
+#include "workload/generator.h"
 
 namespace {
 
@@ -26,48 +27,6 @@ constexpr std::uint64_t kSeed = 20070806;
 constexpr int kMaxCs = 8;
 constexpr double kRate = 30.0;
 constexpr double kSelectivity = 0.05;
-
-struct World {
-  net::Network net;
-  query::Catalog catalog;
-  std::vector<query::Query> queries;
-};
-
-/// Dual-relay star: three sources and the sink each reach both relays, the
-/// primary strictly cheaper. The 3-way join lands on the primary for every
-/// optimizer, so the gray harness has a non-endpoint host to degrade and
-/// the planner a clean detour once it is quarantined.
-World make_world() {
-  World w;
-  const net::NodeId primary = w.net.add_node();
-  const net::NodeId backup = w.net.add_node();
-  std::vector<net::NodeId> srcs;
-  for (int i = 0; i < 3; ++i) srcs.push_back(w.net.add_node());
-  const net::NodeId sink = w.net.add_node();
-  for (const net::NodeId n : srcs) {
-    w.net.add_link(primary, n, 1.0, 1.0, 1e6);
-    w.net.add_link(backup, n, 1.3, 1.0, 1e6);
-  }
-  w.net.add_link(primary, sink, 1.0, 1.0, 1e6);
-  w.net.add_link(backup, sink, 1.3, 1.0, 1e6);
-  std::vector<query::StreamId> streams;
-  for (int i = 0; i < 3; ++i) {
-    streams.push_back(w.catalog.add_stream(
-        "S" + std::to_string(i), srcs[static_cast<std::size_t>(i)], kRate,
-        100.0));
-  }
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    for (std::size_t j = i + 1; j < streams.size(); ++j) {
-      w.catalog.set_selectivity(streams[i], streams[j], kSelectivity);
-    }
-  }
-  query::Query q;
-  q.id = 1;
-  q.sources = streams;
-  q.sink = sink;
-  w.queries.push_back(q);
-  return w;
-}
 
 struct IntensityRow {
   double loss = 0.0;
@@ -113,7 +72,8 @@ void write_json(const std::string& path, const std::vector<IntensityRow>& rows,
 }  // namespace
 
 int main() {
-  const World w = make_world();
+  const workload::RelayStar w =
+      workload::make_relay_star(kRate, kSelectivity);
   const std::vector<double> intensities = {0.2, 0.4, 0.6, 0.8};
   engine::GrayConfig cfg;  // default epochs/epoch_s/health knobs
   std::vector<IntensityRow> rows;
@@ -122,7 +82,7 @@ int main() {
     c.degradation.loss = loss;
     c.degradation.slowdown = 3.0;
     const engine::GrayReport rep =
-        engine::run_gray(w.net, w.catalog, w.queries, kMaxCs,
+        engine::run_gray(w.net, w.catalog, {w.query}, kMaxCs,
                          engine::Algorithm::kTopDown, kSeed, c);
     IntensityRow r;
     r.loss = loss;

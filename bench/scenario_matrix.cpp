@@ -76,12 +76,8 @@ Cell run_cell(const workload::Scenario& sc, engine::Algorithm alg,
   cfg.rate_modulation = sc.rate_modulation();
 
   const engine::ChaosReport report =
-      sc.script.empty()
-          ? engine::run_churn(sc.net, sc.workload.catalog, sc.workload.queries,
-                              kMaxCs, alg, sc.spec.seed, cfg)
-          : engine::run_scripted(sc.net, sc.workload.catalog,
-                                 sc.workload.queries, kMaxCs, alg,
-                                 sc.spec.seed, sc.script, cfg);
+      engine::run_churn(sc.net, sc.workload.catalog, sc.workload.queries,
+                        kMaxCs, alg, sc.spec.seed, cfg, sc.script);
 
   Cell c;
   c.scenario = sc.spec.name;

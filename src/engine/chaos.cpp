@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <numeric>
 #include <sstream>
 #include <unordered_set>
 
@@ -11,8 +11,35 @@
 namespace iflow::engine {
 
 namespace {
+
 constexpr double kEps = 1e-9;
+
+template <typename T>
+void mark(std::vector<T>& set, const T& x, const char* what) {
+  IFLOW_CHECK_MSG(std::find(set.begin(), set.end(), x) == set.end(), what);
+  set.push_back(x);
 }
+
+template <typename T>
+void unmark(std::vector<T>& set, const T& x, const char* what) {
+  const auto it = std::find(set.begin(), set.end(), x);
+  IFLOW_CHECK_MSG(it != set.end(), what);
+  set.erase(it);
+}
+
+/// Elements of `all` that are not in `taken`, in `all`'s order.
+template <typename T>
+std::vector<T> except(const std::vector<T>& all, const std::vector<T>& taken) {
+  std::vector<T> out;
+  for (const T& x : all) {
+    if (std::find(taken.begin(), taken.end(), x) == taken.end()) {
+      out.push_back(x);
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 const char* to_string(ChaosEventKind k) {
   switch (k) {
@@ -29,234 +56,248 @@ const char* to_string(ChaosEventKind k) {
     case ChaosEventKind::kDegradeLink: return "degrade-link";
     case ChaosEventKind::kClearNode: return "clear-node";
     case ChaosEventKind::kClearLink: return "clear-link";
+    case ChaosEventKind::kRegister: return "register";
+    case ChaosEventKind::kUnregister: return "unregister";
+    case ChaosEventKind::kSetQuota: return "set-quota";
   }
   return "?";
+}
+
+std::vector<LinkPair> distinct_link_pairs(const net::Network& net) {
+  std::vector<LinkPair> pairs;
+  std::unordered_set<std::uint64_t> seen;
+  for (const net::Link& l : net.links()) {
+    const net::NodeId a = std::min(l.a, l.b);
+    const net::NodeId b = std::max(l.a, l.b);
+    if (seen.insert((static_cast<std::uint64_t>(a) << 32) | b).second) {
+      pairs.emplace_back(a, b);
+    }
+  }
+  return pairs;
+}
+
+void FaultState::apply(const ChaosEvent& e) {
+  const LinkPair pair{std::min(e.a, e.b), std::max(e.a, e.b)};
+  switch (e.kind) {
+    case ChaosEventKind::kCrashNode:
+    case ChaosEventKind::kFailNode:
+      mark(down_nodes_, e.a, "event faults a node that is already down");
+      break;
+    case ChaosEventKind::kRestoreNode:
+      unmark(down_nodes_, e.a, "event restores a node that is up");
+      break;
+    case ChaosEventKind::kFailLink:
+      mark(down_links_, pair, "event fails a link pair that is already down");
+      break;
+    case ChaosEventKind::kRestoreLink:
+      unmark(down_links_, pair, "event restores a link pair that is up");
+      break;
+    case ChaosEventKind::kDegradeNode:
+      mark(degraded_nodes_, e.a, "event degrades a degraded node");
+      break;
+    case ChaosEventKind::kClearNode:
+      unmark(degraded_nodes_, e.a, "event clears a healthy node");
+      break;
+    case ChaosEventKind::kDegradeLink:
+      mark(degraded_links_, pair, "event degrades a degraded link pair");
+      break;
+    case ChaosEventKind::kClearLink:
+      unmark(degraded_links_, pair, "event clears a healthy link pair");
+      break;
+    case ChaosEventKind::kRateSpike:
+    case ChaosEventKind::kSetLinkLoss:
+    case ChaosEventKind::kSetLinkJitter:
+    case ChaosEventKind::kQueuePressure:
+    case ChaosEventKind::kRegister:
+    case ChaosEventKind::kUnregister:
+    case ChaosEventKind::kSetQuota:
+      break;
+  }
+}
+
+InjectorCore::InjectorCore(const net::Network& net,
+                           const query::Catalog& catalog, std::uint64_t seed)
+    : prng(seed),
+      nodes(net.node_count()),
+      link_pairs(distinct_link_pairs(net)) {
+  std::iota(nodes.begin(), nodes.end(), net::NodeId{0});
+  for (query::StreamId s = 0;
+       s < static_cast<query::StreamId>(catalog.stream_count()); ++s) {
+    base_rates.push_back(catalog.stream(s).tuple_rate);
+  }
+}
+
+ChaosEvent InjectorCore::spike() {
+  ChaosEvent e;
+  e.kind = ChaosEventKind::kRateSpike;
+  const std::size_t i = prng.index(base_rates.size());
+  e.stream = static_cast<query::StreamId>(i);
+  e.rate = base_rates[i] * prng.uniform(0.25, 4.0);
+  return e;
+}
+
+std::optional<ChaosEvent> InjectorCore::fault_or_restore(int max_down_nodes,
+                                                         int max_down_links,
+                                                         double restore_bias,
+                                                         bool crash_coin) {
+  const std::vector<net::NodeId>& down_nodes = state.down_nodes();
+  const std::vector<LinkPair>& down_links = state.down_links();
+  // Never take down more than half the nodes: the hierarchy keeps a
+  // working quorum and planners always have somewhere to place operators.
+  const bool node_budget =
+      down_nodes.size() <
+          static_cast<std::size_t>(std::max(max_down_nodes, 0)) &&
+      (down_nodes.size() + 1) * 2 <= nodes.size();
+  const bool link_budget =
+      down_links.size() <
+          static_cast<std::size_t>(std::max(max_down_links, 0)) &&
+      down_links.size() < link_pairs.size();
+  const bool can_fault = node_budget || link_budget;
+  const bool anything_down = !down_nodes.empty() || !down_links.empty();
+
+  ChaosEvent e;
+  if (anything_down && (prng.chance(restore_bias) || !can_fault)) {
+    const std::size_t pick = prng.index(down_nodes.size() + down_links.size());
+    if (pick < down_nodes.size()) {
+      e.kind = ChaosEventKind::kRestoreNode;
+      e.a = down_nodes[pick];
+    } else {
+      e.kind = ChaosEventKind::kRestoreLink;
+      std::tie(e.a, e.b) = down_links[pick - down_nodes.size()];
+    }
+    return e;
+  }
+  if (!can_fault) return std::nullopt;
+
+  if (node_budget && (!link_budget || prng.chance(0.5))) {
+    e.kind = crash_coin && prng.chance(0.5) ? ChaosEventKind::kCrashNode
+                                            : ChaosEventKind::kFailNode;
+    e.a = prng.pick(except(nodes, down_nodes));
+    return e;
+  }
+  e.kind = ChaosEventKind::kFailLink;
+  std::tie(e.a, e.b) = prng.pick(except(link_pairs, down_links));
+  return e;
 }
 
 FaultInjector::FaultInjector(const net::Network& net,
                              const query::Catalog& catalog,
                              const ChaosConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), prng_(seed), node_count_(net.node_count()) {
-  IFLOW_CHECK(node_count_ >= 2);
-  // Distinct endpoint pairs: Network::fail_link downs every parallel (a, b)
-  // link at once, so the injector models link state per pair.
-  std::unordered_set<std::uint64_t> seen;
-  for (const net::Link& l : net.links()) {
-    const net::NodeId a = std::min(l.a, l.b);
-    const net::NodeId b = std::max(l.a, l.b);
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    if (seen.insert(key).second) link_pairs_.emplace_back(a, b);
-  }
-  for (query::StreamId s = 0;
-       s < static_cast<query::StreamId>(catalog.stream_count()); ++s) {
-    streams_.push_back(s);
-    base_rates_.push_back(catalog.stream(s).tuple_rate);
-  }
+    : cfg_(cfg), core_(net, catalog, seed) {
+  IFLOW_CHECK(core_.nodes.size() >= 2);
 }
 
 ChaosEvent FaultInjector::next() {
-  ChaosEvent e;
-  const bool anything_down = !down_nodes_.empty() || !down_links_.empty();
+  const ChaosEvent e = draw();
+  core_.state.apply(e);
+  return e;
+}
 
-  if (!streams_.empty() && prng_.chance(cfg_.spike_probability)) {
-    e.kind = ChaosEventKind::kRateSpike;
-    const std::size_t i = prng_.index(streams_.size());
-    e.stream = streams_[i];
-    e.rate = base_rates_[i] * prng_.uniform(0.25, 4.0);
-    return e;
+ChaosEvent FaultInjector::draw() {
+  Prng& prng = core_.prng;
+  const std::vector<LinkPair>& link_pairs = core_.link_pairs;
+  if (!core_.base_rates.empty() && prng.chance(cfg_.spike_probability)) {
+    return core_.spike();
   }
 
+  ChaosEvent e;
   // Delivery-layer events: none of these change what is down, so they sit
   // outside the budget/restore bookkeeping. Re-drawing loss or jitter on a
   // pair that already has some simply overwrites it.
-  if (!link_pairs_.empty() && prng_.chance(cfg_.loss_probability)) {
+  if (!link_pairs.empty() && prng.chance(cfg_.loss_probability)) {
     e.kind = ChaosEventKind::kSetLinkLoss;
-    const auto& p = prng_.pick(link_pairs_);
-    e.a = p.first;
-    e.b = p.second;
-    e.rate = prng_.uniform(0.0, cfg_.max_link_loss);
+    std::tie(e.a, e.b) = prng.pick(link_pairs);
+    e.rate = prng.uniform(0.0, cfg_.max_link_loss);
     return e;
   }
-  if (!link_pairs_.empty() && prng_.chance(cfg_.jitter_probability)) {
+  if (!link_pairs.empty() && prng.chance(cfg_.jitter_probability)) {
     e.kind = ChaosEventKind::kSetLinkJitter;
-    const auto& p = prng_.pick(link_pairs_);
-    e.a = p.first;
-    e.b = p.second;
-    e.rate = prng_.uniform(0.0, cfg_.max_jitter_ms);
+    std::tie(e.a, e.b) = prng.pick(link_pairs);
+    e.rate = prng.uniform(0.0, cfg_.max_jitter_ms);
     return e;
   }
-  if (prng_.chance(cfg_.queue_probability)) {
+  if (prng.chance(cfg_.queue_probability)) {
     e.kind = ChaosEventKind::kQueuePressure;
     // Per-tuple service time; the top of the range keeps operator
     // utilization under ~0.4 at the generator's spiked stream rates, so
     // backpressure queues stay shallow and event-time results unaffected.
-    e.rate = prng_.uniform(0.0001, 0.0005);
+    e.rate = prng.uniform(0.0001, 0.0005);
     return e;
   }
-  if (prng_.chance(cfg_.gray_probability)) {
+  if (prng.chance(cfg_.gray_probability)) {
     // Gray failures live outside the down-budget bookkeeping: a degraded
     // element stays administratively up. The injector still budgets how
     // many are sick at once and heals restore-biased, like real faults.
-    const std::size_t degraded =
-        degraded_nodes_.size() + degraded_links_.size();
+    const std::vector<net::NodeId>& sick_nodes = core_.state.degraded_nodes();
+    const std::vector<LinkPair>& sick_links = core_.state.degraded_links();
+    const std::size_t degraded = sick_nodes.size() + sick_links.size();
     const bool budget =
         degraded < static_cast<std::size_t>(std::max(cfg_.max_degraded, 0));
-    if (degraded > 0 && (!budget || prng_.chance(cfg_.restore_bias))) {
-      const std::size_t pick = prng_.index(degraded);
-      if (pick < degraded_nodes_.size()) {
+    if (degraded > 0 && (!budget || prng.chance(cfg_.restore_bias))) {
+      const std::size_t pick = prng.index(degraded);
+      if (pick < sick_nodes.size()) {
         e.kind = ChaosEventKind::kClearNode;
-        e.a = degraded_nodes_[pick];
-        degraded_nodes_.erase(degraded_nodes_.begin() +
-                              static_cast<std::ptrdiff_t>(pick));
+        e.a = sick_nodes[pick];
       } else {
-        const std::size_t li = pick - degraded_nodes_.size();
         e.kind = ChaosEventKind::kClearLink;
-        e.a = degraded_links_[li].first;
-        e.b = degraded_links_[li].second;
-        degraded_links_.erase(degraded_links_.begin() +
-                              static_cast<std::ptrdiff_t>(li));
+        std::tie(e.a, e.b) = sick_links[pick - sick_nodes.size()];
       }
       return e;
     }
     if (budget) {
       // Three gray families: slow element, lossy element, flapper (slow
       // AND lossy, gated by an on/off wave).
-      const std::size_t family = prng_.index(3);
+      const std::size_t family = prng.index(3);
       if (family == 0 || family == 2) {
-        e.slowdown = prng_.uniform(1.5, std::max(1.5, cfg_.max_gray_slowdown));
+        e.slowdown = prng.uniform(1.5, std::max(1.5, cfg_.max_gray_slowdown));
       }
       if (family == 1 || family == 2) {
-        e.rate = prng_.uniform(0.05, std::max(0.05, cfg_.max_gray_loss));
+        e.rate = prng.uniform(0.05, std::max(0.05, cfg_.max_gray_loss));
       }
       if (family == 2) {
-        e.flap_hz = prng_.uniform(0.05, std::max(0.05, cfg_.max_gray_flap_hz));
+        e.flap_hz = prng.uniform(0.05, std::max(0.05, cfg_.max_gray_flap_hz));
       }
-      std::vector<net::NodeId> well_nodes;
-      for (net::NodeId n = 0; n < static_cast<net::NodeId>(node_count_);
-           ++n) {
-        if (std::find(degraded_nodes_.begin(), degraded_nodes_.end(), n) ==
-            degraded_nodes_.end()) {
-          well_nodes.push_back(n);
-        }
-      }
-      std::vector<std::pair<net::NodeId, net::NodeId>> well_links;
-      for (const auto& p : link_pairs_) {
-        if (std::find(degraded_links_.begin(), degraded_links_.end(), p) ==
-            degraded_links_.end()) {
-          well_links.push_back(p);
-        }
-      }
+      const std::vector<net::NodeId> well_nodes =
+          except(core_.nodes, sick_nodes);
+      const std::vector<LinkPair> well_links = except(link_pairs, sick_links);
       const bool pick_node =
-          !well_nodes.empty() && (well_links.empty() || prng_.chance(0.5));
+          !well_nodes.empty() && (well_links.empty() || prng.chance(0.5));
       if (pick_node) {
         e.kind = ChaosEventKind::kDegradeNode;
-        e.a = prng_.pick(well_nodes);
-        degraded_nodes_.push_back(e.a);
+        e.a = prng.pick(well_nodes);
         return e;
       }
       if (!well_links.empty()) {
-        const auto& p = prng_.pick(well_links);
         e.kind = ChaosEventKind::kDegradeLink;
-        e.a = p.first;
-        e.b = p.second;
-        degraded_links_.push_back(p);
+        std::tie(e.a, e.b) = prng.pick(well_links);
         return e;
       }
-      e = ChaosEvent{};  // everything already degraded; fall through
+      // Everything already degraded; fall through.
     }
   }
 
-  // Never take down more than half the nodes: the hierarchy keeps a
-  // working quorum and planners always have somewhere to place operators.
-  const bool node_budget =
-      down_nodes_.size() <
-          static_cast<std::size_t>(std::max(cfg_.max_down_nodes, 0)) &&
-      (down_nodes_.size() + 1) * 2 <= node_count_;
-  const bool link_budget =
-      down_links_.size() <
-          static_cast<std::size_t>(std::max(cfg_.max_down_links, 0)) &&
-      down_links_.size() < link_pairs_.size();
-  const bool can_fault = node_budget || link_budget;
-
-  if (anything_down && (prng_.chance(cfg_.restore_bias) || !can_fault)) {
-    const std::size_t pool = down_nodes_.size() + down_links_.size();
-    const std::size_t pick = prng_.index(pool);
-    if (pick < down_nodes_.size()) {
-      e.kind = ChaosEventKind::kRestoreNode;
-      e.a = down_nodes_[pick];
-      down_nodes_.erase(down_nodes_.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
-    } else {
-      const std::size_t li = pick - down_nodes_.size();
-      e.kind = ChaosEventKind::kRestoreLink;
-      e.a = down_links_[li].first;
-      e.b = down_links_[li].second;
-      down_links_.erase(down_links_.begin() +
-                        static_cast<std::ptrdiff_t>(li));
-    }
-    return e;
+  if (std::optional<ChaosEvent> f =
+          core_.fault_or_restore(cfg_.max_down_nodes, cfg_.max_down_links,
+                                 cfg_.restore_bias, /*crash_coin=*/true)) {
+    return *f;
   }
-
-  if (can_fault) {
-    const bool pick_node =
-        node_budget && (!link_budget || prng_.chance(0.5));
-    if (pick_node) {
-      std::vector<net::NodeId> up;
-      for (net::NodeId n = 0; n < static_cast<net::NodeId>(node_count_);
-           ++n) {
-        if (std::find(down_nodes_.begin(), down_nodes_.end(), n) ==
-            down_nodes_.end()) {
-          up.push_back(n);
-        }
-      }
-      e.kind = prng_.chance(0.5) ? ChaosEventKind::kCrashNode
-                                 : ChaosEventKind::kFailNode;
-      e.a = prng_.pick(up);
-      down_nodes_.push_back(e.a);
-      return e;
-    }
-    std::vector<std::pair<net::NodeId, net::NodeId>> up;
-    for (const auto& p : link_pairs_) {
-      if (std::find(down_links_.begin(), down_links_.end(), p) ==
-          down_links_.end()) {
-        up.push_back(p);
-      }
-    }
-    const auto& p = prng_.pick(up);
-    e.kind = ChaosEventKind::kFailLink;
-    e.a = p.first;
-    e.b = p.second;
-    down_links_.push_back(p);
-    return e;
-  }
-
   // Caps reached with nothing down can only happen with zero budgets;
-  // degrade to a spike (or a no-op restore-less spike with rate kept).
-  IFLOW_CHECK_MSG(!streams_.empty(),
+  // degrade to a spike.
+  IFLOW_CHECK_MSG(!core_.base_rates.empty(),
                   "chaos config leaves no applicable event");
-  e.kind = ChaosEventKind::kRateSpike;
-  const std::size_t i = prng_.index(streams_.size());
-  e.stream = streams_[i];
-  e.rate = base_rates_[i] * prng_.uniform(0.25, 4.0);
-  return e;
+  return core_.spike();
 }
 
-namespace {
-
-/// Validates every active deployment. Freshly re-planned queries (the ids
-/// in `replanned`) get the full semantic + cost pass; untouched ones get
-/// the structural + placement pass only (their recorded unit rates may
-/// legitimately predate a rate spike).
-std::size_t validate_actives(Middleware& mw,
-                             const std::unordered_set<query::QueryId>& replanned,
-                             std::string* first_detail) {
+std::size_t validate_actives(
+    Middleware& mw, const std::unordered_set<query::QueryId>& replanned,
+    std::string* first_detail) {
   opt::OptimizerEnv env = mw.planning_env();
   const std::vector<net::NodeId> excluded = mw.excluded_hosts();
   std::size_t violations = 0;
   for (const Middleware::ActiveView& v : mw.active_views()) {
     verify::ValidateOptions vopts;
     // No active deployment may keep an operator or derived unit on a
-    // failed, crashed or load-shed host (kExcludedHost).
+    // failed, crashed, quarantined or load-shed host (kExcludedHost).
     vopts.excluded_hosts = &excluded;
     if (replanned.count(v.query->id) > 0) {
       vopts.query = v.query;
@@ -285,173 +326,171 @@ std::unordered_set<query::QueryId> replanned_ids(
   return out;
 }
 
+std::vector<net::NodeId> relay_hosts(const Middleware& mw,
+                                     const std::vector<query::Query>& queries) {
+  const std::size_t nodes = mw.network().node_count();
+  std::vector<char> endpoint(nodes, 0);
+  for (const query::Query& q : queries) {
+    endpoint[q.sink] = 1;
+    for (const query::StreamId s : q.sources) {
+      endpoint[mw.catalog().stream(s).source] = 1;
+    }
+  }
+  std::vector<char> hosting(nodes, 0);
+  for (const Middleware::ActiveView& v : mw.active_views()) {
+    for (const query::DeployedOp& op : v.deployment->ops) {
+      hosting[op.node] = 1;
+    }
+  }
+  std::vector<net::NodeId> out;
+  for (net::NodeId n = 0; n < nodes; ++n) {
+    if (hosting[n] != 0 && endpoint[n] == 0) out.push_back(n);
+  }
+  IFLOW_CHECK_MSG(!out.empty(),
+                  "the harness needs an operator host that is not a query "
+                  "endpoint (use a relay-shaped topology)");
+  return out;
+}
+
+namespace {
+
+/// Applies a network, rate or quality event to `mw` and returns the
+/// redeployments it caused. Queue pressure and population events belong to
+/// one runner each, which handles them before calling this.
+std::vector<Redeployment> apply_event(Middleware& mw, const ChaosEvent& e) {
+  switch (e.kind) {
+    case ChaosEventKind::kCrashNode: return mw.crash_node(e.a);
+    case ChaosEventKind::kFailNode: return mw.fail_node(e.a);
+    case ChaosEventKind::kRestoreNode: return mw.restore_node(e.a);
+    case ChaosEventKind::kFailLink: return mw.fail_link(e.a, e.b);
+    case ChaosEventKind::kRestoreLink: return mw.restore_link(e.a, e.b);
+    case ChaosEventKind::kRateSpike:
+      mw.set_stream_rate(e.stream, e.rate);
+      return mw.adapt();
+    case ChaosEventKind::kSetLinkLoss:
+      mw.set_link_loss(e.a, e.b, e.rate);
+      return {};
+    case ChaosEventKind::kSetLinkJitter:
+      mw.set_link_jitter(e.a, e.b, e.rate);
+      return {};
+    case ChaosEventKind::kDegradeNode:
+      mw.degrade_node(e.a, net::Degradation{e.slowdown, e.rate, e.flap_hz});
+      return {};
+    case ChaosEventKind::kDegradeLink:
+      mw.degrade_link(e.a, e.b,
+                      net::Degradation{e.slowdown, e.rate, e.flap_hz});
+      return {};
+    case ChaosEventKind::kClearNode:
+      mw.degrade_node(e.a, net::Degradation{});
+      return {};
+    case ChaosEventKind::kClearLink:
+      mw.degrade_link(e.a, e.b, net::Degradation{});
+      return {};
+    case ChaosEventKind::kQueuePressure:
+    case ChaosEventKind::kRegister:
+    case ChaosEventKind::kUnregister:
+    case ChaosEventKind::kSetQuota:
+      break;
+  }
+  IFLOW_CHECK_MSG(false, "this runner cannot apply a " << to_string(e.kind)
+                                                       << " event");
+  return {};
+}
+
+/// One transcript line per event: the event, then the state it left. The
+/// registration runner's `note` records a register/unregister outcome.
 void digest_line(std::ostringstream& os, std::size_t step,
-                 const ChaosEvent& e, const Middleware& mw,
+                 const ChaosEvent& e, const char* note, const Middleware& mw,
                  double total_cost, std::size_t violations) {
   os << "step " << step << ' ' << to_string(e.kind) << ' ';
-  if (e.kind == ChaosEventKind::kRateSpike) {
-    os << 's' << e.stream << ' ' << std::hexfloat << e.rate
-       << std::defaultfloat;
-  } else if (e.kind == ChaosEventKind::kSetLinkLoss ||
-             e.kind == ChaosEventKind::kSetLinkJitter) {
-    os << e.a << '-' << e.b << ' ' << std::hexfloat << e.rate
-       << std::defaultfloat;
-  } else if (e.kind == ChaosEventKind::kQueuePressure) {
-    os << std::hexfloat << e.rate << std::defaultfloat;
-  } else if (e.kind == ChaosEventKind::kDegradeNode ||
-             e.kind == ChaosEventKind::kDegradeLink) {
-    os << e.a;
-    if (e.b != net::kInvalidNode) os << '-' << e.b;
-    os << ' ' << std::hexfloat << e.slowdown << ' ' << e.rate << ' '
-       << e.flap_hz << std::defaultfloat;
-  } else {
-    os << e.a;
-    if (e.b != net::kInvalidNode) os << '-' << e.b;
+  switch (e.kind) {
+    case ChaosEventKind::kRateSpike:
+      os << 's' << e.stream << ' ' << std::hexfloat << e.rate
+         << std::defaultfloat;
+      break;
+    case ChaosEventKind::kSetLinkLoss:
+    case ChaosEventKind::kSetLinkJitter:
+      os << e.a << '-' << e.b << ' ' << std::hexfloat << e.rate
+         << std::defaultfloat;
+      break;
+    case ChaosEventKind::kQueuePressure:
+      os << std::hexfloat << e.rate << std::defaultfloat;
+      break;
+    case ChaosEventKind::kDegradeNode:
+    case ChaosEventKind::kDegradeLink:
+      os << e.a;
+      if (e.b != net::kInvalidNode) os << '-' << e.b;
+      os << ' ' << std::hexfloat << e.slowdown << ' ' << e.rate << ' '
+         << e.flap_hz << std::defaultfloat;
+      break;
+    case ChaosEventKind::kRegister:
+    case ChaosEventKind::kUnregister:
+      os << 'q' << e.query << ' ' << note;
+      break;
+    case ChaosEventKind::kSetQuota:
+      os << 't' << e.tenant << " w " << std::hexfloat << e.quota.weight
+         << std::defaultfloat << " maxq " << e.quota.max_queries;
+      break;
+    default:
+      os << e.a;
+      if (e.b != net::kInvalidNode) os << '-' << e.b;
+      break;
   }
   os << " cost " << std::hexfloat << total_cost << std::defaultfloat
      << " active " << mw.active_queries() << " suspended "
      << mw.suspended_queries() << " viol " << violations << '\n';
 }
 
-/// Where run_impl draws its events from: the seeded FaultInjector
-/// (run_churn) or a fixed scenario script (run_scripted). Both track what
-/// is currently down so the restoration sweep knows what to bring back.
-class EventSource {
- public:
-  virtual ~EventSource() = default;
-  virtual int count() const = 0;
-  virtual ChaosEvent next() = 0;
-  virtual const std::vector<net::NodeId>& down_nodes() const = 0;
-  virtual const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const = 0;
-};
-
-class InjectorSource final : public EventSource {
- public:
-  InjectorSource(const net::Network& net, const query::Catalog& catalog,
-                 const ChaosConfig& cfg, std::uint64_t seed)
-      : events_(cfg.events), inj_(net, catalog, cfg, seed) {}
-  int count() const override { return events_; }
-  ChaosEvent next() override { return inj_.next(); }
-  const std::vector<net::NodeId>& down_nodes() const override {
-    return inj_.down_nodes();
+/// The restoration sweep both churn runners end with: bring back every link
+/// pair and node `state` still has down, heal every degradation, then adapt
+/// until quiescent so the suspended queue drains and drifted deployments
+/// settle. Each restore resets the resume-attempt budgets. Validation runs
+/// after every call — a planned cost is only checkable against the routing
+/// tables it was computed under, and each restore rebuilds them — and adds
+/// to `violations` / `detail`.
+void restore_all(Middleware& mw, const FaultState& state,
+                 std::size_t& violations, std::string& detail) {
+  const auto validate = [&](const std::vector<Redeployment>& reds) {
+    violations += validate_actives(mw, replanned_ids(reds), &detail);
+  };
+  for (const auto& [a, b] : state.down_links()) {
+    validate(mw.restore_link(a, b));
   }
-  const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const override {
-    return inj_.down_links();
+  for (const net::NodeId n : state.down_nodes()) {
+    validate(mw.restore_node(n));
   }
-
- private:
-  int events_;
-  FaultInjector inj_;
-};
-
-/// Replays a fixed script verbatim, checking applicability as it goes: the
-/// scenario generator must only script faults against up targets and
-/// restores against down ones (a malformed script is a harness bug, not a
-/// system-under-test failure).
-class ScriptSource final : public EventSource {
- public:
-  explicit ScriptSource(const std::vector<ChaosEvent>& script)
-      : script_(script) {}
-  int count() const override { return static_cast<int>(script_.size()); }
-  ChaosEvent next() override {
-    IFLOW_CHECK(i_ < script_.size());
-    const ChaosEvent e = script_[i_++];
-    const auto node_it = [&] {
-      return std::find(down_nodes_.begin(), down_nodes_.end(), e.a);
-    };
-    const auto link_it = [&] {
-      const auto pair = std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-      return std::find(down_links_.begin(), down_links_.end(), pair);
-    };
-    switch (e.kind) {
-      case ChaosEventKind::kCrashNode:
-      case ChaosEventKind::kFailNode:
-        IFLOW_CHECK_MSG(node_it() == down_nodes_.end(),
-                        "script double-faults a node");
-        down_nodes_.push_back(e.a);
-        break;
-      case ChaosEventKind::kRestoreNode: {
-        const auto it = node_it();
-        IFLOW_CHECK_MSG(it != down_nodes_.end(),
-                        "script restores an up node");
-        down_nodes_.erase(it);
-        break;
-      }
-      case ChaosEventKind::kFailLink:
-        IFLOW_CHECK_MSG(link_it() == down_links_.end(),
-                        "script double-fails a link pair");
-        down_links_.emplace_back(std::min(e.a, e.b), std::max(e.a, e.b));
-        break;
-      case ChaosEventKind::kRestoreLink: {
-        const auto it = link_it();
-        IFLOW_CHECK_MSG(it != down_links_.end(),
-                        "script restores an up link pair");
-        down_links_.erase(it);
-        break;
-      }
-      case ChaosEventKind::kDegradeNode:
-        IFLOW_CHECK_MSG(std::find(degraded_nodes_.begin(),
-                                  degraded_nodes_.end(),
-                                  e.a) == degraded_nodes_.end(),
-                        "script double-degrades a node");
-        degraded_nodes_.push_back(e.a);
-        break;
-      case ChaosEventKind::kClearNode: {
-        const auto it = std::find(degraded_nodes_.begin(),
-                                  degraded_nodes_.end(), e.a);
-        IFLOW_CHECK_MSG(it != degraded_nodes_.end(),
-                        "script clears an undegraded node");
-        degraded_nodes_.erase(it);
-        break;
-      }
-      case ChaosEventKind::kDegradeLink: {
-        const auto pair =
-            std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-        IFLOW_CHECK_MSG(std::find(degraded_links_.begin(),
-                                  degraded_links_.end(),
-                                  pair) == degraded_links_.end(),
-                        "script double-degrades a link pair");
-        degraded_links_.push_back(pair);
-        break;
-      }
-      case ChaosEventKind::kClearLink: {
-        const auto pair =
-            std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-        const auto it = std::find(degraded_links_.begin(),
-                                  degraded_links_.end(), pair);
-        IFLOW_CHECK_MSG(it != degraded_links_.end(),
-                        "script clears an undegraded link pair");
-        degraded_links_.erase(it);
-        break;
-      }
-      default:
-        break;  // rate/loss/jitter/queue events change nothing that is down
-    }
-    return e;
+  // Gray degradations heal too. Quality-only, so no replanning happens —
+  // but the delivery twins compare lossy vs loss-free counts EXACTLY, and
+  // a still-degraded hop would push residual loss past the retry budget.
+  for (const net::NodeId n : state.degraded_nodes()) {
+    mw.degrade_node(n, net::Degradation{});
   }
-  const std::vector<net::NodeId>& down_nodes() const override {
-    return down_nodes_;
+  for (const auto& [a, b] : state.degraded_links()) {
+    mw.degrade_link(a, b, net::Degradation{});
   }
-  const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const override {
-    return down_links_;
+  for (int round = 0; round < 5; ++round) {
+    const std::vector<Redeployment> r = mw.adapt();
+    validate(r);
+    if (r.empty()) break;
   }
+}
 
- private:
-  std::vector<ChaosEvent> script_;
-  std::size_t i_ = 0;
-  std::vector<net::NodeId> down_nodes_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> down_links_;
-  std::vector<net::NodeId> degraded_nodes_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> degraded_links_;
-};
+}  // namespace
 
-ChaosReport run_impl(net::Network net, query::Catalog catalog,
-                     const std::vector<query::Query>& queries, int max_cs,
-                     Algorithm algorithm, std::uint64_t seed,
-                     const ChaosConfig& cfg, EventSource& src) {
+ChaosReport run_churn(net::Network net, query::Catalog catalog,
+                      const std::vector<query::Query>& queries, int max_cs,
+                      Algorithm algorithm, std::uint64_t seed,
+                      const ChaosConfig& cfg,
+                      const std::vector<ChaosEvent>& script) {
+  // Injector draws never read the middleware, so a drawn run replays its
+  // schedule drawn up front.
+  std::vector<ChaosEvent> drawn;
+  if (script.empty()) {
+    FaultInjector inj(net, catalog, cfg, seed ^ 0xC4A05E7A11DEADULL);
+    for (int i = 0; i < cfg.events; ++i) drawn.push_back(inj.next());
+  }
+  const std::vector<ChaosEvent>& events = script.empty() ? drawn : script;
+
   ChaosReport report;
   std::ostringstream digest;
 
@@ -461,56 +500,19 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
     report.deploy_time_ms += mw.deploy(q).deploy_time_ms;
   }
 
-  // Queue pressure applies to the post-churn delivery check; the last drawn
+  // Queue pressure applies to the post-churn delivery check; the last
   // event wins.
   double queue_service_s = 0.0;
-
-  for (int i = 0; i < src.count(); ++i) {
+  FaultState state;
+  for (std::size_t i = 0; i < events.size(); ++i) {
     ChaosStep step;
-    step.event = src.next();
+    step.event = events[i];
     const ChaosEvent& e = step.event;
-    switch (e.kind) {
-      case ChaosEventKind::kCrashNode:
-        step.redeployments = mw.crash_node(e.a);
-        break;
-      case ChaosEventKind::kFailNode:
-        step.redeployments = mw.fail_node(e.a);
-        break;
-      case ChaosEventKind::kRestoreNode:
-        step.redeployments = mw.restore_node(e.a);
-        break;
-      case ChaosEventKind::kFailLink:
-        step.redeployments = mw.fail_link(e.a, e.b);
-        break;
-      case ChaosEventKind::kRestoreLink:
-        step.redeployments = mw.restore_link(e.a, e.b);
-        break;
-      case ChaosEventKind::kRateSpike:
-        mw.set_stream_rate(e.stream, e.rate);
-        step.redeployments = mw.adapt();
-        break;
-      case ChaosEventKind::kSetLinkLoss:
-        mw.set_link_loss(e.a, e.b, e.rate);
-        break;
-      case ChaosEventKind::kSetLinkJitter:
-        mw.set_link_jitter(e.a, e.b, e.rate);
-        break;
-      case ChaosEventKind::kQueuePressure:
-        queue_service_s = e.rate;
-        break;
-      case ChaosEventKind::kDegradeNode:
-        mw.degrade_node(e.a, net::Degradation{e.slowdown, e.rate, e.flap_hz});
-        break;
-      case ChaosEventKind::kDegradeLink:
-        mw.degrade_link(e.a, e.b,
-                        net::Degradation{e.slowdown, e.rate, e.flap_hz});
-        break;
-      case ChaosEventKind::kClearNode:
-        mw.degrade_node(e.a, net::Degradation{});
-        break;
-      case ChaosEventKind::kClearLink:
-        mw.degrade_link(e.a, e.b, net::Degradation{});
-        break;
+    state.apply(e);
+    if (e.kind == ChaosEventKind::kQueuePressure) {
+      queue_service_s = e.rate;
+    } else {
+      step.redeployments = apply_event(mw, e);
     }
     step.violations = validate_actives(mw, replanned_ids(step.redeployments),
                                        &step.violation_detail);
@@ -521,56 +523,16 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
     step.suspended = mw.suspended_queries();
     step.total_cost = mw.total_current_cost();
     report.violations += step.violations;
-    digest_line(digest, static_cast<std::size_t>(i), e, mw, step.total_cost,
-                step.violations);
+    digest_line(digest, i, e, "", mw, step.total_cost, step.violations);
     report.steps.push_back(std::move(step));
   }
 
-  // Full restoration: bring every link pair and node back, then adapt
-  // until quiescent so the suspended queue drains and drifted deployments
-  // settle. Each restore_* resets the resume-attempt budgets. Validation
-  // runs after every call — a planned cost is only checkable against the
-  // routing tables it was computed under, and each restore rebuilds them.
-  const auto validate_after = [&](const std::vector<Redeployment>& reds) {
-    report.violations +=
-        validate_actives(mw, replanned_ids(reds), &report.violation_detail);
-  };
-  for (const auto& [a, b] : src.down_links()) {
-    validate_after(mw.restore_link(a, b));
-  }
-  for (const net::NodeId n : src.down_nodes()) {
-    validate_after(mw.restore_node(n));
-  }
-  // Gray degradations heal too. Quality-only, so no replanning happens —
-  // but the delivery twins compare lossy vs loss-free counts EXACTLY, and
-  // a still-degraded hop would push residual loss past the retry budget.
-  for (net::NodeId n = 0; n < mw.network().node_count(); ++n) {
-    if (mw.network().node_degradation(n).degraded()) {
-      mw.degrade_node(n, net::Degradation{});
-    }
-  }
-  {
-    std::vector<std::pair<net::NodeId, net::NodeId>> sick;
-    std::unordered_set<std::uint64_t> seen;
-    for (const net::Link& l : mw.network().links()) {
-      if (!l.degradation.degraded()) continue;
-      const net::NodeId a = std::min(l.a, l.b);
-      const net::NodeId b = std::max(l.a, l.b);
-      if (seen.insert((static_cast<std::uint64_t>(a) << 32) | b).second) {
-        sick.emplace_back(a, b);
-      }
-    }
-    for (const auto& [a, b] : sick) mw.degrade_link(a, b, net::Degradation{});
-  }
-  for (int round = 0; round < 5; ++round) {
-    const std::vector<Redeployment> r = mw.adapt();
-    validate_after(r);
-    if (r.empty()) break;
-  }
+  restore_all(mw, state, report.violations, report.violation_detail);
   // Staggered resumes leave reuse on the table (each query planned against
   // whatever advertisements existed at its resume); the convergence pass
   // recovers it.
-  validate_after(mw.reoptimize());
+  report.violations += validate_actives(mw, replanned_ids(mw.reoptimize()),
+                                        &report.violation_detail);
 
   report.all_resumed = mw.suspended_queries() == 0 &&
                        mw.active_queries() == queries.size();
@@ -640,33 +602,6 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
     const std::uint64_t sim_seed = seed ^ 0x0DE11FE12ULL;
     const std::vector<Middleware::ActiveView> views = mw.active_views();
 
-    // Dependency-ordered deploy: derived leaf units bind to operators of
-    // already-deployed queries, so sweep to a fixpoint — a reuse chain of
-    // depth d deploys in d sweeps. A sweep without progress means a
-    // provider is missing outright (the middleware's stranded-reuse repair
-    // should prevent this); report the check as not runnable then.
-    const auto deploy_all = [&](Simulation& sim) -> bool {
-      std::vector<bool> done(views.size(), false);
-      std::size_t remaining = views.size();
-      bool progress = true;
-      while (remaining > 0 && progress) {
-        progress = false;
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          if (done[i]) continue;
-          try {
-            sim.deploy(*views[i].deployment,
-                       query::RateModel(mw.catalog(), *views[i].query));
-            done[i] = true;
-            --remaining;
-            progress = true;
-          } catch (const CheckError&) {
-            // Provider not deployed yet; retry next sweep.
-          }
-        }
-      }
-      return remaining == 0;
-    };
-
     const net::Network& lossy_net = mw.network();
     net::Network clean_net = lossy_net;
     for (const net::Link& l : lossy_net.links()) {
@@ -678,7 +613,8 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
 
     Simulation lossy(lossy_net, lossy_rt, mw.catalog(), ec, sim_seed);
     Simulation clean(clean_net, clean_rt, mw.catalog(), ec, sim_seed);
-    if (deploy_all(lossy) && deploy_all(clean)) {
+    // A provider missing outright makes the check not runnable.
+    if (mw.deploy_actives(lossy) && mw.deploy_actives(clean)) {
       lossy.run();
       clean.run();
       report.delivery_checked = true;
@@ -714,166 +650,53 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
   return report;
 }
 
-}  // namespace
-
-ChaosReport run_churn(net::Network net, query::Catalog catalog,
-                      const std::vector<query::Query>& queries, int max_cs,
-                      Algorithm algorithm, std::uint64_t seed,
-                      const ChaosConfig& cfg) {
-  InjectorSource src(net, catalog, cfg, seed ^ 0xC4A05E7A11DEADULL);
-  return run_impl(std::move(net), std::move(catalog), queries, max_cs,
-                  algorithm, seed, cfg, src);
-}
-
-ChaosReport run_scripted(net::Network net, query::Catalog catalog,
-                         const std::vector<query::Query>& queries, int max_cs,
-                         Algorithm algorithm, std::uint64_t seed,
-                         const std::vector<ChaosEvent>& script,
-                         const ChaosConfig& cfg) {
-  ScriptSource src(script);
-  return run_impl(std::move(net), std::move(catalog), queries, max_cs,
-                  algorithm, seed, cfg, src);
-}
-
 // ---------------------------------------------------------------------------
 // Registration churn (multi-tenant churn plane).
 // ---------------------------------------------------------------------------
 
-const char* to_string(RegistrationEventKind k) {
-  switch (k) {
-    case RegistrationEventKind::kRegister: return "register";
-    case RegistrationEventKind::kUnregister: return "unregister";
-    case RegistrationEventKind::kSetQuota: return "set-quota";
-    case RegistrationEventKind::kFailNode: return "fail-node";
-    case RegistrationEventKind::kRestoreNode: return "restore-node";
-    case RegistrationEventKind::kFailLink: return "fail-link";
-    case RegistrationEventKind::kRestoreLink: return "restore-link";
-    case RegistrationEventKind::kRateSpike: return "rate-spike";
-  }
-  return "?";
-}
-
 namespace {
 
-/// Event supply for the registration runner: the seeded injector or a fixed
-/// script. next() sees the runner's in-system view because register /
-/// unregister eligibility depends on admission outcomes the injector cannot
-/// predict.
-class RegistrationSource {
- public:
-  virtual ~RegistrationSource() = default;
-  virtual int count() const = 0;
-  virtual RegistrationEvent next(const std::vector<char>& in_system) = 0;
-  virtual const std::vector<net::NodeId>& down_nodes() const = 0;
-  virtual const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const = 0;
-};
-
-class RegistrationInjector final : public RegistrationSource {
+/// Live registration-churn draws. next() sees the runner's in-system view
+/// because register / unregister eligibility depends on admission outcomes
+/// no schedule drawn up front could predict.
+class RegistrationInjector {
  public:
   RegistrationInjector(const net::Network& net, const query::Catalog& catalog,
                        const std::vector<query::Query>& pool,
                        const RegistrationChurnConfig& cfg, std::uint64_t seed)
-      : cfg_(cfg),
-        prng_(seed),
-        node_count_(net.node_count()),
-        pool_size_(pool.size()) {
-    std::unordered_set<std::uint64_t> seen;
-    for (const net::Link& l : net.links()) {
-      const net::NodeId a = std::min(l.a, l.b);
-      const net::NodeId b = std::max(l.a, l.b);
-      const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-      if (seen.insert(key).second) link_pairs_.emplace_back(a, b);
-    }
-    for (query::StreamId s = 0;
-         s < static_cast<query::StreamId>(catalog.stream_count()); ++s) {
-      streams_.push_back(s);
-      base_rates_.push_back(catalog.stream(s).tuple_rate);
-    }
+      : cfg_(cfg), core_(net, catalog, seed), pool_size_(pool.size()) {
     for (const query::Query& q : pool) tenants_.push_back(q.tenant);
     std::sort(tenants_.begin(), tenants_.end());
     tenants_.erase(std::unique(tenants_.begin(), tenants_.end()),
                    tenants_.end());
   }
 
-  int count() const override { return cfg_.events; }
+  ChaosEvent next(const std::vector<char>& in_system) {
+    const ChaosEvent e = draw(in_system);
+    core_.state.apply(e);
+    return e;
+  }
 
-  RegistrationEvent next(const std::vector<char>& in_system) override {
-    RegistrationEvent e;
-    if (prng_.chance(cfg_.fault_probability)) {
-      const bool anything_down = !down_nodes_.empty() || !down_links_.empty();
-      const bool node_budget =
-          down_nodes_.size() <
-              static_cast<std::size_t>(std::max(cfg_.max_down_nodes, 0)) &&
-          (down_nodes_.size() + 1) * 2 <= node_count_;
-      const bool link_budget =
-          down_links_.size() <
-              static_cast<std::size_t>(std::max(cfg_.max_down_links, 0)) &&
-          down_links_.size() < link_pairs_.size();
-      if (anything_down &&
-          (prng_.chance(cfg_.restore_bias) || (!node_budget && !link_budget))) {
-        const std::size_t pool = down_nodes_.size() + down_links_.size();
-        const std::size_t pick = prng_.index(pool);
-        if (pick < down_nodes_.size()) {
-          e.kind = RegistrationEventKind::kRestoreNode;
-          e.a = down_nodes_[pick];
-          down_nodes_.erase(down_nodes_.begin() +
-                            static_cast<std::ptrdiff_t>(pick));
-        } else {
-          const std::size_t li = pick - down_nodes_.size();
-          e.kind = RegistrationEventKind::kRestoreLink;
-          e.a = down_links_[li].first;
-          e.b = down_links_[li].second;
-          down_links_.erase(down_links_.begin() +
-                            static_cast<std::ptrdiff_t>(li));
-        }
-        return e;
-      }
-      if (node_budget || link_budget) {
-        const bool pick_node =
-            node_budget && (!link_budget || prng_.chance(0.5));
-        if (pick_node) {
-          std::vector<net::NodeId> up;
-          for (net::NodeId n = 0; n < static_cast<net::NodeId>(node_count_);
-               ++n) {
-            if (std::find(down_nodes_.begin(), down_nodes_.end(), n) ==
-                down_nodes_.end()) {
-              up.push_back(n);
-            }
-          }
-          e.kind = RegistrationEventKind::kFailNode;
-          e.a = prng_.pick(up);
-          down_nodes_.push_back(e.a);
-          return e;
-        }
-        std::vector<std::pair<net::NodeId, net::NodeId>> up;
-        for (const auto& p : link_pairs_) {
-          if (std::find(down_links_.begin(), down_links_.end(), p) ==
-              down_links_.end()) {
-            up.push_back(p);
-          }
-        }
-        const auto& p = prng_.pick(up);
-        e.kind = RegistrationEventKind::kFailLink;
-        e.a = p.first;
-        e.b = p.second;
-        down_links_.push_back(p);
-        return e;
+ private:
+  ChaosEvent draw(const std::vector<char>& in_system) {
+    Prng& prng = core_.prng;
+    if (prng.chance(cfg_.fault_probability)) {
+      if (std::optional<ChaosEvent> f = core_.fault_or_restore(
+              cfg_.max_down_nodes, cfg_.max_down_links, cfg_.restore_bias,
+              /*crash_coin=*/false)) {
+        return *f;
       }
       // No fault budget and nothing to restore: fall through to churn.
     }
-    if (!streams_.empty() && prng_.chance(cfg_.spike_probability)) {
-      e.kind = RegistrationEventKind::kRateSpike;
-      const std::size_t i = prng_.index(streams_.size());
-      e.stream = streams_[i];
-      e.rate = base_rates_[i] * prng_.uniform(0.25, 4.0);
-      return e;
+    if (!core_.base_rates.empty() && prng.chance(cfg_.spike_probability)) {
+      return core_.spike();
     }
-    if (!tenants_.empty() && prng_.chance(cfg_.quota_probability)) {
-      e.kind = RegistrationEventKind::kSetQuota;
-      e.tenant = prng_.pick(tenants_);
-      e.quota.weight = prng_.uniform(0.5, 2.0);
-      e.quota.max_queries = 1 + prng_.index(pool_size_);
+    ChaosEvent e;
+    if (!tenants_.empty() && prng.chance(cfg_.quota_probability)) {
+      e.kind = ChaosEventKind::kSetQuota;
+      e.tenant = prng.pick(tenants_);
+      e.quota.weight = prng.uniform(0.5, 2.0);
+      e.quota.max_queries = 1 + prng.index(pool_size_);
       return e;
     }
     std::vector<std::size_t> in, out;
@@ -881,107 +704,23 @@ class RegistrationInjector final : public RegistrationSource {
       (in_system[i] != 0 ? in : out).push_back(i);
     }
     const bool unregister =
-        !in.empty() && (out.empty() || prng_.chance(cfg_.unregister_bias));
+        !in.empty() && (out.empty() || prng.chance(cfg_.unregister_bias));
     if (unregister) {
-      e.kind = RegistrationEventKind::kUnregister;
-      e.query = in[prng_.index(in.size())];
+      e.kind = ChaosEventKind::kUnregister;
+      e.query = in[prng.index(in.size())];
     } else {
       IFLOW_CHECK_MSG(!out.empty(),
                       "registration churn over an empty query pool");
-      e.kind = RegistrationEventKind::kRegister;
-      e.query = out[prng_.index(out.size())];
+      e.kind = ChaosEventKind::kRegister;
+      e.query = out[prng.index(out.size())];
     }
     return e;
   }
 
-  const std::vector<net::NodeId>& down_nodes() const override {
-    return down_nodes_;
-  }
-  const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const override {
-    return down_links_;
-  }
-
- private:
   RegistrationChurnConfig cfg_;
-  Prng prng_;
-  std::size_t node_count_;
+  InjectorCore core_;
   std::size_t pool_size_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> link_pairs_;
-  std::vector<query::StreamId> streams_;
-  std::vector<double> base_rates_;
   std::vector<std::uint32_t> tenants_;
-  std::vector<net::NodeId> down_nodes_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> down_links_;
-};
-
-/// Replays a fixed registration script. Fault events must be applicable in
-/// order (same contract as ScriptSource); register/unregister events pass
-/// through — the runner skips the ones an admission rejection made moot.
-class RegistrationScriptSource final : public RegistrationSource {
- public:
-  explicit RegistrationScriptSource(
-      const std::vector<RegistrationEvent>& script)
-      : script_(script) {}
-
-  int count() const override { return static_cast<int>(script_.size()); }
-
-  RegistrationEvent next(const std::vector<char>&) override {
-    IFLOW_CHECK(i_ < script_.size());
-    const RegistrationEvent e = script_[i_++];
-    switch (e.kind) {
-      case RegistrationEventKind::kFailNode: {
-        IFLOW_CHECK_MSG(std::find(down_nodes_.begin(), down_nodes_.end(),
-                                  e.a) == down_nodes_.end(),
-                        "registration script double-faults a node");
-        down_nodes_.push_back(e.a);
-        break;
-      }
-      case RegistrationEventKind::kRestoreNode: {
-        const auto it = std::find(down_nodes_.begin(), down_nodes_.end(), e.a);
-        IFLOW_CHECK_MSG(it != down_nodes_.end(),
-                        "registration script restores an up node");
-        down_nodes_.erase(it);
-        break;
-      }
-      case RegistrationEventKind::kFailLink: {
-        const auto pair =
-            std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-        IFLOW_CHECK_MSG(std::find(down_links_.begin(), down_links_.end(),
-                                  pair) == down_links_.end(),
-                        "registration script double-fails a link pair");
-        down_links_.push_back(pair);
-        break;
-      }
-      case RegistrationEventKind::kRestoreLink: {
-        const auto pair =
-            std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-        const auto it =
-            std::find(down_links_.begin(), down_links_.end(), pair);
-        IFLOW_CHECK_MSG(it != down_links_.end(),
-                        "registration script restores an up link pair");
-        down_links_.erase(it);
-        break;
-      }
-      default:
-        break;
-    }
-    return e;
-  }
-
-  const std::vector<net::NodeId>& down_nodes() const override {
-    return down_nodes_;
-  }
-  const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const override {
-    return down_links_;
-  }
-
- private:
-  std::vector<RegistrationEvent> script_;
-  std::size_t i_ = 0;
-  std::vector<net::NodeId> down_nodes_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> down_links_;
 };
 
 /// Nodes over node_capacity plus links over their bandwidth headroom, per
@@ -1009,39 +748,21 @@ std::size_t capacity_breaches(const Middleware& mw,
   return n;
 }
 
-void reg_digest_line(std::ostringstream& os, std::size_t step,
-                     const RegistrationEvent& e, const char* note,
-                     const Middleware& mw, double total_cost,
-                     std::size_t violations) {
-  os << "step " << step << ' ' << to_string(e.kind) << ' ';
-  switch (e.kind) {
-    case RegistrationEventKind::kRegister:
-    case RegistrationEventKind::kUnregister:
-      os << 'q' << e.query << ' ' << note;
-      break;
-    case RegistrationEventKind::kSetQuota:
-      os << 't' << e.tenant << " w " << std::hexfloat << e.quota.weight
-         << std::defaultfloat << " maxq " << e.quota.max_queries;
-      break;
-    case RegistrationEventKind::kRateSpike:
-      os << 's' << e.stream << ' ' << std::hexfloat << e.rate
-         << std::defaultfloat;
-      break;
-    default:
-      os << e.a;
-      if (e.b != net::kInvalidNode) os << '-' << e.b;
-      break;
-  }
-  os << " cost " << std::hexfloat << total_cost << std::defaultfloat
-     << " active " << mw.active_queries() << " suspended "
-     << mw.suspended_queries() << " viol " << violations << '\n';
-}
+}  // namespace
 
-RegistrationChurnReport run_registration_impl(
+RegistrationChurnReport run_registration_churn(
     net::Network net, query::Catalog catalog,
     const std::vector<query::Query>& pool, int max_cs, Algorithm algorithm,
     std::uint64_t seed, const RegistrationChurnConfig& cfg,
-    RegistrationSource& src) {
+    const std::vector<ChaosEvent>& script) {
+  std::optional<RegistrationInjector> inj;
+  if (script.empty()) {
+    inj.emplace(net, catalog, pool, cfg, seed ^ 0x9E61577E4A71ULL);
+  }
+  const std::size_t count =
+      script.empty() ? static_cast<std::size_t>(std::max(cfg.events, 0))
+                     : script.size();
+
   RegistrationChurnReport report;
   std::ostringstream digest;
 
@@ -1057,14 +778,12 @@ RegistrationChurnReport run_registration_impl(
 
   std::vector<char> in_system(pool.size(), 0);
   std::size_t restores = 0;  // attempt-budget resets, for the backoff bound
+  FaultState state;
 
   const auto validate_after =
       [&](const std::unordered_set<query::QueryId>& fresh) -> std::size_t {
-    std::string detail;
-    const std::size_t v = validate_actives(mw, fresh, &detail);
-    if (!detail.empty() && report.violation_detail.empty()) {
-      report.violation_detail = detail;
-    }
+    const std::size_t v =
+        validate_actives(mw, fresh, &report.violation_detail);
     report.violations += v;
     return v;
   };
@@ -1083,13 +802,14 @@ RegistrationChurnReport run_registration_impl(
            << '\n';
   };
 
-  for (int i = 0; i < src.count(); ++i) {
-    const RegistrationEvent e = src.next(in_system);
+  for (std::size_t i = 0; i < count; ++i) {
+    const ChaosEvent e = inj ? inj->next(in_system) : script[i];
+    state.apply(e);
     std::vector<Redeployment> reds;
     std::unordered_set<query::QueryId> fresh;
     const char* note = "";
     switch (e.kind) {
-      case RegistrationEventKind::kRegister: {
+      case ChaosEventKind::kRegister: {
         IFLOW_CHECK(e.query < pool.size());
         if (in_system[e.query] != 0) {
           note = "noop";  // scripted replay of a register already in effect
@@ -1137,7 +857,7 @@ RegistrationChurnReport run_registration_impl(
         }
         break;
       }
-      case RegistrationEventKind::kUnregister: {
+      case ChaosEventKind::kUnregister: {
         IFLOW_CHECK(e.query < pool.size());
         if (mw.undeploy(pool[e.query].id, &reds)) {
           in_system[e.query] = 0;
@@ -1148,55 +868,32 @@ RegistrationChurnReport run_registration_impl(
         }
         break;
       }
-      case RegistrationEventKind::kSetQuota:
+      case ChaosEventKind::kSetQuota:
         mw.set_tenant_quota(e.tenant, e.quota);
         break;
-      case RegistrationEventKind::kFailNode:
-        reds = mw.fail_node(e.a);
-        break;
-      case RegistrationEventKind::kRestoreNode:
-        reds = mw.restore_node(e.a);
-        ++restores;
-        break;
-      case RegistrationEventKind::kFailLink:
-        reds = mw.fail_link(e.a, e.b);
-        break;
-      case RegistrationEventKind::kRestoreLink:
-        reds = mw.restore_link(e.a, e.b);
-        ++restores;
-        break;
-      case RegistrationEventKind::kRateSpike:
-        mw.set_stream_rate(e.stream, e.rate);
-        reds = mw.adapt();
+      default:
+        reds = apply_event(mw, e);
+        if (e.kind == ChaosEventKind::kRestoreNode ||
+            e.kind == ChaosEventKind::kRestoreLink) {
+          ++restores;
+        }
         break;
     }
     std::unordered_set<query::QueryId> ids = replanned_ids(reds);
     ids.insert(fresh.begin(), fresh.end());
     const std::size_t v = validate_after(ids);
-    reg_digest_line(digest, static_cast<std::size_t>(i), e, note, mw,
-                    mw.total_current_cost(), v);
-    if (cfg.settle_every > 0 && (i + 1) % cfg.settle_every == 0) {
-      settle_pass(static_cast<std::size_t>(i));
+    digest_line(digest, i, e, note, mw, mw.total_current_cost(), v);
+    if (cfg.settle_every > 0 &&
+        (i + 1) % static_cast<std::size_t>(cfg.settle_every) == 0) {
+      settle_pass(i);
     }
   }
 
-  // Restore whatever the schedule left down, drain the suspended queue,
-  // then settle the remaining dirty region. Each restore resets the resume
-  // attempt budgets (and with them the exponential backoff skips).
-  for (const auto& [a, b] : src.down_links()) {
-    validate_after(replanned_ids(mw.restore_link(a, b)));
-    ++restores;
-  }
-  for (const net::NodeId n : src.down_nodes()) {
-    validate_after(replanned_ids(mw.restore_node(n)));
-    ++restores;
-  }
-  for (int round = 0; round < 5; ++round) {
-    const std::vector<Redeployment> r = mw.adapt();
-    validate_after(replanned_ids(r));
-    if (r.empty()) break;
-  }
-  settle_pass(static_cast<std::size_t>(src.count()));
+  // Restore whatever the events left down, drain the suspended queue, then
+  // settle the remaining dirty region.
+  restores += state.down_links().size() + state.down_nodes().size();
+  restore_all(mw, state, report.violations, report.violation_detail);
+  settle_pass(count);
   report.final_cost = mw.total_current_cost();
 
   // Settle parity: the incremental dirty-region path must leave at most
@@ -1227,67 +924,9 @@ RegistrationChurnReport run_registration_impl(
   return report;
 }
 
-}  // namespace
-
-RegistrationChurnReport run_registration_churn(
-    net::Network net, query::Catalog catalog,
-    const std::vector<query::Query>& pool, int max_cs, Algorithm algorithm,
-    std::uint64_t seed, const RegistrationChurnConfig& cfg) {
-  RegistrationInjector src(net, catalog, pool, cfg,
-                           seed ^ 0x9E61577E4A71ULL);
-  return run_registration_impl(std::move(net), std::move(catalog), pool,
-                               max_cs, algorithm, seed, cfg, src);
-}
-
-RegistrationChurnReport run_registration_script(
-    net::Network net, query::Catalog catalog,
-    const std::vector<query::Query>& pool, int max_cs, Algorithm algorithm,
-    std::uint64_t seed, const std::vector<RegistrationEvent>& script,
-    const RegistrationChurnConfig& cfg) {
-  RegistrationScriptSource src(script);
-  return run_registration_impl(std::move(net), std::move(catalog), pool,
-                               max_cs, algorithm, seed, cfg, src);
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint/recovery contract.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Operator-hosting nodes that are no query's source or sink. Crashing one
-/// of these exercises stateful rollback without silencing a source: a dead
-/// source node skips emissions drawn from the main engine Prng, so its
-/// faulted run and the fault-free twin would diverge in what was EMITTED,
-/// not in what was preserved — exactly the confusion the contract must
-/// exclude.
-std::vector<net::NodeId> recovery_targets(
-    const net::Network& net, const query::Catalog& catalog,
-    const std::vector<query::Query>& queries, const Middleware& mw) {
-  std::vector<char> endpoint(net.node_count(), 0);
-  for (const query::Query& q : queries) {
-    endpoint[q.sink] = 1;
-    for (const query::StreamId s : q.sources) {
-      endpoint[catalog.stream(s).source] = 1;
-    }
-  }
-  std::vector<char> hosting(net.node_count(), 0);
-  for (const Middleware::ActiveView& v : mw.active_views()) {
-    for (const query::DeployedOp& op : v.deployment->ops) {
-      hosting[op.node] = 1;
-    }
-  }
-  std::vector<net::NodeId> out;
-  for (net::NodeId n = 0; n < net.node_count(); ++n) {
-    if (hosting[n] != 0 && endpoint[n] == 0) out.push_back(n);
-  }
-  IFLOW_CHECK_MSG(!out.empty(),
-                  "recovery harness needs an operator host that is not a "
-                  "query endpoint (use a relay-shaped topology)");
-  return out;
-}
-
-}  // namespace
 
 RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
                             const std::vector<query::Query>& queries,
@@ -1310,8 +949,7 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   // migrates operators off a node or settles them back — each adoption is
   // recorded as a state migration the data-plane phase replays as a warm
   // kMigrateOps handoff.
-  const std::vector<net::NodeId> targets =
-      recovery_targets(mw.network(), mw.catalog(), queries, mw);
+  const std::vector<net::NodeId> targets = relay_hosts(mw, queries);
   Prng ev_prng(seed ^ 0x2ECC0DE5EEDULL);
   net::NodeId down = net::kInvalidNode;
   net::NodeId held = net::kInvalidNode;  // quarantined
@@ -1367,8 +1005,7 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   // final replan may have moved every operator off the pre-churn hosts, and
   // crashing a now-stateless node would exercise nothing (the volatile arm
   // would lose no results and the contract's teeth check would be vacuous).
-  const std::vector<net::NodeId> after =
-      recovery_targets(mw.network(), mw.catalog(), queries, mw);
+  const std::vector<net::NodeId> after = relay_hosts(mw, queries);
   const net::NodeId crash_target = after[ev_prng.index(after.size())];
   // The data-plane phase needs at least one forced migration even when the
   // churn phase happened to replan without moving anything: hand the crash
@@ -1413,25 +1050,7 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   const std::vector<Middleware::ActiveView> views = mw.active_views();
 
   const auto deploy_all = [&](Simulation& sim) {
-    std::vector<bool> done(views.size(), false);
-    std::size_t remaining = views.size();
-    bool progress = true;
-    while (remaining > 0 && progress) {
-      progress = false;
-      for (std::size_t i = 0; i < views.size(); ++i) {
-        if (done[i]) continue;
-        try {
-          sim.deploy(*views[i].deployment,
-                     query::RateModel(mw.catalog(), *views[i].query));
-          done[i] = true;
-          --remaining;
-          progress = true;
-        } catch (const CheckError&) {
-          // Provider not deployed yet; retry next sweep.
-        }
-      }
-    }
-    IFLOW_CHECK_MSG(remaining == 0, "reuse chain failed to deploy");
+    IFLOW_CHECK_MSG(mw.deploy_actives(sim), "reuse chain failed to deploy");
   };
 
   const auto schedule_faults = [&](Simulation& sim) {

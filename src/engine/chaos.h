@@ -1,18 +1,22 @@
-// Seeded chaos harness for the failure & churn subsystem (DESIGN.md §10).
+// Seeded episode harnesses for the failure & churn subsystem (DESIGN.md
+// §10, §12, §14–§16).
 //
-// A FaultInjector replays a deterministic event schedule — node crashes,
-// processing failures, link flaps, restores and stream-rate spikes —
-// against a live Middleware. After EVERY event the harness re-validates
-// every active deployment with verify::validate (structural + placement
-// checks for untouched deployments; full semantic + cost checks for the
-// ones the event just re-planned) and records a digest line, so a fixed
-// seed yields a bitwise-identical transcript regardless of the planner
-// thread count (the PR-2 determinism contract extended to churn).
+// Every harness replays an event sequence — drawn by a seeded injector or
+// given as a fixed script — against a live Middleware. Events share one
+// vocabulary (ChaosEvent): node crashes, processing failures, link flaps,
+// restores, stream-rate spikes, loss/jitter/queue pressure, gray
+// degradations, and the registration plane's register / unregister /
+// quota changes. After EVERY event the harness re-validates every active
+// deployment with verify::validate (structural + placement checks for
+// untouched deployments; full semantic + cost checks for the ones the
+// event just re-planned) and records a digest line, so a fixed seed yields
+// a bitwise-identical transcript regardless of the planner thread count
+// (the planner's determinism contract extended to churn).
 //
-// `run_churn` drives a complete scenario: deploy a workload, replay the
-// schedule, then restore everything still down and adapt until quiescent.
-// The report asserts the convergence invariants the chaos tests (and the
-// differential fuzzer's --churn mode) check:
+// `run_churn` drives the convergence contract: deploy a workload, replay
+// the events, then restore everything still down and adapt until
+// quiescent. The report asserts the invariants the chaos tests (and the
+// differential fuzzer's --churn, --loss and --scenario modes) check:
 //   * zero validator violations across the whole run;
 //   * every suspended query resumed after full restoration;
 //   * the churned system's total cost lands within a configurable factor
@@ -21,15 +25,20 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/prng.h"
 #include "engine/middleware.h"
 
 namespace iflow::engine {
 
 struct ChaosConfig {
-  /// Events to replay (the chaos tests use >= 30 per scenario).
+  /// Injector-drawn events to replay (the chaos tests use >= 30 per
+  /// scenario). Scripted runs replay the whole script and ignore this.
   int events = 32;
   /// Concurrently down nodes (crashed or processing-failed). The injector
   /// additionally never takes down more than half the network, so the
@@ -115,6 +124,9 @@ enum class ChaosEventKind : std::uint8_t {
   kDegradeLink,    // gray failure on every parallel (a, b) link
   kClearNode,      // node degradation heals
   kClearLink,      // link degradation heals
+  kRegister,       // deploy a pool query through admission control
+  kUnregister,     // tear down an in-system query (with dependent repair)
+  kSetQuota,       // replace one tenant's quota (affects future admissions)
 };
 
 const char* to_string(ChaosEventKind k);
@@ -132,6 +144,9 @@ struct ChaosEvent {
   /// frequency; `rate` doubles as the degradation's extra loss.
   double slowdown = 1.0;
   double flap_hz = 0.0;
+  std::size_t query = 0;     // pool index (kRegister / kUnregister)
+  std::uint32_t tenant = 0;  // kSetQuota
+  TenantQuota quota;         // kSetQuota
 };
 
 /// One replayed event plus the system state it left behind.
@@ -173,6 +188,71 @@ struct ChaosReport {
   std::string digest;
 };
 
+using LinkPair = std::pair<net::NodeId, net::NodeId>;
+
+/// Distinct (min, max) endpoint pairs of `net`'s links, in first-seen link
+/// order. Network::fail_link downs every parallel (a, b) link at once, so
+/// the harnesses model link state per pair.
+std::vector<LinkPair> distinct_link_pairs(const net::Network& net);
+
+/// Applicability tracker: what an event sequence has left down or degraded.
+/// Replayed scripts and the injectors' own bookkeeping both go through
+/// apply(), and the restoration sweep brings back whatever it still holds.
+class FaultState {
+ public:
+  /// Records `e`. Throws CheckError when `e` is not applicable: a fault of
+  /// a down node or link pair, a restore of an up one, a degradation of a
+  /// degraded element, a clear of a healthy one. Rate, loss, jitter, queue
+  /// and population events change nothing here.
+  void apply(const ChaosEvent& e);
+
+  /// In fault order (restores remove in place).
+  const std::vector<net::NodeId>& down_nodes() const { return down_nodes_; }
+  const std::vector<LinkPair>& down_links() const { return down_links_; }
+  const std::vector<net::NodeId>& degraded_nodes() const {
+    return degraded_nodes_;
+  }
+  const std::vector<LinkPair>& degraded_links() const {
+    return degraded_links_;
+  }
+
+ private:
+  std::vector<net::NodeId> down_nodes_;
+  std::vector<LinkPair> down_links_;
+  std::vector<net::NodeId> degraded_nodes_;
+  std::vector<LinkPair> degraded_links_;
+};
+
+/// What both seeded injectors (FaultInjector and the registration-churn
+/// injector) draw from: a Prng, the distinct link pairs, the catalog's base
+/// stream rates, and the FaultState their own draws go through. Each
+/// injector keeps its own draw order on top of these.
+struct InjectorCore {
+  InjectorCore(const net::Network& net, const query::Catalog& catalog,
+               std::uint64_t seed);
+
+  /// A uniformly drawn stream's base rate scaled by a factor in [0.25, 4].
+  ChaosEvent spike();
+
+  /// The budgeted fault-or-restore draw. With something down, restores a
+  /// uniformly drawn down node or link pair with probability
+  /// `restore_bias`, or always when no fault budget is left. Otherwise
+  /// faults an up node (never more than half the network; `crash_coin`
+  /// flips crash vs processing failure, else it is a processing failure)
+  /// or an up link pair within the caps. Empty when nothing is down and
+  /// both budgets are spent.
+  std::optional<ChaosEvent> fault_or_restore(int max_down_nodes,
+                                             int max_down_links,
+                                             double restore_bias,
+                                             bool crash_coin);
+
+  Prng prng;
+  std::vector<net::NodeId> nodes;  // 0 .. node_count - 1
+  std::vector<LinkPair> link_pairs;
+  std::vector<double> base_rates;  // indexed by stream id
+  FaultState state;
+};
+
 /// Draws valid events against the injector's model of what is currently
 /// down: it never double-fails a target, only restores things that are
 /// down, respects the concurrency caps and never empties the hierarchy.
@@ -185,46 +265,59 @@ class FaultInjector {
   /// Next event of the schedule. Always returns an applicable event.
   ChaosEvent next();
 
-  const std::vector<net::NodeId>& down_nodes() const { return down_nodes_; }
-  const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links() const {
-    return down_links_;
-  }
+  /// What the drawn schedule has left down or degraded.
+  const FaultState& state() const { return core_.state; }
 
  private:
+  ChaosEvent draw();
+
   ChaosConfig cfg_;
-  Prng prng_;
-  std::size_t node_count_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> link_pairs_;  // distinct
-  std::vector<query::StreamId> streams_;
-  std::vector<double> base_rates_;
-  std::vector<net::NodeId> down_nodes_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> down_links_;
-  std::vector<net::NodeId> degraded_nodes_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> degraded_links_;
+  InjectorCore core_;
 };
 
-/// Replays `cfg.events` injector-drawn events against a Middleware built
-/// over copies of `net`/`catalog`, validating after every event, then
-/// restores everything and checks convergence (see ChaosReport). The
+/// Replays `script` — or, when it is empty, `cfg.events` FaultInjector
+/// draws — against a Middleware built over copies of `net`/`catalog`,
+/// validating after every event, then restores everything and checks
+/// convergence and the optional delivery contract (see ChaosReport). The
 /// copies keep the caller's instances pristine for replay comparisons.
+/// Scenario failure scripts (correlated outages, flapping regions, loss
+/// storms) must be applicable in order (see FaultState::apply; violations
+/// throw) and may not carry population events.
 ChaosReport run_churn(net::Network net, query::Catalog catalog,
                       const std::vector<query::Query>& queries, int max_cs,
                       Algorithm algorithm, std::uint64_t seed,
-                      const ChaosConfig& cfg = {});
+                      const ChaosConfig& cfg = {},
+                      const std::vector<ChaosEvent>& script = {});
 
-/// Replays a FIXED event script (scenario failure scripts: correlated
-/// whole-cluster outages, flapping regions, loss storms) instead of
-/// injector-drawn events; cfg.events is ignored — the whole script runs.
-/// The script must be applicable in order: no double-faulting a down
-/// target, no restoring something that is up (the scenario generator
-/// guarantees this; violations throw). Everything else — per-event
-/// validation, the restoration sweep, convergence and the optional
-/// delivery contract — matches run_churn.
-ChaosReport run_scripted(net::Network net, query::Catalog catalog,
-                         const std::vector<query::Query>& queries, int max_cs,
-                         Algorithm algorithm, std::uint64_t seed,
-                         const std::vector<ChaosEvent>& script,
-                         const ChaosConfig& cfg = {});
+// ---------------------------------------------------------------------------
+// Pieces the episode harnesses share (run_churn, run_registration_churn,
+// run_gray, run_recovery).
+// ---------------------------------------------------------------------------
+
+/// Validates every active deployment with verify::validate. Every active
+/// gets the structural and placement checks, and no active may keep an
+/// operator or derived unit on an excluded host; the ids in `replanned`
+/// also get the semantic and planned-cost pass (untouched actives may
+/// legitimately carry unit rates that predate a rate spike). Returns the
+/// violation count and, when `first_detail` is empty, fills it with the
+/// first violation's description.
+std::size_t validate_actives(
+    Middleware& mw, const std::unordered_set<query::QueryId>& replanned,
+    std::string* first_detail);
+
+/// Queries `reds` migrated or resumed: the ones validate_actives gives the
+/// full cost pass.
+std::unordered_set<query::QueryId> replanned_ids(
+    const std::vector<Redeployment>& reds);
+
+/// Operator hosts of `mw`'s actives that are no source or sink of any of
+/// `queries`, ascending. Faulting one of these exercises re-placement and
+/// stateful rollback without touching an endpoint: a degraded endpoint is
+/// unhealable by re-placement, and a dead source skips emissions, so its
+/// faulted run would differ from a fault-free twin in what was emitted,
+/// not in what was preserved. Throws (IFLOW_CHECK) when there is none.
+std::vector<net::NodeId> relay_hosts(const Middleware& mw,
+                                     const std::vector<query::Query>& queries);
 
 // ---------------------------------------------------------------------------
 // Registration churn: the multi-tenant churn plane (DESIGN.md §14).
@@ -245,30 +338,6 @@ ChaosReport run_scripted(net::Network net, query::Catalog catalog,
 //   * bounded retries: exponential backoff keeps total resume failures
 //     under (restores + 1) * max_resume_attempts * pool size.
 // ---------------------------------------------------------------------------
-
-enum class RegistrationEventKind : std::uint8_t {
-  kRegister,     // deploy a pool query through admission control
-  kUnregister,   // tear down an in-system query (with dependent repair)
-  kSetQuota,     // replace one tenant's quota (affects future admissions)
-  kFailNode,     // processing failure; node keeps forwarding
-  kRestoreNode,
-  kFailLink,     // administrative link-pair failure
-  kRestoreLink,
-  kRateSpike,    // stream rate re-drawn; adapt() re-plans drifted queries
-};
-
-const char* to_string(RegistrationEventKind k);
-
-struct RegistrationEvent {
-  RegistrationEventKind kind = RegistrationEventKind::kRegister;
-  std::size_t query = 0;     // pool index (register / unregister)
-  std::uint32_t tenant = 0;  // kSetQuota
-  TenantQuota quota;         // kSetQuota
-  net::NodeId a = net::kInvalidNode;               // faults / restores
-  net::NodeId b = net::kInvalidNode;               // link events
-  query::StreamId stream = query::kInvalidStream;  // rate spikes
-  double rate = 0.0;                               // new tuple rate
-};
 
 struct RegistrationChurnConfig {
   /// Injector-drawn events to replay (scripted runs replay the whole
@@ -339,25 +408,19 @@ struct RegistrationChurnReport {
   std::string digest;
 };
 
-/// Replays `cfg.events` injector-drawn registration-churn events over a
-/// query pool against a Middleware built over copies of `net`/`catalog`.
-/// Pool queries must have distinct ids; an unregistered query may register
-/// again later (including after a rejection).
+/// Replays `script` — or, when it is empty, `cfg.events` live injector
+/// draws — of registration-churn events over a query pool against a
+/// Middleware built over copies of `net`/`catalog`. Pool queries must have
+/// distinct ids; an unregistered query may register again later (including
+/// after a rejection). Register/unregister events that an earlier admission
+/// rejection made moot are skipped (scripts cannot predict admission
+/// outcomes, which is also why the injector draws live); fault events must
+/// be applicable in order, as in run_churn.
 RegistrationChurnReport run_registration_churn(
     net::Network net, query::Catalog catalog,
     const std::vector<query::Query>& pool, int max_cs, Algorithm algorithm,
-    std::uint64_t seed, const RegistrationChurnConfig& cfg = {});
-
-/// Replays a FIXED registration script (see workload::make_churn_script).
-/// Register/unregister events that are inapplicable because an earlier
-/// register was rejected by admission are skipped (scripts cannot predict
-/// admission outcomes); fault events must be applicable in order, exactly
-/// as in run_scripted.
-RegistrationChurnReport run_registration_script(
-    net::Network net, query::Catalog catalog,
-    const std::vector<query::Query>& pool, int max_cs, Algorithm algorithm,
-    std::uint64_t seed, const std::vector<RegistrationEvent>& script,
-    const RegistrationChurnConfig& cfg = {});
+    std::uint64_t seed, const RegistrationChurnConfig& cfg = {},
+    const std::vector<ChaosEvent>& script = {});
 
 // ---------------------------------------------------------------------------
 // Checkpoint/recovery contract (stateful checkpoint plane, DESIGN.md §16).

@@ -911,6 +911,28 @@ Middleware::collect_delivery_stats(const Simulation& sim) const {
   return out;
 }
 
+bool Middleware::deploy_actives(Simulation& sim) const {
+  std::vector<bool> done(active_.size(), false);
+  std::size_t remaining = active_.size();
+  bool progress = true;
+  while (remaining > 0 && progress) {
+    progress = false;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      if (done[i]) continue;
+      try {
+        sim.deploy(active_[i].deployment,
+                   query::RateModel(*catalog_, active_[i].q));
+        done[i] = true;
+        --remaining;
+        progress = true;
+      } catch (const CheckError&) {
+        // Provider not deployed yet; retry next sweep.
+      }
+    }
+  }
+  return remaining == 0;
+}
+
 std::vector<Middleware::ActiveView> Middleware::active_views() const {
   std::vector<ActiveView> out;
   out.reserve(active_.size());

@@ -341,6 +341,13 @@ class Middleware {
   std::vector<std::pair<query::QueryId, DeliveryStats>> collect_delivery_stats(
       const Simulation& sim) const;
 
+  /// Deploys every active into `sim` in dependency order: derived leaf units
+  /// bind to operators of already-deployed queries, so it sweeps the actives
+  /// to a fixpoint (a reuse chain of depth d deploys in d sweeps). Returns
+  /// false when a sweep makes no progress — a provider is missing outright,
+  /// which the stranded-reuse repair should prevent.
+  bool deploy_actives(Simulation& sim) const;
+
   /// Placement changes recorded since the last clear, in adoption order —
   /// the feed a harness replays into the engine as state-handoff (warm) or
   /// cold-restart migrations.

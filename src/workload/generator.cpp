@@ -61,4 +61,33 @@ Workload make_workload(const net::Network& net, const WorkloadParams& params,
   return w;
 }
 
+RelayStar make_relay_star(double rate, double selectivity) {
+  RelayStar w;
+  w.primary = w.net.add_node();
+  w.backup = w.net.add_node();
+  std::vector<net::NodeId> srcs;
+  for (int i = 0; i < 3; ++i) srcs.push_back(w.net.add_node());
+  w.sink = w.net.add_node();
+  for (const net::NodeId n : srcs) {
+    w.net.add_link(w.primary, n, 1.0, 1.0, 1e6);
+    w.net.add_link(w.backup, n, 1.3, 1.0, 1e6);
+  }
+  w.net.add_link(w.primary, w.sink, 1.0, 1.0, 1e6);
+  w.net.add_link(w.backup, w.sink, 1.3, 1.0, 1e6);
+  for (int i = 0; i < 3; ++i) {
+    w.query.sources.push_back(w.catalog.add_stream(
+        "S" + std::to_string(i), srcs[static_cast<std::size_t>(i)], rate,
+        100.0));
+  }
+  for (std::size_t i = 0; i < w.query.sources.size(); ++i) {
+    for (std::size_t j = i + 1; j < w.query.sources.size(); ++j) {
+      w.catalog.set_selectivity(w.query.sources[i], w.query.sources[j],
+                                selectivity);
+    }
+  }
+  w.query.id = 1;
+  w.query.sink = w.sink;
+  return w;
+}
+
 }  // namespace iflow::workload

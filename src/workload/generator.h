@@ -47,4 +47,24 @@ struct Workload {
 Workload make_workload(const net::Network& net, const WorkloadParams& params,
                        int num_queries, Prng& prng);
 
+/// Dual-relay star world of the gray-failure and recovery harnesses: three
+/// sources and a sink, each linked to a primary relay (cost 1.0) and a
+/// backup relay (cost 1.3). The 3-way join of `query` (id 1) lands on the
+/// primary for every optimizer — a relay that is no endpoint, with the
+/// backup a complete detour once it is faulted. That needs exactly three
+/// sources (wider worlds tip the heuristics toward endpoint placements) and
+/// equal stream rates: with an unequal pair, shipping the lighter stream to
+/// the heavier source is strictly cheaper (2·min < min+max). Every stream
+/// carries `rate` 100-byte tuples per second; every pair joins with
+/// `selectivity`.
+struct RelayStar {
+  net::Network net;
+  query::Catalog catalog;
+  query::Query query;
+  net::NodeId primary = net::kInvalidNode;
+  net::NodeId backup = net::kInvalidNode;
+  net::NodeId sink = net::kInvalidNode;
+};
+RelayStar make_relay_star(double rate, double selectivity);
+
 }  // namespace iflow::workload

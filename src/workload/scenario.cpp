@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "sql/binder.h"
@@ -15,21 +14,6 @@ constexpr double kPi = 3.14159265358979323846;
 
 using engine::ChaosEvent;
 using engine::ChaosEventKind;
-
-/// Distinct normalized (min, max) link pairs of the network; parallel links
-/// collapse into one adjacency, matching the fault model.
-std::vector<std::pair<net::NodeId, net::NodeId>> distinct_link_pairs(
-    const net::Network& net) {
-  std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
-  for (const net::Link& l : net.links()) {
-    const std::pair<net::NodeId, net::NodeId> p{std::min(l.a, l.b),
-                                                std::max(l.a, l.b)};
-    if (std::find(pairs.begin(), pairs.end(), p) == pairs.end()) {
-      pairs.push_back(p);
-    }
-  }
-  return pairs;
-}
 
 /// One link connecting `members` to the rest of the network (a stub
 /// domain's gateway), or an invalid pair when the domain is isolated.
@@ -310,7 +294,7 @@ void append_failure_script(const ScenarioSpec& spec, const Scenario& s,
       // Waves of loss + jitter re-draws across many links; planning costs
       // are untouched but the delivery layer has to retransmit through the
       // storm (exactly-once contract under adversarial but in-budget loss).
-      auto pairs = distinct_link_pairs(s.net);
+      auto pairs = engine::distinct_link_pairs(s.net);
       for (int r = 0; r < spec.failure_rounds; ++r) {
         prng.shuffle(pairs);
         const std::size_t waves = std::min<std::size_t>(6, pairs.size());
@@ -358,7 +342,7 @@ void append_failure_script(const ScenarioSpec& spec, const Scenario& s,
     case FailureProfile::kGrayLossyLink: {
       // Link pairs silently dropping tuples while staying up: the delivery
       // layer retransmits through them; planning never notices.
-      auto pairs = distinct_link_pairs(s.net);
+      auto pairs = engine::distinct_link_pairs(s.net);
       prng.shuffle(pairs);
       const std::size_t sick =
           std::min<std::size_t>(static_cast<std::size_t>(spec.failure_rounds),
@@ -514,14 +498,14 @@ Scenario build_scenario(const ScenarioSpec& spec) {
   return s;
 }
 
-std::vector<engine::RegistrationEvent> make_churn_script(
-    const net::Network& net, const query::Catalog& catalog,
-    std::size_t pool_size, std::uint64_t seed, int steady_events) {
+std::vector<ChaosEvent> make_churn_script(const net::Network& net,
+                                          const query::Catalog& catalog,
+                                          std::size_t pool_size,
+                                          std::uint64_t seed,
+                                          int steady_events) {
   IFLOW_CHECK(pool_size > 0);
-  using engine::RegistrationEvent;
-  using engine::RegistrationEventKind;
   Prng prng(seed);
-  std::vector<RegistrationEvent> script;
+  std::vector<ChaosEvent> script;
 
   // The builder's own applicability model. in-system assumes every register
   // is admitted: an unregister of a rejected registration is a benign skip
@@ -530,29 +514,19 @@ std::vector<engine::RegistrationEvent> make_churn_script(
   net::NodeId down_node = net::kInvalidNode;
   std::pair<net::NodeId, net::NodeId> down_link{net::kInvalidNode,
                                                 net::kInvalidNode};
-
-  std::vector<std::pair<net::NodeId, net::NodeId>> link_pairs;
-  {
-    std::unordered_set<std::uint64_t> seen;
-    for (const net::Link& l : net.links()) {
-      const net::NodeId a = std::min(l.a, l.b);
-      const net::NodeId b = std::max(l.a, l.b);
-      if (seen.insert((static_cast<std::uint64_t>(a) << 32) | b).second) {
-        link_pairs.emplace_back(a, b);
-      }
-    }
-  }
+  const std::vector<engine::LinkPair> link_pairs =
+      engine::distinct_link_pairs(net);
 
   const auto reg = [&](std::size_t q) {
-    RegistrationEvent e;
-    e.kind = RegistrationEventKind::kRegister;
+    ChaosEvent e;
+    e.kind = ChaosEventKind::kRegister;
     e.query = q;
     in[q] = 1;
     script.push_back(e);
   };
   const auto unreg = [&](std::size_t q) {
-    RegistrationEvent e;
-    e.kind = RegistrationEventKind::kUnregister;
+    ChaosEvent e;
+    e.kind = ChaosEventKind::kUnregister;
     e.query = q;
     in[q] = 0;
     script.push_back(e);
@@ -572,13 +546,13 @@ std::vector<engine::RegistrationEvent> make_churn_script(
   for (int i = 0; i < steady_events; ++i) {
     const double r = prng.uniform(0.0, 1.0);
     if (r < 0.08 && net.node_count() >= 4) {
-      RegistrationEvent e;
+      ChaosEvent e;
       if (down_node == net::kInvalidNode) {
-        e.kind = RegistrationEventKind::kFailNode;
+        e.kind = ChaosEventKind::kFailNode;
         e.a = static_cast<net::NodeId>(prng.index(net.node_count()));
         down_node = e.a;
       } else {
-        e.kind = RegistrationEventKind::kRestoreNode;
+        e.kind = ChaosEventKind::kRestoreNode;
         e.a = down_node;
         down_node = net::kInvalidNode;
       }
@@ -586,15 +560,15 @@ std::vector<engine::RegistrationEvent> make_churn_script(
       continue;
     }
     if (r < 0.14 && !link_pairs.empty()) {
-      RegistrationEvent e;
+      ChaosEvent e;
       if (down_link.first == net::kInvalidNode) {
         const auto& p = link_pairs[prng.index(link_pairs.size())];
-        e.kind = RegistrationEventKind::kFailLink;
+        e.kind = ChaosEventKind::kFailLink;
         e.a = p.first;
         e.b = p.second;
         down_link = p;
       } else {
-        e.kind = RegistrationEventKind::kRestoreLink;
+        e.kind = ChaosEventKind::kRestoreLink;
         e.a = down_link.first;
         e.b = down_link.second;
         down_link = {net::kInvalidNode, net::kInvalidNode};
@@ -603,8 +577,8 @@ std::vector<engine::RegistrationEvent> make_churn_script(
       continue;
     }
     if (r < 0.24 && catalog.stream_count() > 0) {
-      RegistrationEvent e;
-      e.kind = RegistrationEventKind::kRateSpike;
+      ChaosEvent e;
+      e.kind = ChaosEventKind::kRateSpike;
       e.stream =
           static_cast<query::StreamId>(prng.index(catalog.stream_count()));
       e.rate = catalog.stream(e.stream).tuple_rate * prng.uniform(0.25, 4.0);
@@ -629,14 +603,14 @@ std::vector<engine::RegistrationEvent> make_churn_script(
   // Phase 4: drain half the pool; leftover faults heal first so the drain
   // exercises teardown on a healthy network.
   if (down_node != net::kInvalidNode) {
-    RegistrationEvent e;
-    e.kind = RegistrationEventKind::kRestoreNode;
+    ChaosEvent e;
+    e.kind = ChaosEventKind::kRestoreNode;
     e.a = down_node;
     script.push_back(e);
   }
   if (down_link.first != net::kInvalidNode) {
-    RegistrationEvent e;
-    e.kind = RegistrationEventKind::kRestoreLink;
+    ChaosEvent e;
+    e.kind = ChaosEventKind::kRestoreLink;
     e.a = down_link.first;
     e.b = down_link.second;
     script.push_back(e);

@@ -71,7 +71,7 @@ enum class StructureModel : std::uint8_t {
   kUnionFanIn,     // UNION ALL scripts compiled through the SQL front-end
 };
 
-/// Correlated failure script injected via engine::run_scripted.
+/// Correlated failure script replayed through engine::run_churn.
 enum class FailureProfile : std::uint8_t {
   kNone,            // injector-drawn churn (run_churn)
   kClusterOutage,   // whole stub domains crash and recover together
@@ -115,8 +115,9 @@ struct Scenario {
   /// Per-stream rate curves, parallel to catalog stream ids. Empty when the
   /// scenario's rates are constant.
   std::vector<RateCurve> rate_curves;
-  /// Fixed failure script for run_scripted; empty = use run_churn. Scripts
-  /// are valid by construction (no double-faults, everything restorable).
+  /// Fixed failure script for run_churn; empty = injector-drawn churn.
+  /// Scripts are valid by construction (no double-faults, everything
+  /// restorable).
   std::vector<engine::ChaosEvent> script;
 
   /// Pure rate-modulation closure over `rate_curves` (by value, so it
@@ -135,13 +136,13 @@ ScenarioSpec scenario_spec(const std::string& name);
 Scenario build_scenario(const ScenarioSpec& spec);
 
 /// Seeded registration-churn script over a pool of `pool_size` queries for
-/// engine::run_registration_script. Four phases: a ramp-up registering the
+/// engine::run_registration_churn. Four phases: a ramp-up registering the
 /// whole pool, `steady_events` of mixed register/unregister churn with
 /// interleaved node/link faults and rate spikes, a flash-crowd burst
 /// re-registering everything absent, and a half-pool drain. Fault events are
 /// applicable by construction; register/unregister events assume every
 /// register was admitted (the runner skips the ones admission rejected).
-std::vector<engine::RegistrationEvent> make_churn_script(
+std::vector<engine::ChaosEvent> make_churn_script(
     const net::Network& net, const query::Catalog& catalog,
     std::size_t pool_size, std::uint64_t seed, int steady_events = 32);
 

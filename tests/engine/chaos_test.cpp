@@ -227,13 +227,85 @@ TEST(ChaosTest, InjectorNeverDrawsInvalidEvents) {
         ASSERT_GT(degraded, 0u);
         --degraded;
         break;
+      case ChaosEventKind::kRegister:
+      case ChaosEventKind::kUnregister:
+      case ChaosEventKind::kSetQuota:
+        FAIL() << "population event at " << i;
     }
-    ASSERT_LE(inj.down_nodes().size(), 3u);
-    ASSERT_LE(inj.down_links().size(), 4u);
-    ASSERT_LE(inj.down_nodes().size() * 2, s.net.node_count());
+    ASSERT_LE(inj.state().down_nodes().size(), 3u);
+    ASSERT_LE(inj.state().down_links().size(), 4u);
+    ASSERT_LE(inj.state().down_nodes().size() * 2, s.net.node_count());
     ASSERT_LE(degraded, static_cast<std::size_t>(cfg.max_degraded));
   }
   EXPECT_GT(gray_events, 0u);  // the gray families actually fired
+}
+
+TEST(ChaosTest, ScriptOfTheDrawnEventsReplaysTheDrawnRun) {
+  // A drawn run is the replay of its own schedule: passing the injector's
+  // draws back as a script reproduces the transcript bit for bit, restoration
+  // sweep and delivery twins included.
+  const std::uint64_t seed = kBaseSeed + 2;
+  Scenario s(seed);
+  ChaosConfig cfg = loss_config();
+  cfg.gray_probability = 0.2;
+  const ChaosReport drawn = run_churn(s.net, s.wl.catalog, s.wl.queries, 4,
+                                      Algorithm::kTopDown, seed, cfg);
+  std::vector<ChaosEvent> script;
+  for (const ChaosStep& step : drawn.steps) script.push_back(step.event);
+  const ChaosReport replay = run_churn(s.net, s.wl.catalog, s.wl.queries, 4,
+                                       Algorithm::kTopDown, seed, cfg, script);
+  EXPECT_EQ(drawn.digest, replay.digest);
+  EXPECT_TRUE(drawn.delivery_checked);
+}
+
+TEST(ChaosTest, MalformedScriptsThrowInBothRunners) {
+  Scenario s(kBaseSeed + 9);
+  const net::Link& l = s.net.links().front();
+  const auto node = [](ChaosEventKind kind) {
+    ChaosEvent e;
+    e.kind = kind;
+    e.a = 0;
+    return e;
+  };
+  const auto link = [&](ChaosEventKind kind, bool reversed = false) {
+    ChaosEvent e;
+    e.kind = kind;
+    e.a = reversed ? l.b : l.a;
+    e.b = reversed ? l.a : l.b;
+    if (kind == ChaosEventKind::kDegradeLink) e.rate = 0.1;
+    return e;
+  };
+  ChaosEvent sick = node(ChaosEventKind::kDegradeNode);
+  sick.slowdown = 2.0;
+  const std::vector<std::vector<ChaosEvent>> malformed = {
+      {node(ChaosEventKind::kCrashNode), node(ChaosEventKind::kFailNode)},
+      {node(ChaosEventKind::kRestoreNode)},
+      {link(ChaosEventKind::kFailLink),
+       link(ChaosEventKind::kFailLink, /*reversed=*/true)},
+      {link(ChaosEventKind::kRestoreLink)},
+      {sick, sick},
+      {link(ChaosEventKind::kDegradeLink),
+       link(ChaosEventKind::kDegradeLink, /*reversed=*/true)},
+      {node(ChaosEventKind::kClearNode)},
+      {link(ChaosEventKind::kClearLink)},
+  };
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    EXPECT_THROW(run_churn(s.net, s.wl.catalog, s.wl.queries, 4,
+                           Algorithm::kTopDown, 5, {}, malformed[i]),
+                 CheckError)
+        << "script " << i;
+    EXPECT_THROW(run_registration_churn(s.net, s.wl.catalog, s.wl.queries, 4,
+                                        Algorithm::kTopDown, 5, {},
+                                        malformed[i]),
+                 CheckError)
+        << "script " << i;
+  }
+  // Population events belong to the registration runner only.
+  ChaosEvent reg;
+  reg.kind = ChaosEventKind::kRegister;
+  EXPECT_THROW(run_churn(s.net, s.wl.catalog, s.wl.queries, 4,
+                         Algorithm::kTopDown, 5, {}, {reg}),
+               CheckError);
 }
 
 TEST(ChaosTest, CrashPartitionSuspendsAndHealsOnRestore) {

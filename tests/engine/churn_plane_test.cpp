@@ -89,22 +89,22 @@ TEST(ChurnPlaneTest, CapacityBoundChurnRejectsButNeverOverloads) {
 
 TEST(ChurnPlaneTest, ScriptedChurnIsDeterministicAndValid) {
   World w(44);
-  const std::vector<RegistrationEvent> script = workload::make_churn_script(
+  const std::vector<ChaosEvent> script = workload::make_churn_script(
       w.net, w.wl.catalog, w.wl.queries.size(), 99, /*steady_events=*/24);
   ASSERT_GT(script.size(), w.wl.queries.size());
 
   RegistrationChurnConfig cfg;
   cfg.settle_every = 6;
   cfg.threads = 1;
-  const RegistrationChurnReport one = run_registration_script(
-      w.net, w.wl.catalog, w.wl.queries, 4, Algorithm::kTopDown, 19, script,
-      cfg);
+  const RegistrationChurnReport one = run_registration_churn(
+      w.net, w.wl.catalog, w.wl.queries, 4, Algorithm::kTopDown, 19, cfg,
+      script);
   EXPECT_EQ(one.violations, 0u) << one.violation_detail;
   EXPECT_TRUE(one.ok);
   cfg.threads = 3;
-  const RegistrationChurnReport three = run_registration_script(
-      w.net, w.wl.catalog, w.wl.queries, 4, Algorithm::kTopDown, 19, script,
-      cfg);
+  const RegistrationChurnReport three = run_registration_churn(
+      w.net, w.wl.catalog, w.wl.queries, 4, Algorithm::kTopDown, 19, cfg,
+      script);
   EXPECT_EQ(one.digest, three.digest);
 }
 

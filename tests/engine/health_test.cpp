@@ -10,6 +10,7 @@
 #include "engine/health.h"
 #include "engine/middleware.h"
 #include "net/routing.h"
+#include "workload/generator.h"
 
 namespace iflow::engine {
 namespace {
@@ -202,51 +203,9 @@ TEST(HealthMonitorTest, DirtyProbeSendsProbationBackToQuarantine) {
   EXPECT_EQ(trans[0].to, HealthState::kQuarantined);
 }
 
-/// Dual-relay star world: the 3-way join lands on the cheap primary relay
-/// for every optimizer, and the backup relay gives the planner a complete
-/// detour once the primary is quarantined.
-struct RelayWorld {
-  net::Network net;
-  query::Catalog catalog;
-  std::vector<query::Query> queries;
-  net::NodeId primary = 0;
-  net::NodeId backup = 1;
-  net::NodeId sink = net::kInvalidNode;
-
-  RelayWorld() {
-    primary = net.add_node();
-    backup = net.add_node();
-    std::vector<net::NodeId> srcs;
-    for (int i = 0; i < 3; ++i) srcs.push_back(net.add_node());
-    sink = net.add_node();
-    for (const net::NodeId n : srcs) {
-      net.add_link(primary, n, 1.0, 1.0, 1e6);
-      net.add_link(backup, n, 1.3, 1.0, 1e6);
-    }
-    net.add_link(primary, sink, 1.0, 1.0, 1e6);
-    net.add_link(backup, sink, 1.3, 1.0, 1e6);
-    std::vector<query::StreamId> streams;
-    for (int i = 0; i < 3; ++i) {
-      streams.push_back(catalog.add_stream("S" + std::to_string(i),
-                                           srcs[static_cast<std::size_t>(i)],
-                                           30.0, 100.0));
-    }
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      for (std::size_t j = i + 1; j < streams.size(); ++j) {
-        catalog.set_selectivity(streams[i], streams[j], 0.05);
-      }
-    }
-    query::Query q;
-    q.id = 1;
-    q.sources = streams;
-    q.sink = sink;
-    queries.push_back(q);
-  }
-};
-
 TEST(RunGrayTest, DetectorMeetsTheDetectionContractAtDefaultIntensity) {
-  const RelayWorld w;
-  const GrayReport rep = run_gray(w.net, w.catalog, w.queries, 8,
+  const workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
+  const GrayReport rep = run_gray(w.net, w.catalog, {w.query}, 8,
                                   Algorithm::kTopDown, 20070806);
   EXPECT_EQ(rep.violations, 0u) << rep.violation_detail;
   EXPECT_EQ(rep.false_positives, 0u);
@@ -258,11 +217,11 @@ TEST(RunGrayTest, DetectorMeetsTheDetectionContractAtDefaultIntensity) {
 }
 
 TEST(RunGrayTest, HealthyTwinNeverQuarantines) {
-  const RelayWorld w;
+  const workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
   GrayConfig cfg;
   cfg.degradation.loss = 0.0;  // degrade() applies a no-op degradation
   cfg.degradation.slowdown = 1.0;
-  const GrayReport rep = run_gray(w.net, w.catalog, w.queries, 8,
+  const GrayReport rep = run_gray(w.net, w.catalog, {w.query}, 8,
                                   Algorithm::kBottomUp, 11, cfg);
   EXPECT_EQ(rep.false_positives, 0u);
   EXPECT_EQ(rep.violations, 0u) << rep.violation_detail;
@@ -272,14 +231,14 @@ TEST(RunGrayTest, HealthyTwinNeverQuarantines) {
 }
 
 TEST(RunGrayTest, DigestsAreStableAcrossPlannerThreadCounts) {
-  const RelayWorld w;
+  const workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
   GrayConfig one;
   one.threads = 1;
   GrayConfig four;
   four.threads = 4;
-  const GrayReport a = run_gray(w.net, w.catalog, w.queries, 8,
+  const GrayReport a = run_gray(w.net, w.catalog, {w.query}, 8,
                                 Algorithm::kTopDown, 20070806, one);
-  const GrayReport b = run_gray(w.net, w.catalog, w.queries, 8,
+  const GrayReport b = run_gray(w.net, w.catalog, {w.query}, 8,
                                 Algorithm::kTopDown, 20070806, four);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.goodput_on, b.goodput_on);
@@ -291,9 +250,9 @@ TEST(MiddlewareHealthTest, QuarantineVacatesHostForEveryAlgorithm) {
        {Algorithm::kTopDown, Algorithm::kBottomUp, Algorithm::kExhaustive,
         Algorithm::kPlanThenDeploy, Algorithm::kRelaxation,
         Algorithm::kInNetwork}) {
-    RelayWorld w;
+    workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
     Middleware mw(w.net, w.catalog, 8, alg, 13);
-    for (const query::Query& q : w.queries) mw.deploy(q);
+    mw.deploy(w.query);
     mw.quarantine_node(w.primary);
     for (const Middleware::ActiveView& v : mw.active_views()) {
       for (const query::DeployedOp& op : v.deployment->ops) {
@@ -306,7 +265,7 @@ TEST(MiddlewareHealthTest, QuarantineVacatesHostForEveryAlgorithm) {
       }
     }
     // New deployments avoid it too.
-    query::Query q2 = w.queries[0];
+    query::Query q2 = w.query;
     q2.id = 2;
     mw.deploy(q2);
     for (const Middleware::ActiveView& v : mw.active_views()) {
@@ -327,12 +286,12 @@ TEST(MiddlewareHealthTest, SuspicionPenaltySteersPlacementOffSickHosts) {
        {Algorithm::kTopDown, Algorithm::kBottomUp, Algorithm::kExhaustive,
         Algorithm::kPlanThenDeploy, Algorithm::kRelaxation,
         Algorithm::kInNetwork}) {
-    RelayWorld w;
+    workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
     Middleware mw(w.net, w.catalog, 8, alg, 13);
     std::vector<double> penalty(w.net.node_count(), 1.0);
     penalty[w.primary] = 8.0;
     mw.set_health_penalty(penalty);
-    for (const query::Query& q : w.queries) mw.deploy(q);
+    mw.deploy(w.query);
     for (const Middleware::ActiveView& v : mw.active_views()) {
       for (const query::DeployedOp& op : v.deployment->ops) {
         EXPECT_NE(op.node, w.primary) << to_string(alg);
@@ -342,7 +301,7 @@ TEST(MiddlewareHealthTest, SuspicionPenaltySteersPlacementOffSickHosts) {
 }
 
 TEST(DegradationTest, DegradationsJournalAsQualityOnlyMutations) {
-  RelayWorld w;
+  workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
   net::RoutingTables rt = net::RoutingTables::build(w.net);
   const std::uint64_t v0 = w.net.version();
   w.net.degrade_node(w.primary, net::Degradation{2.0, 0.1, 0.0});

@@ -10,52 +10,10 @@
 #include "engine/simulation.h"
 #include "net/routing.h"
 #include "opt/exhaustive.h"
+#include "workload/generator.h"
 
 namespace iflow::engine {
 namespace {
-
-/// Dual-relay star world (same shape as the gray-failure harness): the
-/// 3-way join lands on the cheap primary relay, the backup relay gives the
-/// planner a complete detour, and neither relay sources or sinks — so the
-/// recovery harness can crash and vacate them.
-struct RelayWorld {
-  net::Network net;
-  query::Catalog catalog;
-  std::vector<query::Query> queries;
-  net::NodeId primary = 0;
-  net::NodeId backup = 1;
-  net::NodeId sink = net::kInvalidNode;
-
-  RelayWorld() {
-    primary = net.add_node();
-    backup = net.add_node();
-    std::vector<net::NodeId> srcs;
-    for (int i = 0; i < 3; ++i) srcs.push_back(net.add_node());
-    sink = net.add_node();
-    for (const net::NodeId n : srcs) {
-      net.add_link(primary, n, 1.0, 1.0, 1e6);
-      net.add_link(backup, n, 1.3, 1.0, 1e6);
-    }
-    net.add_link(primary, sink, 1.0, 1.0, 1e6);
-    net.add_link(backup, sink, 1.3, 1.0, 1e6);
-    std::vector<query::StreamId> streams;
-    for (int i = 0; i < 3; ++i) {
-      streams.push_back(catalog.add_stream("S" + std::to_string(i),
-                                           srcs[static_cast<std::size_t>(i)],
-                                           30.0, 100.0));
-    }
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      for (std::size_t j = i + 1; j < streams.size(); ++j) {
-        catalog.set_selectivity(streams[i], streams[j], 0.05);
-      }
-    }
-    query::Query q;
-    q.id = 1;
-    q.sources = streams;
-    q.sink = sink;
-    queries.push_back(q);
-  }
-};
 
 /// Line 0(A) — 1 — 2(B), sink 3 hanging off the relay: the exhaustive
 /// optimizer hosts the windowed join somewhere on the line, and node 1 / 3
@@ -271,8 +229,8 @@ TEST(SeenSetTest, LossSoakBoundsTheOutOfOrderSetByTheWindow) {
 }
 
 TEST(RunRecoveryTest, ContractHoldsAtDefaultIntensity) {
-  const RelayWorld w;
-  const RecoveryReport rep = run_recovery(w.net, w.catalog, w.queries, 8,
+  const workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
+  const RecoveryReport rep = run_recovery(w.net, w.catalog, {w.query}, 8,
                                           Algorithm::kTopDown, 20070806);
   EXPECT_EQ(rep.violations, 0u) << rep.violation_detail;
   EXPECT_TRUE(rep.counts_match)
@@ -289,14 +247,14 @@ TEST(RunRecoveryTest, ContractHoldsAtDefaultIntensity) {
 }
 
 TEST(RunRecoveryTest, DigestsAreStableAcrossPlannerThreadCounts) {
-  const RelayWorld w;
+  const workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
   RecoveryConfig one;
   one.threads = 1;
   RecoveryConfig four;
   four.threads = 4;
-  const RecoveryReport a = run_recovery(w.net, w.catalog, w.queries, 8,
+  const RecoveryReport a = run_recovery(w.net, w.catalog, {w.query}, 8,
                                         Algorithm::kTopDown, 20070806, one);
-  const RecoveryReport b = run_recovery(w.net, w.catalog, w.queries, 8,
+  const RecoveryReport b = run_recovery(w.net, w.catalog, {w.query}, 8,
                                         Algorithm::kTopDown, 20070806, four);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.twin_delivered, b.twin_delivered);
@@ -305,10 +263,10 @@ TEST(RunRecoveryTest, DigestsAreStableAcrossPlannerThreadCounts) {
 }
 
 TEST(RunRecoveryTest, ChurnPhaseRecordsWarmStateMigrations) {
-  const RelayWorld w;
+  const workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
   RecoveryConfig cfg;
   cfg.events = 8;
-  const RecoveryReport rep = run_recovery(w.net, w.catalog, w.queries, 8,
+  const RecoveryReport rep = run_recovery(w.net, w.catalog, {w.query}, 8,
                                           Algorithm::kBottomUp, 11, cfg);
   EXPECT_EQ(rep.events, 8u);
   // Crashing / quarantining the join's host forces at least one adoption.

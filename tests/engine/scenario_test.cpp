@@ -35,12 +35,8 @@ ChaosReport run_scenario(const Scenario& s, Algorithm alg, int threads = 1) {
   cfg.threads = threads;
   cfg.delivery_check = true;
   cfg.rate_modulation = s.rate_modulation();
-  if (s.script.empty()) {
-    return run_churn(s.net, s.workload.catalog, s.workload.queries, kMaxCs,
-                     alg, s.spec.seed, cfg);
-  }
-  return run_scripted(s.net, s.workload.catalog, s.workload.queries, kMaxCs,
-                      alg, s.spec.seed, s.script, cfg);
+  return run_churn(s.net, s.workload.catalog, s.workload.queries, kMaxCs, alg,
+                   s.spec.seed, cfg, s.script);
 }
 
 TEST(ScenarioTest, CatalogueHasAtLeastEightScenarios) {

@@ -571,25 +571,6 @@ struct PinnedWorld {
     views = mw->active_views();
   }
 
-  /// Deploys every view, providers before the reuse consumers bound to them.
-  void deploy(Simulation& sim) const {
-    std::vector<bool> done(views.size(), false);
-    for (std::size_t pass = 0; pass < views.size(); ++pass) {
-      for (std::size_t i = 0; i < views.size(); ++i) {
-        if (done[i]) continue;
-        try {
-          sim.deploy(*views[i].deployment,
-                     query::RateModel(mw->catalog(), *views[i].query));
-          done[i] = true;
-        } catch (const CheckError&) {
-          // Provider not deployed yet; the next pass binds it.
-        }
-      }
-    }
-    ASSERT_EQ(std::count(done.begin(), done.end(), true),
-              static_cast<std::ptrdiff_t>(views.size()));
-  }
-
   /// Digest of every per-query, per-link and plane-wide output of a run.
   std::uint64_t digest(const Simulation& sim,
                        const net::Network& run_net) const {
@@ -656,7 +637,7 @@ TEST(SimulationPinnedTest, OutputsMatchRecordedDigests) {
     EngineConfig cfg;
     cfg.duration_s = 15.0;
     Simulation sim(w.net, w.mw->routing(), w.mw->catalog(), cfg, 11);
-    w.deploy(sim);
+    ASSERT_TRUE(w.mw->deploy_actives(sim));
     sim.run();
     got["legacy"] = w.digest(sim, w.net);
   }
@@ -669,7 +650,7 @@ TEST(SimulationPinnedTest, OutputsMatchRecordedDigests) {
     cfg.checkpoint.enabled = true;
     cfg.checkpoint.interval_s = 2.0;
     Simulation sim(lossy, lossy_rt, w.mw->catalog(), cfg, 11);
-    w.deploy(sim);
+    ASSERT_TRUE(w.mw->deploy_actives(sim));
     sim.run();
     EXPECT_GT(sim.snapshot_stats().epochs_committed, 0);
     got["lossy-checkpointed"] = w.digest(sim, lossy);
@@ -687,7 +668,7 @@ TEST(SimulationPinnedTest, OutputsMatchRecordedDigests) {
     cfg.reliability.ack_timeout_s = 0.02;
     cfg.reliability.max_backoff_s = 0.4;
     Simulation sim(jittery, rt, w.mw->catalog(), cfg, 11);
-    w.deploy(sim);
+    ASSERT_TRUE(w.mw->deploy_actives(sim));
     sim.run();
     std::uint64_t dups = 0;
     for (const auto& v : w.views) {
@@ -723,7 +704,7 @@ TEST(SimulationPinnedTest, OutputsMatchRecordedDigests) {
     cfg.checkpoint.volatile_state = true;
     cfg.checkpoint.interval_s = 2.0;
     Simulation sim(w.net, w.mw->routing(), w.mw->catalog(), cfg, 11);
-    w.deploy(sim);
+    ASSERT_TRUE(w.mw->deploy_actives(sim));
     sim.schedule_fault({4.0, SimFault::Kind::kFailLink, path[0], path[1]});
     sim.schedule_fault({5.5, SimFault::Kind::kRestoreLink, path[0], path[1]});
     sim.schedule_fault({9.0, SimFault::Kind::kCrashNode, op_node});

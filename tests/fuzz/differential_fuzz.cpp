@@ -43,10 +43,11 @@
 //
 // --scenario fuzzes the scenario generator: each iteration re-seeds a
 // random catalogue entry (jittering its query count and failure-script
-// intensity), replays it through run_churn / run_scripted under a random
-// optimizer, and holds the full contract set — zero violations, full
-// resumption, convergence, exact delivery. With --digest the per-scenario
-// transcript must be identical across --threads values.
+// intensity), replays it through run_churn (its failure script, or drawn
+// churn when it has none) under a random optimizer, and holds the full
+// contract set — zero violations, full resumption, convergence, exact
+// delivery. With --digest the per-scenario transcript must be identical
+// across --threads values.
 //
 // --oracle differentially fuzzes the sparse distance oracle: each iteration
 // builds a partitioned hierarchy over a random transit–stub world, sweeps
@@ -71,10 +72,12 @@
 // checkpointed run (mid-stream crash + rollback recovery + forced warm
 // migrations) must deliver the fault-free twin's per-query counts exactly,
 // with zero tuples lost after retries and at least one committed epoch.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -102,19 +105,25 @@
 namespace iflow {
 namespace {
 
+/// What a run fuzzes: the six optimizers (the default) or one harness.
+enum class Mode {
+  kPlan,
+  kChurn,
+  kRegisterChurn,
+  kLoss,
+  kScenario,
+  kOracle,
+  kGray,
+  kRecovery,
+};
+
 struct Options {
   std::uint64_t seed = 20070806;
   int iterations = 500;
   int threads = 1;
   bool verbose = false;
   bool digest = false;
-  bool churn = false;
-  bool register_churn = false;
-  bool loss = false;
-  bool scenario = false;
-  bool oracle = false;
-  bool gray = false;
-  bool recovery = false;
+  Mode mode = Mode::kPlan;
 };
 
 /// One self-contained random instance. Everything is derived from the seed,
@@ -424,37 +433,76 @@ void check_instance(std::uint64_t seed, const Options& opt,
   }
 }
 
+/// With --digest, prints every transcript line behind `prefix` (mode, seed
+/// and any instance tag), so runs at different thread counts diff line by
+/// line.
+void print_digest(const Options& opt, const std::string& prefix,
+                  const std::string& digest) {
+  if (!opt.digest) return;
+  std::istringstream lines(digest);
+  std::string line;
+  while (std::getline(lines, line)) std::cout << prefix << ' ' << line << '\n';
+}
+
+/// Random transit–stub world and workload of the --churn, --register-churn
+/// and --loss modes. Draws from `prng`, in order: the transit count, the
+/// stub-domain size (3 + [0, domain_span)), the network, the stream count
+/// (5 + [0, stream_span); a span of 1 draws nothing), then the query count
+/// (min_queries + [0, query_span)). The workload draws from its own
+/// `seed + 1` stream.
+struct SmallWorld {
+  net::Network net;
+  workload::Workload wl;
+};
+SmallWorld small_world(std::uint64_t seed, Prng& prng, int domain_span,
+                       int stream_span, int min_queries, int query_span) {
+  net::TransitStubParams p;
+  p.transit_count = 1 + static_cast<int>(prng.index(2));
+  p.stub_domains_per_transit = 2;
+  p.stub_domain_size =
+      3 + static_cast<int>(prng.index(static_cast<std::size_t>(domain_span)));
+  SmallWorld w;
+  w.net = net::make_transit_stub(p, prng);
+  workload::WorkloadParams wp;
+  wp.num_streams = 5;
+  if (stream_span > 1) {
+    wp.num_streams +=
+        static_cast<int>(prng.index(static_cast<std::size_t>(stream_span)));
+  }
+  wp.min_joins = 2;
+  wp.max_joins = 3;
+  Prng wprng(seed + 1);
+  const int queries =
+      min_queries +
+      static_cast<int>(prng.index(static_cast<std::size_t>(query_span)));
+  w.wl = workload::make_workload(w.net, wp, queries, wprng);
+  return w;
+}
+
+/// One of the three optimizers the harness modes exercise, drawn uniformly.
+engine::Algorithm draw_algorithm(Prng& prng) {
+  const engine::Algorithm algs[] = {engine::Algorithm::kTopDown,
+                                    engine::Algorithm::kBottomUp,
+                                    engine::Algorithm::kExhaustive};
+  return algs[prng.index(3)];
+}
+
 /// One churn-fuzz iteration: random world, seeded fault schedule, full
 /// invariant sweep via engine::run_churn.
 void check_churn_instance(std::uint64_t seed, const Options& opt,
                           IterationLog& log) {
   Prng prng(seed);
-  net::TransitStubParams p;
-  p.transit_count = 1 + static_cast<int>(prng.index(2));
-  p.stub_domains_per_transit = 2;
-  p.stub_domain_size = 3 + static_cast<int>(prng.index(3));
-  net::Network net = net::make_transit_stub(p, prng);
-  workload::WorkloadParams wp;
-  wp.num_streams = 5 + static_cast<int>(prng.index(3));
-  wp.min_joins = 2;
-  wp.max_joins = 3;
-  Prng wprng(seed + 1);
-  const int queries = 3 + static_cast<int>(prng.index(3));
-  workload::Workload wl = workload::make_workload(net, wp, queries, wprng);
+  const SmallWorld w = small_world(seed, prng, /*domain_span=*/3,
+                                   /*stream_span=*/3, /*min_queries=*/3,
+                                   /*query_span=*/3);
 
   engine::ChaosConfig cfg;
   cfg.events = 30 + static_cast<int>(prng.index(11));
   cfg.threads = opt.threads;
   const engine::ChaosReport report =
-      engine::run_churn(net, wl.catalog, wl.queries, 4,
+      engine::run_churn(w.net, w.wl.catalog, w.wl.queries, 4,
                         engine::Algorithm::kTopDown, seed, cfg);
-  if (opt.digest) {
-    std::istringstream lines(report.digest);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::cout << "churn " << seed << ' ' << line << '\n';
-    }
-  }
+  print_digest(opt, "churn " + std::to_string(seed), report.digest);
   if (report.violations != 0) {
     log.fail("churn: validator violations: " + report.violation_detail);
   }
@@ -479,20 +527,10 @@ void check_churn_instance(std::uint64_t seed, const Options& opt,
 void check_register_churn_instance(std::uint64_t seed, const Options& opt,
                                    IterationLog& log) {
   Prng prng(seed);
-  net::TransitStubParams p;
-  p.transit_count = 1 + static_cast<int>(prng.index(2));
-  p.stub_domains_per_transit = 2;
-  p.stub_domain_size = 3 + static_cast<int>(prng.index(3));
-  net::Network net = net::make_transit_stub(p, prng);
-  workload::WorkloadParams wp;
-  wp.num_streams = 5 + static_cast<int>(prng.index(4));
-  wp.min_joins = 2;
-  wp.max_joins = 3;
-  Prng wprng(seed + 1);
-  const int queries = 4 + static_cast<int>(prng.index(4));
-  workload::Workload wl = workload::make_workload(net, wp, queries, wprng);
-  for (std::size_t i = 0; i < wl.queries.size(); ++i) {
-    wl.queries[i].tenant = static_cast<std::uint32_t>(i % 3);
+  SmallWorld w = small_world(seed, prng, /*domain_span=*/3, /*stream_span=*/4,
+                             /*min_queries=*/4, /*query_span=*/4);
+  for (std::size_t i = 0; i < w.wl.queries.size(); ++i) {
+    w.wl.queries[i].tenant = static_cast<std::uint32_t>(i % 3);
   }
 
   engine::RegistrationChurnConfig cfg;
@@ -503,10 +541,10 @@ void check_register_churn_instance(std::uint64_t seed, const Options& opt,
   if (prng.chance(0.5)) {
     // Capacity-bound iteration: learn the uncapacitated peak, then churn
     // with a budget below it so admission must price, degrade and reject.
-    engine::Middleware probe(net, wl.catalog, 4, engine::Algorithm::kTopDown,
-                             seed);
+    engine::Middleware probe(w.net, w.wl.catalog, 4,
+                             engine::Algorithm::kTopDown, seed);
     bool all = true;
-    for (const query::Query& q : wl.queries) {
+    for (const query::Query& q : w.wl.queries) {
       all = probe.deploy(q).feasible && all;
     }
     double peak = 0.0;
@@ -517,24 +555,16 @@ void check_register_churn_instance(std::uint64_t seed, const Options& opt,
   }
 
   const bool scripted = prng.chance(0.3);
+  const std::vector<engine::ChaosEvent> script =
+      scripted ? workload::make_churn_script(w.net, w.wl.catalog,
+                                             w.wl.queries.size(), seed ^ 0x5C,
+                                             cfg.events)
+               : std::vector<engine::ChaosEvent>{};
   const engine::RegistrationChurnReport report =
-      scripted ? engine::run_registration_script(
-                     net, wl.catalog, wl.queries, 4,
-                     engine::Algorithm::kTopDown, seed,
-                     workload::make_churn_script(net, wl.catalog,
-                                                 wl.queries.size(), seed ^ 0x5C,
-                                                 cfg.events),
-                     cfg)
-               : engine::run_registration_churn(net, wl.catalog, wl.queries, 4,
-                                                engine::Algorithm::kTopDown,
-                                                seed, cfg);
-  if (opt.digest) {
-    std::istringstream lines(report.digest);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::cout << "register-churn " << seed << ' ' << line << '\n';
-    }
-  }
+      engine::run_registration_churn(w.net, w.wl.catalog, w.wl.queries, 4,
+                                     engine::Algorithm::kTopDown, seed, cfg,
+                                     script);
+  print_digest(opt, "register-churn " + std::to_string(seed), report.digest);
   if (report.violations != 0) {
     log.fail("register-churn: validator violations: " +
              report.violation_detail);
@@ -571,18 +601,9 @@ void check_register_churn_instance(std::uint64_t seed, const Options& opt,
 void check_loss_instance(std::uint64_t seed, const Options& opt,
                          IterationLog& log) {
   Prng prng(seed);
-  net::TransitStubParams p;
-  p.transit_count = 1 + static_cast<int>(prng.index(2));
-  p.stub_domains_per_transit = 2;
-  p.stub_domain_size = 3 + static_cast<int>(prng.index(2));
-  net::Network net = net::make_transit_stub(p, prng);
-  workload::WorkloadParams wp;
-  wp.num_streams = 5;
-  wp.min_joins = 2;
-  wp.max_joins = 3;
-  Prng wprng(seed + 1);
-  const int queries = 3 + static_cast<int>(prng.index(2));
-  workload::Workload wl = workload::make_workload(net, wp, queries, wprng);
+  const SmallWorld w = small_world(seed, prng, /*domain_span=*/2,
+                                   /*stream_span=*/1, /*min_queries=*/3,
+                                   /*query_span=*/2);
 
   engine::ChaosConfig cfg;
   cfg.events = 24;
@@ -594,15 +615,9 @@ void check_loss_instance(std::uint64_t seed, const Options& opt,
   cfg.delivery_check = true;
   cfg.delivery_duration_s = 15.0;
   const engine::ChaosReport report =
-      engine::run_churn(net, wl.catalog, wl.queries, 4,
+      engine::run_churn(w.net, w.wl.catalog, w.wl.queries, 4,
                         engine::Algorithm::kTopDown, seed, cfg);
-  if (opt.digest) {
-    std::istringstream lines(report.digest);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::cout << "loss " << seed << ' ' << line << '\n';
-    }
-  }
+  print_digest(opt, "loss " + std::to_string(seed), report.digest);
   if (report.violations != 0) {
     log.fail("loss: validator violations: " + report.violation_detail);
   }
@@ -633,10 +648,7 @@ void check_scenario_instance(std::uint64_t seed, const Options& opt,
   spec.failure_rounds = 1 + static_cast<int>(prng.index(3));
   const workload::Scenario sc = workload::build_scenario(spec);
 
-  const engine::Algorithm algs[] = {engine::Algorithm::kTopDown,
-                                    engine::Algorithm::kBottomUp,
-                                    engine::Algorithm::kExhaustive};
-  const engine::Algorithm alg = algs[prng.index(3)];
+  const engine::Algorithm alg = draw_algorithm(prng);
 
   engine::ChaosConfig cfg;
   cfg.events = 16;
@@ -644,20 +656,10 @@ void check_scenario_instance(std::uint64_t seed, const Options& opt,
   cfg.delivery_check = true;
   cfg.rate_modulation = sc.rate_modulation();
   const engine::ChaosReport report =
-      sc.script.empty()
-          ? engine::run_churn(sc.net, sc.workload.catalog, sc.workload.queries,
-                              4, alg, seed, cfg)
-          : engine::run_scripted(sc.net, sc.workload.catalog,
-                                 sc.workload.queries, 4, alg, seed, sc.script,
-                                 cfg);
-  if (opt.digest) {
-    std::istringstream lines(report.digest);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::cout << "scenario " << seed << ' ' << spec.name << ' ' << line
-                << '\n';
-    }
-  }
+      engine::run_churn(sc.net, sc.workload.catalog, sc.workload.queries, 4,
+                        alg, seed, cfg, sc.script);
+  print_digest(opt, "scenario " + std::to_string(seed) + ' ' + spec.name,
+               report.digest);
   if (report.violations != 0) {
     log.fail("scenario " + spec.name +
              ": validator violations: " + report.violation_detail);
@@ -686,58 +688,10 @@ void check_scenario_instance(std::uint64_t seed, const Options& opt,
 void check_gray_instance(std::uint64_t seed, const Options& opt,
                          IterationLog& log) {
   Prng prng(seed);
-  // Dual-relay star: every endpoint reaches both relays directly, with the
-  // primary strictly cheaper. Joining at the primary is optimal, so it
-  // hosts operators without being any query's endpoint — and once the gray
-  // harness degrades it, replanning onto the backup relay takes every data
-  // path off the sick element entirely (a single-hub star could only move
-  // the operators; the traffic would still cross the degraded hub).
-  net::Network net;
-  const net::NodeId primary = net.add_node();
-  const net::NodeId backup = net.add_node();
-  // Exactly three sources: the 3-way join at the relay is optimal for all
-  // three exercised optimizers (wider worlds tip the heuristics toward
-  // endpoint placements, leaving nothing degradable off the endpoints).
-  const int sources = 3;
-  std::vector<net::NodeId> src_nodes;
-  for (int i = 0; i < sources; ++i) src_nodes.push_back(net.add_node());
-  const net::NodeId sink = net.add_node();
-  for (net::NodeId n : src_nodes) {
-    net.add_link(primary, n, 1.0, 1.0, 1e6);
-    net.add_link(backup, n, 1.3, 1.0, 1e6);
-  }
-  net.add_link(primary, sink, 1.0, 1.0, 1e6);
-  net.add_link(backup, sink, 1.3, 1.0, 1e6);
-
-  query::Catalog catalog;
-  std::vector<query::StreamId> streams;
-  // Equal rates keep the hub an optimal join site: an unequal pair makes
-  // shipping the lighter stream to the heavier source strictly cheaper
-  // (2*min < min+max), which would strand every operator on endpoints and
-  // leave the gray harness nothing to degrade.
   const double rate = 15.0 + prng.uniform(0.0, 10.0);
   const double sel = 0.005 + prng.uniform(0.0, 0.045);
-  for (int i = 0; i < sources; ++i) {
-    streams.push_back(catalog.add_stream(
-        "S" + std::to_string(i), src_nodes[static_cast<std::size_t>(i)], rate,
-        100.0));
-  }
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    for (std::size_t j = i + 1; j < streams.size(); ++j) {
-      catalog.set_selectivity(streams[i], streams[j], sel);
-    }
-  }
-  std::vector<query::Query> queries;
-  query::Query q;
-  q.id = 1;
-  q.sources = {streams[0], streams[1], streams[2]};
-  q.sink = sink;
-  queries.push_back(q);
-
-  const engine::Algorithm algs[] = {engine::Algorithm::kTopDown,
-                                    engine::Algorithm::kBottomUp,
-                                    engine::Algorithm::kExhaustive};
-  const engine::Algorithm alg = algs[prng.index(3)];
+  const workload::RelayStar w = workload::make_relay_star(rate, sel);
+  const engine::Algorithm alg = draw_algorithm(prng);
 
   engine::GrayConfig cfg;
   cfg.epochs = 4;
@@ -748,14 +702,8 @@ void check_gray_instance(std::uint64_t seed, const Options& opt,
   // max_cs covers the whole world: a single-cluster hierarchy keeps the
   // heuristics' relay placement independent of the clustering seed.
   const engine::GrayReport report =
-      engine::run_gray(net, catalog, queries, 8, alg, seed, cfg);
-  if (opt.digest) {
-    std::istringstream lines(report.digest);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::cout << "gray " << seed << ' ' << line << '\n';
-    }
-  }
+      engine::run_gray(w.net, w.catalog, {w.query}, 8, alg, seed, cfg);
+  print_digest(opt, "gray " + std::to_string(seed), report.digest);
   if (report.violations != 0) {
     log.fail("gray: validator violations: " + report.violation_detail);
   }
@@ -784,45 +732,10 @@ void check_gray_instance(std::uint64_t seed, const Options& opt,
 void check_recovery_instance(std::uint64_t seed, const Options& opt,
                              IterationLog& log) {
   Prng prng(seed);
-  net::Network net;
-  const net::NodeId primary = net.add_node();
-  const net::NodeId backup = net.add_node();
-  const int sources = 3;
-  std::vector<net::NodeId> src_nodes;
-  for (int i = 0; i < sources; ++i) src_nodes.push_back(net.add_node());
-  const net::NodeId sink = net.add_node();
-  for (net::NodeId n : src_nodes) {
-    net.add_link(primary, n, 1.0, 1.0, 1e6);
-    net.add_link(backup, n, 1.3, 1.0, 1e6);
-  }
-  net.add_link(primary, sink, 1.0, 1.0, 1e6);
-  net.add_link(backup, sink, 1.3, 1.0, 1e6);
-
-  query::Catalog catalog;
-  std::vector<query::StreamId> streams;
   const double rate = 15.0 + prng.uniform(0.0, 10.0);
   const double sel = 0.01 + prng.uniform(0.0, 0.04);
-  for (int i = 0; i < sources; ++i) {
-    streams.push_back(catalog.add_stream(
-        "S" + std::to_string(i), src_nodes[static_cast<std::size_t>(i)], rate,
-        100.0));
-  }
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    for (std::size_t j = i + 1; j < streams.size(); ++j) {
-      catalog.set_selectivity(streams[i], streams[j], sel);
-    }
-  }
-  std::vector<query::Query> queries;
-  query::Query q;
-  q.id = 1;
-  q.sources = {streams[0], streams[1], streams[2]};
-  q.sink = sink;
-  queries.push_back(q);
-
-  const engine::Algorithm algs[] = {engine::Algorithm::kTopDown,
-                                    engine::Algorithm::kBottomUp,
-                                    engine::Algorithm::kExhaustive};
-  const engine::Algorithm alg = algs[prng.index(3)];
+  const workload::RelayStar w = workload::make_relay_star(rate, sel);
+  const engine::Algorithm alg = draw_algorithm(prng);
 
   engine::RecoveryConfig cfg;
   cfg.threads = opt.threads;
@@ -835,14 +748,8 @@ void check_recovery_instance(std::uint64_t seed, const Options& opt,
   cfg.crash_len_s = 2.0 + prng.uniform(0.0, 3.0);
   cfg.migrate_at_s = 28.0 + prng.uniform(0.0, 8.0);
   const engine::RecoveryReport report =
-      engine::run_recovery(net, catalog, queries, 8, alg, seed, cfg);
-  if (opt.digest) {
-    std::istringstream lines(report.digest);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::cout << "recovery " << seed << ' ' << line << '\n';
-    }
-  }
+      engine::run_recovery(w.net, w.catalog, {w.query}, 8, alg, seed, cfg);
+  print_digest(opt, "recovery " + std::to_string(seed), report.digest);
   if (report.violations != 0) {
     log.fail("recovery: validator violations: " + report.violation_detail);
   }
@@ -990,22 +897,17 @@ int run(const Options& opt) {
     const std::uint64_t seed = opt.seed + static_cast<std::uint64_t>(i);
     IterationLog log{seed};
     try {
-      if (opt.recovery) {
-        check_recovery_instance(seed, opt, log);
-      } else if (opt.gray) {
-        check_gray_instance(seed, opt, log);
-      } else if (opt.oracle) {
-        check_oracle_instance(seed, opt, ws, log);
-      } else if (opt.scenario) {
-        check_scenario_instance(seed, opt, log);
-      } else if (opt.loss) {
-        check_loss_instance(seed, opt, log);
-      } else if (opt.register_churn) {
-        check_register_churn_instance(seed, opt, log);
-      } else if (opt.churn) {
-        check_churn_instance(seed, opt, log);
-      } else {
-        check_instance(seed, opt, ws, log);
+      switch (opt.mode) {
+        case Mode::kPlan: check_instance(seed, opt, ws, log); break;
+        case Mode::kChurn: check_churn_instance(seed, opt, log); break;
+        case Mode::kRegisterChurn:
+          check_register_churn_instance(seed, opt, log);
+          break;
+        case Mode::kLoss: check_loss_instance(seed, opt, log); break;
+        case Mode::kScenario: check_scenario_instance(seed, opt, log); break;
+        case Mode::kOracle: check_oracle_instance(seed, opt, ws, log); break;
+        case Mode::kGray: check_gray_instance(seed, opt, log); break;
+        case Mode::kRecovery: check_recovery_instance(seed, opt, log); break;
       }
     } catch (const std::exception& e) {
       log.fail(std::string("exception: ") + e.what());
@@ -1025,6 +927,23 @@ int run(const Options& opt) {
 }  // namespace iflow
 
 int main(int argc, char** argv) {
+  using iflow::Mode;
+  const std::pair<const char*, Mode> mode_flags[] = {
+      {"--churn", Mode::kChurn},
+      {"--register-churn", Mode::kRegisterChurn},
+      {"--loss", Mode::kLoss},
+      {"--scenario", Mode::kScenario},
+      {"--oracle", Mode::kOracle},
+      {"--gray", Mode::kGray},
+      {"--recovery", Mode::kRecovery},
+  };
+  const auto usage = [] {
+    std::cerr << "usage: differential_fuzz [--iterations N] [--seed S] "
+                 "[--threads T] [--digest] [--verbose] [--churn | "
+                 "--register-churn | --loss | --scenario | --oracle | "
+                 "--gray | --recovery]\n";
+    return 2;
+  };
   iflow::Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1045,7 +964,13 @@ int main(int argc, char** argv) {
       }
       return v;
     };
-    if (arg == "--iterations") {
+    const auto mode = std::find_if(
+        std::begin(mode_flags), std::end(mode_flags),
+        [&](const auto& f) { return arg == f.first; });
+    if (mode != std::end(mode_flags)) {
+      if (opt.mode != Mode::kPlan) return usage();  // one mode per run
+      opt.mode = mode->second;
+    } else if (arg == "--iterations") {
       opt.iterations = static_cast<int>(numeric(value()));
     } else if (arg == "--seed") {
       opt.seed = numeric(value());
@@ -1055,26 +980,8 @@ int main(int argc, char** argv) {
       opt.verbose = true;
     } else if (arg == "--digest") {
       opt.digest = true;
-    } else if (arg == "--churn") {
-      opt.churn = true;
-    } else if (arg == "--register-churn") {
-      opt.register_churn = true;
-    } else if (arg == "--loss") {
-      opt.loss = true;
-    } else if (arg == "--scenario") {
-      opt.scenario = true;
-    } else if (arg == "--oracle") {
-      opt.oracle = true;
-    } else if (arg == "--gray") {
-      opt.gray = true;
-    } else if (arg == "--recovery") {
-      opt.recovery = true;
     } else {
-      std::cerr << "usage: differential_fuzz [--iterations N] [--seed S] "
-                   "[--threads T] [--digest] [--churn] [--register-churn] "
-                   "[--loss] [--scenario] "
-                   "[--oracle] [--gray] [--recovery] [--verbose]\n";
-      return 2;
+      return usage();
     }
   }
   return iflow::run(opt);
