@@ -121,7 +121,10 @@ void advertise_deployment(Registry& registry, const query::Deployment& d,
   for (const query::DeployedOp& op : d.ops) {
     make(op.mask, op.node, op.out_bytes_rate, op.out_tuple_rate);
   }
-  // The sink itself is a derived source for the whole query result.
+  // The sink itself is a derived source for the whole query result, unless
+  // it aggregates: then it receives groups, not the join, and exports
+  // nothing (the engine registers no producer there either).
+  if (d.aggregate.enabled()) return;
   query::Mask all = 0;
   for (const query::LeafUnit& u : d.units) all |= u.mask;
   make(all, d.sink, d.root_bytes_rate(),

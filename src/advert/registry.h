@@ -1,8 +1,8 @@
 // Stream advertisements (paper §2.1.2) with containment-based reuse
 // (paper §5, future work).
 //
-// Every deployed operator (and every sink) is a new *derived* stream source
-// for the sub-query it computes. Advertisements are one-time messages
+// Every deployed operator (and every non-aggregating sink) is a new *derived*
+// stream source for the sub-query it computes. Advertisements are one-time messages
 // aggregated up the coordinator hierarchy so that each coordinator knows all
 // base and derived streams available in its underlying cluster; this is what
 // enables operator reuse during planning. We model the aggregated state as a
@@ -94,9 +94,11 @@ class Registry {
   std::vector<DerivedStream> streams_;
 };
 
-/// Advertises every operator of a freshly deployed query (and the sink
-/// stream) as derived streams, translating query-local masks to catalog
-/// stream ids and recording the query's filter factors.
+/// Advertises every operator of a freshly deployed query as a derived
+/// stream, translating query-local masks to catalog stream ids and recording
+/// the query's filter factors. A non-aggregating sink is advertised too (it
+/// re-exports the full result); an aggregating sink emits groups, not the
+/// join, so it is not.
 void advertise_deployment(Registry& registry, const query::Deployment& d,
                           const query::RateModel& rates);
 
