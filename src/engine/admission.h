@@ -54,8 +54,9 @@ struct TenantQuota {
 };
 
 struct AdmissionConfig {
-  /// Per-node input-byte capacity (same semantics as
-  /// Middleware::set_node_capacity). <= 0 = unlimited.
+  /// Per-node capacity: the total operator input byte rate a node may
+  /// host, also the budget Middleware::rebalance_load() sheds against.
+  /// <= 0 = unlimited.
   double node_capacity = 0.0;
   /// Fraction of each link's bandwidth (bandwidth_bps / 8, i.e. bytes/s)
   /// admission may fill. <= 0 = link capacity not enforced (default:

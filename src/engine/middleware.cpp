@@ -16,18 +16,39 @@ namespace iflow::engine {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Global stream set of a mask under a query's rate model, sorted — the
-// identity the engine keys producers by.
-std::vector<query::StreamId> global_streams(const query::RateModel& rates,
-                                            query::Mask m) {
-  std::vector<query::StreamId> out;
-  for (int i = 0; i < rates.k(); ++i) {
-    if (m >> i & 1) out.push_back(rates.stream(i));
+bool contains(const std::vector<net::NodeId>& v, net::NodeId n) {
+  return std::find(v.begin(), v.end(), n) != v.end();
+}
+
+// True when `registry` holds an export of q's unit u — its sorted catalog
+// stream set, the identity the engine keys producers by, at its node — whose
+// origin satisfies `from`. The registry is the one record of who exports
+// what.
+template <class OriginPred>
+bool provided(const advert::Registry& registry, const query::Query& q,
+              const query::LeafUnit& u, OriginPred from) {
+  std::vector<query::StreamId> want;
+  for (int i = 0; i < q.k(); ++i) {
+    if (u.mask >> i & 1) want.push_back(q.sources[static_cast<std::size_t>(i)]);
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  std::sort(want.begin(), want.end());
+  for (const advert::DerivedStream& e : registry.entries()) {
+    if (e.location == u.location && from(e.origin) && e.streams == want) {
+      return true;
+    }
+  }
+  return false;
 }
+
+bool planned(const opt::OptimizeResult& r) {
+  return r.feasible && std::isfinite(r.actual_cost);
 }
+
+bool runs_op_on(const query::Deployment& d, net::NodeId n) {
+  return std::any_of(d.ops.begin(), d.ops.end(),
+                     [n](const query::DeployedOp& op) { return op.node == n; });
+}
+}  // namespace
 
 const char* to_string(Algorithm a) {
   switch (a) {
@@ -97,19 +118,15 @@ void Middleware::rebuild_views() {
 }
 
 bool Middleware::host_down(net::NodeId n) const {
-  return !net_->node_alive(n) ||
-         std::find(failed_nodes_.begin(), failed_nodes_.end(), n) !=
-             failed_nodes_.end();
+  return !net_->node_alive(n) || contains(failed_nodes_, n);
+}
+
+bool Middleware::excluded(net::NodeId n) const {
+  return host_down(n) || contains(overloaded_nodes_, n) ||
+         contains(quarantined_nodes_, n);
 }
 
 bool Middleware::deployment_on_excluded(const query::Deployment& d) const {
-  const auto excluded = [this](net::NodeId n) {
-    return host_down(n) ||
-           std::find(overloaded_nodes_.begin(), overloaded_nodes_.end(), n) !=
-               overloaded_nodes_.end() ||
-           std::find(quarantined_nodes_.begin(), quarantined_nodes_.end(),
-                     n) != quarantined_nodes_.end();
-  };
   for (const query::DeployedOp& op : d.ops) {
     if (excluded(op.node)) return true;
   }
@@ -156,47 +173,23 @@ bool Middleware::deployment_intact(const Active& a) const {
   return derived_units_bound(a);
 }
 
-bool Middleware::exports_at(const Active& b, net::NodeId loc,
-                            const std::vector<query::StreamId>& want) const {
-  query::RateModel rb(*catalog_, b.q);
-  for (const query::DeployedOp& op : b.deployment.ops) {
-    if (op.node == loc && global_streams(rb, op.mask) == want) return true;
-  }
-  // A non-aggregated sink re-exports the full result stream set.
-  if (!b.deployment.aggregate.enabled() && b.deployment.sink == loc) {
-    query::Mask full = 0;
-    for (const query::LeafUnit& bu : b.deployment.units) full |= bu.mask;
-    if (global_streams(rb, full) == want) return true;
-  }
-  return false;
-}
-
 bool Middleware::derived_units_bound(const Active& a) const {
-  bool any_derived = false;
-  for (const query::LeafUnit& u : a.deployment.units) any_derived |= u.derived;
-  if (!any_derived) return true;
-  query::RateModel own(*catalog_, a.q);
+  const auto other = [&a](query::QueryId id) { return id != a.q.id; };
   for (const query::LeafUnit& u : a.deployment.units) {
-    if (!u.derived) continue;
-    const auto want = global_streams(own, u.mask);
-    bool found = false;
-    for (const Active& b : active_) {
-      if (b.q.id == a.q.id) continue;
-      if (exports_at(b, u.location, want)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
+    if (u.derived && !provided(registry_, a.q, u, other)) return false;
   }
   return true;
 }
 
 std::vector<bool> Middleware::transitive_dependents(const Active& root) const {
   std::vector<bool> dep(active_.size(), false);
+  std::vector<query::QueryId> dep_ids{root.q.id};
   for (std::size_t i = 0; i < active_.size(); ++i) {
     dep[i] = active_[i].q.id == root.q.id;
   }
+  const auto dependent = [&dep_ids](query::QueryId id) {
+    return std::find(dep_ids.begin(), dep_ids.end(), id) != dep_ids.end();
+  };
   // Fixpoint: an active depends on root when any of its derived units could
   // bind to an export of an already-dependent active. Conservative — a unit
   // with several matching providers counts as depending on all of them.
@@ -206,35 +199,25 @@ std::vector<bool> Middleware::transitive_dependents(const Active& root) const {
     for (std::size_t i = 0; i < active_.size(); ++i) {
       if (dep[i]) continue;
       const Active& b = active_[i];
-      query::RateModel rb(*catalog_, b.q);
-      bool draws = false;
       for (const query::LeafUnit& u : b.deployment.units) {
-        if (!u.derived) continue;
-        const auto want = global_streams(rb, u.mask);
-        for (std::size_t j = 0; j < active_.size(); ++j) {
-          if (dep[j] && exports_at(active_[j], u.location, want)) {
-            draws = true;
-            break;
-          }
-        }
-        if (draws) break;
-      }
-      if (draws) {
+        if (!u.derived || !provided(registry_, b.q, u, dependent)) continue;
         dep[i] = true;
+        dep_ids.push_back(b.q.id);
         changed = true;
+        break;
       }
     }
   }
   return dep;
 }
 
-opt::OptimizerEnv Middleware::env() {
+opt::OptimizerEnv Middleware::env(advert::Registry& registry) {
   opt::OptimizerEnv e;
   e.catalog = catalog_;
   e.network = net_;
   e.routing = routing_.get();
   e.hierarchy = hierarchy_.get();
-  e.registry = &registry_;
+  e.registry = &registry;
   e.reuse = true;
   bool any_excluded = !failed_nodes_.empty() || !overloaded_nodes_.empty() ||
                       !quarantined_nodes_.empty();
@@ -242,21 +225,26 @@ opt::OptimizerEnv Middleware::env() {
     any_excluded = !net_->node_alive(n);
   }
   if (any_excluded) {
-    const auto excluded = [this](net::NodeId n) {
-      return host_down(n) ||
-             std::find(overloaded_nodes_.begin(), overloaded_nodes_.end(),
-                       n) != overloaded_nodes_.end() ||
-             std::find(quarantined_nodes_.begin(), quarantined_nodes_.end(),
-                       n) != quarantined_nodes_.end();
-    };
     for (net::NodeId n = 0; n < net_->node_count(); ++n) {
       if (!excluded(n)) e.processing_nodes.push_back(n);
     }
   }
-  e.excluded_sites = admission_excluded_;  // sorted by the degraded path
   if (!health_penalty_.empty()) e.node_penalty = &health_penalty_;
   e.workspace = &workspace_;
   return e;
+}
+
+opt::OptimizeResult Middleware::plan(const query::Query& q,
+                                     advert::Registry& registry,
+                                     std::vector<net::NodeId> avoid) {
+  opt::OptimizerEnv e = env(registry);
+  e.excluded_sites = std::move(avoid);
+  return make_optimizer(e)->optimize(q);
+}
+
+double Middleware::current_cost(const Active& a) const {
+  return query::deployment_cost(a.deployment, query::RateModel(*catalog_, a.q),
+                                *routing_);
 }
 
 void Middleware::ledger_add(Active& a) {
@@ -293,12 +281,48 @@ void Middleware::record_migration(query::QueryId q,
   state_migrations_.push_back(std::move(m));
 }
 
-void Middleware::on_migrated(Active& a, const query::Deployment& before) {
+void Middleware::adopt(Active& a, query::Deployment deployment, double cost) {
+  ledger_remove(a);
+  const query::Deployment before =
+      std::exchange(a.deployment, std::move(deployment));
+  a.planned_cost = cost;
+  // Swap this query's advertisements in place; everyone else's stay warm.
   registry_.remove_origin(a.q.id);
-  query::RateModel rates(*catalog_, a.q);
-  advert::advertise_deployment(registry_, a.deployment, rates);
+  advert::advertise_deployment(registry_, a.deployment,
+                               query::RateModel(*catalog_, a.q));
   ledger_add(a);
   record_migration(a.q.id, before, a.deployment, /*warm=*/true);
+  // The query itself was just replanned to its optimum, so only the
+  // neighborhood that can see its new advertisements needs a settle visit.
+  mark_dirty_overlap(a.q);
+}
+
+void Middleware::suspend(std::size_t i, int attempts) {
+  Active& a = active_[i];
+  ledger_remove(a);
+  registry_.remove_origin(a.q.id);
+  suspended_.push_back(
+      SuspendedQuery{std::move(a.q), a.planned_cost, attempts});
+  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void Middleware::activate(query::Query q, const opt::OptimizeResult& res) {
+  active_.push_back(Active{std::move(q), res.deployment, res.actual_cost, {}});
+  Active& a = active_.back();
+  advert::advertise_deployment(registry_, a.deployment,
+                               query::RateModel(*catalog_, a.q));
+  ledger_add(a);
+  // A new provider changes the reuse landscape for its stream neighborhood.
+  mark_dirty_overlap(a.q);
+}
+
+void Middleware::reset_resume_budgets() {
+  // The world improved: everything suspended gets a fresh chance (backoff
+  // clears with the budget).
+  for (SuspendedQuery& s : suspended_) {
+    s.attempts = 0;
+    s.skip = 0;
+  }
 }
 
 void Middleware::mark_dirty(query::QueryId id) {
@@ -323,20 +347,11 @@ void Middleware::mark_dirty_overlap(const query::Query& q) {
     if (a.q.id == q.id) continue;
     std::vector<query::StreamId> sorted = a.q.sources;
     std::sort(sorted.begin(), sorted.end());
-    bool adoptable = false;
-    for (const advert::DerivedStream* d : units) {
-      bool subset = true;
-      for (query::StreamId s : d->streams) {
-        if (!std::binary_search(sorted.begin(), sorted.end(), s)) {
-          subset = false;
-          break;
-        }
-      }
-      if (subset) {
-        adoptable = true;
-        break;
-      }
-    }
+    const bool adoptable = std::any_of(
+        units.begin(), units.end(), [&sorted](const advert::DerivedStream* d) {
+          return std::includes(sorted.begin(), sorted.end(),
+                               d->streams.begin(), d->streams.end());
+        });
     if (adoptable) mark_dirty(a.q.id);
   }
 }
@@ -369,6 +384,12 @@ void Middleware::debug_check_warm_state() const {
   IFLOW_CHECK_MSG(warm == fresh,
                   "warm registry diverged from rebuild: " << warm.size()
                   << " vs " << fresh.size() << " entries");
+  debug_check_ledger();
+#endif
+}
+
+void Middleware::debug_check_ledger() const {
+#ifndef NDEBUG
   // Incremental node loads == from-scratch recompute.
   const std::vector<double>& inc = ledger_.node_load();
   const std::vector<double> scratch = node_loads_recomputed();
@@ -398,56 +419,40 @@ opt::OptimizeResult Middleware::replan(const Active& a) {
   }
   // Advertisements stranded on down hosts are not reusable.
   fresh.remove_located([this](net::NodeId n) { return host_down(n); });
-  advert::Registry saved = std::move(registry_);
-  registry_ = std::move(fresh);
-  auto optimizer = make_optimizer();
-  opt::OptimizeResult res = optimizer->optimize(a.q);
-  registry_ = std::move(saved);
-  return res;
+  return plan(a.q, fresh);
 }
 
-std::unique_ptr<opt::Optimizer> Middleware::make_optimizer() {
+std::unique_ptr<opt::Optimizer> Middleware::make_optimizer(
+    const opt::OptimizerEnv& e) const {
   switch (algorithm_) {
     case Algorithm::kTopDown:
-      return std::make_unique<opt::TopDownOptimizer>(env());
+      return std::make_unique<opt::TopDownOptimizer>(e);
     case Algorithm::kBottomUp:
-      return std::make_unique<opt::BottomUpOptimizer>(env());
+      return std::make_unique<opt::BottomUpOptimizer>(e);
     case Algorithm::kExhaustive:
-      return std::make_unique<opt::ExhaustiveOptimizer>(env());
+      return std::make_unique<opt::ExhaustiveOptimizer>(e);
     case Algorithm::kPlanThenDeploy:
-      return std::make_unique<opt::PlanThenDeployOptimizer>(env());
+      return std::make_unique<opt::PlanThenDeployOptimizer>(e);
     case Algorithm::kRelaxation:
       // Paper §3.3 settings: 4 relaxation and 4 embedding iterations. The
       // seed is the middleware's, so replans stay deterministic per seed.
       return std::make_unique<opt::RelaxationOptimizer>(
-          env(), seed_, /*relax_iterations=*/4, /*embed_iterations=*/4);
+          e, seed_, /*relax_iterations=*/4, /*embed_iterations=*/4);
     case Algorithm::kInNetwork:
-      return std::make_unique<opt::InNetworkOptimizer>(env(), seed_,
+      return std::make_unique<opt::InNetworkOptimizer>(e, seed_,
                                                        /*zones=*/5);
   }
   IFLOW_CHECK_MSG(false, "unknown algorithm");
 }
 
 opt::OptimizeResult Middleware::deploy(const query::Query& q) {
-  last_admission_ = AdmissionVerdict{};
-  opt::OptimizeResult res;
+  opt::OptimizeResult res;  // infeasible until planned
   // Per-tenant query-count quota gates before any planning work.
   last_admission_ = admission_.precheck(q.tenant, ledger_);
-  if (last_admission_.decision == AdmissionDecision::kReject) {
-    res.feasible = false;
-    return res;
-  }
-  if (!endpoints_healthy(q)) {
-    suspended_.push_back(SuspendedQuery{q, 0.0, 0});
-    ledger_.count_query(q.tenant, +1);
-    res.feasible = false;
-    return res;
-  }
-  {
-    auto optimizer = make_optimizer();
-    res = optimizer->optimize(q);
-  }
-  if (!res.feasible || !std::isfinite(res.actual_cost)) {
+  if (last_admission_.decision == AdmissionDecision::kReject) return res;
+  if (endpoints_healthy(q)) res = plan(q, registry_);
+  if (!planned(res)) {
+    // Source/sink down or no feasible plan: parked, not thrown.
     suspended_.push_back(SuspendedQuery{q, 0.0, 0});
     ledger_.count_query(q.tenant, +1);
     res.feasible = false;
@@ -467,14 +472,9 @@ opt::OptimizeResult Middleware::deploy(const query::Query& q) {
         !last_admission_.saturated_nodes.empty()) {
       // Capacity rejection: one degraded attempt planning AROUND the
       // saturated hosts into the remaining headroom.
-      admission_excluded_ = last_admission_.saturated_nodes;
-      opt::OptimizeResult degraded;
-      {
-        auto optimizer = make_optimizer();
-        degraded = optimizer->optimize(q);
-      }
-      admission_excluded_.clear();
-      if (degraded.feasible && std::isfinite(degraded.actual_cost)) {
+      opt::OptimizeResult degraded =
+          plan(q, registry_, last_admission_.saturated_nodes);
+      if (planned(degraded)) {
         fp = footprint(degraded.deployment, rates, *routing_, *net_);
         const AdmissionVerdict second =
             admission_.price(fp, q.tenant, ledger_, *net_, /*degraded=*/true);
@@ -492,13 +492,8 @@ opt::OptimizeResult Middleware::deploy(const query::Query& q) {
       return res;
     }
   }
-  query::RateModel rates(*catalog_, q);
-  advert::advertise_deployment(registry_, res.deployment, rates);
-  active_.push_back(Active{q, res.deployment, res.actual_cost, {}});
-  ledger_add(active_.back());
+  activate(q, res);
   ledger_.count_query(q.tenant, +1);
-  // A new provider changes the reuse landscape for its stream neighborhood.
-  mark_dirty_overlap(q);
   return res;
 }
 
@@ -603,14 +598,6 @@ void Middleware::set_stream_rate(query::StreamId stream, double tuple_rate) {
   }
 }
 
-void Middleware::refresh_registry() {
-  registry_.clear();
-  for (const Active& a : active_) {
-    query::RateModel rates(*catalog_, a.q);
-    advert::advertise_deployment(registry_, a.deployment, rates);
-  }
-}
-
 void Middleware::resume_pass(std::vector<Redeployment>& out) {
   for (std::size_t i = 0; i < suspended_.size();) {
     SuspendedQuery& s = suspended_[i];
@@ -626,13 +613,11 @@ void Middleware::resume_pass(std::vector<Redeployment>& out) {
       ++i;
       continue;
     }
-    auto optimizer = make_optimizer();
-    const opt::OptimizeResult res = optimizer->optimize(s.q);
+    const opt::OptimizeResult res = plan(s.q, registry_);
     // A resumed plan on an excluded host (the restricted search's
     // unrestricted fallback) counts as a failed attempt: staying parked
     // beats resuming onto a host the planner must avoid.
-    if (!res.feasible || !std::isfinite(res.actual_cost) ||
-        deployment_on_excluded(res.deployment)) {
+    if (!planned(res) || deployment_on_excluded(res.deployment)) {
       ++s.attempts;
       ++resume_failures_total_;
       // After the k-th failure, skip the next 2^k - 1 eligible passes plus
@@ -646,19 +631,10 @@ void Middleware::resume_pass(std::vector<Redeployment>& out) {
       ++i;
       continue;
     }
-    Redeployment r;
-    r.query = s.q.id;
-    r.planned_cost = s.last_planned_cost;
-    r.drifted_cost = kInf;  // the query was down, delivering nothing
-    r.adapted_cost = res.actual_cost;
-    r.outcome = Outcome::kResumed;
-    out.push_back(r);
-    active_.push_back(
-        Active{std::move(s.q), res.deployment, res.actual_cost, {}});
-    query::RateModel rates(*catalog_, active_.back().q);
-    advert::advertise_deployment(registry_, active_.back().deployment, rates);
-    ledger_add(active_.back());
-    mark_dirty_overlap(active_.back().q);
+    // The query was down, delivering nothing: drifted cost +inf.
+    out.push_back(Redeployment{s.q.id, s.last_planned_cost, kInf,
+                               res.actual_cost, Outcome::kResumed});
+    activate(std::move(s.q), res);
     // Resume-from-suspension: a cold start by construction — whatever state
     // the old placement had died with the suspension.
     record_migration(active_.back().q.id, query::Deployment{},
@@ -683,40 +659,21 @@ std::vector<Redeployment> Middleware::reconcile(bool try_resume) {
         continue;
       }
       changed = true;
-      Redeployment r;
-      r.query = a.q.id;
-      r.planned_cost = a.planned_cost;
       // The deployment is broken — a dead host, a severed edge or a
       // stranded reuse binding — so it is delivering nothing, whatever its
-      // nominal cost would be.
-      r.drifted_cost = kInf;
+      // nominal cost would be: drifted cost +inf.
       opt::OptimizeResult res;
       if (healthy) res = replan(a);
-      if (healthy && res.feasible && std::isfinite(res.actual_cost) &&
-          !deployment_on_excluded(res.deployment)) {
-        r.adapted_cost = res.actual_cost;
-        r.outcome = Outcome::kMigrated;
-        ledger_remove(a);
-        const query::Deployment before = std::move(a.deployment);
-        a.deployment = res.deployment;
-        a.planned_cost = res.actual_cost;
-        // Swap this query's advertisements in place; everyone else's stay
-        // warm (no full registry rebuild per event). The query itself was
-        // just replanned to its optimum, so only the neighborhood that can
-        // see its new advertisements needs a settle visit.
-        on_migrated(a, before);
-        mark_dirty_overlap(a.q);
+      if (healthy && planned(res) && !deployment_on_excluded(res.deployment)) {
+        out.push_back(Redeployment{a.q.id, a.planned_cost, kInf,
+                                   res.actual_cost, Outcome::kMigrated});
+        adopt(a, std::move(res.deployment), res.actual_cost);
         ++i;
       } else {
-        r.adapted_cost = kInf;
-        r.outcome = Outcome::kSuspended;
-        ledger_remove(a);
-        registry_.remove_origin(a.q.id);
-        suspended_.push_back(
-            SuspendedQuery{std::move(a.q), a.planned_cost, 0});
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        out.push_back(Redeployment{a.q.id, a.planned_cost, kInf, kInf,
+                                   Outcome::kSuspended});
+        suspend(i, 0);
       }
-      out.push_back(r);
     }
     if (!changed) break;
   }
@@ -729,8 +686,7 @@ std::vector<Redeployment> Middleware::fail_node(net::NodeId n) {
   IFLOW_CHECK(n < net_->node_count());
   IFLOW_CHECK_MSG(net_->node_alive(n),
                   "node " << n << " is crashed, not processing-failed");
-  IFLOW_CHECK_MSG(std::find(failed_nodes_.begin(), failed_nodes_.end(), n) ==
-                      failed_nodes_.end(),
+  IFLOW_CHECK_MSG(!contains(failed_nodes_, n),
                   "node " << n << " already failed");
   failed_nodes_.push_back(n);
   if (hierarchy_->contains(n)) hierarchy_->remove_node(n, *routing_);
@@ -739,8 +695,7 @@ std::vector<Redeployment> Middleware::fail_node(net::NodeId n) {
 
 std::vector<Redeployment> Middleware::crash_node(net::NodeId n) {
   IFLOW_CHECK(n < net_->node_count());
-  IFLOW_CHECK_MSG(std::find(failed_nodes_.begin(), failed_nodes_.end(), n) ==
-                      failed_nodes_.end(),
+  IFLOW_CHECK_MSG(!contains(failed_nodes_, n),
                   "node " << n << " is processing-failed; restore it first");
   net_->crash_node(n);  // checks it was alive
   rebuild_routing();
@@ -769,12 +724,7 @@ std::vector<Redeployment> Middleware::restore_node(net::NodeId n) {
     Prng fork = Prng(seed_).fork(net_->version());
     hierarchy_->add_node(n, *routing_, fork);
   }
-  // Recovery resets the retry budget: everything suspended gets a fresh
-  // chance now that the world improved (backoff clears with it).
-  for (SuspendedQuery& s : suspended_) {
-    s.attempts = 0;
-    s.skip = 0;
-  }
+  reset_resume_budgets();
   return reconcile(true);
 }
 
@@ -790,10 +740,7 @@ std::vector<Redeployment> Middleware::restore_link(net::NodeId a,
   net_->restore_link(a, b);
   rebuild_routing();
   hierarchy_->refresh(*routing_);
-  for (SuspendedQuery& s : suspended_) {
-    s.attempts = 0;
-    s.skip = 0;
-  }
+  reset_resume_budgets();
   return reconcile(true);
 }
 
@@ -805,13 +752,7 @@ void Middleware::set_max_resume_attempts(int attempts) {
 std::vector<net::NodeId> Middleware::excluded_hosts() const {
   std::vector<net::NodeId> out;
   for (net::NodeId n = 0; n < net_->node_count(); ++n) {
-    if (host_down(n) ||
-        std::find(overloaded_nodes_.begin(), overloaded_nodes_.end(), n) !=
-            overloaded_nodes_.end() ||
-        std::find(quarantined_nodes_.begin(), quarantined_nodes_.end(), n) !=
-            quarantined_nodes_.end()) {
-      out.push_back(n);
-    }
+    if (excluded(n)) out.push_back(n);
   }
   return out;
 }
@@ -819,10 +760,7 @@ std::vector<net::NodeId> Middleware::excluded_hosts() const {
 std::vector<Redeployment> Middleware::quarantine_node(net::NodeId n) {
   IFLOW_CHECK(n < net_->node_count());
   std::vector<Redeployment> out;
-  if (std::find(quarantined_nodes_.begin(), quarantined_nodes_.end(), n) !=
-      quarantined_nodes_.end()) {
-    return out;  // already quarantined
-  }
+  if (contains(quarantined_nodes_, n)) return out;  // already quarantined
   quarantined_nodes_.push_back(n);
   // Hosting-only exclusion, like a load-shed node: the element keeps
   // forwarding, sourcing and sinking — it is sick, not dead. Migrate every
@@ -832,48 +770,31 @@ std::vector<Redeployment> Middleware::quarantine_node(net::NodeId n) {
   // retries when release_quarantine resets the attempt budget.
   for (std::size_t i = 0; i < active_.size();) {
     Active& a = active_[i];
-    bool hosted = false;
-    for (const query::DeployedOp& op : a.deployment.ops) {
-      hosted |= (op.node == n);
-    }
     // Derived units bound at the node are subscriptions to an operator
     // executing there; they must vacate with it.
-    for (const query::LeafUnit& u : a.deployment.units) {
-      hosted |= (u.derived && u.location == n);
-    }
+    const bool hosted =
+        runs_op_on(a.deployment, n) ||
+        std::any_of(a.deployment.units.begin(), a.deployment.units.end(),
+                    [n](const query::LeafUnit& u) {
+                      return u.derived && u.location == n;
+                    });
     if (!hosted) {
       ++i;
       continue;
     }
-    const opt::OptimizeResult res = replan(a);
-    Redeployment r;
-    r.query = a.q.id;
-    r.planned_cost = a.planned_cost;
-    query::RateModel rates(*catalog_, a.q);
-    r.drifted_cost = query::deployment_cost(a.deployment, rates, *routing_);
+    opt::OptimizeResult res = replan(a);
+    const double drifted = current_cost(a);
     // deployment_on_excluded subsumes the vacated node (n is quarantined
     // already) and catches the fallback landing on *another* excluded host.
-    if (res.feasible && std::isfinite(res.actual_cost) &&
-        !deployment_on_excluded(res.deployment)) {
-      r.adapted_cost = res.actual_cost;
-      r.outcome = Outcome::kMigrated;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
-      on_migrated(a, before);
-      mark_dirty_overlap(a.q);
-      out.push_back(r);
+    if (planned(res) && !deployment_on_excluded(res.deployment)) {
+      out.push_back(Redeployment{a.q.id, a.planned_cost, drifted,
+                                 res.actual_cost, Outcome::kMigrated});
+      adopt(a, std::move(res.deployment), res.actual_cost);
       ++i;
     } else {
-      r.adapted_cost = kInf;
-      r.outcome = Outcome::kSuspended;
-      out.push_back(r);
-      ledger_remove(a);
-      registry_.remove_origin(a.q.id);
-      suspended_.push_back(SuspendedQuery{std::move(a.q), a.planned_cost,
-                                          max_resume_attempts_});
-      active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+      out.push_back(Redeployment{a.q.id, a.planned_cost, drifted, kInf,
+                                 Outcome::kSuspended});
+      suspend(i, max_resume_attempts_);
     }
   }
   // Migrations can strand derived units of queries that reused the moved
@@ -892,10 +813,7 @@ std::vector<Redeployment> Middleware::release_quarantine(net::NodeId n) {
   // The node is placeable again: reset attempt budgets (the world improved,
   // same as a restore) and retry whatever is parked. Actives drift back
   // through the normal adapt()/settle() machinery when beneficial.
-  for (SuspendedQuery& s : suspended_) {
-    s.attempts = 0;
-    s.skip = 0;
-  }
+  reset_resume_budgets();
   resume_pass(out);
   debug_check_warm_state();
   return out;
@@ -942,20 +860,9 @@ std::vector<Middleware::ActiveView> Middleware::active_views() const {
   return out;
 }
 
-void Middleware::set_node_capacity(double max_input_bytes_per_s) {
-  IFLOW_CHECK(max_input_bytes_per_s >= 0.0);
-  node_capacity_ = max_input_bytes_per_s;
-  // One knob: the admission controller prices against the same budget the
-  // rebalancer sheds against.
-  AdmissionConfig cfg = admission_.config();
-  cfg.node_capacity = max_input_bytes_per_s;
-  admission_.set_config(cfg);
-}
-
 void Middleware::set_admission_config(const AdmissionConfig& cfg) {
   IFLOW_CHECK(cfg.node_capacity >= 0.0);
   admission_.set_config(cfg);
-  node_capacity_ = cfg.node_capacity;
 }
 
 void Middleware::set_tenant_quota(std::uint32_t tenant,
@@ -964,18 +871,7 @@ void Middleware::set_tenant_quota(std::uint32_t tenant,
 }
 
 std::vector<double> Middleware::node_loads() const {
-#ifndef NDEBUG
-  // The incremental ledger must agree with a from-scratch recompute.
-  const std::vector<double> scratch = node_loads_recomputed();
-  const std::vector<double>& inc = ledger_.node_load();
-  IFLOW_CHECK(inc.size() == scratch.size());
-  for (std::size_t n = 0; n < inc.size(); ++n) {
-    const double tol = 1e-6 * (1.0 + std::abs(scratch[n]));
-    IFLOW_CHECK_MSG(std::abs(inc[n] - scratch[n]) <= tol,
-                    "incremental load drifted on node " << n << ": "
-                    << inc[n] << " vs " << scratch[n]);
-  }
-#endif
+  debug_check_ledger();
   return ledger_.node_load();
 }
 
@@ -1007,7 +903,8 @@ std::vector<double> Middleware::node_loads_recomputed() const {
 
 std::vector<Redeployment> Middleware::rebalance_load() {
   std::vector<Redeployment> redeployed;
-  if (node_capacity_ <= 0.0) return redeployed;
+  const double capacity = admission_.config().node_capacity;
+  if (capacity <= 0.0) return redeployed;
   // Worst case every node needs a shed round AND a later anchored-suspend
   // round (a shed node is only suspendable one round after it was shed, and
   // with every node excluded replans fall back to unrestricted placement,
@@ -1018,14 +915,13 @@ std::vector<Redeployment> Middleware::rebalance_load() {
     const std::vector<double> load = node_loads();
     net::NodeId worst = net::kInvalidNode;
     for (net::NodeId n = 0; n < net_->node_count(); ++n) {
-      if (load[n] > node_capacity_ &&
+      if (load[n] > capacity &&
           (worst == net::kInvalidNode || load[n] > load[worst])) {
         worst = n;
       }
     }
     if (worst == net::kInvalidNode) break;
-    if (std::find(overloaded_nodes_.begin(), overloaded_nodes_.end(),
-                  worst) != overloaded_nodes_.end()) {
+    if (contains(overloaded_nodes_, worst)) {
       // Already shed yet still overloaded: whatever sits here cannot move.
       // If the stuck load belongs to queries anchored to this node — their
       // own source or sink lives here, so no replan can ever vacate it —
@@ -1034,33 +930,19 @@ std::vector<Redeployment> Middleware::rebalance_load() {
       // restore resets the attempt budget.
       bool suspended_any = false;
       for (std::size_t i = 0; i < active_.size();) {
-        Active& a = active_[i];
-        bool hosted = false;
-        for (const query::DeployedOp& op : a.deployment.ops) {
-          hosted |= (op.node == worst);
-        }
+        const Active& a = active_[i];
         bool anchored = (a.q.sink == worst);
         for (query::StreamId s : a.q.sources) {
           anchored |= (catalog_->stream(s).source == worst);
         }
-        if (!hosted || !anchored) {
+        if (!runs_op_on(a.deployment, worst) || !anchored) {
           ++i;
           continue;
         }
-        Redeployment r;
-        r.query = a.q.id;
-        r.planned_cost = a.planned_cost;
-        query::RateModel rates(*catalog_, a.q);
-        r.drifted_cost =
-            query::deployment_cost(a.deployment, rates, *routing_);
-        r.adapted_cost = kInf;
-        r.outcome = Outcome::kSuspended;
-        redeployed.push_back(r);
-        ledger_remove(a);
-        registry_.remove_origin(a.q.id);
-        suspended_.push_back(SuspendedQuery{std::move(a.q), a.planned_cost,
-                                            max_resume_attempts_});
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        redeployed.push_back(Redeployment{a.q.id, a.planned_cost,
+                                          current_cost(a), kInf,
+                                          Outcome::kSuspended});
+        suspend(i, max_resume_attempts_);
         suspended_any = true;
       }
       if (!suspended_any) {
@@ -1070,26 +952,13 @@ std::vector<Redeployment> Middleware::rebalance_load() {
     }
     overloaded_nodes_.push_back(worst);
     for (Active& a : active_) {
-      bool hosted = false;
-      for (const query::DeployedOp& op : a.deployment.ops) {
-        hosted |= (op.node == worst);
-      }
-      if (!hosted) continue;
-      const opt::OptimizeResult res = replan(a);
+      if (!runs_op_on(a.deployment, worst)) continue;
+      opt::OptimizeResult res = replan(a);
       if (!res.feasible) continue;  // nowhere better to move right now
-      Redeployment r;
-      r.query = a.q.id;
-      r.planned_cost = a.planned_cost;
-      query::RateModel rates(*catalog_, a.q);
-      r.drifted_cost = query::deployment_cost(a.deployment, rates, *routing_);
-      r.adapted_cost = res.actual_cost;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
-      on_migrated(a, before);
-      mark_dirty_overlap(a.q);
-      redeployed.push_back(r);
+      redeployed.push_back(Redeployment{a.q.id, a.planned_cost,
+                                        current_cost(a), res.actual_cost,
+                                        Outcome::kMigrated});
+      adopt(a, std::move(res.deployment), res.actual_cost);
     }
   }
   // Migrations (and overload suspensions) can strand derived units of
@@ -1112,27 +981,17 @@ std::vector<Redeployment> Middleware::reoptimize(int max_rounds) {
   for (int round = 0; round < max_rounds; ++round) {
     bool moved = false;
     for (Active& a : active_) {
-      query::RateModel rates(*catalog_, a.q);
-      const double current =
-          query::deployment_cost(a.deployment, rates, *routing_);
-      const opt::OptimizeResult res = replan(a);
-      if (!res.feasible || !std::isfinite(res.actual_cost)) continue;
+      const double current = current_cost(a);
+      opt::OptimizeResult res = replan(a);
       // Strict relative improvement only, so the pass terminates instead
       // of shuffling between cost-equal placements.
-      if (res.actual_cost >= current * (1.0 - 1e-9)) continue;
-      Redeployment r;
-      r.query = a.q.id;
-      r.planned_cost = a.planned_cost;
-      r.drifted_cost = current;
-      r.adapted_cost = res.actual_cost;
-      r.outcome = Outcome::kMigrated;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
+      if (!planned(res) || res.actual_cost >= current * (1.0 - 1e-9)) {
+        continue;
+      }
+      redeployed.push_back(Redeployment{a.q.id, a.planned_cost, current,
+                                        res.actual_cost, Outcome::kMigrated});
       // The next replans must see the moved operators (warm swap).
-      on_migrated(a, before);
-      redeployed.push_back(r);
+      adopt(a, std::move(res.deployment), res.actual_cost);
       moved = true;
     }
     if (!moved) break;
@@ -1149,24 +1008,21 @@ std::vector<Redeployment> Middleware::reoptimize(int max_rounds) {
   std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     return active_[a].q.id < active_[b].q.id;
   });
-  advert::Registry saved = std::move(registry_);
-  registry_ = advert::Registry{};
+  advert::Registry joint;
   std::vector<query::Deployment> cand(active_.size());
   std::vector<double> cand_cost(active_.size(), kInf);
   bool cand_feasible = true;
   for (std::size_t i : order) {
-    auto optimizer = make_optimizer();
-    opt::OptimizeResult res = optimizer->optimize(active_[i].q);
-    if (!res.feasible || !std::isfinite(res.actual_cost)) {
+    opt::OptimizeResult res = plan(active_[i].q, joint);
+    if (!planned(res)) {
       cand_feasible = false;
       break;
     }
-    query::RateModel rates(*catalog_, active_[i].q);
-    advert::advertise_deployment(registry_, res.deployment, rates);
+    advert::advertise_deployment(joint, res.deployment,
+                                 query::RateModel(*catalog_, active_[i].q));
     cand[i] = std::move(res.deployment);
     cand_cost[i] = res.actual_cost;
   }
-  registry_ = std::move(saved);
   if (cand_feasible && !active_.empty()) {
     double cand_total = 0.0;
     for (std::size_t i = 0; i < active_.size(); ++i) {
@@ -1174,32 +1030,23 @@ std::vector<Redeployment> Middleware::reoptimize(int max_rounds) {
       cand_total += query::deployment_cost(cand[i], rates, *routing_);
     }
     if (cand_total < total_current_cost() * (1.0 - 1e-9)) {
+      // Adopting in active_ order moves each query's advertisements to the
+      // back, so the registry ends in the order a full rebuild produces (the
+      // order of reuse units decides planner ties).
       for (std::size_t i = 0; i < active_.size(); ++i) {
         Active& a = active_[i];
-        query::RateModel rates(*catalog_, a.q);
-        Redeployment r;
-        r.query = a.q.id;
-        r.planned_cost = a.planned_cost;
-        r.drifted_cost = query::deployment_cost(a.deployment, rates, *routing_);
-        r.adapted_cost = cand_cost[i];
-        r.outcome = Outcome::kMigrated;
-        ledger_remove(a);
-        const query::Deployment before = std::move(a.deployment);
-        a.deployment = std::move(cand[i]);
-        a.planned_cost = cand_cost[i];
-        ledger_add(a);
-        record_migration(a.q.id, before, a.deployment, /*warm=*/true);
-        redeployed.push_back(r);
+        redeployed.push_back(Redeployment{a.q.id, a.planned_cost,
+                                          current_cost(a), cand_cost[i],
+                                          Outcome::kMigrated});
+        adopt(a, std::move(cand[i]), cand_cost[i]);
       }
-      // Joint adoption replaced every deployment at once; this is the one
-      // place a full registry rebuild is the natural operation.
-      refresh_registry();
     }
   }
   // Single-query moves can strand reuse consumers; repair at a fixpoint.
   const std::vector<Redeployment> repaired = reconcile(false);
   redeployed.insert(redeployed.end(), repaired.begin(), repaired.end());
-  // The full pass subsumes any pending incremental settle.
+  // The full pass subsumes any pending incremental settle, including the
+  // neighborhoods its own adoptions marked.
   dirty_.clear();
   return redeployed;
 }
@@ -1224,27 +1071,16 @@ std::vector<Redeployment> Middleware::settle(int max_rounds) {
                        [&](const Active& a) { return a.q.id == id; });
       if (it == active_.end()) continue;  // left the system meanwhile
       Active& a = *it;
-      query::RateModel rates(*catalog_, a.q);
-      const double current =
-          query::deployment_cost(a.deployment, rates, *routing_);
+      const double current = current_cost(a);
       ++settle_stats_.replanned;
-      const opt::OptimizeResult res = replan(a);
-      if (!res.feasible || !std::isfinite(res.actual_cost)) continue;
+      opt::OptimizeResult res = replan(a);
       // Same strict-improvement rule as reoptimize()'s per-query rounds.
-      if (res.actual_cost >= current * (1.0 - 1e-9)) continue;
-      Redeployment r;
-      r.query = a.q.id;
-      r.planned_cost = a.planned_cost;
-      r.drifted_cost = current;
-      r.adapted_cost = res.actual_cost;
-      r.outcome = Outcome::kMigrated;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
-      on_migrated(a, before);
-      mark_dirty_overlap(a.q);
-      redeployed.push_back(r);
+      if (!planned(res) || res.actual_cost >= current * (1.0 - 1e-9)) {
+        continue;
+      }
+      redeployed.push_back(Redeployment{a.q.id, a.planned_cost, current,
+                                        res.actual_cost, Outcome::kMigrated});
+      adopt(a, std::move(res.deployment), res.actual_cost);
       moved_any = true;
       ++settle_stats_.moved;
     }
@@ -1262,44 +1098,27 @@ std::vector<Redeployment> Middleware::settle(int max_rounds) {
 
 double Middleware::total_current_cost() const {
   double total = 0.0;
-  for (const Active& a : active_) {
-    query::RateModel rates(*catalog_, a.q);
-    total += query::deployment_cost(a.deployment, rates, *routing_);
-  }
+  for (const Active& a : active_) total += current_cost(a);
   return total;
 }
 
 std::vector<Redeployment> Middleware::adapt() {
   std::vector<Redeployment> redeployed;
   for (Active& a : active_) {
-    query::RateModel current_rates(*catalog_, a.q);
-    const double current =
-        query::deployment_cost(a.deployment, current_rates, *routing_);
+    const double current = current_cost(a);
     if (current <= a.planned_cost * drift_threshold_) continue;
-
-    const opt::OptimizeResult res = replan(a);
-    if (!res.feasible || !std::isfinite(res.actual_cost)) continue;
-
-    Redeployment r;
-    r.query = a.q.id;
-    r.planned_cost = a.planned_cost;
-    r.drifted_cost = current;
-    r.adapted_cost = res.actual_cost;
+    opt::OptimizeResult res = replan(a);
+    if (!planned(res)) continue;
     // Only migrate when re-optimization actually helps.
     if (res.actual_cost < current) {
-      r.outcome = Outcome::kMigrated;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
-      on_migrated(a, before);
-      mark_dirty_overlap(a.q);
+      redeployed.push_back(Redeployment{a.q.id, a.planned_cost, current,
+                                        res.actual_cost, Outcome::kMigrated});
+      adopt(a, std::move(res.deployment), res.actual_cost);
     } else {
-      r.outcome = Outcome::kAccepted;
-      r.adapted_cost = current;
+      redeployed.push_back(Redeployment{a.q.id, a.planned_cost, current,
+                                        current, Outcome::kAccepted});
       a.planned_cost = current;  // accept the new normal
     }
-    redeployed.push_back(r);
   }
   if (!redeployed.empty()) {
     // A migration can strand the derived units of a query that reused the

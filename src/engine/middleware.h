@@ -183,14 +183,10 @@ class Middleware {
   /// Brings the (a, b) link back and resumes what can be resumed.
   std::vector<Redeployment> restore_link(net::NodeId a, net::NodeId b);
 
-  /// Per-node processing capacity, expressed as the total operator INPUT
-  /// byte rate a node may host (the paper's §1.1: "node N2 may be
-  /// overloaded"). 0 = unlimited (default). Also the admission
-  /// controller's node budget.
-  void set_node_capacity(double max_input_bytes_per_s);
-
-  /// Full admission policy: node capacity, link utilization cap, fairness.
-  /// Overrides set_node_capacity's budget (they share one knob).
+  /// Admission policy: node capacity, link utilization cap, fairness. The
+  /// node capacity — the total operator INPUT byte rate a node may host
+  /// (the paper's §1.1: "node N2 may be overloaded"), 0 = unlimited, the
+  /// default — is also the budget rebalance_load() sheds against.
   void set_admission_config(const AdmissionConfig& cfg);
 
   /// Registers a per-tenant quota (query count, byte budget, fairness
@@ -321,7 +317,7 @@ class Middleware {
 
   /// The environment a plan would be validated/planned against right now
   /// (exposed for the chaos harness and external validators).
-  opt::OptimizerEnv planning_env() { return env(); }
+  opt::OptimizerEnv planning_env() { return env(registry_); }
 
   /// Planner workspace (exposed so harnesses can pin the thread count for
   /// determinism checks).
@@ -375,8 +371,19 @@ class Middleware {
     DeploymentFootprint footprint;
   };
 
-  opt::OptimizerEnv env();
-  std::unique_ptr<opt::Optimizer> make_optimizer();
+  /// Planning environment over `registry`: every algorithm sees the same
+  /// catalog, routing, hierarchy, host exclusions and health penalty.
+  opt::OptimizerEnv env(advert::Registry& registry);
+  std::unique_ptr<opt::Optimizer> make_optimizer(
+      const opt::OptimizerEnv& e) const;
+  /// Plans q against `registry` with the configured algorithm, avoiding the
+  /// sorted `avoid` hosts on top of the excluded ones (the degraded
+  /// admission replan passes its saturated nodes here).
+  opt::OptimizeResult plan(const query::Query& q, advert::Registry& registry,
+                           std::vector<net::NodeId> avoid = {});
+  /// Re-optimizes one active query against everyone else's operators;
+  /// returns the candidate result (which the caller may adopt).
+  opt::OptimizeResult replan(const Active& a);
   void rebuild_views();
   void rebuild_routing();
 
@@ -384,53 +391,52 @@ class Middleware {
   /// processing-failed; overload exclusion is hosting-only).
   bool host_down(net::NodeId n) const;
 
+  /// True when n may not host operators: down, load-shed or quarantined.
+  bool excluded(net::NodeId n) const;
+
   /// Every source stream node and the sink are up.
   bool endpoints_healthy(const query::Query& q) const;
 
   /// No element on a down host and every data edge still routable.
   bool deployment_intact(const Active& a) const;
 
-  /// True when the deployment hosts an op or derived unit on a host the
-  /// planner is supposed to avoid (down, overloaded or quarantined). The
-  /// restricted search's unrestricted fallback can hand such plans back;
-  /// adoption sites must reject them or the validator's excluded-host
-  /// sweep flags the adopted deployment.
+  /// True when the deployment hosts an op or derived unit on an excluded
+  /// host. The restricted search's unrestricted fallback can hand such
+  /// plans back; adoption sites must reject them or the validator's
+  /// excluded-host sweep flags the adopted deployment.
   bool deployment_on_excluded(const query::Deployment& d) const;
 
   /// Every derived leaf unit still has a live provider among the *other*
-  /// actives: an operator (or re-exported non-aggregated result) with the
-  /// same global stream set at the unit's node. Migrating a provider can
-  /// strand its consumers even though every host is healthy.
+  /// actives, as the registry records them. Migrating a provider can strand
+  /// its consumers even though every host is healthy.
   bool derived_units_bound(const Active& a) const;
-
-  /// True when active `b` exports the global stream set `want` at `loc`:
-  /// a deployed operator there, or (non-aggregated) its sink re-exporting
-  /// the full result.
-  bool exports_at(const Active& b, net::NodeId loc,
-                  const std::vector<query::StreamId>& want) const;
 
   /// Flags every active whose derived units transitively draw on `root`'s
   /// results (root itself included), indexed like `active_`. replan() must
   /// not reuse these — doing so would create an ungrounded reuse cycle.
   std::vector<bool> transitive_dependents(const Active& root) const;
 
-  /// Rebuilds the advertisement registry from the active deployments.
-  /// Only reoptimize()'s joint adoption uses this; steady-state churn
-  /// maintains the registry warm (advertise on deploy/resume,
-  /// remove_origin + re-advertise on migrate, remove_origin on
-  /// suspend/undeploy) and Debug builds cross-check the warm contents
-  /// against this rebuild.
-  void refresh_registry();
+  /// a's deployment cost under the current rates and routes.
+  double current_cost(const Active& a) const;
 
   /// Prices a's deployment under current rates/routes, applies it to the
   /// ledger and records the footprint on the Active.
   void ledger_add(Active& a);
   /// Retracts a's recorded footprint from the ledger.
   void ledger_remove(Active& a);
-  /// Swaps a's registry advertisements and ledger footprint after its
-  /// deployment changed (migration), and records the placement diff against
-  /// `before` as a warm StateMigration.
-  void on_migrated(Active& a, const query::Deployment& before);
+  /// Adopts a replan of `a`: swaps its ledger footprint and advertisements,
+  /// records the placement diff as a warm StateMigration and dirties the
+  /// reuse neighborhood that can see the new advertisements.
+  void adopt(Active& a, query::Deployment deployment, double cost);
+  /// Parks active_[i] in the suspended queue with `attempts` of its resume
+  /// budget already spent, retracting its footprint and advertisements.
+  void suspend(std::size_t i, int attempts);
+  /// Appends q as an active running res's plan: advertises it, charges the
+  /// ledger and dirties its reuse neighborhood.
+  void activate(query::Query q, const opt::OptimizeResult& res);
+  /// Clears every suspended query's attempt budget and backoff (a restore
+  /// or a lifted quarantine improved the world).
+  void reset_resume_budgets();
   /// Appends the placement diff of one adopted replan to the migration
   /// feed.
   void record_migration(query::QueryId q, const query::Deployment& before,
@@ -440,13 +446,15 @@ class Middleware {
   /// unregistration can improve or degrade.
   void mark_dirty_overlap(const query::Query& q);
   void mark_dirty(query::QueryId id);
-  /// Debug-only consistency checks: warm registry vs full rebuild and
-  /// ledger node loads vs from-scratch recompute.
+  /// Debug-only consistency checks: warm registry vs full rebuild, then
+  /// debug_check_ledger().
   void debug_check_warm_state() const;
+  /// Debug-only: ledger node loads vs a from-scratch recompute.
+  void debug_check_ledger() const;
   std::vector<double> node_loads_recomputed() const;
 
-  /// Post-fault sweep: migrates or suspends broken actives, refreshes the
-  /// registry, and (on recovery paths) retries the suspended queue.
+  /// Post-fault sweep: migrates or suspends broken actives and (on recovery
+  /// paths) retries the suspended queue.
   std::vector<Redeployment> reconcile(bool try_resume);
 
   /// Retries suspended queries with remaining attempt budget.
@@ -458,10 +466,6 @@ class Middleware {
   Algorithm algorithm_;
   std::uint64_t seed_;  // hierarchy rebuilds derive pure per-version Prngs
   double drift_threshold_;
-
-  /// Re-optimizes one active query against everyone else's operators;
-  /// returns the candidate result (which the caller may accept).
-  opt::OptimizeResult replan(const Active& a);
 
   std::unique_ptr<net::RoutingTables> routing_;
   std::unique_ptr<cluster::Hierarchy> hierarchy_;
@@ -476,7 +480,6 @@ class Middleware {
   /// Health-plane pricing penalty (empty = none); env() hands a pointer to
   /// this vector to every planning environment.
   std::vector<double> health_penalty_;
-  double node_capacity_ = 0.0;                 // 0 = unlimited
   int max_resume_attempts_ = 3;
   /// Seeded jitter for the suspended-resume exponential backoff, so a
   /// cluster-wide restore staggers the retry stampede deterministically.
@@ -485,9 +488,6 @@ class Middleware {
   AdmissionController admission_;
   ResourceLedger ledger_;
   AdmissionVerdict last_admission_;
-  /// Extra exclusions for the degraded admission replan only (env() adds
-  /// them to OptimizerEnv::excluded_sites). Empty outside deploy().
-  std::vector<net::NodeId> admission_excluded_;
   std::vector<query::QueryId> dirty_;  // sorted unique
   SettleStats settle_stats_;
   std::uint64_t resume_failures_total_ = 0;

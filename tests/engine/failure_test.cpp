@@ -264,7 +264,9 @@ TEST(FailureTest, OverloadedAnchorSuspendsInsteadOfLooping) {
   const std::vector<double> loads = mw.node_loads();
   const double peak = *std::max_element(loads.begin(), loads.end());
   ASSERT_GT(peak, 0.0);
-  mw.set_node_capacity(peak * 1.5);
+  AdmissionConfig cfg;
+  cfg.node_capacity = peak * 1.5;
+  mw.set_admission_config(cfg);
   EXPECT_TRUE(mw.rebalance_load().empty());  // within capacity as deployed
 
   // Spike both streams 10x: every possible host is now overloaded and

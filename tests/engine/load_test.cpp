@@ -55,7 +55,9 @@ TEST(LoadRebalanceTest, ShedsOperatorsOffOverloadedHub) {
   ASSERT_GT(before[s.hub], 0.0) << "queries should meet at the hub";
 
   // Capacity below the hub's current load, above what one query brings.
-  mw.set_node_capacity(before[s.hub] * 0.6);
+  AdmissionConfig cfg;
+  cfg.node_capacity = before[s.hub] * 0.6;
+  mw.set_admission_config(cfg);
   const auto moves = mw.rebalance_load();
   EXPECT_FALSE(moves.empty());
   const std::vector<double> after = mw.node_loads();
@@ -80,7 +82,9 @@ TEST(LoadRebalanceTest, UnderCapacityStaysPut) {
   Middleware mw(s.net, s.catalog, 4, Algorithm::kExhaustive, 9);
   mw.deploy(s.make_query(1, {0, 1}, s.leaves[4]));
   const double hub_load = mw.node_loads()[s.hub];
-  mw.set_node_capacity(hub_load * 2.0);
+  AdmissionConfig cfg;
+  cfg.node_capacity = hub_load * 2.0;
+  mw.set_admission_config(cfg);
   EXPECT_TRUE(mw.rebalance_load().empty());
   EXPECT_DOUBLE_EQ(mw.node_loads()[s.hub], hub_load);
 }
