@@ -261,8 +261,7 @@ AdmissionVerdict AdmissionController::price(const DeploymentFootprint& fp,
   }
   // Weighted max-min fairness, only when the cluster is actually contended:
   // uncontended clusters admit everything the capacities allow.
-  if (config_.fairness && config_.node_capacity > 0.0 &&
-      !ledger.node_load().empty()) {
+  if (config_.node_capacity > 0.0 && !ledger.node_load().empty()) {
     const double budget =
         config_.node_capacity * static_cast<double>(ledger.node_load().size());
     const double total_after = ledger.total_bytes() + fp.total_input_bytes;

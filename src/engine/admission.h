@@ -64,8 +64,6 @@ struct AdmissionConfig {
   /// budgets, so link pricing is opt-in). Links with bandwidth_bps <= 0
   /// are treated as uncapacitated.
   double link_utilization_cap = 0.0;
-  /// Enforce weighted max-min fair shares across tenants under contention.
-  bool fairness = true;
 };
 
 enum class AdmissionDecision : std::uint8_t {

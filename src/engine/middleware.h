@@ -183,10 +183,11 @@ class Middleware {
   /// Brings the (a, b) link back and resumes what can be resumed.
   std::vector<Redeployment> restore_link(net::NodeId a, net::NodeId b);
 
-  /// Admission policy: node capacity, link utilization cap, fairness. The
-  /// node capacity — the total operator INPUT byte rate a node may host
-  /// (the paper's §1.1: "node N2 may be overloaded"), 0 = unlimited, the
-  /// default — is also the budget rebalance_load() sheds against.
+  /// Admission policy: node capacity and link utilization cap; weighted fair
+  /// shares apply whenever node capacity is contended. The node capacity —
+  /// the total operator INPUT byte rate a node may host (the paper's §1.1:
+  /// "node N2 may be overloaded"), 0 = unlimited, the default — is also the
+  /// budget rebalance_load() sheds against.
   void set_admission_config(const AdmissionConfig& cfg);
 
   /// Registers a per-tenant quota (query count, byte budget, fairness
