@@ -3,7 +3,7 @@
 //
 // For each Fig-9-class network size the harness deploys a fixed workload
 // through the middleware (so reuse chains and derived units are realistic),
-// then runs the reliable-mode simulation over copies of the network with a
+// then runs the simulation over copies of the network with a
 // uniform per-link loss rate swept from 0 to 5%. Every sweep point reports
 // aggregate delivered tuples, goodput, lost-after-retries, and the byte
 // overhead retransmissions add on top of first transmissions. Results land
@@ -73,7 +73,6 @@ SizeRow measure(int size, const std::vector<double>& loss_rates) {
 
   engine::EngineConfig ec;
   ec.duration_s = kDurationS;
-  ec.reliability.enabled = true;
   // GT-ITM transit-stub links carry up to 60 ms propagation delay and acks
   // ride the full return path, so multi-hop round trips run to hundreds of
   // ms — far past the default 50 ms timeout, which would retransmit every

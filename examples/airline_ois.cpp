@@ -208,6 +208,10 @@ int main() {
   std::cout << "=== Executing both queries in the engine ===\n";
   engine::EngineConfig cfg;
   cfg.duration_s = 30.0;
+  // Sized to compare measured with planned cost (DESIGN.md §11).
+  cfg.reliability.drain_s = 0.0;
+  cfg.reliability.ack_timeout_s = 1.0;
+  cfg.reliability.max_backoff_s = 4.0;
   engine::Simulation sim(ois.net, routing, catalog, cfg, 7);
   sim.deploy(q2_res.deployment, rates2);
   sim.deploy(q1_reuse.deployment, rates1);

@@ -212,6 +212,10 @@ class Shell {
     args >> seconds;
     engine::EngineConfig cfg;
     cfg.duration_s = seconds;
+    // Sized to compare measured with planned cost (DESIGN.md §11).
+    cfg.reliability.drain_s = 0.0;
+    cfg.reliability.ack_timeout_s = 1.0;
+    cfg.reliability.max_backoff_s = 4.0;
     engine::Simulation sim(*net_, *routing_, catalog_, cfg, 99);
     for (std::size_t i = 0; i < deployments_.size(); ++i) {
       query::RateModel rates(catalog_, queries_[i]);

@@ -565,7 +565,7 @@ ChaosReport run_churn(net::Network net, query::Catalog catalog,
          << report.violations << '\n';
 
   // Post-churn delivery contract: deploy the surviving actives into two
-  // reliable-mode simulations — one over the churned network with its
+  // simulations — one over the churned network with its
   // accumulated loss/jitter, one over a loss-free copy — driven by the same
   // engine seed (sources draw only from the main engine Prng, so both runs
   // emit identical tuples). With per-link loss under the retry budget's
@@ -578,7 +578,6 @@ ChaosReport run_churn(net::Network net, query::Catalog catalog,
     // settle window during which sources are quiet but the full retry
     // chain (~23 s at 12 retries capped at 2 s) completes.
     ec.duration_s = cfg.delivery_duration_s + 30.0;
-    ec.reliability.enabled = true;
     // The count-equality contract needs parameters sized to the topology,
     // not to wall-clock goodput. GT-ITM paths run to ~1 s round trip, so
     // the backoff cap must exceed the worst RTT or every in-flight ack
@@ -1021,13 +1020,12 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   }
   if (moves.size() > 4) moves.resize(4);
 
-  // Data-plane phase: three reliable-mode simulations of the settled
+  // Data-plane phase: three simulations of the settled
   // deployment under one engine seed. Sources draw only from the main
   // engine Prng, so all three emit identical tuples; the checkpoint plane
   // must make the faulted run indistinguishable from the twin at the sinks.
   EngineConfig ec;
   ec.duration_s = cfg.duration_s + cfg.drain_s;
-  ec.reliability.enabled = true;
   ec.reliability.ack_timeout_s = cfg.ack_timeout_s;
   ec.reliability.max_backoff_s = cfg.max_backoff_s;
   ec.reliability.window = 1024;

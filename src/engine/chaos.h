@@ -86,7 +86,7 @@ struct ChaosConfig {
   /// engine's lateness allowance so event-time results are unaffected).
   double max_jitter_ms = 2.0;
   /// Run the post-churn delivery contract: deploy the surviving actives
-  /// into two reliable-mode simulations — one over the churned network
+  /// into two simulations — one over the churned network
   /// (with its accumulated loss/jitter), one over a loss-free copy — and
   /// require per-query delivered counts to match exactly with zero tuples
   /// lost after retries (at-least-once + dedup = effectively exactly-once).
@@ -494,7 +494,7 @@ struct RecoveryReport {
 /// Runs the checkpoint/recovery contract over copies of `net`/`catalog`:
 /// deploys the workload, replays a control-plane churn phase (crash /
 /// restore / quarantine / release, recording the planner's warm state
-/// migrations), then drives three reliable-mode simulations of the settled
+/// migrations), then drives three simulations of the settled
 /// deployment under one engine seed — a fault-free twin, a faulted run with
 /// coordinated snapshots (mid-stream crash + rollback recovery + the
 /// recorded migrations as kMigrateOps), and a faulted run with snapshots

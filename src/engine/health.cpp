@@ -337,7 +337,6 @@ SubRun gray_run(net::Network net, query::Catalog catalog,
 
   EngineConfig ec;
   ec.duration_s = cfg.epoch_s;
-  ec.reliability.enabled = true;
   ec.reliability.ack_timeout_s = cfg.ack_timeout_s;
   ec.reliability.max_backoff_s = cfg.max_backoff_s;
 

@@ -33,18 +33,15 @@ Simulation::Simulation(const net::Network& net, const net::RoutingTables& rt,
       net_prng_(seed ^ 0xAC4DE11FE55ULL) {
   IFLOW_CHECK(cfg.duration_s > 0.0);
   IFLOW_CHECK(cfg.window_s > 0.0);
-  if (cfg.reliability.enabled) {
-    const ReliabilityConfig& r = cfg.reliability;
-    IFLOW_CHECK_MSG(cfg.duration_s > r.drain_s,
-                    "duration must exceed the drain window");
-    IFLOW_CHECK(r.ack_timeout_s > 0.0 && r.backoff_factor >= 1.0);
-    IFLOW_CHECK(r.max_backoff_s >= r.ack_timeout_s);
-    IFLOW_CHECK(r.max_retries >= 0 && r.window > 0);
-  }
+  const ReliabilityConfig& r = cfg.reliability;
+  IFLOW_CHECK_MSG(r.enabled, "every data edge is a channel; "
+                             "reliability.enabled must stay true");
+  IFLOW_CHECK_MSG(cfg.duration_s > r.drain_s,
+                  "duration must exceed the drain window");
+  IFLOW_CHECK(r.ack_timeout_s > 0.0 && r.backoff_factor >= 1.0);
+  IFLOW_CHECK(r.max_backoff_s >= r.ack_timeout_s);
+  IFLOW_CHECK(r.max_retries >= 0 && r.window > 0);
   if (cfg.checkpoint.enabled) {
-    IFLOW_CHECK_MSG(cfg.reliability.enabled,
-                    "checkpointing requires the reliable data plane "
-                    "(barriers are cuts in channel sequence space)");
     IFLOW_CHECK(cfg.checkpoint.interval_s > 0.0);
     IFLOW_CHECK(cfg.checkpoint.replicas >= 1);
   }
@@ -114,24 +111,20 @@ void Simulation::deploy(const query::Deployment& d,
     return streams;
   };
 
-  // Wires a data edge. In reliable mode every edge gets its own channel
-  // (sequence numbers, replay buffer, dedup) attributed to the deploying
-  // query; the legacy plane ships over the edge fire-and-forget.
+  // Wires a data edge: its own channel (sequence numbers, replay buffer,
+  // dedup) attributed to the deploying query.
   auto connect = [this, &d](InstanceId from, InstanceId to, int port) {
     if (instances_[to].kind == Kind::kJoin) {
       instances_[to].lead[port] = instances_[from].streams.front();
     }
-    Consumer c{to, port, d.query, kNoChannel};
-    if (cfg_.reliability.enabled) {
-      Channel ch;
-      ch.producer = from;
-      ch.consumer = to;
-      ch.port = port;
-      ch.query = d.query;
-      channels_.push_back(std::move(ch));
-      c.channel = static_cast<std::uint32_t>(channels_.size() - 1);
-    }
-    instances_[from].consumers.push_back(c);
+    Channel ch;
+    ch.producer = from;
+    ch.consumer = to;
+    ch.port = port;
+    ch.query = d.query;
+    channels_.push_back(std::move(ch));
+    instances_[from].outputs.push_back(
+        static_cast<std::uint32_t>(channels_.size() - 1));
   };
 
   // Interposes a selection operator at `node` in front of `producer`.
@@ -437,36 +430,16 @@ TuplePtr Simulation::join_tuples(const Tuple& a, const Tuple& b) const {
   return t;
 }
 
-void Simulation::send(double now, net::NodeId from, const TuplePtr& tuple,
-                      const Consumer& to, InstanceId producer) {
-  if (producer != kNoProducer) {
-    instances_[producer].tuples_sent += 1;
-    instances_[producer].bytes_sent += tuple->width;
+void Simulation::send(double now, InstanceId producer, const TuplePtr& tuple) {
+  Instance& inst = instances_[producer];
+  for (const std::uint32_t ch : inst.outputs) {
+    inst.tuples_sent += 1;
+    inst.bytes_sent += tuple->width;
+    channel_send(now, ch, tuple);
   }
-  if (to.channel != kNoChannel) {
-    channel_send(now, to.channel, tuple);
-    return;
-  }
-  const net::NodeId dest = instances_[to.instance].node;
-  if (fnet_ && !fnet_->node_alive(dest)) {
-    ++tuples_dropped_;
-    return;
-  }
-  const std::uint32_t r = route(from, dest);
-  if (r == kNoRoute) {  // partitioned: nothing to carry the tuple
-    ++tuples_dropped_;
-    return;
-  }
-  double arrive = now;
-  for (const std::uint32_t li : route_links(r)) {
-    const net::Link& link = net_->links()[li];
-    link_bytes_[li] += tuple->width;
-    arrive += link.delay_ms / 1000.0 + tuple->width * 8.0 / link.bandwidth_bps;
-  }
-  schedule(Event{arrive, next_seq_++, to.instance, to.port, tuple, r});
 }
 
-// --- Reliable data plane ---------------------------------------------------
+// --- Channel data plane ----------------------------------------------------
 
 void Simulation::channel_send(double now, std::uint32_t ch,
                               const TuplePtr& tuple) {
@@ -842,8 +815,6 @@ void Simulation::snap_instance(double now, InstanceId id) {
   st.window[0] = inst.join[0].window;
   st.window[1] = inst.join[1].window;
   st.max_born = inst.max_born;
-  st.window_index = inst.window_index;
-  st.groups_seen = inst.groups_seen;
   st.agg_windows = inst.agg_windows;
   st.inbox = inst.inbox;
   st.delivered = inst.delivered;
@@ -852,12 +823,11 @@ void Simulation::snap_instance(double now, InstanceId id) {
   // Stamp the cut on every output channel before anything else can flow:
   // all sequences below it belong to this epoch, everything at or above it
   // to the next.
-  for (const Consumer& con : inst.consumers) {
-    if (con.channel == kNoChannel) continue;
-    Channel& ch = channels_[con.channel];
+  for (const std::uint32_t ci : inst.outputs) {
+    Channel& ch = channels_[ci];
     IFLOW_CHECK(ch.cut == Channel::kNoCut);
     ch.cut = ch.next_seq;
-    building_.cuts[con.channel] = ch.cut;
+    building_.cuts[ci] = ch.cut;
   }
   // Drain the alignment buffers of this instance's inputs in sequence
   // order. Outputs produced by the drain carry post-cut sequences, so
@@ -872,9 +842,9 @@ void Simulation::snap_instance(double now, InstanceId id) {
     }
   }
   // The freshly stamped cuts may already be met on idle channels.
-  for (const Consumer& con : inst.consumers) {
+  for (const std::uint32_t ci : inst.outputs) {
     if (!epoch_open_) break;
-    if (con.channel != kNoChannel) maybe_snap(now, con.instance);
+    maybe_snap(now, channels_[ci].consumer);
   }
   if (epoch_open_ && unsnapped_ == 0) commit_epoch(now);
 }
@@ -884,7 +854,6 @@ double Simulation::instance_state_bytes(const InstState& s) const {
   for (const auto* w : {&s.window[0], &s.window[1]}) {
     for (const WindowEntry& e : *w) b += 16.0 + e.tuple->width;
   }
-  b += 8.0 * static_cast<double>(s.groups_seen.size());
   for (const auto& [w, groups] : s.agg_windows) {
     b += 16.0 + 8.0 * static_cast<double>(groups.size());
   }
@@ -958,8 +927,6 @@ void Simulation::wipe_operator_state(Instance& inst) {
     jp.rechain();
   }
   inst.max_born = -std::numeric_limits<double>::infinity();
-  inst.window_index = -1;
-  inst.groups_seen.clear();
   inst.agg_windows.clear();
   inst.inbox.clear();
 }
@@ -983,10 +950,11 @@ void Simulation::recover_node(double now, net::NodeId n) {
   while (!work.empty()) {
     const InstanceId u = work.front();
     work.pop_front();
-    for (const Consumer& con : instances_[u].consumers) {
-      if (!region[con.instance]) {
-        region[con.instance] = 1;
-        work.push_back(con.instance);
+    for (const std::uint32_t ci : instances_[u].outputs) {
+      const InstanceId v = channels_[ci].consumer;
+      if (!region[v]) {
+        region[v] = 1;
+        work.push_back(v);
       }
     }
   }
@@ -999,8 +967,6 @@ void Simulation::recover_node(double now, net::NodeId n) {
       inst.join[port].rechain();
     }
     inst.max_born = st.max_born;
-    inst.window_index = st.window_index;
-    inst.groups_seen = st.groups_seen;
     inst.agg_windows = st.agg_windows;
     inst.inbox = st.inbox;
     inst.delivered = st.delivered;
@@ -1103,16 +1069,14 @@ bool Simulation::hash_pass(const Tuple& t, InstanceId id, double p) const {
 void Simulation::emit_from_source(double now, InstanceId id) {
   Instance& inst = instances_[id];
   // A crashed source node emits nothing but keeps its clock ticking, so it
-  // resumes production as soon as the node is restored. In reliable mode the
-  // source also goes quiet for the final drain window so in-flight and
-  // retransmitted tuples settle before the horizon; the cutoff is a pure
-  // function of time, so lossy and loss-free runs emit identically.
-  const bool draining = cfg_.reliability.enabled &&
-                        now >= cfg_.duration_s - cfg_.reliability.drain_s;
+  // resumes production as soon as the node is restored. The source also
+  // goes quiet for the final drain window so in-flight and retransmitted
+  // tuples settle before the horizon; the cutoff is a pure function of
+  // time, so lossy and loss-free runs emit identically.
+  const bool draining = now >= cfg_.duration_s - cfg_.reliability.drain_s;
   if ((!fnet_ || fnet_->node_alive(inst.node)) && !draining) {
-    const TuplePtr t = make_source_tuple(inst.source_stream, now);
     ++tuples_emitted_;
-    for (const Consumer& c : inst.consumers) send(now, inst.node, t, c, id);
+    send(now, id, make_source_tuple(inst.source_stream, now));
   }
   const double rate = source_rate(inst.source_stream, now);
   const double gap = cfg_.poisson ? prng_.exponential(rate) : 1.0 / rate;
@@ -1135,23 +1099,14 @@ void Simulation::arrive_at(double now, InstanceId id, int port,
   if (inst.kind == Kind::kSink) {
     ++inst.delivered;
     inst.latency_sum_s += now - tuple->born;
-    for (const Consumer& c : inst.consumers) {
-      send(now, inst.node, tuple, c, id);
-    }
+    send(now, id, tuple);
     return;
   }
   if (inst.kind == Kind::kFilter) {
-    // Reliable mode decides by content hash instead of the shared Prng
-    // stream, so the decision is identical for a tuple however (and however
-    // often) it arrives — a precondition for the exactly-once contract.
-    const bool pass = cfg_.reliability.enabled
-                          ? hash_pass(*tuple, id, inst.pass_probability)
-                          : prng_.chance(inst.pass_probability);
-    if (pass) {
-      for (const Consumer& c : inst.consumers) {
-        send(now, inst.node, tuple, c, id);
-      }
-    }
+    // Decided by content hash, so the decision is identical for a tuple
+    // however (and however often) it arrives — a precondition for the
+    // exactly-once contract.
+    if (hash_pass(*tuple, id, inst.pass_probability)) send(now, id, tuple);
     return;
   }
   if (inst.kind == Kind::kAggregate) {
@@ -1163,73 +1118,45 @@ void Simulation::arrive_at(double now, InstanceId id, int port,
     const auto groups =
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
                                        std::llround(inst.aggregation.groups)));
-    if (cfg_.reliability.enabled) {
-      // Event-time tumbling windows with a lateness watermark: a window
-      // flushes once max-born has moved `lateness_s` past its end, so
-      // retransmit-delayed tuples still land in their window and both the
-      // flush set and the per-window group sets are delivery-schedule
-      // independent.
-      inst.max_born = std::max(inst.max_born, tuple->born);
-      const double win = inst.aggregation.window_s;
-      const auto w = static_cast<std::int64_t>(std::floor(tuple->born / win));
-      inst.agg_windows[w].insert(h % groups);
-      const double watermark = inst.max_born - cfg_.reliability.lateness_s;
-      while (!inst.agg_windows.empty()) {
-        const auto first = inst.agg_windows.begin();
-        const double end = static_cast<double>(first->first + 1) * win;
-        if (end > watermark) break;
-        for (std::uint64_t group : first->second) {
-          auto out = std::make_shared<Tuple>();
-          out->born = end;  // event time, not flush time
-          out->constituents = inst.streams;
-          out->keys.assign(inst.streams.size() * catalog_->stream_count(),
-                           static_cast<std::uint32_t>(group));
-          out->width = inst.aggregation.out_width;
-          for (const Consumer& c : inst.consumers) {
-            send(now, inst.node, out, c, id);
-          }
-        }
-        inst.agg_windows.erase(first);
+    // Event-time tumbling windows with a lateness watermark: a window
+    // flushes once max-born has moved `lateness_s` past its end, so
+    // retransmit-delayed tuples still land in their window and both the
+    // flush set and the per-window group sets are delivery-schedule
+    // independent.
+    inst.max_born = std::max(inst.max_born, tuple->born);
+    const double win = inst.aggregation.window_s;
+    const auto w = static_cast<std::int64_t>(std::floor(tuple->born / win));
+    inst.agg_windows[w].insert(h % groups);
+    const double watermark = inst.max_born - cfg_.reliability.lateness_s;
+    while (!inst.agg_windows.empty()) {
+      const auto first = inst.agg_windows.begin();
+      const double end = static_cast<double>(first->first + 1) * win;
+      if (end > watermark) break;
+      for (std::uint64_t group : first->second) {
+        auto out = std::make_shared<Tuple>();
+        out->born = end;  // event time, not flush time
+        out->constituents = inst.streams;
+        out->keys.assign(inst.streams.size() * catalog_->stream_count(),
+                         static_cast<std::uint32_t>(group));
+        out->width = inst.aggregation.out_width;
+        send(now, id, out);
       }
-      return;
+      inst.agg_windows.erase(first);
     }
-    const auto w = static_cast<std::int64_t>(now / inst.aggregation.window_s);
-    if (w != inst.window_index) {
-      // Window closed: one output tuple per non-empty group.
-      if (inst.window_index >= 0) {
-        for (std::uint64_t group : inst.groups_seen) {
-          auto out = std::make_shared<Tuple>();
-          out->born = now;
-          out->constituents = inst.streams;
-          out->keys.assign(inst.streams.size() * catalog_->stream_count(),
-                           static_cast<std::uint32_t>(group));
-          out->width = inst.aggregation.out_width;
-          for (const Consumer& c : inst.consumers) {
-            send(now, inst.node, out, c, id);
-          }
-        }
-      }
-      inst.groups_seen.clear();
-      inst.window_index = w;
-    }
-    inst.groups_seen.insert(h % groups);
     return;
   }
   IFLOW_CHECK(inst.kind == Kind::kJoin);
   IFLOW_CHECK(port == 0 || port == 1);
   const int other = 1 - port;
-  // Event-time join (reliable plane): window entries are keyed by born, a
-  // pair matches iff their borns lie within window_s, and partners are
-  // retained an extra lateness_s so a retransmit-delayed tuple still meets
-  // everything it would have met loss-free. Each qualifying pair emits
-  // exactly once — when its later-arriving member probes (channel dedup
-  // guarantees each member arrives once). The legacy plane keys entries by
-  // arrival time and keeps window_s of them.
-  const bool event_time = cfg_.reliability.enabled;
-  if (event_time) inst.max_born = std::max(inst.max_born, tuple->born);
+  // Event-time join: window entries are keyed by born, a pair matches iff
+  // their borns lie within window_s, and partners are retained an extra
+  // lateness_s so a retransmit-delayed tuple still meets everything it would
+  // have met loss-free. Each qualifying pair emits exactly once — when its
+  // later-arriving member probes (channel dedup guarantees each member
+  // arrives once).
+  inst.max_born = std::max(inst.max_born, tuple->born);
   const double horizon =
-      event_time ? inst.max_born - cfg_.window_s - cfg_.reliability.lateness_s
-                 : now - cfg_.window_s;
+      inst.max_born - cfg_.window_s - cfg_.reliability.lateness_s;
   inst.join[0].expire(horizon);
   inst.join[1].expire(horizon);
   // Probe the opposite window's chain of our key, emit matches, store self.
@@ -1240,17 +1167,12 @@ void Simulation::arrive_at(double now, InstanceId id, int port,
     for (std::uint64_t o = chain->second.head; o != JoinPort::kEnd;) {
       const WindowEntry& e = opposite.at(o);
       o = e.next;
-      if (event_time && std::abs(e.time - tuple->born) > cfg_.window_s) {
-        continue;
-      }
+      if (std::abs(e.time - tuple->born) > cfg_.window_s) continue;
       if (!matches(*tuple, *e.tuple)) continue;
-      const TuplePtr joined = join_tuples(*tuple, *e.tuple);
-      for (const Consumer& c : inst.consumers) {
-        send(now, inst.node, joined, c, id);
-      }
+      send(now, id, join_tuples(*tuple, *e.tuple));
     }
   }
-  inst.join[port].push(event_time ? tuple->born : now, tuple, key);
+  inst.join[port].push(tuple->born, tuple, key);
 }
 
 std::uint32_t Simulation::join_key(const Instance& inst, int port,
@@ -1352,11 +1274,7 @@ void Simulation::run() {
         ++tuples_dropped_;
         continue;
       }
-      if (e.channel != kNoChannel) {
-        receive(e.time, e.channel, e.tseq, e.port, e.tuple);
-      } else {
-        arrive_at(e.time, e.instance, e.port, e.tuple);
-      }
+      receive(e.time, e.channel, e.tseq, e.port, e.tuple);
     }
   }
   // Close out open downtime intervals at the horizon.
@@ -1461,13 +1379,10 @@ DeliveryStats Simulation::delivery_stats(query::QueryId q) const {
       s.max_queue_depth = std::max(s.max_queue_depth, inst.max_queue_depth);
     }
   }
-  // Goodput over the emission window (sources go quiet during the drain).
-  const double horizon = cfg_.reliability.enabled
-                             ? cfg_.duration_s - cfg_.reliability.drain_s
-                             : cfg_.duration_s;
-  if (horizon > 0.0) {
-    s.goodput_tps = static_cast<double>(s.delivered) / horizon;
-  }
+  // Goodput over the emission window (sources go quiet during the drain);
+  // the constructor guarantees the window is positive.
+  s.goodput_tps = static_cast<double>(s.delivered) /
+                  (cfg_.duration_s - cfg_.reliability.drain_s);
   return s;
 }
 

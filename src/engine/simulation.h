@@ -6,16 +6,18 @@
 // windowed symmetric-hash joins match tuples by synthetic join keys whose
 // collision probability equals the catalog selectivity, and every tuple
 // transfer is routed along the cost-optimal path, charging bytes to each
-// physical link it crosses. The measured per-unit-time cost
-// (sum over links of bytes x link cost / duration) is directly comparable
-// to the optimizer's analytic deployment cost; integration tests assert
-// they agree.
+// physical link it crosses. Every data edge is a channel with acks,
+// retransmission and receiver dedup (ReliabilityConfig). The measured
+// per-unit-time cost (sum over links of bytes x link cost / duration) is
+// directly comparable to the optimizer's analytic deployment cost;
+// integration tests assert they agree.
 //
-// Join semantics: both inputs keep a sliding window of `window_s` seconds; a
-// new tuple probes the opposite window and emits one output per matching
-// pair, so a pair matches iff it arrives within `window_s` of each other.
-// With window_s = 0.5 the expected output rate of A ⋈ B is
-// rate_A x rate_B x selectivity — exactly the analytic RateModel.
+// Join semantics: a new tuple probes the opposite input's window and emits
+// one output per matching pair, so a pair matches iff its tuples were born
+// within `window_s` of each other (partners are retained `lateness_s`
+// longer for late arrivals). With window_s = 0.5 the expected output rate
+// of A ⋈ B is rate_A x rate_B x selectivity — exactly the analytic
+// RateModel.
 //
 // Operator sharing: a Deployment leaf unit marked `derived` binds to the
 // operator of an earlier deployment producing the same stream set at the
@@ -49,8 +51,9 @@ namespace iflow::engine {
 
 /// A mid-execution network fault, applied at `time` while the event loop
 /// runs. Faults mutate a private copy of the network: in-flight tuples
-/// whose remaining route crosses a dead link (or whose destination died)
-/// are dropped, and sources on dead nodes pause until restored.
+/// whose route crosses a dead link (or whose destination died) are dropped,
+/// transmissions into an outage are retried and then counted lost, and
+/// sources on dead nodes pause until restored.
 struct SimFault {
   enum class Kind : std::uint8_t {
     kFailLink,
@@ -68,9 +71,9 @@ struct SimFault {
   double value = 0.0;                 // loss probability or jitter ms
 };
 
-/// Coordinated checkpoint/recovery plane (DESIGN.md §16). Requires the
-/// reliable data plane: epoch barriers are cuts in each channel's sequence
-/// space, and recovery replays the channels' ack-trimmed retention buffers.
+/// Coordinated checkpoint/recovery plane (DESIGN.md §16): epoch barriers
+/// are cuts in each channel's sequence space, and recovery replays the
+/// channels' ack-trimmed retention buffers.
 ///
 /// Protocol: at every `interval_s` boundary a barrier event snapshots all
 /// sources, which stamps a cut (= next_seq) on their output channels; an
@@ -96,7 +99,7 @@ struct CheckpointConfig {
   /// Coordinated snapshots + rollback recovery + warm migration state.
   bool enabled = false;
   /// Crashes wipe on-node operator state (join/aggregate windows, queues).
-  /// Off by default: the legacy model assumes short crashes keep state.
+  /// Off by default: a short crash restarts the process with its state.
   bool volatile_state = false;
   /// Barrier period; one epoch is in flight at a time.
   double interval_s = 5.0;
@@ -132,19 +135,22 @@ enum class OverflowPolicy : std::uint8_t {
   kDropNewest,    // shed the arriving tuple (load shedding at the door)
 };
 
-/// Parameters of the reliable delivery layer (ack/retransmit, bounded
-/// queues, replay buffers). Disabled by default: the legacy fire-and-forget
-/// data plane remains the model-validation baseline.
+/// Parameters of the channel data plane (ack/retransmit, bounded queues,
+/// replay buffers) that carries every data edge.
 ///
-/// Determinism contract: with `enabled`, the data plane draws loss and
-/// jitter from a dedicated Prng stream and replaces the order-sensitive
-/// randomness of operators (filter passes) with content hashes, so two runs
-/// of the same seed that differ only in link loss/jitter emit the same
-/// source tuples and — provided every delivery delay stays under
-/// `lateness_s` and nothing exhausts the retry budget — deliver the same
-/// per-query result counts (at-least-once + dedup = exactly-once).
+/// Determinism contract: the data plane draws loss and jitter from a
+/// dedicated Prng stream and operators decide by content (filter passes
+/// hash the tuple), so two runs of the same seed that differ only in link
+/// loss/jitter emit the same source tuples and — provided every delivery
+/// delay stays under `lateness_s` and nothing exhausts the retry budget —
+/// deliver the same per-query result counts (at-least-once + dedup =
+/// exactly-once). Comparing measured with planned cost needs drain_s = 0
+/// and, on GT-ITM worlds, a timeout above the path round trip (DESIGN.md
+/// §11).
 struct ReliabilityConfig {
-  bool enabled = false;
+  /// Must stay true (the constructor rejects false): every data edge is a
+  /// channel. Kept only because benchmark sources still set it.
+  bool enabled = true;
   /// Initial retransmit timeout; doubles (capped) on every retry.
   double ack_timeout_s = 0.05;
   double backoff_factor = 2.0;
@@ -169,14 +175,14 @@ struct ReliabilityConfig {
   double drain_s = 5.0;
 };
 
-/// Per-channel reliability telemetry (reliable mode only) — the health
-/// plane's raw signal. Every counter is per producer→consumer data edge:
-/// ack round-trip samples measured against the clean-network expectation
-/// (propagation + serialisation + ack return with no degradation, no
-/// jitter, no queueing), retransmission counts, and the cost-optimal path
-/// the channel's tuples currently cross. In a clean run measured RTT
-/// equals the expectation exactly, so every derived signal is zero — the
-/// foundation of the detector's zero-false-positive contract.
+/// Per-channel reliability telemetry — the health plane's raw signal. Every
+/// counter is per producer→consumer data edge: ack round-trip samples
+/// measured against the clean-network expectation (propagation +
+/// serialisation + ack return with no degradation, no jitter, no
+/// queueing), retransmission counts, and the cost-optimal path the
+/// channel's tuples currently cross. In a clean run measured RTT equals the
+/// expectation exactly, so every derived signal is zero — the foundation of
+/// the detector's zero-false-positive contract.
 struct ChannelTelemetry {
   net::NodeId from = net::kInvalidNode;
   net::NodeId to = net::kInvalidNode;
@@ -192,7 +198,7 @@ struct ChannelTelemetry {
   std::size_t max_queue_depth = 0;   // consumer's input-queue high-water
 };
 
-/// Per-query delivery-semantics accounting (reliable mode only).
+/// Per-query delivery-semantics accounting.
 struct DeliveryStats {
   std::uint64_t delivered = 0;    // results accepted at the sink
   std::uint64_t shed = 0;         // dropped by queue overflow policy
@@ -229,7 +235,6 @@ struct EngineConfig {
   /// Null = constant catalog rates.
   std::function<double(query::StreamId, double)> rate_factor;
   ReliabilityConfig reliability;
-  /// Checkpoint/recovery plane; `enabled` requires reliability.enabled.
   CheckpointConfig checkpoint;
 };
 
@@ -301,17 +306,19 @@ class Simulation {
   /// node or some data edge unroutable — during the run.
   double downtime_s(query::QueryId q) const;
 
-  /// Tuples dropped at dead nodes or on severed links.
+  /// In-flight data arrivals that died with a link or node they were
+  /// crossing. A transmission into a dead node or a partition never leaves;
+  /// its channel retries it and counts it in DeliveryStats::lost if the
+  /// retry budget runs out.
   std::uint64_t tuples_dropped() const { return tuples_dropped_; }
 
-  /// Delivery-semantics accounting for a query (reliable mode; zeros
-  /// otherwise). Shed counts and queue depths of operators shared between
-  /// queries are attributed to the query that deployed them first.
+  /// Delivery-semantics accounting for a query. Shed counts and queue depths
+  /// of operators shared between queries are attributed to the query that
+  /// deployed them first.
   DeliveryStats delivery_stats(query::QueryId q) const;
 
   /// Per-channel reliability telemetry, one entry per data edge in channel
-  /// creation order (reliable mode; empty otherwise). Feed to
-  /// HealthMonitor::observe.
+  /// creation order. Feed to HealthMonitor::observe.
   std::vector<ChannelTelemetry> channel_telemetry() const;
 
   /// Checkpoint-plane accounting (zeros when cfg.checkpoint disabled).
@@ -327,21 +334,11 @@ class Simulation {
   static constexpr std::uint32_t kNoRoute =
       std::numeric_limits<std::uint32_t>::max();
 
-  struct Consumer {
-    InstanceId instance;
-    int port;  // 0/1 for joins; ignored for sinks
-    /// Query whose deployment created this data edge (stats attribution).
-    query::QueryId query = 0;
-    /// Reliable-mode channel index, kNoChannel in the legacy data plane.
-    std::uint32_t channel = kNoChannel;
-  };
-
-  /// Reliable-mode state of one producer->consumer data edge: sender-side
-  /// sequence numbers, the un-acked in-flight set (which doubles as the
-  /// ack-trimmed replay buffer), the sliding-window backlog, and the
-  /// receiver-side dedup set. Sequence numbers are dense, so the in-flight
-  /// set, the dedup set and the retention buffer are rings indexed by
-  /// sequence number.
+  /// State of one producer->consumer data edge: sender-side sequence
+  /// numbers, the un-acked in-flight set (which doubles as the ack-trimmed
+  /// replay buffer), the sliding-window backlog, and the receiver-side
+  /// dedup set. Sequence numbers are dense, so the in-flight set, the dedup
+  /// set and the retention buffer are rings indexed by sequence number.
   struct PendingTuple {
     TuplePtr tuple;  // null once acked or given up
     int retries = 0;
@@ -354,7 +351,8 @@ class Simulation {
   struct Channel {
     InstanceId producer = 0;
     InstanceId consumer = 0;
-    int port = 0;
+    int port = 0;  // 0/1 for joins; 0 otherwise
+    /// Query whose deployment created this data edge (stats attribution).
     query::QueryId query = 0;
     std::uint64_t next_seq = 0;
     // In flight: pending[i] holds sequence pending_lo + i; the front slot
@@ -413,7 +411,7 @@ class Simulation {
 
   /// One entry of a join input's window.
   struct WindowEntry {
-    double time = 0.0;  // born (reliable plane) or arrival (legacy plane)
+    double time = 0.0;  // born
     TuplePtr tuple;
     std::uint32_t key = 0;  // pairwise join key against the other port
     std::uint64_t next = 0;  // ordinal of the next entry with this key
@@ -445,7 +443,7 @@ class Simulation {
     Kind kind;
     net::NodeId node = net::kInvalidNode;
     std::vector<query::StreamId> streams;  // output stream set, sorted
-    std::vector<Consumer> consumers;
+    std::vector<std::uint32_t> outputs;    // output channels, in deploy order
     // Join state: per input port, the window and the first stream of the
     // producer feeding it (every tuple on the port leads with it).
     JoinPort join[2];
@@ -456,12 +454,11 @@ class Simulation {
     // (query filter predicates are on non-join attributes, so passing is
     // independent of the synthetic join keys).
     double pass_probability = 1.0;
-    // Aggregate state: tumbling window; groups are derived by hashing the
-    // tuple's join keys. One output tuple per non-empty group per window;
-    // the final partial window is not flushed (no terminating watermark).
+    // Aggregate state: tumbling event-time windows (see agg_windows); groups
+    // are derived by hashing the tuple's join keys. One output tuple per
+    // non-empty group per window; windows still open at the horizon are not
+    // flushed.
     query::Aggregation aggregation;
-    std::int64_t window_index = -1;
-    std::set<std::uint64_t> groups_seen;
     // Sink state.
     query::QueryId query = 0;
     std::uint64_t delivered = 0;
@@ -470,7 +467,6 @@ class Simulation {
     std::uint64_t tuples_in = 0;
     std::uint64_t tuples_sent = 0;
     double bytes_sent = 0.0;
-    // Reliable-mode state.
     query::QueryId owner = 0;  // query whose deploy created this instance
     std::deque<std::pair<int, TuplePtr>> inbox;  // bounded input queue
     bool busy = false;          // a service completion event is scheduled
@@ -478,7 +474,7 @@ class Simulation {
     std::uint64_t shed = 0;     // dropped by the overflow policy
     // Event-time watermark input: max born seen across all inputs.
     double max_born = -std::numeric_limits<double>::infinity();
-    // Event-time aggregate windows (reliable mode): window index -> groups.
+    // Event-time aggregate windows: window index -> groups.
     std::map<std::int64_t, std::set<std::uint64_t>> agg_windows;
     // Checkpoint plane: snapshotted in the epoch currently in flight.
     bool snapped = false;
@@ -488,8 +484,6 @@ class Simulation {
   struct InstState {
     std::deque<WindowEntry> window[2];
     double max_born = -std::numeric_limits<double>::infinity();
-    std::int64_t window_index = -1;
-    std::set<std::uint64_t> groups_seen;
     std::map<std::int64_t, std::set<std::uint64_t>> agg_windows;
     std::deque<std::pair<int, TuplePtr>> inbox;
     std::uint64_t delivered = 0;
@@ -516,8 +510,8 @@ class Simulation {
     /// Route the tuple or ack crosses (links charged at send time); the
     /// arrival is dropped if any of its links died while it was in flight.
     std::uint32_t route = 0;
-    /// Reliable-mode routing: which channel the event belongs to (data,
-    /// ack, timeout) and the channel sequence number it refers to.
+    /// Which channel the event belongs to (data, ack, timeout; kNoChannel
+    /// otherwise) and the channel sequence number it refers to.
     std::uint32_t channel = kNoChannel;
     std::uint64_t tseq = 0;
     /// Channel incarnation the event was stamped with; a rollback bumps
@@ -559,12 +553,8 @@ class Simulation {
                            net::NodeId node) const;
   void register_producer(const std::vector<query::StreamId>& streams,
                          net::NodeId node, InstanceId id);
-  /// Ships a tuple to a consumer: charges bytes to every link on the
-  /// cost-optimal route and schedules the arrival event.
-  static constexpr InstanceId kNoProducer =
-      std::numeric_limits<InstanceId>::max();
-  void send(double now, net::NodeId from, const TuplePtr& tuple,
-            const Consumer& to, InstanceId producer);
+  /// Ships a tuple from `producer` over each of its output channels.
+  void send(double now, InstanceId producer, const TuplePtr& tuple);
   void schedule(Event e);
   /// Interned route from -> dest for the current route epoch: 0 when
   /// co-located, kNoRoute when partitioned. Hops resolve to link indices
@@ -580,7 +570,7 @@ class Simulation {
   void emit_from_source(double now, InstanceId id);
   void arrive_at(double now, InstanceId id, int port, const TuplePtr& tuple);
   void apply_fault(double now, const SimFault& f);
-  // Reliable data plane (cfg_.reliability.enabled).
+  // Channel data plane.
   void channel_send(double now, std::uint32_t ch, const TuplePtr& tuple);
   void transmit(double now, std::uint32_t ch, std::uint64_t seq,
                 bool is_retransmit);
@@ -618,9 +608,8 @@ class Simulation {
   /// `now`. Identity when nothing on the hop is degraded.
   void hop_degradation(const net::Link& link, double now, double* extra_loss,
                        double* slowdown) const;
-  /// Deterministic content-hash replacement for prng_.chance in reliable
-  /// mode: the pass/fail decision depends only on the tuple and the filter
-  /// instance, so it is identical across lossy and loss-free runs.
+  /// Filter decision by content hash: it depends only on the tuple and the
+  /// filter instance, so it is identical across lossy and loss-free runs.
   bool hash_pass(const Tuple& t, InstanceId id, double p) const;
   void update_watches(double now);
   const net::Network& cur_net() const { return fnet_ ? *fnet_ : *net_; }

@@ -39,6 +39,7 @@ TEST(AccountingTest, EveryLinkOnTheRouteChargesExactly) {
   EngineConfig cfg;
   cfg.duration_s = 10.0;
   cfg.poisson = false;  // exactly 10 t/s
+  cfg.reliability.drain_s = 0.0;  // emit for the whole run
   Simulation sim(net, rt, catalog, cfg, 3);
   sim.deploy(d, rates);
   sim.run();
@@ -82,6 +83,7 @@ TEST(AccountingTest, FanOutChargesOncePerConsumerEdge) {
   EngineConfig cfg;
   cfg.duration_s = 10.0;
   cfg.poisson = false;
+  cfg.reliability.drain_s = 0.0;
   Simulation sim(net, rt, catalog, cfg, 5);
   for (int i = 0; i < 2; ++i) {
     query::Query q;

@@ -55,7 +55,6 @@ EngineConfig checkpointed_config(double duration = 30.0) {
   EngineConfig cfg;
   cfg.duration_s = duration;
   cfg.poisson = false;
-  cfg.reliability.enabled = true;
   // Rollback replay re-delivers tuples up to a checkpoint interval plus a
   // crash window late; the count-equality contract needs the event-time
   // slack to cover that depth, so joins still meet replayed partners.
@@ -64,13 +63,6 @@ EngineConfig checkpointed_config(double duration = 30.0) {
   cfg.checkpoint.volatile_state = true;
   cfg.checkpoint.interval_s = 5.0;
   return cfg;
-}
-
-TEST(CheckpointConfigTest, CheckpointingRequiresTheReliableDataPlane) {
-  JoinRig r;
-  EngineConfig cfg;
-  cfg.checkpoint.enabled = true;  // reliability left off
-  EXPECT_THROW(Simulation(r.net, r.rt, r.catalog, cfg, 7), CheckError);
 }
 
 TEST(CheckpointTest, CleanRunCommitsEpochsAndAccountsBytes) {
@@ -216,7 +208,6 @@ TEST(SeenSetTest, LossSoakBoundsTheOutOfOrderSetByTheWindow) {
   EngineConfig cfg;
   cfg.duration_s = 30.0;
   cfg.poisson = false;
-  cfg.reliability.enabled = true;
   Simulation sim(r.net, r.rt, r.catalog, cfg, 7);
   sim.deploy(r.d, rates);
   sim.run();

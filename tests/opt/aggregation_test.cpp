@@ -147,6 +147,10 @@ TEST(AggregationTest, EngineEmitsOneTuplePerGroupPerWindow) {
   engine::EngineConfig cfg;
   cfg.duration_s = 40.0;
   cfg.poisson = false;
+  // Sized to compare measured with planned cost (DESIGN.md §11).
+  cfg.reliability.drain_s = 0.0;
+  cfg.reliability.ack_timeout_s = 1.0;
+  cfg.reliability.max_backoff_s = 4.0;
   engine::Simulation sim(w.net, w.rt, w.catalog, cfg, 31);
   sim.deploy(res.deployment, rates);
   sim.run();

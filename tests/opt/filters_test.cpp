@@ -163,6 +163,10 @@ TEST(FiltersTest, EngineFiltersMatchAnalyticRates) {
   cfg.duration_s = 60.0;
   cfg.window_s = 0.5;
   cfg.poisson = false;
+  // Sized to compare measured with planned cost (DESIGN.md §11).
+  cfg.reliability.drain_s = 0.0;
+  cfg.reliability.ack_timeout_s = 1.0;
+  cfg.reliability.max_backoff_s = 4.0;
   engine::Simulation sim(w.net, w.rt, w.catalog, cfg, 17);
   sim.deploy(res.deployment, rates);
   sim.run();

@@ -94,6 +94,7 @@ TEST(SqlUnionTest, BranchesInterleaveAtTheSinkInTheEngine) {
   engine::EngineConfig cfg;
   cfg.duration_s = 30.0;
   cfg.poisson = false;
+  cfg.reliability.drain_s = 0.0;  // emit for the whole run
   engine::Simulation sim(net, rt, catalog, cfg, 9);
   // Deploy both branches under the SAME logical query id: their delivered
   // counts accumulate at the union sink.
