@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace iflow::advert {
 
@@ -32,16 +33,29 @@ void Registry::advertise(DerivedStream ds) {
   streams_.push_back(std::move(ds));
 }
 
-std::size_t Registry::remove_located(
-    const std::function<bool(net::NodeId)>& where) {
-  IFLOW_CHECK(where != nullptr);
-  const std::size_t before = streams_.size();
-  streams_.erase(std::remove_if(streams_.begin(), streams_.end(),
-                                [&](const DerivedStream& ds) {
-                                  return where(ds.location);
-                                }),
-                 streams_.end());
-  return before - streams_.size();
+Registry Registry::regrouped(
+    const std::vector<query::QueryId>& origins,
+    const std::function<bool(net::NodeId)>& drop) const {
+  std::vector<std::pair<query::QueryId, std::size_t>> rank;  // origin, place
+  rank.reserve(origins.size());
+  for (std::size_t i = 0; i < origins.size(); ++i) {
+    rank.emplace_back(origins[i], i);
+  }
+  std::sort(rank.begin(), rank.end());
+  std::vector<std::pair<std::size_t, std::size_t>> picked;  // place, entry
+  for (std::size_t e = 0; e < streams_.size(); ++e) {
+    const DerivedStream& ds = streams_[e];
+    const auto it = std::lower_bound(rank.begin(), rank.end(),
+                                     std::make_pair(ds.origin, std::size_t{0}));
+    if (it == rank.end() || it->first != ds.origin) continue;
+    if (drop && drop(ds.location)) continue;
+    picked.emplace_back(it->second, e);
+  }
+  std::sort(picked.begin(), picked.end());
+  Registry out;
+  out.streams_.reserve(picked.size());
+  for (const auto& [place, e] : picked) out.streams_.push_back(streams_[e]);
+  return out;
 }
 
 std::size_t Registry::remove_origin(query::QueryId q) {

@@ -41,6 +41,8 @@ struct DerivedStream {
   double bytes_rate = 0.0;  // as produced (with `filters` applied)
   double tuple_rate = 0.0;
   query::QueryId origin = 0;
+
+  friend bool operator==(const DerivedStream&, const DerivedStream&) = default;
 };
 
 /// A reuse opportunity resolved against a specific query's filters.
@@ -73,9 +75,16 @@ class Registry {
       const query::Query& q,
       const std::function<bool(net::NodeId)>& in_scope) const;
 
-  /// Evicts advertisements whose provider matches the predicate (e.g.
-  /// operators on a failed node). Returns how many were removed.
-  std::size_t remove_located(const std::function<bool(net::NodeId)>& where);
+  /// The advertisements of `origins`, grouped origin by origin in that
+  /// order (each origin's entries keep their order here), minus those whose
+  /// provider matches `drop` (null = none; e.g. operators on a failed
+  /// node). When each origin's entries come from one advertise_deployment
+  /// call, as the middleware's warm registry keeps them, this equals
+  /// re-advertising those origins' deployments in order into a fresh
+  /// registry, entry order included (the order of reuse units decides
+  /// planner ties).
+  Registry regrouped(const std::vector<query::QueryId>& origins,
+                     const std::function<bool(net::NodeId)>& drop) const;
 
   /// Retracts every advertisement originating from query `q` (undeploy,
   /// suspend, or pre-migration retraction). Returns how many were removed.
@@ -83,8 +92,7 @@ class Registry {
   /// churn without ever rebuilding it from the full active set.
   std::size_t remove_origin(query::QueryId q);
 
-  /// Read-only view of every advertisement (diagnostics and the debug
-  /// warm-vs-rebuilt consistency check).
+  /// Read-only view of every advertisement.
   const std::vector<DerivedStream>& entries() const { return streams_; }
 
   std::size_t size() const { return streams_.size(); }

@@ -18,8 +18,8 @@ std::string format_rate(double bytes_per_s) {
   return std::string(buf);
 }
 
-void add_sorted(std::vector<std::pair<std::uint32_t, double>>& acc,
-                std::uint32_t key, double value) {
+void add_sorted(std::vector<std::pair<net::NodeId, double>>& acc,
+                net::NodeId key, double value) {
   for (auto& kv : acc) {
     if (kv.first == key) {
       kv.second += value;
@@ -41,57 +41,24 @@ const char* to_string(AdmissionDecision d) {
 }
 
 DeploymentFootprint footprint(const query::Deployment& d,
-                              const query::RateModel& rates,
-                              const net::RoutingTables& rt,
-                              const net::Network& net) {
+                              const query::RateModel& rates) {
   DeploymentFootprint fp;
-  std::vector<std::pair<std::uint32_t, double>> nodes;
-  // Charge every data edge: operator inputs onto their hosting node (the
-  // node-load metric) and the traversed links of the current cost-optimal
-  // route (the link-load metric). Matches Middleware::node_loads() pricing:
-  // live RateModel, not the plan-time snapshot.
-  const auto charge_edge = [&](net::NodeId from, net::NodeId to,
-                               double bytes) {
-    if (from == to || bytes <= 0.0) return;
-    const std::vector<net::NodeId> path = rt.cost_path(from, to);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const std::uint32_t link = net.cheapest_usable_link(path[i], path[i + 1]);
-      if (link == net::kInvalidLink) continue;  // route raced a fault
-      add_sorted(fp.link_bytes, link, bytes);
-    }
-  };
+  // Charge every operator input onto its hosting node (the node-load
+  // metric). Matches Middleware::node_loads() pricing: live RateModel, not
+  // the plan-time snapshot.
   for (const query::DeployedOp& op : d.ops) {
     for (int child : {op.left, op.right}) {
-      const query::Mask m = query::child_mask(d, child);
-      const double bytes = rates.bytes_rate(m);
-      add_sorted(nodes, static_cast<std::uint32_t>(op.node), bytes);
+      const double bytes = rates.bytes_rate(query::child_mask(d, child));
+      add_sorted(fp.node_bytes, op.node, bytes);
       fp.total_input_bytes += bytes;
-      charge_edge(query::child_location(d, child), op.node, bytes);
     }
   }
-  // Root → sink delivery edge loads links (but no hosting node: the sink
-  // consumes, it does not host an operator input in the node-load metric).
-  query::Mask all = 0;
-  for (const query::LeafUnit& u : d.units) all |= u.mask;
-  double delivered = rates.bytes_rate(all);
-  if (d.aggregate.enabled()) {
-    delivered = std::min(rates.tuple_rate(all), d.aggregate.out_tuple_rate()) *
-                d.aggregate.out_width;
-  }
-  charge_edge(d.root_node(), d.sink, delivered);
-
-  std::sort(nodes.begin(), nodes.end());
-  fp.node_bytes.reserve(nodes.size());
-  for (const auto& [n, b] : nodes) {
-    fp.node_bytes.emplace_back(static_cast<net::NodeId>(n), b);
-  }
-  std::sort(fp.link_bytes.begin(), fp.link_bytes.end());
+  std::sort(fp.node_bytes.begin(), fp.node_bytes.end());
   return fp;
 }
 
-void ResourceLedger::reset(std::size_t node_count, std::size_t link_count) {
+void ResourceLedger::reset(std::size_t node_count) {
   node_load_.assign(node_count, 0.0);
-  link_load_.assign(link_count, 0.0);
   tenant_bytes_.clear();
   tenant_queries_.clear();
   total_bytes_ = 0.0;
@@ -104,13 +71,6 @@ void ResourceLedger::apply(const DeploymentFootprint& fp, std::uint32_t tenant,
     IFLOW_CHECK(static_cast<std::size_t>(node) < node_load_.size());
     node_load_[node] += sign * bytes;
     if (sign < 0 && node_load_[node] < 0.0) node_load_[node] = 0.0;
-  }
-  for (const auto& [link, bytes] : fp.link_bytes) {
-    // Links appended after this ledger was sized (topology growth) are
-    // simply not tracked until the next reset.
-    if (static_cast<std::size_t>(link) >= link_load_.size()) continue;
-    link_load_[link] += sign * bytes;
-    if (sign < 0 && link_load_[link] < 0.0) link_load_[link] = 0.0;
   }
   tenant_bytes_[tenant] += sign * fp.total_input_bytes;
   if (tenant_bytes_[tenant] < 0.0) tenant_bytes_[tenant] = 0.0;
@@ -211,10 +171,10 @@ AdmissionVerdict AdmissionController::precheck(
 AdmissionVerdict AdmissionController::price(const DeploymentFootprint& fp,
                                             std::uint32_t tenant,
                                             const ResourceLedger& ledger,
-                                            const net::Network& net,
                                             bool degraded) const {
   AdmissionVerdict v;
-  // Per-node input-byte headroom.
+  // Per-node input-byte headroom. fp.node_bytes is sorted by node, so the
+  // saturated set comes out sorted too.
   if (config_.node_capacity > 0.0) {
     const std::vector<double>& load = ledger.node_load();
     for (const auto& [node, bytes] : fp.node_bytes) {
@@ -226,28 +186,6 @@ AdmissionVerdict AdmissionController::price(const DeploymentFootprint& fp,
       }
     }
   }
-  // Per-link bandwidth headroom (bandwidth_bps is bits/s; loads are
-  // bytes/s). Saturated link endpoints join the exclusion set so a degraded
-  // replan places around the hot edge.
-  if (config_.link_utilization_cap > 0.0) {
-    const std::vector<double>& load = ledger.link_load();
-    for (const auto& [link, bytes] : fp.link_bytes) {
-      if (static_cast<std::size_t>(link) >= load.size()) continue;
-      const net::Link& l = net.links()[link];
-      if (l.bandwidth_bps <= 0.0) continue;
-      const double cap = l.bandwidth_bps / 8.0 * config_.link_utilization_cap;
-      const double after = load[link] + bytes;
-      if (after > cap * (1.0 + kSlack)) {
-        v.worst_link_overload = std::max(v.worst_link_overload, after - cap);
-        v.saturated_nodes.push_back(l.a);
-        v.saturated_nodes.push_back(l.b);
-      }
-    }
-  }
-  std::sort(v.saturated_nodes.begin(), v.saturated_nodes.end());
-  v.saturated_nodes.erase(
-      std::unique(v.saturated_nodes.begin(), v.saturated_nodes.end()),
-      v.saturated_nodes.end());
 
   const TenantQuota& q = quota(tenant);
   const double tenant_after = ledger.tenant_bytes(tenant) +
@@ -281,18 +219,10 @@ AdmissionVerdict AdmissionController::price(const DeploymentFootprint& fp,
   }
   if (!v.saturated_nodes.empty()) {
     v.decision = AdmissionDecision::kReject;
-    v.reason = "capacity: ";
-    if (v.worst_node_overload > 0.0) {
-      v.reason += "node overload " + format_rate(v.worst_node_overload) +
-                  " B/s above " + format_rate(config_.node_capacity) + " B/s";
-    }
-    if (v.worst_link_overload > 0.0) {
-      if (v.worst_node_overload > 0.0) v.reason += "; ";
-      v.reason += "link overload " + format_rate(v.worst_link_overload) +
-                  " B/s above headroom";
-    }
-    v.reason += " across " + std::to_string(v.saturated_nodes.size()) +
-                " saturated element(s)";
+    v.reason = "capacity: node overload " +
+               format_rate(v.worst_node_overload) + " B/s above " +
+               format_rate(config_.node_capacity) + " B/s across " +
+               std::to_string(v.saturated_nodes.size()) + " saturated node(s)";
     return v;
   }
   v.decision = degraded ? AdmissionDecision::kAdmitDegraded

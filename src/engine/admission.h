@@ -3,20 +3,20 @@
 // The middleware's load story used to be reactive only: deploy whatever the
 // optimizer returns, notice overload later, shed via rebalance_load(). Under
 // continuous registration churn that is not robust — a flash crowd from one
-// tenant can saturate nodes and links before any rebalance runs. Following
-// Benoit et al. ("Resource Allocation for Multiple Concurrent In-Network
+// tenant can saturate nodes before any rebalance runs. Following Benoit et
+// al. ("Resource Allocation for Multiple Concurrent In-Network
 // Stream-Processing Applications", PAPERS.md), every incoming deployment is
 // instead *priced* against explicit capacities before it is accepted:
 //
 //   * per-node input-byte capacity (same metric as Middleware::node_loads:
 //     the summed byte rate of every operator input edge hosted by a node);
-//   * per-link bandwidth headroom (each data edge of a plan is charged along
-//     its current cost-optimal route against Link::bandwidth_bps scaled by
-//     a utilization cap);
 //   * per-tenant quotas (concurrent query count, total input bytes/s) and
 //     weighted max-min fairness: when the cluster is contended, a tenant
 //     already holding more than its water-filled fair share is rejected
 //     rather than allowed to starve the rest.
+//
+// Links are not priced: stub-topology bandwidths model serialization delay,
+// not admission budgets.
 //
 // Verdicts are admit / admit-degraded (a second planning pass around the
 // saturated nodes produced a plan that fits the remaining headroom) /
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "net/routing.h"
 #include "query/plan.h"
 #include "query/rates.h"
 
@@ -58,12 +57,6 @@ struct AdmissionConfig {
   /// host, also the budget Middleware::rebalance_load() sheds against.
   /// <= 0 = unlimited.
   double node_capacity = 0.0;
-  /// Fraction of each link's bandwidth (bandwidth_bps / 8, i.e. bytes/s)
-  /// admission may fill. <= 0 = link capacity not enforced (default:
-  /// stub-topology bandwidths model serialization delay, not admission
-  /// budgets, so link pricing is opt-in). Links with bandwidth_bps <= 0
-  /// are treated as uncapacitated.
-  double link_utilization_cap = 0.0;
 };
 
 enum class AdmissionDecision : std::uint8_t {
@@ -83,31 +76,27 @@ struct AdmissionVerdict {
   /// excludes exactly these.
   std::vector<net::NodeId> saturated_nodes;
   double worst_node_overload = 0.0;  // bytes/s above node capacity
-  double worst_link_overload = 0.0;  // bytes/s above link headroom
 };
 
-/// Resource demand of one deployment: per-node operator-input bytes, per-link
-/// transit bytes along current cost-optimal routes, and the total input byte
-/// rate (the tenant-usage metric). Node demand deliberately matches the
-/// legacy Middleware::node_loads() pricing (live RateModel, input edges of
-/// every op) so the incremental ledger can be cross-checked against it.
+/// Resource demand of one deployment: per-node operator-input bytes and the
+/// total input byte rate (the tenant-usage metric). Node demand
+/// deliberately matches the legacy Middleware::node_loads() pricing (live
+/// RateModel, input edges of every op) so the incremental ledger can be
+/// cross-checked against it.
 struct DeploymentFootprint {
   std::vector<std::pair<net::NodeId, double>> node_bytes;  // sorted by node
-  std::vector<std::pair<std::uint32_t, double>> link_bytes;  // sorted by link
   double total_input_bytes = 0.0;
 };
 
 DeploymentFootprint footprint(const query::Deployment& d,
-                              const query::RateModel& rates,
-                              const net::RoutingTables& rt,
-                              const net::Network& net);
+                              const query::RateModel& rates);
 
-/// Incremental per-node / per-link / per-tenant load accounting. All updates
-/// are signed footprint applications; the from-scratch recompute only runs
-/// as a Debug consistency CHECK.
+/// Incremental per-node / per-tenant load accounting. All updates are signed
+/// footprint applications; the from-scratch recompute only runs as a Debug
+/// consistency CHECK.
 class ResourceLedger {
  public:
-  void reset(std::size_t node_count, std::size_t link_count);
+  void reset(std::size_t node_count);
 
   /// Applies (sign=+1) or retracts (sign=-1) a deployment's footprint,
   /// charged to `tenant`.
@@ -118,7 +107,6 @@ class ResourceLedger {
   void count_query(std::uint32_t tenant, int sign);
 
   const std::vector<double>& node_load() const { return node_load_; }
-  const std::vector<double>& link_load() const { return link_load_; }
 
   double tenant_bytes(std::uint32_t tenant) const;
   std::size_t tenant_queries(std::uint32_t tenant) const;
@@ -131,7 +119,6 @@ class ResourceLedger {
 
  private:
   std::vector<double> node_load_;
-  std::vector<double> link_load_;
   std::map<std::uint32_t, double> tenant_bytes_;
   std::map<std::uint32_t, std::size_t> tenant_queries_;
   double total_bytes_ = 0.0;
@@ -162,13 +149,13 @@ class AdmissionController {
   AdmissionVerdict precheck(std::uint32_t tenant,
                             const ResourceLedger& ledger) const;
 
-  /// Prices a candidate plan's footprint against the ledger's headroom,
-  /// the tenant's byte quota, and (under contention) the tenant's weighted
-  /// max-min fair share. `degraded` marks this as the second (host-excluded)
-  /// planning attempt: a fitting plan is then reported kAdmitDegraded.
+  /// Prices a candidate plan's footprint against the ledger's node
+  /// headroom, the tenant's byte quota, and (under contention) the tenant's
+  /// weighted max-min fair share. `degraded` marks this as the second
+  /// (host-excluded) planning attempt: a fitting plan is then reported
+  /// kAdmitDegraded.
   AdmissionVerdict price(const DeploymentFootprint& fp, std::uint32_t tenant,
-                         const ResourceLedger& ledger, const net::Network& net,
-                         bool degraded) const;
+                         const ResourceLedger& ledger, bool degraded) const;
 
  private:
   AdmissionConfig config_;

@@ -722,26 +722,16 @@ class RegistrationInjector {
   std::vector<std::uint32_t> tenants_;
 };
 
-/// Nodes over node_capacity plus links over their bandwidth headroom, per
-/// the incremental ledger. Rate spikes may legitimately push EXISTING
-/// actives over budget (admission gates arrivals; drift is rebalance
-/// territory) — the harness invariant is that an admitted registration
-/// never raises this count.
+/// Nodes over node_capacity, per the incremental ledger. Rate spikes may
+/// legitimately push EXISTING actives over budget (admission gates
+/// arrivals; drift is rebalance territory) — the harness invariant is that
+/// an admitted registration never raises this count.
 std::size_t capacity_breaches(const Middleware& mw,
                               const RegistrationChurnConfig& cfg) {
   std::size_t n = 0;
   if (cfg.node_capacity > 0.0) {
     for (const double load : mw.ledger().node_load()) {
       if (load > cfg.node_capacity + 1e-6) ++n;
-    }
-  }
-  if (cfg.link_utilization_cap > 0.0) {
-    const auto& links = mw.network().links();
-    const std::vector<double>& loads = mw.ledger().link_load();
-    for (std::size_t i = 0; i < loads.size() && i < links.size(); ++i) {
-      const double bw = links[i].bandwidth_bps;
-      if (bw <= 0.0) continue;
-      if (loads[i] > bw / 8.0 * cfg.link_utilization_cap + 1e-6) ++n;
     }
   }
   return n;
@@ -769,7 +759,6 @@ RegistrationChurnReport run_registration_churn(
   mw.workspace().set_threads(cfg.threads);
   AdmissionConfig ac;
   ac.node_capacity = cfg.node_capacity;
-  ac.link_utilization_cap = cfg.link_utilization_cap;
   mw.set_admission_config(ac);
   for (const auto& [tenant, quota] : cfg.quotas) {
     mw.set_tenant_quota(tenant, quota);

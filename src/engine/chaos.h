@@ -328,7 +328,7 @@ std::vector<net::NodeId> relay_hosts(const Middleware& mw,
 // control) and unregister continuously, interleaved with a low rate of
 // faults, restores, rate spikes and quota changes. After every event the
 // harness validates all actives, checks that no admitted deployment left a
-// node or link over its capacity budget, and appends a digest line; on a
+// node over its capacity budget, and appends a digest line; on a
 // cadence it runs the dirty-region settle pass. The report asserts the
 // churn-plane invariants the churn tests (and the differential fuzzer's
 // --register-churn mode) check:
@@ -358,10 +358,9 @@ struct RegistrationChurnConfig {
   int max_down_links = 1;
   /// Run the dirty-region settle pass every N events (0 = only at the end).
   int settle_every = 6;
-  /// Admission budgets handed to the middleware (<= 0 = unlimited; see
-  /// AdmissionConfig). Link capacity stays opt-in.
+  /// Node capacity handed to the middleware's admission control (<= 0 =
+  /// unlimited; see AdmissionConfig).
   double node_capacity = 0.0;
-  double link_utilization_cap = 0.0;
   /// Initial per-tenant quotas.
   std::vector<std::pair<std::uint32_t, TenantQuota>> quotas;
   /// Planner threads (determinism checks diff digests across counts).
@@ -390,8 +389,8 @@ struct RegistrationChurnReport {
   std::size_t settle_actives = 0;
   std::size_t violations = 0;  // validator violations across the whole run
   std::string violation_detail;
-  /// Admitted registrations that left a node over node_capacity or a link
-  /// over its bandwidth headroom (must be zero: admission is a guarantee).
+  /// Admitted registrations that left a node over node_capacity (must be
+  /// zero: admission is a guarantee).
   std::size_t capacity_violations = 0;
   /// Modeled planning latency summed over admitted registrations.
   double deploy_time_ms = 0.0;

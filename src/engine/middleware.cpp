@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <tuple>
 
 #include "opt/in_network.h"
 #include "opt/plan_then_deploy.h"
@@ -81,7 +80,7 @@ Middleware::Middleware(net::Network& net, query::Catalog& catalog,
       backoff_prng_(Prng(seed).fork(0xBACC0FFULL)) {
   IFLOW_CHECK(drift_threshold > 1.0);
   rebuild_views();
-  ledger_.reset(net_->node_count(), net_->link_count());
+  ledger_.reset(net_->node_count());
 }
 
 void Middleware::rebuild_routing() {
@@ -248,8 +247,7 @@ double Middleware::current_cost(const Active& a) const {
 }
 
 void Middleware::ledger_add(Active& a) {
-  query::RateModel rates(*catalog_, a.q);
-  a.footprint = footprint(a.deployment, rates, *routing_, *net_);
+  a.footprint = footprint(a.deployment, query::RateModel(*catalog_, a.q));
   ledger_.apply(a.footprint, a.q.tenant, +1);
 }
 
@@ -358,32 +356,21 @@ void Middleware::mark_dirty_overlap(const query::Query& q) {
 
 void Middleware::debug_check_warm_state() const {
 #ifndef NDEBUG
-  // Warm registry == full rebuild: same (origin, location, streams)
-  // multiset. Rates may lag on entries whose origin was untouched by an
-  // event (harmless — they refresh on the next migration), so only the
-  // identity triple is compared.
+  // The warm registry, regrouped origin by origin in active_ order, is
+  // exactly a full rebuild, field for field and in entry order: replan()
+  // plans against that regrouping instead of a rebuild.
   advert::Registry rebuilt;
+  std::vector<query::QueryId> origins;
   for (const Active& a : active_) {
-    query::RateModel rates(*catalog_, a.q);
-    advert::advertise_deployment(rebuilt, a.deployment, rates);
+    advert::advertise_deployment(rebuilt, a.deployment,
+                                 query::RateModel(*catalog_, a.q));
+    origins.push_back(a.q.id);
   }
-  const auto key_of = [](const advert::DerivedStream& ds) {
-    return std::make_tuple(ds.origin, ds.location, ds.streams);
-  };
-  std::vector<std::tuple<query::QueryId, net::NodeId,
-                         std::vector<query::StreamId>>>
-      warm, fresh;
-  for (const advert::DerivedStream& ds : registry_.entries()) {
-    warm.push_back(key_of(ds));
-  }
-  for (const advert::DerivedStream& ds : rebuilt.entries()) {
-    fresh.push_back(key_of(ds));
-  }
-  std::sort(warm.begin(), warm.end());
-  std::sort(fresh.begin(), fresh.end());
-  IFLOW_CHECK_MSG(warm == fresh,
-                  "warm registry diverged from rebuild: " << warm.size()
-                  << " vs " << fresh.size() << " entries");
+  IFLOW_CHECK_MSG(registry_.size() == rebuilt.size() &&
+                      registry_.regrouped(origins, nullptr).entries() ==
+                          rebuilt.entries(),
+                  "warm registry diverged from rebuild: " << registry_.size()
+                  << " vs " << rebuilt.size() << " entries");
   debug_check_ledger();
 #endif
 }
@@ -404,22 +391,20 @@ void Middleware::debug_check_ledger() const {
 }
 
 opt::OptimizeResult Middleware::replan(const Active& a) {
-  // Plan against a registry of everyone else's operators: this query's own
-  // stale advertisements must not be reused, and neither may those of
-  // queries that (transitively) derive from this query's results. Reusing a
+  // Plan against everyone else's operators: this query's own stale
+  // advertisements must not be reused, and neither may those of queries
+  // that (transitively) derive from this query's results. Reusing a
   // dependent's re-export would plan a cycle in which each side claims the
   // other produces the data and nothing is grounded in a real source.
   const std::vector<bool> dep = transitive_dependents(a);
-  advert::Registry fresh;
+  std::vector<query::QueryId> others;
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    if (dep[i]) continue;
-    const Active& other = active_[i];
-    query::RateModel rates(*catalog_, other.q);
-    advert::advertise_deployment(fresh, other.deployment, rates);
+    if (!dep[i]) others.push_back(active_[i].q.id);
   }
   // Advertisements stranded on down hosts are not reusable.
-  fresh.remove_located([this](net::NodeId n) { return host_down(n); });
-  return plan(a.q, fresh);
+  advert::Registry reusable = registry_.regrouped(
+      others, [this](net::NodeId n) { return host_down(n); });
+  return plan(a.q, reusable);
 }
 
 std::unique_ptr<opt::Optimizer> Middleware::make_optimizer(
@@ -458,16 +443,11 @@ opt::OptimizeResult Middleware::deploy(const query::Query& q) {
     res.feasible = false;
     return res;
   }
-  const AdmissionConfig& cfg = admission_.config();
-  const bool priced = cfg.node_capacity > 0.0 ||
-                      cfg.link_utilization_cap > 0.0 ||
-                      !admission_.quotas().empty();
-  if (priced) {
-    query::RateModel rates(*catalog_, q);
-    DeploymentFootprint fp = footprint(res.deployment, rates, *routing_,
-                                       *net_);
-    last_admission_ = admission_.price(fp, q.tenant, ledger_, *net_,
-                                       /*degraded=*/false);
+  if (admission_.config().node_capacity > 0.0 ||
+      !admission_.quotas().empty()) {
+    const query::RateModel rates(*catalog_, q);
+    last_admission_ = admission_.price(footprint(res.deployment, rates),
+                                       q.tenant, ledger_, /*degraded=*/false);
     if (last_admission_.decision == AdmissionDecision::kReject &&
         !last_admission_.saturated_nodes.empty()) {
       // Capacity rejection: one degraded attempt planning AROUND the
@@ -475,9 +455,9 @@ opt::OptimizeResult Middleware::deploy(const query::Query& q) {
       opt::OptimizeResult degraded =
           plan(q, registry_, last_admission_.saturated_nodes);
       if (planned(degraded)) {
-        fp = footprint(degraded.deployment, rates, *routing_, *net_);
         const AdmissionVerdict second =
-            admission_.price(fp, q.tenant, ledger_, *net_, /*degraded=*/true);
+            admission_.price(footprint(degraded.deployment, rates), q.tenant,
+                             ledger_, /*degraded=*/true);
         if (second.decision != AdmissionDecision::kReject) {
           last_admission_ = second;
           res = std::move(degraded);

@@ -30,9 +30,9 @@
 // down (ledger retraction, warm-registry eviction, stranded reuse-consumer
 // repair via the transitive-dependents machinery). Arrivals pass through
 // admission control (engine/admission.h): plans are priced against per-node
-// and per-link headroom and per-tenant quotas, and are admitted, admitted
-// degraded (replanned around saturated hosts), or rejected with
-// Outcome::kRejected and a priced reason — never silently overloaded.
+// headroom and per-tenant quotas, and are admitted, admitted degraded
+// (replanned around saturated hosts), or rejected with Outcome::kRejected
+// and a priced reason — never silently overloaded.
 // Registration churn marks dirty queries; settle() replans only those,
 // where reoptimize() re-clusters and replans the world.
 #pragma once
@@ -183,11 +183,10 @@ class Middleware {
   /// Brings the (a, b) link back and resumes what can be resumed.
   std::vector<Redeployment> restore_link(net::NodeId a, net::NodeId b);
 
-  /// Admission policy: node capacity and link utilization cap; weighted fair
-  /// shares apply whenever node capacity is contended. The node capacity —
-  /// the total operator INPUT byte rate a node may host (the paper's §1.1:
-  /// "node N2 may be overloaded"), 0 = unlimited, the default — is also the
-  /// budget rebalance_load() sheds against.
+  /// Admission policy: the node capacity — the total operator INPUT byte
+  /// rate a node may host (the paper's §1.1: "node N2 may be overloaded"),
+  /// 0 = unlimited, the default — which is also the budget rebalance_load()
+  /// sheds against. Weighted fair shares apply whenever it is contended.
   void set_admission_config(const AdmissionConfig& cfg);
 
   /// Registers a per-tenant quota (query count, byte budget, fairness
@@ -197,7 +196,7 @@ class Middleware {
   /// Verdict of the most recent deploy() admission decision.
   const AdmissionVerdict& last_admission() const { return last_admission_; }
 
-  /// Incremental per-node/per-link/per-tenant load accounting.
+  /// Incremental per-node/per-tenant load accounting.
   const ResourceLedger& ledger() const { return ledger_; }
 
   /// Operator input load currently hosted by each node. Maintained
@@ -345,13 +344,12 @@ class Middleware {
   /// which the stranded-reuse repair should prevent.
   bool deploy_actives(Simulation& sim) const;
 
-  /// Placement changes recorded since the last clear, in adoption order —
+  /// Placement changes recorded since construction, in adoption order —
   /// the feed a harness replays into the engine as state-handoff (warm) or
   /// cold-restart migrations.
   const std::vector<StateMigration>& state_migrations() const {
     return state_migrations_;
   }
-  void clear_state_migrations() { state_migrations_.clear(); }
 
   /// Current deployments of all active queries (monitoring, diagnostics).
   std::vector<const query::Deployment*> deployments() const {
@@ -367,8 +365,8 @@ class Middleware {
     query::Deployment deployment;
     double planned_cost = 0.0;
     /// The footprint this deployment currently holds in the ledger (the
-    /// exact amounts to retract on undeploy/migrate even after rates or
-    /// routes moved).
+    /// exact amounts to retract on undeploy/migrate even after rates
+    /// moved).
     DeploymentFootprint footprint;
   };
 

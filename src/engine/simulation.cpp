@@ -8,6 +8,10 @@ namespace iflow::engine {
 
 namespace {
 
+/// Each retry multiplies the retransmit timeout by this factor (capped at
+/// ReliabilityConfig::max_backoff_s).
+constexpr double kBackoffFactor = 2.0;
+
 std::string producer_key(const std::vector<query::StreamId>& streams,
                          net::NodeId node) {
   std::string key = std::to_string(node) + ":";
@@ -38,7 +42,7 @@ Simulation::Simulation(const net::Network& net, const net::RoutingTables& rt,
                              "reliability.enabled must stay true");
   IFLOW_CHECK_MSG(cfg.duration_s > r.drain_s,
                   "duration must exceed the drain window");
-  IFLOW_CHECK(r.ack_timeout_s > 0.0 && r.backoff_factor >= 1.0);
+  IFLOW_CHECK(r.ack_timeout_s > 0.0);
   IFLOW_CHECK(r.max_backoff_s >= r.ack_timeout_s);
   IFLOW_CHECK(r.max_retries >= 0 && r.window > 0);
   if (cfg.checkpoint.enabled) {
@@ -570,7 +574,7 @@ void Simulation::transmit(double now, std::uint32_t ch, std::uint64_t seq,
   const ReliabilityConfig& r = cfg_.reliability;
   const double timeout = std::min(
       r.ack_timeout_s *
-          std::pow(r.backoff_factor, static_cast<double>(p->retries)),
+          std::pow(kBackoffFactor, static_cast<double>(p->retries)),
       r.max_backoff_s);
   if (p->retries == 0) {
     // First tries all wait ack_timeout_s, so the lane stays sorted.

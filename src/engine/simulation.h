@@ -153,7 +153,6 @@ struct ReliabilityConfig {
   bool enabled = true;
   /// Initial retransmit timeout; doubles (capped) on every retry.
   double ack_timeout_s = 0.05;
-  double backoff_factor = 2.0;
   double max_backoff_s = 0.4;
   /// Retransmissions per tuple before it counts as lost-after-retries.
   int max_retries = 12;

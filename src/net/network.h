@@ -198,10 +198,9 @@ class Network {
   NodeKind kind(NodeId n) const;
 
   /// Index of the cheapest usable (a, b) link, or kInvalidLink when the two
-  /// nodes are not usably adjacent. This is the link Dijkstra relaxes, so
-  /// admission pricing charges link load through it. The engine does not:
-  /// it resolves each hop to the first-added (a, b) link (DESIGN.md §11,
-  /// known gaps).
+  /// nodes are not usably adjacent. This is the link Dijkstra relaxes. The
+  /// engine does not use it: it resolves each hop to the first-added (a, b)
+  /// link (DESIGN.md §11, known gaps).
   std::uint32_t cheapest_usable_link(NodeId a, NodeId b) const;
 
   /// Indices into links() of the links incident to n.

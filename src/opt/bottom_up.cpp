@@ -143,7 +143,7 @@ OptimizeResult BottomUpOptimizer::optimize(const query::Query& q) {
   }
   for (const ViewPlanStats& s : stats) {
     out.plans_considered += s.plans;
-    out.deploy_time_ms += s.dispatch_ms + s.plans * env_.plan_eval_us / 1000.0;
+    out.deploy_time_ms += s.dispatch_ms + s.plans * kPlanEvalUs / 1000.0;
   }
 
   final_deployment.aggregate = q.aggregate;

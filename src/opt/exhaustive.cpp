@@ -44,7 +44,7 @@ OptimizeResult ExhaustiveOptimizer::optimize(const query::Query& q) {
   out.levels_used = 1;
   // Centralised search: all statistics are at one node; deployment time is
   // dominated by evaluating the entire space.
-  out.deploy_time_ms = res.plans_considered * env_.plan_eval_us / 1000.0;
+  out.deploy_time_ms = res.plans_considered * kPlanEvalUs / 1000.0;
   IFLOW_VERIFY_RESULT(out, env_, q);
   return out;
 }

@@ -132,7 +132,7 @@ OptimizeResult InNetworkOptimizer::optimize(const query::Query& q) {
   out.plans_considered = examined;
   out.levels_used = 1;
   out.op_scopes = std::move(op_scopes);
-  out.deploy_time_ms = examined * env_.plan_eval_us / 1000.0;
+  out.deploy_time_ms = examined * kPlanEvalUs / 1000.0;
   IFLOW_VERIFY_RESULT(out, env_, q);
   return out;
 }

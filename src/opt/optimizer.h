@@ -27,6 +27,10 @@ namespace iflow::opt {
 
 class PlanWorkspace;
 
+/// Modeled CPU time to evaluate one candidate plan, for the deployment time
+/// model (Fig 10).
+inline constexpr double kPlanEvalUs = 100.0;
+
 /// Shared, borrowed state every optimizer plans against. All pointers are
 /// non-owning and must outlive the optimizer; `hierarchy` is only required
 /// by the hierarchical algorithms and `registry` only when `reuse` is on.
@@ -40,9 +44,6 @@ struct OptimizerEnv {
   /// Width retained by the projection after a join (paper queries project
   /// a subset of columns).
   double projection_factor = 1.0;
-  /// Modeled CPU time to evaluate one candidate plan, for the deployment
-  /// time model (Fig 10).
-  double plan_eval_us = 100.0;
   /// Nodes available for in-network processing (Figure 3 marks a subset of
   /// nodes as processing-capable). Empty = every node may host operators.
   /// Sources and sinks need not be processing nodes. When a search scope
@@ -144,14 +145,12 @@ class Session {
   OptimizeResult submit(const query::Query& q);
 
   double cumulative_cost() const { return cumulative_cost_; }
-  double cumulative_plans() const { return cumulative_plans_; }
   Optimizer& optimizer() { return *optimizer_; }
 
  private:
   OptimizerEnv env_;
   std::unique_ptr<Optimizer> optimizer_;
   double cumulative_cost_ = 0.0;
-  double cumulative_plans_ = 0.0;
 };
 
 }  // namespace iflow::opt

@@ -60,7 +60,7 @@ OptimizeResult PlanThenDeployOptimizer::optimize(const query::Query& q) {
       std::pow(static_cast<double>(sites.size()),
                static_cast<double>(plan.tree.internal_count()));
   out.levels_used = 1;
-  out.deploy_time_ms = out.plans_considered * env_.plan_eval_us / 1000.0;
+  out.deploy_time_ms = out.plans_considered * kPlanEvalUs / 1000.0;
   IFLOW_VERIFY_RESULT(out, env_, q);
   return out;
 }

@@ -45,7 +45,7 @@ OptimizeResult RandomPlacementOptimizer::optimize(const query::Query& q) {
   out.planned_cost = out.actual_cost;
   out.plans_considered = plan.plans_examined + ops;  // one draw per operator
   out.levels_used = 1;
-  out.deploy_time_ms = out.plans_considered * env_.plan_eval_us / 1000.0;
+  out.deploy_time_ms = out.plans_considered * kPlanEvalUs / 1000.0;
   IFLOW_VERIFY_RESULT(out, env_, q);
   return out;
 }

@@ -143,7 +143,7 @@ OptimizeResult RelaxationOptimizer::optimize(const query::Query& q) {
   out.plans_considered =
       plan.plans_examined + ops * static_cast<double>(relax_iterations_);
   out.levels_used = 1;
-  out.deploy_time_ms = out.plans_considered * env_.plan_eval_us / 1000.0;
+  out.deploy_time_ms = out.plans_considered * kPlanEvalUs / 1000.0;
   IFLOW_VERIFY_RESULT(out, env_, q);
   return out;
 }

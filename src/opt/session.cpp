@@ -68,7 +68,6 @@ OptimizeResult Session::submit(const query::Query& q) {
   OptimizeResult res = optimizer_->optimize(q);
   if (!res.feasible) return res;
   cumulative_cost_ += res.actual_cost;
-  cumulative_plans_ += res.plans_considered;
   if (env_.reuse && env_.registry != nullptr) {
     query::RateModel rates(*env_.catalog, q, env_.projection_factor);
     advert::advertise_deployment(*env_.registry, res.deployment, rates);

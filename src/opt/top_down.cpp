@@ -64,7 +64,7 @@ OptimizeResult TopDownOptimizer::optimize(const query::Query& q) {
   out.deploy_time_ms = climb_ms;
   for (const ViewPlanStats& s : stats) {
     out.plans_considered += s.plans;
-    out.deploy_time_ms += s.dispatch_ms + s.plans * env_.plan_eval_us / 1000.0;
+    out.deploy_time_ms += s.dispatch_ms + s.plans * kPlanEvalUs / 1000.0;
   }
   IFLOW_VERIFY_RESULT(out, env_, q);
   return out;

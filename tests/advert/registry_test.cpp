@@ -96,6 +96,30 @@ TEST(RegistryTest, DuplicateAdvertisementsIgnored) {
   EXPECT_EQ(r.size(), 3u);
 }
 
+TEST(RegistryTest, RegroupedOrdersByOriginAndDropsLocations) {
+  Registry r;
+  const auto add = [&r](query::QueryId origin, query::StreamId s,
+                        net::NodeId loc) {
+    DerivedStream ds = make_ds({1, s}, {0.5, 1.0}, loc);
+    ds.origin = origin;
+    r.advertise(ds);
+  };
+  add(7, 2, 4);
+  add(3, 2, 5);
+  add(7, 3, 6);
+  add(9, 2, 4);
+  add(3, 3, 4);
+  // Origin 3 first, then 7; origin 9 is not asked for; node 6 is dropped.
+  const Registry g =
+      r.regrouped({3, 7}, [](net::NodeId n) { return n == 6; });
+  ASSERT_EQ(g.size(), 3u);
+  EXPECT_EQ(g.entries()[0], r.entries()[1]);
+  EXPECT_EQ(g.entries()[1], r.entries()[4]);
+  EXPECT_EQ(g.entries()[2], r.entries()[0]);
+  EXPECT_EQ(r.regrouped({9, 3, 7}, nullptr).size(), 5u);
+  EXPECT_EQ(r.regrouped({}, nullptr).size(), 0u);
+}
+
 TEST(RegistryTest, ValidatesAdvertisements) {
   Registry r;
   EXPECT_THROW(r.advertise(make_ds({}, {}, 1)), CheckError);

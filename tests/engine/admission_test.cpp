@@ -124,9 +124,8 @@ TEST(AdmissionTest, PriceMarksSaturatedNodesForTheDegradedRetry) {
   // colliding with a saturated node is rejected WITH the saturated set (the
   // host-exclusion list for the replan), and an alternative plan avoiding
   // it is admitted as kAdmitDegraded.
-  net::Network net;
   ResourceLedger ledger;
-  ledger.reset(/*node_count=*/4, /*link_count=*/0);
+  ledger.reset(/*node_count=*/4);
   DeploymentFootprint existing;
   existing.node_bytes = {{1, 90.0}};
   existing.total_input_bytes = 90.0;
@@ -142,7 +141,7 @@ TEST(AdmissionTest, PriceMarksSaturatedNodesForTheDegradedRetry) {
   colliding.node_bytes = {{1, 20.0}};
   colliding.total_input_bytes = 20.0;
   const AdmissionVerdict rejected =
-      ctrl.price(colliding, 0, ledger, net, /*degraded=*/false);
+      ctrl.price(colliding, 0, ledger, /*degraded=*/false);
   EXPECT_EQ(rejected.decision, AdmissionDecision::kReject);
   ASSERT_EQ(rejected.saturated_nodes.size(), 1u);
   EXPECT_EQ(rejected.saturated_nodes[0], 1u);
@@ -153,8 +152,54 @@ TEST(AdmissionTest, PriceMarksSaturatedNodesForTheDegradedRetry) {
   rerouted.node_bytes = {{2, 20.0}};
   rerouted.total_input_bytes = 20.0;
   const AdmissionVerdict degraded =
-      ctrl.price(rerouted, 0, ledger, net, /*degraded=*/true);
+      ctrl.price(rerouted, 0, ledger, /*degraded=*/true);
   EXPECT_EQ(degraded.decision, AdmissionDecision::kAdmitDegraded);
+}
+
+TEST(AdmissionTest, PriceRejectsOnlyTheTenantOverItsWeightedShare) {
+  // Fair shares bind only when the cluster as a whole is contended (ledger
+  // total plus the plan above node_capacity x node count). Admission alone
+  // never gets there while per-node capacity holds; rate spikes can, as in
+  // this ledger: 420 B/s against a 400 B/s budget, node 2 spiked past
+  // capacity. The same 20 B/s plan fits node 3's headroom for either
+  // tenant. Weighted 1:2, tenant 2 is entitled to 2/3 of the budget, which
+  // covers the 260 B/s it would hold; tenant 1 would hold 200 B/s but gets
+  // only the 160 B/s tenant 2 leaves. Equal weights would leave tenant 2
+  // only 220 B/s.
+  ResourceLedger ledger;
+  ledger.reset(/*node_count=*/4);
+  DeploymentFootprint light;
+  light.node_bytes = {{0, 90.0}, {1, 90.0}};
+  light.total_input_bytes = 180.0;
+  ledger.apply(light, 1, +1);
+  DeploymentFootprint heavy;
+  heavy.node_bytes = {{2, 170.0}, {3, 70.0}};
+  heavy.total_input_bytes = 240.0;
+  ledger.apply(heavy, 2, +1);
+
+  AdmissionController ctrl;
+  AdmissionConfig cfg;
+  cfg.node_capacity = 100.0;
+  ctrl.set_config(cfg);
+  TenantQuota weight1;
+  weight1.weight = 1.0;
+  ctrl.set_quota(1, weight1);
+  TenantQuota weight2;
+  weight2.weight = 2.0;
+  ctrl.set_quota(2, weight2);
+  ASSERT_GT(ledger.total_bytes(), cfg.node_capacity * 4.0);
+
+  DeploymentFootprint plan;
+  plan.node_bytes = {{3, 20.0}};
+  plan.total_input_bytes = 20.0;
+  const AdmissionVerdict over =
+      ctrl.price(plan, 1, ledger, /*degraded=*/false);
+  EXPECT_EQ(over.decision, AdmissionDecision::kReject);
+  EXPECT_TRUE(over.saturated_nodes.empty());
+  EXPECT_EQ(over.reason.rfind("fairness:", 0), 0u) << over.reason;
+  const AdmissionVerdict under =
+      ctrl.price(plan, 2, ledger, /*degraded=*/false);
+  EXPECT_EQ(under.decision, AdmissionDecision::kAdmit) << under.reason;
 }
 
 TEST(AdmissionTest, FairnessRejectsTheTenantOverItsShare) {

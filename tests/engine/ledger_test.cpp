@@ -15,7 +15,6 @@
 
 #include "engine/middleware.h"
 #include "net/gtitm.h"
-#include "net/routing.h"
 #include "workload/generator.h"
 
 namespace iflow::engine {
@@ -41,16 +40,15 @@ struct World {
   }
 };
 
-/// From-scratch node loads: price every active deployment's footprint
-/// against fresh routing tables, independent of the middleware's ledger.
+/// From-scratch node loads: price every active deployment's footprint,
+/// independent of the middleware's ledger.
 std::vector<double> recomputed_loads(const Middleware& mw,
                                      const net::Network& net,
                                      const query::Catalog& catalog) {
   std::vector<double> loads(net.node_count(), 0.0);
-  const net::RoutingTables rt = net::RoutingTables::build(net);
   for (const Middleware::ActiveView& v : mw.active_views()) {
     query::RateModel rates(catalog, *v.query);
-    const DeploymentFootprint fp = footprint(*v.deployment, rates, rt, net);
+    const DeploymentFootprint fp = footprint(*v.deployment, rates);
     for (const auto& [node, bytes] : fp.node_bytes) {
       loads[static_cast<std::size_t>(node)] += bytes;
     }
@@ -171,9 +169,6 @@ TEST(LedgerTest, FullTeardownZeroesEveryCounter) {
   EXPECT_EQ(mw.active_queries(), 0u);
   EXPECT_EQ(mw.suspended_queries(), 0u);
   for (const double l : mw.node_loads()) {
-    EXPECT_NEAR(l, 0.0, 1e-9);
-  }
-  for (const double l : mw.ledger().link_load()) {
     EXPECT_NEAR(l, 0.0, 1e-9);
   }
   EXPECT_NEAR(mw.ledger().total_bytes(), 0.0, 1e-9);

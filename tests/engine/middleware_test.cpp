@@ -188,5 +188,75 @@ TEST(MiddlewareTest, ReplanNeverReusesADependentsExport) {
   EXPECT_GT(reached, 0);
 }
 
+// replan() plans against the warm registry regrouped origin by origin in
+// active order, which equals a rebuild only if every origin's warm entries
+// are exactly what advertise_deployment makes from its current deployment.
+// The Debug-only cross-check does not run in Release; this does, through
+// public accessors.
+void expect_registry_is_a_rebuild(const Middleware& mw, const char* step) {
+  SCOPED_TRACE(step);
+  std::vector<advert::DerivedStream> regrouped;
+  advert::Registry rebuilt;
+  for (const Middleware::ActiveView& v : mw.active_views()) {
+    for (const advert::DerivedStream& ds : mw.registry().entries()) {
+      if (ds.origin == v.query->id) regrouped.push_back(ds);
+    }
+    advert::advertise_deployment(rebuilt, *v.deployment,
+                                 query::RateModel(mw.catalog(), *v.query));
+  }
+  EXPECT_EQ(mw.registry().size(), rebuilt.size());
+  ASSERT_EQ(regrouped.size(), rebuilt.size());
+  for (std::size_t i = 0; i < regrouped.size(); ++i) {
+    SCOPED_TRACE(i);
+    const advert::DerivedStream& warm = regrouped[i];
+    const advert::DerivedStream& fresh = rebuilt.entries()[i];
+    EXPECT_EQ(warm.streams, fresh.streams);
+    EXPECT_EQ(warm.filters, fresh.filters);
+    EXPECT_EQ(warm.location, fresh.location);
+    EXPECT_EQ(warm.bytes_rate, fresh.bytes_rate);
+    EXPECT_EQ(warm.tuple_rate, fresh.tuple_rate);
+    EXPECT_EQ(warm.origin, fresh.origin);
+  }
+}
+
+TEST(MiddlewareTest, WarmRegistryRegroupedInActiveOrderIsARebuild) {
+  int reused = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    World w(seed, /*queries=*/5);
+    // Copies of the first two queries reuse their operators.
+    std::vector<query::Query> queries = w.wl.queries;
+    for (std::size_t c = 0; c < 2; ++c) {
+      query::Query copy = w.wl.queries[c];
+      copy.id = static_cast<query::QueryId>(900 + c);
+      queries.push_back(copy);
+    }
+    Middleware mw(w.net, w.wl.catalog, 4, Algorithm::kTopDown, seed);
+    for (const query::Query& q : queries) {
+      for (const query::LeafUnit& u : mw.deploy(q).deployment.units) {
+        reused += u.derived ? 1 : 0;
+      }
+    }
+    expect_registry_is_a_rebuild(mw, "deploy");
+
+    const net::NodeId victim =
+        mw.active_views().front().deployment->ops.front().node;
+    mw.fail_node(victim);
+    expect_registry_is_a_rebuild(mw, "fail_node");
+    const query::StreamId s = queries[0].sources[0];
+    mw.set_stream_rate(s, w.wl.catalog.stream(s).tuple_rate * 3.0);
+    expect_registry_is_a_rebuild(mw, "set_stream_rate");
+    mw.settle();
+    expect_registry_is_a_rebuild(mw, "settle after the spike");
+    mw.restore_node(victim);
+    expect_registry_is_a_rebuild(mw, "restore_node");
+    ASSERT_TRUE(mw.undeploy(queries[0].id));
+    expect_registry_is_a_rebuild(mw, "undeploy");
+    mw.settle();
+    expect_registry_is_a_rebuild(mw, "settle after the departure");
+  }
+  EXPECT_GT(reused, 0);
+}
+
 }  // namespace
 }  // namespace iflow::engine
