@@ -75,7 +75,7 @@ int main() {
   const workload::RelayStar w =
       workload::make_relay_star(kRate, kSelectivity);
   const std::vector<double> intensities = {0.2, 0.4, 0.6, 0.8};
-  engine::GrayConfig cfg;  // default epochs/epoch_s/health knobs
+  engine::GrayConfig cfg;  // default epochs and epoch_s
   std::vector<IntensityRow> rows;
   for (const double loss : intensities) {
     engine::GrayConfig c = cfg;

@@ -52,10 +52,11 @@ void write_json(const std::string& path, const std::vector<IntervalRow>& rows,
   out << "{\n";
   out << "  \"world\": {\"shape\": \"dual-relay-star\", \"sources\": 3"
       << ", \"rate_tps\": " << kRate << ", \"selectivity\": " << kSelectivity
-      << ", \"max_cs\": " << kMaxCs << ", \"duration_s\": " << cfg.duration_s
-      << ", \"drain_s\": " << cfg.drain_s << ", \"crash_at_s\": "
+      << ", \"max_cs\": " << kMaxCs
+      << ", \"duration_s\": " << engine::kRecoveryDurationS
+      << ", \"drain_s\": " << engine::kRecoveryDrainS << ", \"crash_at_s\": "
       << cfg.crash_at_s << ", \"crash_len_s\": " << cfg.crash_len_s
-      << ", \"replicas\": " << cfg.replicas << "},\n";
+      << ", \"replicas\": " << engine::kSnapshotReplicas << "},\n";
   out << "  \"sweep\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const IntervalRow& r = rows[i];

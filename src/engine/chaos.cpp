@@ -14,6 +14,24 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
+/// Probability of drawing a restore when something is down (biases
+/// schedules toward churn rather than monotone destruction).
+constexpr double kChurnRestoreBias = 0.45;
+/// Probability of a rate-spike event (scales a random stream's rate by a
+/// factor in [0.25, 4] and runs adapt()).
+constexpr double kChurnSpikeProbability = 0.15;
+/// Upper bounds of drawn degradations: delay multiplier, extra loss
+/// probability, and flap frequency (Hz of the on/off square wave).
+constexpr double kMaxGraySlowdown = 3.0;
+constexpr double kMaxGrayLoss = 0.3;
+constexpr double kMaxGrayFlapHz = 0.5;
+/// Upper bound of drawn per-link delay jitter (must stay far below the
+/// engine's lateness allowance so event-time results are unaffected).
+constexpr double kMaxJitterMs = 2.0;
+/// Post-churn total cost must be <= this factor times a fresh optimization
+/// of the same end state.
+constexpr double kConvergenceFactor = 2.0;
+
 template <typename T>
 void mark(std::vector<T>& set, const T& x, const char* what) {
   IFLOW_CHECK_MSG(std::find(set.begin(), set.end(), x) == set.end(), what);
@@ -196,7 +214,7 @@ ChaosEvent FaultInjector::next() {
 ChaosEvent FaultInjector::draw() {
   Prng& prng = core_.prng;
   const std::vector<LinkPair>& link_pairs = core_.link_pairs;
-  if (!core_.base_rates.empty() && prng.chance(cfg_.spike_probability)) {
+  if (!core_.base_rates.empty() && prng.chance(kChurnSpikeProbability)) {
     return core_.spike();
   }
 
@@ -213,7 +231,7 @@ ChaosEvent FaultInjector::draw() {
   if (!link_pairs.empty() && prng.chance(cfg_.jitter_probability)) {
     e.kind = ChaosEventKind::kSetLinkJitter;
     std::tie(e.a, e.b) = prng.pick(link_pairs);
-    e.rate = prng.uniform(0.0, cfg_.max_jitter_ms);
+    e.rate = prng.uniform(0.0, kMaxJitterMs);
     return e;
   }
   if (prng.chance(cfg_.queue_probability)) {
@@ -231,9 +249,8 @@ ChaosEvent FaultInjector::draw() {
     const std::vector<net::NodeId>& sick_nodes = core_.state.degraded_nodes();
     const std::vector<LinkPair>& sick_links = core_.state.degraded_links();
     const std::size_t degraded = sick_nodes.size() + sick_links.size();
-    const bool budget =
-        degraded < static_cast<std::size_t>(std::max(cfg_.max_degraded, 0));
-    if (degraded > 0 && (!budget || prng.chance(cfg_.restore_bias))) {
+    const bool budget = degraded < kMaxDegraded;
+    if (degraded > 0 && (!budget || prng.chance(kChurnRestoreBias))) {
       const std::size_t pick = prng.index(degraded);
       if (pick < sick_nodes.size()) {
         e.kind = ChaosEventKind::kClearNode;
@@ -249,13 +266,13 @@ ChaosEvent FaultInjector::draw() {
       // AND lossy, gated by an on/off wave).
       const std::size_t family = prng.index(3);
       if (family == 0 || family == 2) {
-        e.slowdown = prng.uniform(1.5, std::max(1.5, cfg_.max_gray_slowdown));
+        e.slowdown = prng.uniform(1.5, kMaxGraySlowdown);
       }
       if (family == 1 || family == 2) {
-        e.rate = prng.uniform(0.05, std::max(0.05, cfg_.max_gray_loss));
+        e.rate = prng.uniform(0.05, kMaxGrayLoss);
       }
       if (family == 2) {
-        e.flap_hz = prng.uniform(0.05, std::max(0.05, cfg_.max_gray_flap_hz));
+        e.flap_hz = prng.uniform(0.05, kMaxGrayFlapHz);
       }
       const std::vector<net::NodeId> well_nodes =
           except(core_.nodes, sick_nodes);
@@ -278,7 +295,7 @@ ChaosEvent FaultInjector::draw() {
 
   if (std::optional<ChaosEvent> f =
           core_.fault_or_restore(cfg_.max_down_nodes, cfg_.max_down_links,
-                                 cfg_.restore_bias, /*crash_coin=*/true)) {
+                                 kChurnRestoreBias, /*crash_coin=*/true)) {
     return *f;
   }
   // Caps reached with nothing down can only happen with zero budgets;
@@ -494,7 +511,7 @@ ChaosReport run_churn(net::Network net, query::Catalog catalog,
   ChaosReport report;
   std::ostringstream digest;
 
-  Middleware mw(net, catalog, max_cs, algorithm, seed, cfg.drift_threshold);
+  Middleware mw(net, catalog, max_cs, algorithm, seed);
   mw.workspace().set_threads(cfg.threads);
   for (const query::Query& q : queries) {
     report.deploy_time_ms += mw.deploy(q).deploy_time_ms;
@@ -543,8 +560,7 @@ ChaosReport run_churn(net::Network net, query::Catalog catalog,
   // same workload in the same order.
   net::Network fresh_net = mw.network();
   query::Catalog fresh_catalog = mw.catalog();
-  Middleware fresh(fresh_net, fresh_catalog, max_cs, algorithm, seed,
-                   cfg.drift_threshold);
+  Middleware fresh(fresh_net, fresh_catalog, max_cs, algorithm, seed);
   fresh.workspace().set_threads(cfg.threads);
   for (const query::Query& q : queries) fresh.deploy(q);
   report.fresh_cost = fresh.total_current_cost();
@@ -553,11 +569,10 @@ ChaosReport run_churn(net::Network net, query::Catalog catalog,
   // optimization of the same end state. It may well end up cheaper — the
   // repeated adapt() cycles amount to iterated re-optimization with reuse,
   // which a single greedy deploy pass does not get.
-  const double f = cfg.convergence_factor;
   report.converged =
       report.all_resumed && std::isfinite(report.final_cost) &&
       std::isfinite(report.fresh_cost) &&
-      report.final_cost <= f * report.fresh_cost + kEps;
+      report.final_cost <= kConvergenceFactor * report.fresh_cost + kEps;
 
   digest << "final cost " << std::hexfloat << report.final_cost
          << " fresh " << report.fresh_cost << std::defaultfloat
@@ -655,6 +670,21 @@ ChaosReport run_churn(net::Network net, query::Catalog catalog,
 
 namespace {
 
+/// P(unregister) when both a register and an unregister are possible.
+constexpr double kUnregisterBias = 0.35;
+/// Probability of a fault/restore event instead of population churn.
+constexpr double kRegistrationFaultProbability = 0.08;
+/// P(restore | something is down) within the fault branch.
+constexpr double kRegistrationRestoreBias = 0.5;
+/// Probability of a rate-spike event (rate re-drawn in [0.25, 4] x base).
+constexpr double kRegistrationSpikeProbability = 0.08;
+/// Concurrently down nodes and link pairs.
+constexpr int kRegistrationMaxDownNodes = 1;
+constexpr int kRegistrationMaxDownLinks = 1;
+/// Settle parity: the terminal reoptimize() may improve the settled total
+/// cost by at most this fraction.
+constexpr double kParitySlack = 0.05;
+
 /// Live registration-churn draws. next() sees the runner's in-system view
 /// because register / unregister eligibility depends on admission outcomes
 /// no schedule drawn up front could predict.
@@ -679,15 +709,16 @@ class RegistrationInjector {
  private:
   ChaosEvent draw(const std::vector<char>& in_system) {
     Prng& prng = core_.prng;
-    if (prng.chance(cfg_.fault_probability)) {
+    if (prng.chance(kRegistrationFaultProbability)) {
       if (std::optional<ChaosEvent> f = core_.fault_or_restore(
-              cfg_.max_down_nodes, cfg_.max_down_links, cfg_.restore_bias,
-              /*crash_coin=*/false)) {
+              kRegistrationMaxDownNodes, kRegistrationMaxDownLinks,
+              kRegistrationRestoreBias, /*crash_coin=*/false)) {
         return *f;
       }
       // No fault budget and nothing to restore: fall through to churn.
     }
-    if (!core_.base_rates.empty() && prng.chance(cfg_.spike_probability)) {
+    if (!core_.base_rates.empty() &&
+        prng.chance(kRegistrationSpikeProbability)) {
       return core_.spike();
     }
     ChaosEvent e;
@@ -703,7 +734,7 @@ class RegistrationInjector {
       (in_system[i] != 0 ? in : out).push_back(i);
     }
     const bool unregister =
-        !in.empty() && (out.empty() || prng.chance(cfg_.unregister_bias));
+        !in.empty() && (out.empty() || prng.chance(kUnregisterBias));
     if (unregister) {
       e.kind = ChaosEventKind::kUnregister;
       e.query = in[prng.index(in.size())];
@@ -755,14 +786,11 @@ RegistrationChurnReport run_registration_churn(
   RegistrationChurnReport report;
   std::ostringstream digest;
 
-  Middleware mw(net, catalog, max_cs, algorithm, seed, cfg.drift_threshold);
+  Middleware mw(net, catalog, max_cs, algorithm, seed);
   mw.workspace().set_threads(cfg.threads);
   AdmissionConfig ac;
   ac.node_capacity = cfg.node_capacity;
   mw.set_admission_config(ac);
-  for (const auto& [tenant, quota] : cfg.quotas) {
-    mw.set_tenant_quota(tenant, quota);
-  }
 
   std::vector<char> in_system(pool.size(), 0);
   std::size_t restores = 0;  // attempt-budget resets, for the backoff bound
@@ -885,13 +913,13 @@ RegistrationChurnReport run_registration_churn(
   report.final_cost = mw.total_current_cost();
 
   // Settle parity: the incremental dirty-region path must leave at most
-  // parity_slack of the total cost on the table versus a full re-cluster.
+  // kParitySlack of the total cost on the table versus a full re-cluster.
   validate_after(replanned_ids(mw.reoptimize()));
   report.reopt_cost = mw.total_current_cost();
   report.parity_ok = std::isfinite(report.final_cost) &&
                      std::isfinite(report.reopt_cost) &&
                      report.reopt_cost >=
-                         report.final_cost * (1.0 - cfg.parity_slack) - kEps;
+                         report.final_cost * (1.0 - kParitySlack) - kEps;
 
   // Bounded retries: each suspended query fails at most max_resume_attempts
   // times between attempt-budget resets, and only restores reset budgets.
@@ -915,6 +943,14 @@ RegistrationChurnReport run_registration_churn(
 // ---------------------------------------------------------------------------
 // Checkpoint/recovery contract.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Reliability knobs of the data-plane simulations.
+constexpr double kRecoveryAckTimeoutS = 0.05;
+constexpr double kRecoveryMaxBackoffS = 2.0;
+
+}  // namespace
 
 RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
                             const std::vector<query::Query>& queries,
@@ -1014,18 +1050,17 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   // engine Prng, so all three emit identical tuples; the checkpoint plane
   // must make the faulted run indistinguishable from the twin at the sinks.
   EngineConfig ec;
-  ec.duration_s = cfg.duration_s + cfg.drain_s;
-  ec.reliability.ack_timeout_s = cfg.ack_timeout_s;
-  ec.reliability.max_backoff_s = cfg.max_backoff_s;
+  ec.duration_s = kRecoveryDurationS + kRecoveryDrainS;
+  ec.reliability.ack_timeout_s = kRecoveryAckTimeoutS;
+  ec.reliability.max_backoff_s = kRecoveryMaxBackoffS;
   ec.reliability.window = 1024;
   ec.reliability.lateness_s = ec.duration_s;
-  ec.reliability.drain_s = cfg.drain_s;
+  ec.reliability.drain_s = kRecoveryDrainS;
 
   EngineConfig ec_ckpt = ec;
   ec_ckpt.checkpoint.enabled = true;
   ec_ckpt.checkpoint.volatile_state = true;
   ec_ckpt.checkpoint.interval_s = cfg.checkpoint_interval_s;
-  ec_ckpt.checkpoint.replicas = cfg.replicas;
 
   EngineConfig ec_vol = ec;
   ec_vol.checkpoint.enabled = false;

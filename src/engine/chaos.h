@@ -19,8 +19,9 @@
 // differential fuzzer's --churn, --loss and --scenario modes) check:
 //   * zero validator violations across the whole run;
 //   * every suspended query resumed after full restoration;
-//   * the churned system's total cost lands within a configurable factor
-//     of a fresh Middleware optimizing the same end-state from scratch.
+//   * the churned system's total cost lands within a fixed factor
+//     (kConvergenceFactor, 2) of a fresh Middleware optimizing the same
+//     end-state from scratch.
 #pragma once
 
 #include <cstdint>
@@ -46,19 +47,13 @@ struct ChaosConfig {
   int max_down_nodes = 2;
   /// Concurrently administratively-down link pairs.
   int max_down_links = 3;
-  /// Probability of drawing a restore when something is down (biases
-  /// schedules toward churn rather than monotone destruction).
-  double restore_bias = 0.45;
-  /// Probability of a rate-spike event (scales a random stream's rate by a
-  /// factor in [0.25, 4] and runs adapt()).
-  double spike_probability = 0.15;
   /// Probability of a set-link-loss event (a random link pair's loss
   /// probability is re-drawn in [0, max_link_loss]). Loss does not affect
   /// planning costs; it exercises the engine's reliable delivery layer via
   /// the post-churn delivery check.
   double loss_probability = 0.0;
   /// Probability of a set-link-jitter event (delay jitter re-drawn in
-  /// [0, max_jitter_ms]).
+  /// [0, kMaxJitterMs]).
   double jitter_probability = 0.0;
   /// Probability of a queue-pressure event: the post-churn delivery check
   /// runs with bounded per-operator queues (kBackpressure) and the drawn
@@ -71,20 +66,10 @@ struct ChaosConfig {
   /// reliable delivery layer feels them. The restoration sweep heals every
   /// degradation before the delivery twins and the fresh baseline run.
   double gray_probability = 0.0;
-  /// Concurrently degraded elements (nodes plus link pairs).
-  int max_degraded = 2;
-  /// Upper bounds of drawn degradations: delay multiplier, extra loss
-  /// probability, and flap frequency (Hz of the on/off square wave).
-  double max_gray_slowdown = 3.0;
-  double max_gray_loss = 0.3;
-  double max_gray_flap_hz = 0.5;
   /// Upper bound of drawn per-link loss probabilities. Kept well under the
   /// default retry budget's tolerance (12 retries at <= 5% per-hop loss
   /// makes residual loss negligible over a bounded run).
   double max_link_loss = 0.04;
-  /// Upper bound of drawn per-link delay jitter (must stay far below the
-  /// engine's lateness allowance so event-time results are unaffected).
-  double max_jitter_ms = 2.0;
   /// Run the post-churn delivery contract: deploy the surviving actives
   /// into two simulations — one over the churned network
   /// (with its accumulated loss/jitter), one over a loss-free copy — and
@@ -103,12 +88,11 @@ struct ChaosConfig {
   /// Planner threads pinned on the middleware workspace (determinism
   /// checks run the same seed at 1 and N and diff the digests).
   int threads = 1;
-  /// Post-churn total cost must be <= this factor times a fresh
-  /// optimization of the same end state (and vice versa).
-  double convergence_factor = 2.0;
-  /// Drift threshold handed to the Middleware under test.
-  double drift_threshold = 1.2;
 };
+
+/// Concurrently degraded elements (nodes plus link pairs) the FaultInjector
+/// allows.
+inline constexpr std::size_t kMaxDegraded = 2;
 
 enum class ChaosEventKind : std::uint8_t {
   kCrashNode,    // node stops forwarding; incident links die with it
@@ -165,7 +149,7 @@ struct ChaosReport {
   std::size_t violations = 0;        // summed over steps + final sweep
   std::string violation_detail;      // first violation description, if any
   bool all_resumed = false;          // every query active after restoration
-  bool converged = false;            // cost within convergence_factor
+  bool converged = false;            // cost within kConvergenceFactor
   double final_cost = 0.0;           // churned middleware, post-restore
   double fresh_cost = 0.0;           // fresh middleware on the end state
   /// Modeled planning latency of the initial workload deployment (summed
@@ -334,7 +318,7 @@ std::vector<net::NodeId> relay_hosts(const Middleware& mw,
 // --register-churn mode) check:
 //   * zero validator violations and zero capacity violations;
 //   * settle parity: a terminal reoptimize() improves the settled total
-//     cost by at most `parity_slack`;
+//     cost by at most kParitySlack (5%);
 //   * bounded retries: exponential backoff keeps total resume failures
 //     under (restores + 1) * max_resume_attempts * pool size.
 // ---------------------------------------------------------------------------
@@ -343,32 +327,16 @@ struct RegistrationChurnConfig {
   /// Injector-drawn events to replay (scripted runs replay the whole
   /// script and ignore this).
   int events = 48;
-  /// P(unregister) when both a register and an unregister are possible.
-  double unregister_bias = 0.35;
-  /// Probability of a fault/restore event instead of population churn.
-  double fault_probability = 0.08;
-  /// P(restore | something is down) within the fault branch.
-  double restore_bias = 0.5;
-  /// Probability of a rate-spike event (rate re-drawn in [0.25, 4] x base).
-  double spike_probability = 0.08;
   /// Probability of a quota-change event (random pool tenant's weight and
   /// query cap re-drawn). Default off: quota churn is opt-in.
   double quota_probability = 0.0;
-  int max_down_nodes = 1;
-  int max_down_links = 1;
   /// Run the dirty-region settle pass every N events (0 = only at the end).
   int settle_every = 6;
   /// Node capacity handed to the middleware's admission control (<= 0 =
   /// unlimited; see AdmissionConfig).
   double node_capacity = 0.0;
-  /// Initial per-tenant quotas.
-  std::vector<std::pair<std::uint32_t, TenantQuota>> quotas;
   /// Planner threads (determinism checks diff digests across counts).
   int threads = 1;
-  double drift_threshold = 1.2;
-  /// Settle parity: the terminal reoptimize() may improve the settled
-  /// total cost by at most this fraction.
-  double parity_slack = 0.05;
 };
 
 struct RegistrationChurnReport {
@@ -396,7 +364,7 @@ struct RegistrationChurnReport {
   double deploy_time_ms = 0.0;
   double final_cost = 0.0;  // after drain + final settle
   double reopt_cost = 0.0;  // after the terminal reoptimize()
-  bool parity_ok = false;   // reopt_cost >= final_cost * (1 - parity_slack)
+  bool parity_ok = false;   // reopt_cost >= final_cost * (1 - kParitySlack)
   std::uint64_t resume_failures = 0;
   bool backoff_bounded = false;
   /// All invariants hold: no violations, no capacity breaches, parity,
@@ -432,28 +400,26 @@ struct RecoveryConfig {
   /// faulted simulation also exercises state-preserving migration: every
   /// operator move the planner performed becomes a kMigrateOps fault.
   int events = 6;
-  /// Emission window of the data-plane simulations; drain_s of settle time
-  /// (sources quiet, retry chains complete) is added on top.
-  double duration_s = 60.0;
-  double drain_s = 20.0;
   /// Barrier period of the checkpoint plane in the faulted run.
   double checkpoint_interval_s = 5.0;
-  /// Snapshot-store replicas (byte accounting).
-  int replicas = 2;
   /// Mid-stream crash window [crash_at_s, crash_at_s + crash_len_s) on a
   /// deterministically chosen operator-hosting non-source node. The window
-  /// must stay well under the retry chain (~15 s at the defaults below) so
-  /// in-flight tuples survive on the retry budget.
+  /// must stay well under the retry chain (~15 s at run_recovery's ack
+  /// timeout and backoff cap, 0.05 s and 2 s) so in-flight tuples survive
+  /// on the retry budget.
   double crash_at_s = 18.0;
   double crash_len_s = 5.0;
   /// When the recorded planner migrations are injected into the faulted run.
   double migrate_at_s = 32.0;
   /// Planner threads (digests must be bitwise-stable across counts).
   int threads = 1;
-  /// Reliability knobs of the data-plane simulations.
-  double ack_timeout_s = 0.05;
-  double max_backoff_s = 2.0;
 };
+
+/// Emission window of run_recovery's data-plane simulations;
+/// kRecoveryDrainS of settle time (sources quiet, retry chains complete) is
+/// added on top.
+inline constexpr double kRecoveryDurationS = 60.0;
+inline constexpr double kRecoveryDrainS = 20.0;
 
 struct RecoveryReport {
   /// Headline contract: the faulted run (mid-stream crash + recovery +

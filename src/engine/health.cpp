@@ -9,6 +9,48 @@
 
 namespace iflow::engine {
 
+namespace {
+
+/// Suspicion thresholds: healthy → suspect at kPhiSuspect, suspect →
+/// quarantined after kConfirmEpochs consecutive epochs at or above
+/// kPhiQuarantine. The band between the two thresholds is hysteresis: a
+/// flapping element parked there neither confirms nor clears.
+constexpr double kPhiSuspect = 0.8;
+constexpr double kPhiQuarantine = 2.0;
+constexpr int kConfirmEpochs = 2;
+/// Suspect → healthy after this many consecutive epochs below kPhiSuspect.
+constexpr int kClearEpochs = 2;
+/// Probation: probes per epoch, and the consecutive-clean-probe budget an
+/// element must survive before re-admission.
+constexpr int kProbesPerEpoch = 2;
+constexpr int kProbeBudget = 4;
+/// Signal floors: retransmit ratio and RTT inflation below these are
+/// treated as zero (clean runs sit exactly at 0 and 1 respectively; the
+/// floors are pure slack).
+constexpr double kRetransmitFloor = 0.05;
+constexpr double kRttInflationFloor = 1.5;
+/// Queue depths above this contribute one unit of signal (sized against
+/// the reliability window, default 64).
+constexpr std::size_t kQueueFloor = 48;
+/// Per-epoch signal cap and the φ accrual decay:
+/// phi ← phi·decay + signal (so a steady signal s accrues toward
+/// s / (1 - decay), and silence halves suspicion every epoch).
+constexpr double kSignalCap = 4.0;
+constexpr double kDecay = 0.5;
+/// Pricing penalty: pen = min(kHealthPenaltyMax, 1 + phi·kPenaltyScale)
+/// for suspect elements, kHealthPenaltyMax while quarantined or on
+/// probation.
+constexpr double kPenaltyScale = 2.0;
+
+static_assert(kPhiSuspect > 0.0);
+static_assert(kPhiQuarantine >= kPhiSuspect);
+static_assert(kConfirmEpochs >= 1 && kClearEpochs >= 1);
+static_assert(kProbesPerEpoch >= 1 && kProbeBudget >= 1);
+static_assert(kDecay >= 0.0 && kDecay < 1.0);
+static_assert(kPenaltyScale >= 0.0 && kHealthPenaltyMax >= 1.0);
+
+}  // namespace
+
 const char* to_string(HealthState s) {
   switch (s) {
     case HealthState::kHealthy: return "healthy";
@@ -19,34 +61,26 @@ const char* to_string(HealthState s) {
   return "unknown";
 }
 
-HealthMonitor::HealthMonitor(std::size_t node_count, const HealthConfig& cfg,
-                             std::uint64_t seed)
-    : cfg_(cfg), seed_(seed), nodes_(node_count),
-      node_signal_(node_count, 0.0), node_observed_(node_count, 0) {
-  IFLOW_CHECK(cfg_.phi_suspect > 0.0);
-  IFLOW_CHECK(cfg_.phi_quarantine >= cfg_.phi_suspect);
-  IFLOW_CHECK(cfg_.confirm_epochs >= 1 && cfg_.clear_epochs >= 1);
-  IFLOW_CHECK(cfg_.probes_per_epoch >= 1 && cfg_.probe_budget >= 1);
-  IFLOW_CHECK(cfg_.decay >= 0.0 && cfg_.decay < 1.0);
-  IFLOW_CHECK(cfg_.penalty_scale >= 0.0 && cfg_.penalty_max >= 1.0);
-}
+HealthMonitor::HealthMonitor(std::size_t node_count, std::uint64_t seed)
+    : seed_(seed), nodes_(node_count), node_signal_(node_count, 0.0),
+      node_observed_(node_count, 0) {}
 
 double HealthMonitor::channel_signal(const ChannelTelemetry& t) const {
   // Total silence — transmissions went out, nothing ever came back — is as
   // bad as the telemetry gets.
-  if (t.rtt_samples == 0) return cfg_.signal_cap;
+  if (t.rtt_samples == 0) return kSignalCap;
   double sig = 0.0;
   const double retr =
       static_cast<double>(t.retransmits) / static_cast<double>(t.sent);
   // Retransmissions dominate the loss signature; weight them so a heavily
   // lossy channel saturates the cap on its own.
-  sig += std::max(0.0, retr - cfg_.retransmit_floor) * 4.0;
+  sig += std::max(0.0, retr - kRetransmitFloor) * 4.0;
   if (t.expected_rtt_sum_ms > 0.0) {
     const double inflation = t.rtt_sum_ms / t.expected_rtt_sum_ms;
-    sig += std::max(0.0, inflation - cfg_.rtt_inflation_floor);
+    sig += std::max(0.0, inflation - kRttInflationFloor);
   }
-  if (t.max_queue_depth > cfg_.queue_floor) sig += 1.0;
-  return std::min(sig, cfg_.signal_cap);
+  if (t.max_queue_depth > kQueueFloor) sig += 1.0;
+  return std::min(sig, kSignalCap);
 }
 
 void HealthMonitor::observe(const std::vector<ChannelTelemetry>& telemetry) {
@@ -126,7 +160,7 @@ bool HealthMonitor::probe_clean(const net::Network& net, net::NodeId n,
   // degraded_at folds the flap wave: a flapping element is only sick in
   // the down half of its cycle, and a healed element is never sick.
   if (!net::degraded_at(d, t)) return true;
-  if (d.slowdown >= cfg_.rtt_inflation_floor) return false;
+  if (d.slowdown >= kRttInflationFloor) return false;
   if (d.loss > 0.0) return !prng.chance(d.loss);
   return true;  // degradation below every detection floor
 }
@@ -147,20 +181,20 @@ std::vector<HealthTransition> HealthMonitor::step(const net::Network& net,
       Prng prng(seed_ ^ (0x9E3779B97F4A7C15ULL * (n + 1)) ^
                 (epoch_ * 0xC2B2AE3D27D4EB4FULL));
       bool all_clean = true;
-      for (int k = 0; k < cfg_.probes_per_epoch; ++k) {
+      for (int k = 0; k < kProbesPerEpoch; ++k) {
         const double t = now - epoch_s +
                          epoch_s * static_cast<double>(k + 1) /
-                             static_cast<double>(cfg_.probes_per_epoch + 1);
+                             static_cast<double>(kProbesPerEpoch + 1);
         if (!probe_clean(net, n, t, prng)) all_clean = false;
       }
-      e.phi *= cfg_.decay;  // no telemetry: suspicion cools passively
+      e.phi *= kDecay;  // no telemetry: suspicion cools passively
       if (all_clean) {
-        e.probe_streak += cfg_.probes_per_epoch;
+        e.probe_streak += kProbesPerEpoch;
         if (e.state == HealthState::kQuarantined) {
           e.state = HealthState::kProbation;
         }
         if (e.state == HealthState::kProbation &&
-            e.probe_streak >= cfg_.probe_budget) {
+            e.probe_streak >= kProbeBudget) {
           e = ElementHealth{};  // fully re-admitted, suspicion forgotten
         }
       } else {
@@ -169,30 +203,30 @@ std::vector<HealthTransition> HealthMonitor::step(const net::Network& net,
       }
     } else {
       const double sig =
-          node_observed_[n] != 0 ? std::min(node_signal_[n], cfg_.signal_cap)
+          node_observed_[n] != 0 ? std::min(node_signal_[n], kSignalCap)
                                  : 0.0;
-      e.phi = e.phi * cfg_.decay + sig;
-      if (e.phi >= cfg_.phi_quarantine) {
+      e.phi = e.phi * kDecay + sig;
+      if (e.phi >= kPhiQuarantine) {
         ++e.confirm_streak;
       } else {
         e.confirm_streak = 0;
       }
-      if (e.phi < cfg_.phi_suspect) {
+      if (e.phi < kPhiSuspect) {
         ++e.clean_streak;
       } else {
         e.clean_streak = 0;
       }
-      if (e.state == HealthState::kHealthy && e.phi >= cfg_.phi_suspect) {
+      if (e.state == HealthState::kHealthy && e.phi >= kPhiSuspect) {
         e.state = HealthState::kSuspect;
       }
       if (e.state == HealthState::kSuspect) {
-        if (e.confirm_streak >= cfg_.confirm_epochs) {
+        if (e.confirm_streak >= kConfirmEpochs) {
           e.state = HealthState::kQuarantined;
           e.confirm_streak = 0;
           e.clean_streak = 0;
           e.probe_streak = 0;
           ++quarantines_total_;
-        } else if (e.clean_streak >= cfg_.clear_epochs) {
+        } else if (e.clean_streak >= kClearEpochs) {
           e.state = HealthState::kHealthy;
         }
       }
@@ -203,11 +237,11 @@ std::vector<HealthTransition> HealthMonitor::step(const net::Network& net,
   // Link suspicion: same accrual, observation-keyed.
   for (const auto& [key, sig] : link_signal_) {
     double& phi = link_phi_[key];
-    phi = phi * cfg_.decay + std::min(sig, cfg_.signal_cap);
+    phi = phi * kDecay + std::min(sig, kSignalCap);
   }
   for (auto it = link_phi_.begin(); it != link_phi_.end();) {
     if (link_signal_.find(it->first) == link_signal_.end()) {
-      it->second *= cfg_.decay;
+      it->second *= kDecay;
     }
     it = it->second < 1e-12 ? link_phi_.erase(it) : std::next(it);
   }
@@ -265,9 +299,9 @@ std::vector<double> HealthMonitor::node_penalty() const {
     const ElementHealth& e = nodes_[n];
     if (e.state == HealthState::kQuarantined ||
         e.state == HealthState::kProbation) {
-      out[n] = cfg_.penalty_max;
+      out[n] = kHealthPenaltyMax;
     } else if (e.phi > 0.0) {
-      out[n] = std::min(cfg_.penalty_max, 1.0 + e.phi * cfg_.penalty_scale);
+      out[n] = std::min(kHealthPenaltyMax, 1.0 + e.phi * kPenaltyScale);
     }
   }
   return out;
@@ -288,13 +322,23 @@ std::vector<HealthMonitor::LinkSuspicion> HealthMonitor::link_suspicion()
 
 namespace {
 
+/// Operator-hosting nodes to degrade (chosen deterministically among stub
+/// hosts that are no query's source or sink, so quarantine + migration can
+/// actually take their traffic off them).
+constexpr std::size_t kGrayTargets = 1;
+static_assert(kGrayTargets >= 1);
+/// Reliability knobs sized to multi-hop topologies (the 50 ms default
+/// would retransmit spuriously and poison the zero-FP contract).
+constexpr double kGrayAckTimeoutS = 1.0;
+constexpr double kGrayMaxBackoffS = 4.0;
+
 /// Degradable relay hosts: operator hosts that are no query's endpoint
-/// (relay_hosts) and stub nodes, `want` of them drawn deterministically.
-/// Quarantining one of these can actually heal the workload — migration
-/// removes every flow touching it.
+/// (relay_hosts) and stub nodes, kGrayTargets of them drawn
+/// deterministically. Quarantining one of these can actually heal the
+/// workload — migration removes every flow touching it.
 std::vector<net::NodeId> pick_targets(const Middleware& mw,
                                       const std::vector<query::Query>& queries,
-                                      int want, std::uint64_t seed) {
+                                      std::uint64_t seed) {
   std::vector<net::NodeId> candidates = relay_hosts(mw, queries);
   std::erase_if(candidates, [&](net::NodeId n) {
     return mw.network().kind(n) != net::NodeKind::kStub;
@@ -304,8 +348,7 @@ std::vector<net::NodeId> pick_targets(const Middleware& mw,
                   "query endpoint (use a relay-shaped topology)");
   Prng prng(seed ^ 0x6A47A26E7ULL);
   prng.shuffle(candidates);
-  candidates.resize(
-      std::min(candidates.size(), static_cast<std::size_t>(want)));
+  candidates.resize(std::min(candidates.size(), kGrayTargets));
   std::sort(candidates.begin(), candidates.end());
   return candidates;
 }
@@ -333,12 +376,12 @@ SubRun gray_run(net::Network net, query::Catalog catalog,
   if (degrade) {
     for (const net::NodeId n : targets) mw.degrade_node(n, cfg.degradation);
   }
-  HealthMonitor hm(net.node_count(), cfg.health, seed ^ 0x6EA17BULL);
+  HealthMonitor hm(net.node_count(), seed ^ 0x6EA17BULL);
 
   EngineConfig ec;
   ec.duration_s = cfg.epoch_s;
-  ec.reliability.ack_timeout_s = cfg.ack_timeout_s;
-  ec.reliability.max_backoff_s = cfg.max_backoff_s;
+  ec.reliability.ack_timeout_s = kGrayAckTimeoutS;
+  ec.reliability.max_backoff_s = kGrayMaxBackoffS;
 
   SubRun out;
   std::ostringstream digest;
@@ -398,7 +441,7 @@ GrayReport run_gray(const net::Network& net, const query::Catalog& catalog,
                     const std::vector<query::Query>& queries, int max_cs,
                     Algorithm algorithm, std::uint64_t seed,
                     const GrayConfig& cfg) {
-  IFLOW_CHECK(cfg.epochs >= 1 && cfg.epoch_s > 0.0 && cfg.targets >= 1);
+  IFLOW_CHECK(cfg.epochs >= 1 && cfg.epoch_s > 0.0);
   GrayReport report;
   // A scratch deployment (private copies) decides which operator hosts the
   // planner actually uses; the three measured sub-runs then share targets.
@@ -408,7 +451,7 @@ GrayReport run_gray(const net::Network& net, const query::Catalog& catalog,
     Middleware scout(scratch_net, scratch_cat, max_cs, algorithm, seed);
     scout.workspace().set_threads(cfg.threads);
     for (const query::Query& q : queries) scout.deploy(q);
-    report.targets = pick_targets(scout, queries, cfg.targets, seed);
+    report.targets = pick_targets(scout, queries, seed);
   }
 
   const SubRun on = gray_run(net, catalog, queries, max_cs, algorithm, seed,

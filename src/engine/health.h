@@ -32,8 +32,9 @@
 // CURRENT degradation state (a probe of a healed element always succeeds, a
 // flapping element fails whenever a probe lands in the down half of its
 // wave). An element leaves quarantine for probation after one fully clean
-// probe epoch and returns to healthy only after `probe_budget` consecutive
-// clean probes; any dirty probe sends it straight back to quarantine.
+// probe epoch and returns to healthy only after a budget of consecutive
+// clean probes (kProbeBudget in health.cpp); any dirty probe sends it
+// straight back to quarantine.
 #pragma once
 
 #include <cstdint>
@@ -49,46 +50,16 @@ namespace iflow::engine {
 
 enum class HealthState : std::uint8_t {
   kHealthy,
-  kSuspect,      // suspicion crossed phi_suspect; still placeable
+  kSuspect,      // suspicion crossed kPhiSuspect; still placeable
   kQuarantined,  // excluded from hosting; probed for recovery
   kProbation,    // probes clean so far; still excluded until the budget
 };
 
 const char* to_string(HealthState s);
 
-struct HealthConfig {
-  /// Suspicion thresholds: healthy → suspect at phi_suspect, suspect →
-  /// quarantined after `confirm_epochs` consecutive epochs at or above
-  /// phi_quarantine. The band between the two thresholds is hysteresis: a
-  /// flapping element parked there neither confirms nor clears.
-  double phi_suspect = 0.8;
-  double phi_quarantine = 2.0;
-  int confirm_epochs = 2;
-  /// Suspect → healthy after this many consecutive epochs below
-  /// phi_suspect.
-  int clear_epochs = 2;
-  /// Probation: probes per epoch, and the consecutive-clean-probe budget an
-  /// element must survive before re-admission.
-  int probes_per_epoch = 2;
-  int probe_budget = 4;
-  /// Signal floors: retransmit ratio and RTT inflation below these are
-  /// treated as zero (clean runs sit exactly at 0 and 1 respectively; the
-  /// floors are pure slack).
-  double retransmit_floor = 0.05;
-  double rtt_inflation_floor = 1.5;
-  /// Queue depths above this contribute one unit of signal (sized against
-  /// the reliability window, default 64).
-  std::size_t queue_floor = 48;
-  /// Per-epoch signal cap and the φ accrual decay:
-  /// phi ← phi·decay + signal (so a steady signal s accrues toward
-  /// s / (1 - decay), and silence halves suspicion every epoch).
-  double signal_cap = 4.0;
-  double decay = 0.5;
-  /// Pricing penalty: pen = min(penalty_max, 1 + phi·penalty_scale) for
-  /// suspect elements, penalty_max while quarantined or on probation.
-  double penalty_scale = 2.0;
-  double penalty_max = 8.0;
-};
+/// Pricing penalty of an element while quarantined or on probation, and the
+/// cap of a suspect element's penalty (see node_penalty()).
+inline constexpr double kHealthPenaltyMax = 8.0;
 
 struct HealthTransition {
   net::NodeId node = net::kInvalidNode;
@@ -104,8 +75,7 @@ struct HealthTransition {
 /// monitors fed the same run agree bitwise.
 class HealthMonitor {
  public:
-  HealthMonitor(std::size_t node_count, const HealthConfig& cfg,
-                std::uint64_t seed);
+  HealthMonitor(std::size_t node_count, std::uint64_t seed);
 
   /// Accumulates one epoch's channel telemetry. Callable any number of
   /// times between step()s; each batch runs exonerate-then-cover node
@@ -159,8 +129,8 @@ class HealthMonitor {
   struct ElementHealth {
     HealthState state = HealthState::kHealthy;
     double phi = 0.0;
-    int confirm_streak = 0;  // consecutive epochs >= phi_quarantine
-    int clean_streak = 0;    // consecutive epochs < phi_suspect
+    int confirm_streak = 0;  // consecutive epochs >= kPhiQuarantine
+    int clean_streak = 0;    // consecutive epochs < kPhiSuspect
     int probe_streak = 0;    // consecutive clean probes
   };
 
@@ -168,7 +138,6 @@ class HealthMonitor {
   bool probe_clean(const net::Network& net, net::NodeId n, double t,
                    Prng& prng) const;
 
-  HealthConfig cfg_;
   std::uint64_t seed_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t quarantines_total_ = 0;
@@ -189,17 +158,8 @@ struct GrayConfig {
   /// Epochs per run and the telemetry window each one simulates.
   int epochs = 6;
   double epoch_s = 12.0;
-  /// Operator-hosting nodes to degrade (chosen deterministically among stub
-  /// hosts that are no query's source or sink, so quarantine + migration
-  /// can actually take their traffic off them).
-  int targets = 1;
   /// Default gray intensity: slow and heavily lossy, not flapping.
   net::Degradation degradation{3.0, 0.6, 0.0};
-  HealthConfig health;
-  /// Reliability knobs sized to multi-hop topologies (the 50 ms default
-  /// would retransmit spuriously and poison the zero-FP contract).
-  double ack_timeout_s = 1.0;
-  double max_backoff_s = 4.0;
   /// Planner threads (digests must not depend on this).
   int threads = 1;
 };

@@ -12,6 +12,10 @@ namespace {
 /// ReliabilityConfig::max_backoff_s).
 constexpr double kBackoffFactor = 2.0;
 
+/// Projection factor of composite tuple widths. Must match the RateModel
+/// projection used when planning.
+constexpr double kProjectionFactor = 1.0;
+
 std::string producer_key(const std::vector<query::StreamId>& streams,
                          net::NodeId node) {
   std::string key = std::to_string(node) + ":";
@@ -45,10 +49,7 @@ Simulation::Simulation(const net::Network& net, const net::RoutingTables& rt,
   IFLOW_CHECK(r.ack_timeout_s > 0.0);
   IFLOW_CHECK(r.max_backoff_s >= r.ack_timeout_s);
   IFLOW_CHECK(r.max_retries >= 0 && r.window > 0);
-  if (cfg.checkpoint.enabled) {
-    IFLOW_CHECK(cfg.checkpoint.interval_s > 0.0);
-    IFLOW_CHECK(cfg.checkpoint.replicas >= 1);
-  }
+  if (cfg.checkpoint.enabled) IFLOW_CHECK(cfg.checkpoint.interval_s > 0.0);
   link_bytes_.assign(net.link_count(), 0.0);
   for (std::size_t i = 0; i < net.link_count(); ++i) {
     link_index_.emplace(link_key(net.links()[i].a, net.links()[i].b), i);
@@ -67,7 +68,7 @@ double Simulation::composite_width(
     const std::vector<query::StreamId>& streams) const {
   double w = 0.0;
   for (auto s : streams) w += catalog_->stream(s).tuple_width;
-  if (streams.size() > 1) w *= cfg_.projection_factor;
+  if (streams.size() > 1) w *= kProjectionFactor;
   return w;
 }
 
@@ -868,7 +869,7 @@ double Simulation::instance_state_bytes(const InstState& s) const {
 void Simulation::commit_epoch(double now) {
   IFLOW_CHECK(epoch_open_ && unsnapped_ == 0);
   epoch_open_ = false;
-  const double replicas = static_cast<double>(cfg_.checkpoint.replicas);
+  const double replicas = static_cast<double>(kSnapshotReplicas);
   double total = 0.0;
   for (InstanceId id = 0; id < instances_.size(); ++id) {
     const double b = instance_state_bytes(building_.inst[id]) * replicas;

@@ -103,9 +103,11 @@ struct CheckpointConfig {
   bool volatile_state = false;
   /// Barrier period; one epoch is in flight at a time.
   double interval_s = 5.0;
-  /// Replicas of the in-memory snapshot store (byte accounting only).
-  int replicas = 2;
 };
+
+/// Replicas of the in-memory snapshot store (byte accounting only).
+inline constexpr int kSnapshotReplicas = 2;
+static_assert(kSnapshotReplicas >= 1);
 
 /// Checkpoint-plane accounting: committed epochs, snapshot bytes (replica
 ///-multiplied), barrier latency (commit minus barrier injection), and the
@@ -225,8 +227,6 @@ struct EngineConfig {
   /// Poisson arrivals when true; evenly spaced (with a random phase)
   /// otherwise — useful for low-variance model-validation runs.
   bool poisson = true;
-  /// Must match the RateModel projection used when planning.
-  double projection_factor = 1.0;
   /// Optional time-varying source rates (scenario rate curves): multiplier
   /// applied to a stream's catalog rate at simulation time t. Must be a
   /// pure function so runs stay deterministic; values are clamped to a

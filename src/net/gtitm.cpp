@@ -6,24 +6,40 @@ namespace iflow::net {
 
 namespace {
 
-/// Connects `members` into a random spanning tree (each node links to a
-/// uniformly chosen earlier node), then sprinkles extra edges; this mirrors
-/// the sparse random intra-domain graphs GT-ITM produces while guaranteeing
-/// connectivity.
+/// Probability of an extra (non-spanning-tree) edge inside a stub domain,
+/// per candidate pair. GT-ITM stub domains are sparse random graphs.
+constexpr double kStubExtraEdgeProb = 0.15;
+/// Probability of an extra edge between transit-node pairs beyond the
+/// connectivity ring.
+constexpr double kTransitExtraEdgeProb = 0.3;
+
+/// Per-byte link cost ranges. Transit links are far more expensive than
+/// intranet links.
+constexpr double kStubCostMin = 1.0, kStubCostMax = 3.0;
+constexpr double kGatewayCostMin = 4.0, kGatewayCostMax = 8.0;
+constexpr double kTransitCostMin = 10.0, kTransitCostMax = 20.0;
+
+/// Uniform link bandwidth (Emulab prototype links).
+constexpr double kBandwidthBps = 1.0e6;
+
+/// Connects a stub domain's `members` into a random spanning tree (each
+/// node links to a uniformly chosen earlier node), then sprinkles extra
+/// edges; this mirrors the sparse random intra-domain graphs GT-ITM
+/// produces while guaranteeing connectivity.
 void wire_domain(Network& net, const std::vector<NodeId>& members,
-                 double extra_edge_prob, double cost_min, double cost_max,
                  const TransitStubParams& p, Prng& prng) {
   for (std::size_t i = 1; i < members.size(); ++i) {
     const NodeId prior = members[prng.index(i)];
-    net.add_link(members[i], prior, prng.uniform(cost_min, cost_max),
-                 prng.uniform(p.delay_min_ms, p.delay_max_ms), p.bandwidth_bps);
+    net.add_link(members[i], prior, prng.uniform(kStubCostMin, kStubCostMax),
+                 prng.uniform(p.delay_min_ms, p.delay_max_ms), kBandwidthBps);
   }
   for (std::size_t i = 0; i < members.size(); ++i) {
     for (std::size_t j = i + 2; j < members.size(); ++j) {
-      if (prng.chance(extra_edge_prob)) {
-        net.add_link(members[i], members[j], prng.uniform(cost_min, cost_max),
+      if (prng.chance(kStubExtraEdgeProb)) {
+        net.add_link(members[i], members[j],
+                     prng.uniform(kStubCostMin, kStubCostMax),
                      prng.uniform(p.delay_min_ms, p.delay_max_ms),
-                     p.bandwidth_bps);
+                     kBandwidthBps);
       }
     }
   }
@@ -48,19 +64,19 @@ Network make_transit_stub(const TransitStubParams& p, Prng& prng) {
       const NodeId a = transit[static_cast<std::size_t>(i)];
       const NodeId b = transit[static_cast<std::size_t>((i + 1) % p.transit_count)];
       if (i + 1 == p.transit_count && p.transit_count == 2) break;  // ring of 2 = 1 edge
-      net.add_link(a, b, prng.uniform(p.transit_cost_min, p.transit_cost_max),
+      net.add_link(a, b, prng.uniform(kTransitCostMin, kTransitCostMax),
                    prng.uniform(p.delay_min_ms, p.delay_max_ms),
-                   p.bandwidth_bps);
+                   kBandwidthBps);
     }
     for (int i = 0; i < p.transit_count; ++i) {
       for (int j = i + 2; j < p.transit_count; ++j) {
         if (i == 0 && j == p.transit_count - 1) continue;  // ring edge already
-        if (prng.chance(p.transit_extra_edge_prob)) {
+        if (prng.chance(kTransitExtraEdgeProb)) {
           net.add_link(transit[static_cast<std::size_t>(i)],
                        transit[static_cast<std::size_t>(j)],
-                       prng.uniform(p.transit_cost_min, p.transit_cost_max),
+                       prng.uniform(kTransitCostMin, kTransitCostMax),
                        prng.uniform(p.delay_min_ms, p.delay_max_ms),
-                       p.bandwidth_bps);
+                       kBandwidthBps);
         }
       }
     }
@@ -74,13 +90,12 @@ Network make_transit_stub(const TransitStubParams& p, Prng& prng) {
       for (int s = 0; s < p.stub_domain_size; ++s) {
         members.push_back(net.add_node(NodeKind::kStub));
       }
-      wire_domain(net, members, p.stub_extra_edge_prob, p.stub_cost_min,
-                  p.stub_cost_max, p, prng);
+      wire_domain(net, members, p, prng);
       const NodeId gateway = prng.pick(members);
       net.add_link(gateway, transit[static_cast<std::size_t>(t)],
-                   prng.uniform(p.gateway_cost_min, p.gateway_cost_max),
+                   prng.uniform(kGatewayCostMin, kGatewayCostMax),
                    prng.uniform(p.delay_min_ms, p.delay_max_ms),
-                   p.bandwidth_bps);
+                   kBandwidthBps);
     }
   }
 

@@ -17,30 +17,16 @@ namespace iflow::net {
 
 /// Parameters of the transit–stub generator. The defaults reproduce the
 /// paper's main 128-node-class configuration (1 transit domain of 4 nodes,
-/// 4 stub domains of 8 nodes per transit node).
+/// 4 stub domains of 8 nodes per transit node). Edge densities, per-byte
+/// cost ranges and the link bandwidth are fixed by the generator
+/// (gtitm.cpp): the paper varies the network's size, not its cost model.
 struct TransitStubParams {
   int transit_count = 4;
   int stub_domains_per_transit = 4;
   int stub_domain_size = 8;
 
-  /// Probability of an extra (non-spanning-tree) edge inside a stub domain,
-  /// per candidate pair. GT-ITM stub domains are sparse random graphs.
-  double stub_extra_edge_prob = 0.15;
-  /// Probability of an extra edge between transit-node pairs beyond the
-  /// connectivity ring.
-  double transit_extra_edge_prob = 0.3;
-
-  /// Per-byte link cost ranges. Transit links are far more expensive than
-  /// intranet links.
-  double stub_cost_min = 1.0, stub_cost_max = 3.0;
-  double gateway_cost_min = 4.0, gateway_cost_max = 8.0;
-  double transit_cost_min = 10.0, transit_cost_max = 20.0;
-
   /// Propagation delay range (the Emulab prototype used 1–60 ms).
   double delay_min_ms = 1.0, delay_max_ms = 60.0;
-
-  /// Uniform link bandwidth (Emulab prototype links).
-  double bandwidth_bps = 1.0e6;
 
   int total_nodes() const {
     return transit_count +

@@ -11,8 +11,12 @@ namespace iflow::verify {
 
 namespace {
 
-bool close(double a, double b, double tol) {
-  return std::abs(a - b) <= tol * (1.0 + std::max(std::abs(a), std::abs(b)));
+/// Relative tolerance of all floating-point comparisons.
+constexpr double kTolerance = 1e-6;
+
+bool close(double a, double b) {
+  return std::abs(a - b) <=
+         kTolerance * (1.0 + std::max(std::abs(a), std::abs(b)));
 }
 
 /// Collector keeping violation construction in one place.
@@ -347,10 +351,8 @@ std::vector<Violation> validate(const query::Deployment& d,
     for (std::size_t u = 0; u < d.units.size(); ++u) {
       const query::LeafUnit& unit = d.units[u];
       if (!in_model(unit.mask)) continue;  // already reported above
-      if (!close(unit.bytes_rate, rates.bytes_rate(unit.mask),
-                 opts.tolerance) ||
-          !close(unit.tuple_rate, rates.tuple_rate(unit.mask),
-                 opts.tolerance)) {
+      if (!close(unit.bytes_rate, rates.bytes_rate(unit.mask)) ||
+          !close(unit.tuple_rate, rates.tuple_rate(unit.mask))) {
         report.add(ViolationCode::kUnitRateDrift, "unit ", u, " records ",
                    unit.bytes_rate, " B/s but the model gives ",
                    rates.bytes_rate(unit.mask));
@@ -359,10 +361,8 @@ std::vector<Violation> validate(const query::Deployment& d,
     for (std::size_t i = 0; i < d.ops.size(); ++i) {
       const query::DeployedOp& op = d.ops[i];
       if (!in_model(op.mask)) continue;
-      if (!close(op.out_bytes_rate, rates.bytes_rate(op.mask),
-                 opts.tolerance) ||
-          !close(op.out_tuple_rate, rates.tuple_rate(op.mask),
-                 opts.tolerance)) {
+      if (!close(op.out_bytes_rate, rates.bytes_rate(op.mask)) ||
+          !close(op.out_tuple_rate, rates.tuple_rate(op.mask))) {
         report.add(ViolationCode::kOpRateDrift, "op ", i, " records ",
                    op.out_bytes_rate, " B/s out but the model gives ",
                    rates.bytes_rate(op.mask));
@@ -377,7 +377,7 @@ std::vector<Violation> validate(const query::Deployment& d,
     const net::RoutingTables& rt = *env.routing;
     const double evaluated = query::deployment_cost(d, rt);
     if (opts.planned_cost >= 0.0 &&
-        !close(opts.planned_cost, evaluated, opts.tolerance)) {
+        !close(opts.planned_cost, evaluated)) {
       report.add(ViolationCode::kPlannedCostMismatch, "planned cost ",
                  opts.planned_cost, " vs re-evaluated ", evaluated);
     }
@@ -404,7 +404,7 @@ std::vector<Violation> validate(const query::Deployment& d,
                       d.aggregate.out_width;
         }
         marginal += delivered * rt.cost(d.root_node(), d.sink);
-        if (!close(marginal, evaluated, opts.tolerance)) {
+        if (!close(marginal, evaluated)) {
           report.add(ViolationCode::kMarginalCostMismatch,
                      "deployment_cost() gives ", evaluated,
                      " but the model-based marginal re-sum gives ", marginal);

@@ -70,8 +70,6 @@ struct ValidateOptions {
   /// optimizer's planned cost for exact-oracle algorithms (every in-tree
   /// optimizer reports its cost against the true routing tables).
   double planned_cost = -1.0;
-  /// Relative tolerance of all floating-point comparisons.
-  double tolerance = 1e-6;
   /// Recorded per-op candidate scopes (`OptimizeResult::op_scopes`), parallel
   /// to `d.ops`. When present for an op, the placement check becomes exact:
   /// the op must sit inside its scope, on a processing node whenever the

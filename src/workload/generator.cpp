@@ -20,7 +20,7 @@ Workload make_workload(const net::Network& net, const WorkloadParams& params,
     w.catalog.add_stream(
         "S" + std::to_string(s), node,
         prng.uniform(params.tuple_rate_min, params.tuple_rate_max),
-        prng.uniform(params.tuple_width_min, params.tuple_width_max));
+        prng.uniform(kTupleWidthMin, kTupleWidthMax));
   }
   for (int a = 0; a < params.num_streams; ++a) {
     for (int b = a + 1; b < params.num_streams; ++b) {
@@ -51,8 +51,8 @@ Workload make_workload(const net::Network& net, const WorkloadParams& params,
       q.filter_selectivity.assign(k, 1.0);
       for (std::size_t i = 0; i < k; ++i) {
         if (prng.chance(params.filter_probability)) {
-          q.filter_selectivity[i] = prng.uniform(
-              params.filter_selectivity_min, params.filter_selectivity_max);
+          q.filter_selectivity[i] =
+              prng.uniform(kFilterSelectivityMin, kFilterSelectivityMax);
         }
       }
     }

@@ -14,6 +14,17 @@
 
 namespace iflow::workload {
 
+/// Tuple widths are uniform in [kTupleWidthMin, kTupleWidthMax] bytes.
+inline constexpr double kTupleWidthMin = 50.0;
+inline constexpr double kTupleWidthMax = 200.0;
+/// A filtered source keeps a uniform fraction in [kFilterSelectivityMin,
+/// kFilterSelectivityMax] of its tuples.
+inline constexpr double kFilterSelectivityMin = 0.1;
+inline constexpr double kFilterSelectivityMax = 0.9;
+
+/// Workload knobs: stream count, joins per query, rate and selectivity
+/// ranges, and how often queries filter. Tuple widths and filter
+/// selectivities use the fixed ranges above.
 struct WorkloadParams {
   int num_streams = 10;
   /// Joins per query, uniform in [min_joins, max_joins]; a query with j
@@ -22,8 +33,6 @@ struct WorkloadParams {
   int max_joins = 5;
   double tuple_rate_min = 10.0;     // tuples per second
   double tuple_rate_max = 100.0;
-  double tuple_width_min = 50.0;    // bytes
-  double tuple_width_max = 200.0;
   /// Pairwise join selectivities; the range keeps two-way join rates in the
   /// same order of magnitude as base rates, so join ordering matters.
   double selectivity_min = 0.001;
@@ -32,8 +41,6 @@ struct WorkloadParams {
   /// Probability that a query filters any given source (select-project-join
   /// workloads; 0 = pure join workloads, the paper's figures).
   double filter_probability = 0.0;
-  double filter_selectivity_min = 0.1;
-  double filter_selectivity_max = 0.9;
 };
 
 struct Workload {

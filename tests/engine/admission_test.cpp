@@ -3,6 +3,7 @@
 // fairness, and the incremental ledger's consistency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "engine/middleware.h"
@@ -222,11 +223,49 @@ TEST(AdmissionTest, FairnessRejectsTheTenantOverItsShare) {
   mw.set_tenant_quota(1, TenantQuota{});
   mw.set_tenant_quota(2, TenantQuota{});
   std::size_t heavy_rejections = 0;
+  const query::Query* rejected = nullptr;  // a tenant-1 query turned away
   for (const query::Query& q : queries) {
-    if (!mw.deploy(q).feasible && q.tenant == 1) ++heavy_rejections;
+    if (!mw.deploy(q).feasible && q.tenant == 1) {
+      ++heavy_rejections;
+      if (mw.last_admission().decision == AdmissionDecision::kReject) {
+        rejected = &q;
+      }
+    }
   }
   // Under contention the heavy tenant cannot take the whole cluster.
   EXPECT_GT(heavy_rejections, 0u);
+  ASSERT_NE(rejected, nullptr);
+
+  // Admission keeps every node within its capacity, so those rejections
+  // are node-capacity ones: fairness binds only once the ledger passes the
+  // cluster budget (capacity × node count). Rate changes are not gated,
+  // so raising a source that only admitted tenant-1 queries read gets the
+  // ledger there without growing tenant 2's share.
+  std::vector<query::StreamId> heavy_sources, light_sources;
+  for (const Middleware::ActiveView& v : mw.active_views()) {
+    std::vector<query::StreamId>& to =
+        v.query->tenant == 1 ? heavy_sources : light_sources;
+    to.insert(to.end(), v.query->sources.begin(), v.query->sources.end());
+  }
+  const auto hot = std::find_if(
+      heavy_sources.begin(), heavy_sources.end(), [&](query::StreamId s) {
+        return std::find(light_sources.begin(), light_sources.end(), s) ==
+               light_sources.end();
+      });
+  ASSERT_NE(hot, heavy_sources.end());
+  const double budget =
+      cfg.node_capacity * static_cast<double>(w.net.node_count());
+  for (int i = 0; i < 64 && mw.ledger().total_bytes() <= budget; ++i) {
+    mw.set_stream_rate(*hot, 2.0 * mw.catalog().stream(*hot).tuple_rate);
+  }
+  ASSERT_GT(mw.ledger().total_bytes(), budget);
+
+  // Past the budget, the heavy tenant's next registration is priced
+  // against its fair share and turned away for it.
+  EXPECT_FALSE(mw.deploy(*rejected).feasible);
+  EXPECT_EQ(mw.last_admission().decision, AdmissionDecision::kReject);
+  EXPECT_TRUE(mw.last_admission().reason.starts_with("fairness:"))
+      << mw.last_admission().reason;
 }
 
 TEST(AdmissionTest, LedgerTracksTenantsAndSurvivesChurn) {

@@ -235,7 +235,7 @@ TEST(ChaosTest, InjectorNeverDrawsInvalidEvents) {
     ASSERT_LE(inj.state().down_nodes().size(), 3u);
     ASSERT_LE(inj.state().down_links().size(), 4u);
     ASSERT_LE(inj.state().down_nodes().size() * 2, s.net.node_count());
-    ASSERT_LE(degraded, static_cast<std::size_t>(cfg.max_degraded));
+    ASSERT_LE(degraded, kMaxDegraded);
   }
   EXPECT_GT(gray_events, 0u);  // the gray families actually fired
 }

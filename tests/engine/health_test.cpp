@@ -41,7 +41,7 @@ TEST(HealthMonitorTest, CleanTelemetryRaisesNoSuspicion) {
   net.add_link(0, 1, 1.0, 1.0, 1e6);
   net.add_link(1, 2, 1.0, 1.0, 1e6);
   net.add_link(1, 3, 1.0, 1.0, 1e6);
-  HealthMonitor hm(4, HealthConfig{}, 7);
+  HealthMonitor hm(4, 7);
   for (int epoch = 0; epoch < 6; ++epoch) {
     hm.observe({channel({0, 1, 2}, false), channel({0, 1, 3}, false)});
     const auto trans = hm.step(net, 10.0 * (epoch + 1), 10.0);
@@ -66,7 +66,7 @@ TEST(HealthMonitorTest, GreedyCoverBlamesTheSharedHubNotTheEndpoints) {
   net::Network net;
   for (int i = 0; i < 5; ++i) net.add_node();
   for (net::NodeId n : {0u, 2u, 3u, 4u}) net.add_link(1, n, 1.0, 1.0, 1e6);
-  HealthMonitor hm(5, HealthConfig{}, 7);
+  HealthMonitor hm(5, 7);
   hm.observe({channel({0, 1, 2}, true), channel({0, 1, 3}, true),
               channel({4, 1, 2}, true)});
   hm.step(net, 10.0, 10.0);
@@ -85,7 +85,7 @@ TEST(HealthMonitorTest, CleanChannelExoneratesSharedPathNodes) {
   net.add_link(0, 1, 1.0, 1.0, 1e6);
   net.add_link(1, 2, 1.0, 1.0, 1e6);
   net.add_link(1, 3, 1.0, 1.0, 1e6);
-  HealthMonitor hm(4, HealthConfig{}, 7);
+  HealthMonitor hm(4, 7);
   hm.observe({channel({0, 1, 2}, true), channel({0, 1, 3}, false)});
   hm.step(net, 10.0, 10.0);
   EXPECT_EQ(hm.phi(0), 0.0);
@@ -101,8 +101,8 @@ TEST(HealthMonitorTest, LifecycleConfirmsQuarantinesAndReadmitsViaProbes) {
   net.add_link(0, 1, 1.0, 1.0, 1e6);
   net.add_link(1, 2, 1.0, 1.0, 1e6);
   net.add_link(1, 3, 1.0, 1.0, 1e6);
-  HealthConfig cfg;  // confirm_epochs 2, probes 2/epoch, budget 4
-  HealthMonitor hm(4, cfg, 7);
+  // Detector constants: 2 confirm epochs, 2 probes per epoch, budget 4.
+  HealthMonitor hm(4, 7);
   net.degrade_node(1, net::Degradation{3.0, 0.6, 0.0});
 
   // Epoch 0: the hub turns suspect (phi crosses both thresholds but the
@@ -119,7 +119,7 @@ TEST(HealthMonitorTest, LifecycleConfirmsQuarantinesAndReadmitsViaProbes) {
   ASSERT_EQ(trans.size(), 1u);
   EXPECT_EQ(trans[0].to, HealthState::kQuarantined);
   EXPECT_EQ(hm.quarantines_total(), 1u);
-  EXPECT_EQ(hm.node_penalty()[1], cfg.penalty_max);
+  EXPECT_EQ(hm.node_penalty()[1], kHealthPenaltyMax);
 
   // Still degraded: probes stay dirty (slowdown 3.0 >= the RTT floor is
   // deterministically visible), so it stays quarantined.
@@ -152,8 +152,7 @@ TEST(HealthMonitorTest, OnRestoreClearsAccruedSuspicion) {
   net.add_link(0, 1, 1.0, 1.0, 1e6);
   net.add_link(1, 2, 1.0, 1.0, 1e6);
   net.add_link(1, 3, 1.0, 1.0, 1e6);
-  HealthConfig cfg;
-  HealthMonitor hm(4, cfg, 7);
+  HealthMonitor hm(4, 7);
   net.degrade_node(1, net::Degradation{3.0, 0.6, 0.0});
   hm.observe({channel({0, 1, 2}, true), channel({3, 1, 2}, true)});
   hm.step(net, 10.0, 10.0);
@@ -184,7 +183,7 @@ TEST(HealthMonitorTest, DirtyProbeSendsProbationBackToQuarantine) {
   net.add_link(0, 1, 1.0, 1.0, 1e6);
   net.add_link(1, 2, 1.0, 1.0, 1e6);
   net.add_link(1, 3, 1.0, 1.0, 1e6);
-  HealthMonitor hm(4, HealthConfig{}, 7);
+  HealthMonitor hm(4, 7);
   net.degrade_node(1, net::Degradation{3.0, 0.0, 0.0});
   hm.observe({channel({0, 1, 2}, true), channel({3, 1, 2}, true)});
   hm.step(net, 10.0, 10.0);

@@ -47,8 +47,8 @@ TEST(WorkloadTest, RatesAndSelectivitiesWithinBounds) {
   for (query::StreamId s = 0; s < w.catalog.stream_count(); ++s) {
     EXPECT_GE(w.catalog.stream(s).tuple_rate, p.tuple_rate_min);
     EXPECT_LE(w.catalog.stream(s).tuple_rate, p.tuple_rate_max);
-    EXPECT_GE(w.catalog.stream(s).tuple_width, p.tuple_width_min);
-    EXPECT_LE(w.catalog.stream(s).tuple_width, p.tuple_width_max);
+    EXPECT_GE(w.catalog.stream(s).tuple_width, kTupleWidthMin);
+    EXPECT_LE(w.catalog.stream(s).tuple_width, kTupleWidthMax);
     EXPECT_LT(w.catalog.stream(s).source, net.node_count());
     for (query::StreamId t = 0; t < w.catalog.stream_count(); ++t) {
       if (s == t) continue;
@@ -104,8 +104,8 @@ TEST(WorkloadTest, CertainFilterProbabilityFiltersEverySource) {
   for (const query::Query& q : w.queries) {
     ASSERT_EQ(q.filter_selectivity.size(), q.sources.size());
     for (int i = 0; i < q.k(); ++i) {
-      EXPECT_GE(q.filter(i), p.filter_selectivity_min);
-      EXPECT_LE(q.filter(i), p.filter_selectivity_max);
+      EXPECT_GE(q.filter(i), kFilterSelectivityMin);
+      EXPECT_LE(q.filter(i), kFilterSelectivityMax);
       EXPECT_LT(q.filter(i), 1.0);  // every source actually filtered
     }
   }
