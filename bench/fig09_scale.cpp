@@ -12,6 +12,9 @@
 //     dense baseline is still buildable);
 //   * incremental repair time after a single link failure vs recomputing
 //     the same working set from scratch (target: >= 10x at 10k nodes);
+//   * the hierarchy's refresh after that failure, which recomputes only
+//     the coordinator-matrix rows the link can change, vs one full
+//     recompute of the matrix, and the rows the refresh recomputed;
 //   * an FNV-1a digest over the hexfloat plan costs — rerun with a
 //     different --threads value and diff the digest lines to check the
 //     parallel site sweep is bitwise-identical to the serial one.
@@ -84,6 +87,9 @@ struct Cell {
   double quality_ratio = 0.0;  // 0 = dense baseline not run
   double inc_repair_ms = 0.0;
   double full_rebuild_ms = 0.0;
+  double refresh_ms = 0.0;
+  double full_matrix_ms = 0.0;
+  std::size_t refresh_rows = 0;
   std::uint64_t digest = 0;
 };
 
@@ -122,7 +128,7 @@ Cell run_cell(int target_nodes, std::uint64_t seed, int threads,
 
   const auto t_h = Clock::now();
   Prng hp(seed + 7);
-  const cluster::Hierarchy hierarchy = cluster::Hierarchy::build_partitioned(
+  cluster::Hierarchy hierarchy = cluster::Hierarchy::build_partitioned(
       net, rt, domain_partitions(p), 32, hp);
   cell.hierarchy_ms = ms_since(t_h);
 
@@ -195,6 +201,20 @@ Cell run_cell(int target_nodes, std::uint64_t seed, int threads,
   net::RoutingTables fresh = net::RoutingTables::build(net, ropts);
   for (net::NodeId a = 0; a < warm; ++a) fresh.cost(a, 0);
   cell.full_rebuild_ms = ms_since(t_full);
+
+  // The hierarchy's side of the same failure: its refresh against one full
+  // recompute of the coordinator matrix. The oracle is not used after this.
+  const auto t_refresh = Clock::now();
+  cell.refresh_rows = hierarchy.refresh(rt);
+  cell.refresh_ms = ms_since(t_refresh);
+  std::vector<net::NodeId> coords;
+  for (const cluster::Cluster& cl : hierarchy.level(1)) {
+    coords.push_back(cl.coordinator);
+  }
+  std::vector<double> matrix(coords.size() * coords.size());
+  const auto t_matrix = Clock::now();
+  rt.cost_matrix(coords.data(), coords.size(), matrix.data());
+  cell.full_matrix_ms = ms_since(t_matrix);
   return cell;
 }
 
@@ -218,6 +238,9 @@ void write_json(const std::string& path, const std::vector<Cell>& cells,
         << ", \"incremental_repair_ms\": " << c.inc_repair_ms
         << ", \"full_rebuild_ms\": " << c.full_rebuild_ms
         << ", \"repair_speedup\": " << c.full_rebuild_ms / c.inc_repair_ms
+        << ", \"refresh_ms\": " << c.refresh_ms
+        << ", \"full_matrix_ms\": " << c.full_matrix_ms
+        << ", \"refresh_rows\": " << c.refresh_rows
         << ", \"digest\": \"" << std::hex << c.digest << std::dec << "\"}"
         << (i + 1 < cells.size() ? "," : "") << '\n';
   }
@@ -265,7 +288,7 @@ int main(int argc, char** argv) {
             << ", threads " << threads << ")\n\n";
   TextTable t({"nodes", "hier ms", "plan ms", "oracle MB", "dense MB",
                "mem %", "quality", "inc ms", "full ms", "speedup",
-               "digest-fnv"});
+               "refresh ms", "matrix ms", "rows", "digest-fnv"});
   std::vector<Cell> cells;
   for (const int size : sizes) {
     const Cell c = run_cell(size, seed, threads, /*dense_baseline=*/size <= 1000);
@@ -285,6 +308,9 @@ int main(int argc, char** argv) {
         .cell(c.inc_repair_ms, 2)
         .cell(c.full_rebuild_ms, 2)
         .cell(c.full_rebuild_ms / c.inc_repair_ms, 1)
+        .cell(c.refresh_ms, 2)
+        .cell(c.full_matrix_ms, 2)
+        .cell(static_cast<std::uint64_t>(c.refresh_rows))
         .cell(dg.str());
     cells.push_back(c);
     std::cout << "digest-fnv " << c.nodes << ' ' << dg.str() << '\n';

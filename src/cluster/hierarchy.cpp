@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <queue>
 #include <unordered_map>
@@ -138,6 +139,7 @@ Hierarchy Hierarchy::build(const net::Network& net,
                    return rt.cost(a, b);
                  },
                  prng, h.levels_);
+  h.price_coordinators(rt);
   h.rebuild_derived(rt);
   return h;
 }
@@ -206,17 +208,16 @@ Hierarchy Hierarchy::build_partitioned(
   // Each of them is a leaf coordinator, so the coordinator matrix prices
   // every round and is then kept for est_cost.
   const std::size_t leaves = items.size();
-  std::vector<double> matrix(leaves * leaves);
-  rt.cost_matrix(items.data(), leaves, matrix.data());
+  h.price_coordinators(rt);
   std::unordered_map<net::NodeId, std::size_t> leaf;
   for (std::size_t i = 0; i < leaves; ++i) leaf[items[i]] = i;
   cluster_upward(std::move(items), max_cs,
                  [&](std::uint32_t a, std::uint32_t b) {
-                   return matrix[leaf.at(a) * leaves + leaf.at(b)];
+                   return h.coord_cost_[leaf.at(a) * leaves + leaf.at(b)];
                  },
                  prng, h.levels_);
 
-  h.rebuild_derived(rt, std::move(matrix));
+  h.rebuild_derived(rt);
   return h;
 }
 
@@ -302,23 +303,43 @@ const std::vector<net::NodeId>& Hierarchy::underlying(net::NodeId coord,
   return u;
 }
 
-void Hierarchy::rebuild_derived(const net::RoutingTables& rt,
-                                std::vector<double> matrix) {
+std::size_t Hierarchy::refresh(const net::RoutingTables& rt) {
+  // Only the table the matrix was read from can replay what changed since.
+  std::optional<std::uint64_t> since;
+  if (&rt == rt_) since = coord_version_;
+  const std::size_t rows = price_coordinators(rt, since);
+  rebuild_derived(rt);
+  return rows;
+}
+
+std::size_t Hierarchy::price_coordinators(const net::RoutingTables& rt,
+                                          std::optional<std::uint64_t> since) {
+  std::vector<net::NodeId> coords;
+  coords.reserve(levels_[0].size());
+  for (const auto& cl : levels_[0]) coords.push_back(cl.coordinator);
+  const std::size_t leaves = coords.size();
+  IFLOW_CHECK(!since.has_value() || coord_cost_.size() == leaves * leaves);
+  coord_cost_.resize(leaves * leaves);
+  const std::size_t rows =
+      rt.cost_matrix(coords.data(), leaves, coord_cost_.data(), since);
+  coord_version_ = rt.built_against();
+#ifndef NDEBUG
+  if (since.has_value()) {
+    // Every row the update kept must hold what a full recompute gives.
+    std::vector<double> full(coord_cost_.size());
+    rt.cost_matrix(coords.data(), leaves, full.data());
+    IFLOW_CHECK(std::memcmp(full.data(), coord_cost_.data(),
+                            full.size() * sizeof(double)) == 0);
+  }
+#endif
+  return rows;
+}
+
+void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
   rt_ = &rt;
   node_count_ = rt.node_count();
   const std::size_t n = node_count_;
   const std::size_t h = levels_.size();
-
-  const std::size_t leaves = levels_[0].size();
-  if (matrix.empty()) {
-    std::vector<net::NodeId> coords;
-    coords.reserve(leaves);
-    for (const auto& cl : levels_[0]) coords.push_back(cl.coordinator);
-    matrix.resize(leaves * leaves);
-    rt.cost_matrix(coords.data(), leaves, matrix.data());
-  }
-  IFLOW_CHECK(matrix.size() == leaves * leaves);
-  coord_cost_ = std::move(matrix);
 
   cluster_idx_.assign(h, std::vector<std::size_t>(n, kNoCluster));
   rep_.assign(h, std::vector<net::NodeId>(n, net::kInvalidNode));
@@ -405,6 +426,7 @@ void Hierarchy::add_node(net::NodeId n, const net::RoutingTables& rt,
   }
   levels_[0][ci].members.push_back(n);
   handle_overflow(1, ci, rt, prng);
+  price_coordinators(rt);
   rebuild_derived(rt);
 }
 
@@ -541,6 +563,7 @@ void Hierarchy::remove_node(net::NodeId n, const net::RoutingTables& rt) {
     levels_.pop_back();
   }
 
+  price_coordinators(rt);
   rebuild_derived(rt);
 }
 

@@ -22,6 +22,7 @@
 // into the closest child cluster).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -118,8 +119,14 @@ class Hierarchy {
   /// after every sync() that can change a cost — any link or node fault or
   /// restore, cost change or added link: the matrix holds a copy of the
   /// costs. A quality-only sync (loss, jitter, degradation) changes no cost
-  /// and keeps the hierarchy valid without a refresh.
-  void refresh(const net::RoutingTables& rt) { rebuild_derived(rt); }
+  /// and keeps the hierarchy valid without a refresh. When `rt` is the
+  /// table the matrix was computed from, the matrix is updated in place and
+  /// RoutingTables::cost_matrix recomputes only the rows the network
+  /// changes since then can reach (on the sparse tier, none or a few after
+  /// one link fault or restore); a different table recomputes every row.
+  /// Debug builds compare the result with a full recompute bit for bit.
+  /// Returns the number of matrix rows recomputed.
+  std::size_t refresh(const net::RoutingTables& rt);
 
   /// Bytes held by the clusters, the derived lookup tables and the
   /// coordinator matrix (L² doubles for L Level-1 clusters).
@@ -140,10 +147,16 @@ class Hierarchy {
   bool local_leaf_metrics() const { return local_leaf_metrics_; }
 
  private:
-  /// `matrix`, when non-empty, is the coordinator matrix already computed
-  /// against `rt`.
-  void rebuild_derived(const net::RoutingTables& rt,
-                       std::vector<double> matrix = {});
+  /// Fills the coordinator matrix from `rt` in place; with `since`, it holds
+  /// the matrix as of network version `since` and only the rows
+  /// RoutingTables::cost_matrix finds changed are rewritten. Returns the
+  /// rows rewritten.
+  std::size_t price_coordinators(
+      const net::RoutingTables& rt,
+      std::optional<std::uint64_t> since = std::nullopt);
+  /// Re-derives d(l), representatives and underlying sets against `rt` and
+  /// the coordinator matrix.
+  void rebuild_derived(const net::RoutingTables& rt);
   /// Coordinator-matrix entry for two Level-1 coordinators.
   double coord_cost(net::NodeId a, net::NodeId b) const {
     return coord_cost_[cluster_idx_[0][a] * levels_[0].size() +
@@ -171,8 +184,9 @@ class Hierarchy {
   std::vector<std::vector<std::vector<net::NodeId>>> underlying_;
   // Coordinator matrix, row-major L × L over Level-1 cluster indices:
   // coord_cost_[i·L + j] = rt.cost(level(1)[i].coordinator,
-  // level(1)[j].coordinator).
+  // level(1)[j].coordinator), as of network version coord_version_.
   std::vector<double> coord_cost_;
+  std::uint64_t coord_version_ = 0;
 };
 
 /// Row-major |members| × |members| shortest-path costs over the subgraph

@@ -960,6 +960,8 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   std::ostringstream digest;
 
   Middleware mw(net, catalog, max_cs, algorithm, seed);
+  std::vector<StateMigration> migrations;
+  mw.record_migrations(&migrations);
   mw.workspace().set_threads(cfg.threads);
   for (const query::Query& q : queries) mw.deploy(q);
 
@@ -1015,7 +1017,7 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   // forced kMigrateOps faults in the data-plane phase. Cold resumes (empty
   // before-deployment) record no moves and inject nothing.
   std::vector<std::pair<net::NodeId, net::NodeId>> moves;
-  for (const StateMigration& m : mw.state_migrations()) {
+  for (const StateMigration& m : migrations) {
     if (!m.warm || m.moves.empty()) continue;
     ++report.migrations;
     for (const StateMigration::OpMove& mv : m.moves) {

@@ -259,6 +259,7 @@ void Middleware::ledger_remove(Active& a) {
 void Middleware::record_migration(query::QueryId q,
                                   const query::Deployment& before,
                                   const query::Deployment& after, bool warm) {
+  if (migration_feed_ == nullptr) return;
   StateMigration m;
   m.query = q;
   m.warm = warm;
@@ -276,7 +277,7 @@ void Middleware::record_migration(query::QueryId q,
     mv.to = after.ops[i].node;
     m.moves.push_back(mv);
   }
-  state_migrations_.push_back(std::move(m));
+  migration_feed_->push_back(std::move(m));
 }
 
 void Middleware::adopt(Active& a, query::Deployment deployment, double cost) {

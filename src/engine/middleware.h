@@ -85,10 +85,11 @@ struct Redeployment {
 };
 
 /// One placement change of an active query, recorded at every adoption site
-/// (reconcile/quarantine/rebalance/reoptimize/settle/adapt) so a running
-/// engine can be told to hand operator state to the new placement instead
-/// of restarting it cold (Simulation's kMigrateOps fault). `warm` is false
-/// only for resume-from-suspension, where the state is legitimately gone.
+/// (reconcile/quarantine/rebalance/reoptimize/settle/adapt) while a feed is
+/// attached (Middleware::record_migrations), so a running engine can be told
+/// to hand operator state to the new placement instead of restarting it
+/// cold (Simulation's kMigrateOps fault). `warm` is false only for
+/// resume-from-suspension, where the state is legitimately gone.
 struct StateMigration {
   query::QueryId query = 0;
   bool warm = true;
@@ -344,11 +345,13 @@ class Middleware {
   /// which the stranded-reuse repair should prevent.
   bool deploy_actives(Simulation& sim) const;
 
-  /// Placement changes recorded since construction, in adoption order —
-  /// the feed a harness replays into the engine as state-handoff (warm) or
-  /// cold-restart migrations.
-  const std::vector<StateMigration>& state_migrations() const {
-    return state_migrations_;
+  /// Attaches a migration feed: while attached, every adoption and resume
+  /// appends its placement change to `*feed`, in adoption order — the feed
+  /// a harness replays into the engine as state-handoff (warm) or
+  /// cold-restart migrations. `nullptr` detaches; nothing is recorded while
+  /// no feed is attached. The feed must outlive its attachment.
+  void record_migrations(std::vector<StateMigration>* feed) {
+    migration_feed_ = feed;
   }
 
   /// Current deployments of all active queries (monitoring, diagnostics).
@@ -436,8 +439,8 @@ class Middleware {
   /// Clears every suspended query's attempt budget and backoff (a restore
   /// or a lifted quarantine improved the world).
   void reset_resume_budgets();
-  /// Appends the placement diff of one adopted replan to the migration
-  /// feed.
+  /// Appends the placement diff of one adopted replan to the attached
+  /// migration feed, if any.
   void record_migration(query::QueryId q, const query::Deployment& before,
                         const query::Deployment& after, bool warm);
   /// Marks every active whose source-stream set intersects q's as dirty
@@ -490,7 +493,7 @@ class Middleware {
   std::vector<query::QueryId> dirty_;  // sorted unique
   SettleStats settle_stats_;
   std::uint64_t resume_failures_total_ = 0;
-  std::vector<StateMigration> state_migrations_;
+  std::vector<StateMigration>* migration_feed_ = nullptr;  // non-owning
 };
 
 }  // namespace iflow::engine

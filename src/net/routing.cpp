@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +16,8 @@ namespace iflow::net {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// 2⁻⁵³: the relative error of one rounded double operation.
+constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
 
 struct QueueEntry {
   double dist;
@@ -142,6 +145,17 @@ Batch classify(const std::vector<Mutation>& muts) {
 
 bool contains(const std::vector<NodeId>& v, NodeId x) {
   return std::find(v.begin(), v.end(), x) != v.end();
+}
+
+/// The adjacency of a batch whose only routing change is one link failure
+/// or one restore; nullopt for any other batch.
+std::optional<std::pair<NodeId, NodeId>> single_link_event(const Batch& b) {
+  if (b.topology || b.cost_cut || !b.cost_raises.empty() ||
+      !b.nodes_down.empty() || !b.nodes_up.empty() ||
+      b.links_down.size() + b.links_up.size() != 1) {
+    return std::nullopt;
+  }
+  return b.links_down.empty() ? b.links_up.front() : b.links_down.front();
 }
 
 /// Scratch space for repairing dense rows in place: O(n), reused across
@@ -503,32 +517,88 @@ void RoutingTables::fill_costs(NodeId src, const NodeId* dst,
   }
 }
 
-void RoutingTables::cost_matrix(const NodeId* nodes, std::size_t m,
-                                double* out) const {
+std::size_t RoutingTables::cost_matrix(
+    const NodeId* nodes, std::size_t m, double* out,
+    std::optional<std::uint64_t> since) const {
   if (cache_ == nullptr) {
     for (std::size_t i = 0; i < m; ++i) {
       fill_costs(nodes[i], nodes, m, out + i * m);
     }
-    return;
+    return m;
   }
   for (std::size_t i = 0; i < m; ++i) IFLOW_CHECK(nodes[i] < n_);
-  // A matrix row is read once, so a missing one is not worth a cache slot:
-  // inserting it would evict rows the planner reads again.
   std::lock_guard<std::mutex> lock(cache_->mu);
+  // A matrix row is read once, so a missing one is not worth a cache slot:
+  // inserting it would evict rows the planner reads again. to[j] receives
+  // cost(src, nodes[j]).
   std::vector<double> dist;
   std::vector<NodeId> parent;
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto it = cache_->rows.find(nodes[i]);
+  const auto read_row = [&](NodeId src, double* to) {
+    const auto it = cache_->rows.find(src);
     const double* row = nullptr;
     if (it != cache_->rows.end()) {
       row = it->second.cost.data();
     } else {
       check_synced();
-      dijkstra(*net_, nodes[i], kCostWeight, dist, parent, nullptr);
+      dijkstra(*net_, src, kCostWeight, dist, parent, nullptr);
       row = dist.data();
     }
-    for (std::size_t j = 0; j < m; ++j) out[i * m + j] = row[nodes[j]];
+    for (std::size_t j = 0; j < m; ++j) to[j] = row[nodes[j]];
+  };
+
+  std::vector<std::uint8_t> keep(m, 0);
+  if (since.has_value()) {
+    check_synced();
+    IFLOW_CHECK(*since <= version_);
+    const auto muts = net_->mutations_since(*since);
+    std::optional<std::pair<NodeId, NodeId>> link;
+    if (muts.has_value()) {
+      const Batch batch = classify(*muts);
+      if (batch.quality_only) return 0;
+      link = single_link_event(batch);
+    }
+    if (link.has_value()) {
+      const auto [a, b] = *link;
+      // Any path through the adjacency takes one of its links, the cheapest
+      // of which is w.
+      double w = kInf;
+      for (const auto idx : net_->incident(a)) {
+        const Link& l = net_->links()[idx];
+        if (other_end(l, a) == b) w = std::min(w, l.cost_per_byte);
+      }
+      std::vector<double> from_a(m), from_b(m);
+      read_row(a, from_a.data());
+      read_row(b, from_b.data());
+      // A simple path through the adjacency (in the old network for a
+      // failure, the new one for a restore) splits into an i–a and a b–j
+      // part that avoid it, or the mirror image, so its length is at least
+      // from_a[i] + w + from_b[j] or from_b[i] + w + from_a[j]. Each
+      // Dijkstra value is within (n − 1) roundings of its real length, and
+      // `slack` also covers this test's own three. When the bound clears
+      // every stored entry of row i, no such path can tie or beat one, and
+      // the stored row is what a fresh Dijkstra returns. An infinite entry
+      // never clears it.
+      const double slack =
+          1.0 + 4.0 * static_cast<double>(n_) * kUnitRoundoff;
+      for (std::size_t i = 0; i < m; ++i) {
+        bool clear = true;
+        for (std::size_t j = 0; j < m && clear; ++j) {
+          const double through = std::min(from_a[i] + w + from_b[j],
+                                          from_b[i] + w + from_a[j]);
+          clear = through > out[i * m + j] * slack;
+        }
+        keep[i] = clear ? 1 : 0;
+      }
+    }
   }
+
+  std::size_t rewritten = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (keep[i] != 0) continue;
+    read_row(nodes[i], out + i * m);
+    ++rewritten;
+  }
+  return rewritten;
 }
 
 RoutingSyncStats RoutingTables::sync(const Network& net) {

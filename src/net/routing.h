@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/network.h"
@@ -131,11 +132,24 @@ class RoutingTables {
                   double* out) const;
 
   /// Square cost matrix among `nodes`: out[i·m + j] = cost(nodes[i],
-  /// nodes[j]) bit for bit, `out` holding m·m entries. The dense tier reads
-  /// its matrix. The sparse tier reads a resident row and runs a cost-only
-  /// Dijkstra for a missing one without caching it, so the LRU,
-  /// cached_rows() and peak_memory_bytes() stay as they were.
-  void cost_matrix(const NodeId* nodes, std::size_t m, double* out) const;
+  /// nodes[j]) bit for bit, `out` holding m·m entries. Returns the number of
+  /// rows it rewrote. The dense tier reads its matrix, every row. The sparse
+  /// tier reads a resident row and runs a cost-only Dijkstra for a missing
+  /// one without caching it, so the LRU, cached_rows() and
+  /// peak_memory_bytes() stay as they were.
+  ///
+  /// With `since`, `out` already holds the matrix among the same `nodes` as
+  /// of network version `since`, and the sparse tier (which CHECKs that it
+  /// is synced) rewrites only the rows the journal batch since then can
+  /// change (DESIGN.md §13): none for a quality-only batch; for exactly one
+  /// link failure or restore, the rows whose entries a path through that
+  /// adjacency could tie or beat, found from cost-only Dijkstras at its two
+  /// endpoints and a rounding bound; every row for any other batch or a
+  /// truncated journal. A row it keeps holds the bits a fresh Dijkstra
+  /// gives it.
+  std::size_t cost_matrix(
+      const NodeId* nodes, std::size_t m, double* out,
+      std::optional<std::uint64_t> since = std::nullopt) const;
 
   std::size_t node_count() const { return n_; }
 

@@ -548,5 +548,141 @@ TEST(CoordinatorMatrixTest, RefreshLeavesTheSparseRowCacheAlone) {
   EXPECT_GE(h.memory_bytes(), leaves * leaves * sizeof(double));
 }
 
+/// The same topology with every link's cost and delay rounded down to an
+/// integer, so equal-cost paths are common.
+net::Network with_integer_weights(const net::Network& net) {
+  net::Network out;
+  for (net::NodeId v = 0; v < net.node_count(); ++v) out.add_node(net.kind(v));
+  for (const net::Link& l : net.links()) {
+    out.add_link(l.a, l.b, std::floor(l.cost_per_byte), std::floor(l.delay_ms),
+                 l.bandwidth_bps);
+  }
+  return out;
+}
+
+/// Every leaf-coordinator pair's level-2 estimate and every d(l) above
+/// level 1, bit for bit against a fresh cost_matrix of the coordinators.
+void expect_matrix_is_fresh(const Hierarchy& h, const net::RoutingTables& rt) {
+  std::vector<net::NodeId> coords;
+  for (const Cluster& cl : h.level(1)) coords.push_back(cl.coordinator);
+  const std::size_t m = coords.size();
+  std::vector<double> fresh(m * m);
+  rt.cost_matrix(coords.data(), m, fresh.data());
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      ASSERT_EQ(bits(h.est_cost(coords[i], coords[j], 2)),
+                bits(fresh[i * m + j]))
+          << "coordinators " << coords[i] << "," << coords[j];
+    }
+  }
+  const auto leaf = [&](net::NodeId c) {
+    return static_cast<std::size_t>(
+        std::find(coords.begin(), coords.end(), c) - coords.begin());
+  };
+  for (int l = 2; l <= h.height(); ++l) {
+    double d = 0.0;
+    for (const Cluster& cl : h.level(l)) {
+      for (net::NodeId a : cl.members) {
+        for (net::NodeId b : cl.members) {
+          d = std::max(d, fresh[leaf(a) * m + leaf(b)]);
+        }
+      }
+    }
+    ASSERT_EQ(bits(h.d(l)), bits(d)) << "level " << l;
+  }
+}
+
+/// Refreshes a partitioned hierarchy on the sparse tier after each of 20
+/// random single-link failures and restores and after 4 fallback batches
+/// (two link events, a cost change, a node crash and its restore), and
+/// checks the coordinator matrix against a fresh one each time.
+void run_refresh_script(std::uint64_t seed, bool integer_weights) {
+  net::TransitStubParams p;
+  p.transit_count = 3;
+  p.stub_domains_per_transit = 3;
+  p.stub_domain_size = 6;
+  Prng prng(seed);
+  net::Network net = net::make_transit_stub(p, prng);
+  if (integer_weights) net = with_integer_weights(net);
+  net::RoutingTables rt = sparse_routing(net, 8);
+  Hierarchy h =
+      Hierarchy::build_partitioned(net, rt, domain_partitions(p), 4, prng);
+  const std::size_t leaves = h.level(1).size();
+  std::vector<std::pair<net::NodeId, net::NodeId>> down;
+  const auto flip_link = [&] {
+    if (!down.empty() && prng.chance(0.5)) {
+      const std::size_t k = prng.index(down.size());
+      net.restore_link(down[k].first, down[k].second);
+      down.erase(down.begin() + static_cast<std::ptrdiff_t>(k));
+      return;
+    }
+    std::uint32_t idx = 0;
+    do {
+      idx = static_cast<std::uint32_t>(prng.index(net.link_count()));
+    } while (!net.link_up(idx));
+    const net::Link& l = net.links()[idx];
+    net.fail_link(l.a, l.b);
+    down.emplace_back(l.a, l.b);
+  };
+  const net::NodeId crashed = static_cast<net::NodeId>(net.node_count() - 1);
+  std::size_t partial = 0;  // single-link refreshes that kept some row
+  for (int step = 0; step < 24; ++step) {
+    const int fallback = step % 6 == 5 ? step / 6 : -1;
+    switch (fallback) {
+      case -1:
+        flip_link();
+        break;
+      case 0:
+        flip_link();
+        flip_link();
+        break;
+      case 1: {
+        const net::Link& l = net.links()[prng.index(net.link_count())];
+        net.set_link_cost(l.a, l.b, l.cost_per_byte + 1.0);
+        break;
+      }
+      case 2:
+        net.crash_node(crashed);
+        break;
+      default:
+        net.restore_node(crashed);
+        break;
+    }
+    rt.sync(net);
+    const std::size_t rows = h.refresh(rt);
+    if (fallback >= 0) {
+      EXPECT_EQ(rows, leaves) << "seed " << seed << " step " << step;
+    } else if (rows < leaves) {
+      ++partial;
+    }
+    expect_matrix_is_fresh(h, rt);
+    if (::testing::Test::HasFatalFailure()) {
+      ADD_FAILURE() << "seed " << seed << " step " << step;
+      return;
+    }
+  }
+  EXPECT_GT(partial, 0u) << "seed " << seed;
+}
+
+TEST(CoordinatorMatrixTest, IncrementalRefreshMatchesAFreshMatrix) {
+  run_refresh_script(61, /*integer_weights=*/false);
+  run_refresh_script(62, /*integer_weights=*/false);
+  run_refresh_script(63, /*integer_weights=*/true);
+}
+
+TEST(CoordinatorMatrixTest, RefreshAgainstAnotherTableRecomputesEveryRow) {
+  Fixture f(56);
+  const net::RoutingTables rt = sparse_routing(f.net, 8);
+  Prng prng(6);
+  Hierarchy h = Hierarchy::build_partitioned(f.net, rt, domain_partitions({}),
+                                             4, prng);
+  const std::size_t leaves = h.level(1).size();
+  EXPECT_EQ(h.refresh(rt), 0u);  // nothing changed since the build
+  EXPECT_EQ(h.refresh(f.rt), leaves);
+  expect_matrix_is_fresh(h, f.rt);
+  EXPECT_EQ(h.refresh(rt), leaves);  // the matrix came from f.rt
+  expect_matrix_is_fresh(h, rt);
+}
+
 }  // namespace
 }  // namespace iflow::cluster

@@ -258,5 +258,28 @@ TEST(MiddlewareTest, WarmRegistryRegroupedInActiveOrderIsARebuild) {
   EXPECT_GT(reused, 0);
 }
 
+TEST(MiddlewareTest, MigrationFeedRecordsOnlyWhileAttached) {
+  // The join runs on the primary relay: failing it moves the join to the
+  // backup, and the replan after the restore moves it back.
+  workload::RelayStar w = workload::make_relay_star(30.0, 0.05);
+  Middleware mw(w.net, w.catalog, 8, Algorithm::kBottomUp, 11);
+  ASSERT_TRUE(mw.deploy(w.query).feasible);
+  const auto cycles = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      mw.fail_node(w.primary);
+      mw.restore_node(w.primary);
+      mw.reoptimize();
+    }
+  };
+  std::vector<StateMigration> feed;
+  mw.record_migrations(&feed);
+  cycles(3);
+  const std::size_t recorded = feed.size();
+  EXPECT_GE(recorded, 3u);
+  mw.record_migrations(nullptr);
+  cycles(3);
+  EXPECT_EQ(feed.size(), recorded);
+}
+
 }  // namespace
 }  // namespace iflow::engine

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -444,6 +445,245 @@ TEST(RoutingTest, CostMatrixAgainstUnsyncedNetworkThrows) {
   const NodeId nodes[] = {0, 2};  // row 2 is not resident
   double out[4];
   EXPECT_THROW(rt.cost_matrix(nodes, 2, out), CheckError);
+}
+
+/// A transit-stub world on the sparse tier and one node per partition (the
+/// transit core and each stub domain), standing in for the leaf
+/// coordinators of a partitioned hierarchy.
+struct CoordinatorWorld {
+  TransitStubParams p;
+  Network net;
+  std::vector<NodeId> nodes;
+  RoutingTables rt;
+
+  explicit CoordinatorWorld(std::uint64_t seed) {
+    Prng prng(seed);
+    net = make_transit_stub(p, prng);
+    nodes.push_back(0);
+    for (int d = 0; d < stub_domain_count(p); ++d) {
+      nodes.push_back(stub_domain_members(p, d).front());
+    }
+    RoutingOptions opts;
+    opts.mode = RoutingMode::kSparse;
+    opts.max_cached_rows = 8;
+    rt = RoutingTables::build(net, opts);
+  }
+
+  std::vector<double> fresh() const {
+    std::vector<double> out(nodes.size() * nodes.size());
+    rt.cost_matrix(nodes.data(), nodes.size(), out.data());
+    return out;
+  }
+
+  /// Stub links whose failure leaves every matrix entry as it was, in link
+  /// order; the network is restored and synced after each probe.
+  std::vector<std::pair<NodeId, NodeId>> links_off_every_path(
+      std::size_t count) {
+    const std::vector<double> base = fresh();
+    std::vector<std::pair<NodeId, NodeId>> out;
+    for (const Link& l : std::vector<Link>(net.links())) {
+      if (out.size() == count) break;
+      if (net.kind(l.a) != NodeKind::kStub ||
+          net.kind(l.b) != NodeKind::kStub) {
+        continue;
+      }
+      net.fail_link(l.a, l.b);
+      rt.sync(net);
+      const bool unchanged = fresh() == base;
+      net.restore_link(l.a, l.b);
+      rt.sync(net);
+      if (unchanged) out.emplace_back(l.a, l.b);
+    }
+    return out;
+  }
+};
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i])) << "entry " << i;
+  }
+}
+
+TEST(RoutingTest, CostMatrixSinceRewritesNoRowForALinkOffEveryPath) {
+  CoordinatorWorld w(96);
+  const std::size_t m = w.nodes.size();
+  const auto off = w.links_off_every_path(1);
+  ASSERT_EQ(off.size(), 1u);
+  const auto [a, b] = off.front();
+  std::vector<double> out = w.fresh();
+  std::uint64_t since = w.rt.built_against();
+  for (const bool restore : {false, true}) {
+    if (restore) {
+      w.net.restore_link(a, b);
+    } else {
+      w.net.fail_link(a, b);
+    }
+    w.net.set_link_loss(a, b, restore ? 0.0 : 0.01);  // rides along
+    w.rt.sync(w.net);
+    // The update reads a's and nodes[1]'s rows from the cache and runs
+    // uncached Dijkstras for the rest; neither may change the LRU.
+    w.rt.cost(a, 0);
+    w.rt.cost(w.nodes[1], 0);
+    const std::size_t rows = w.rt.cached_rows();
+    const std::size_t peak = w.rt.peak_memory_bytes();
+    EXPECT_EQ(w.rt.cost_matrix(w.nodes.data(), m, out.data(), since), 0u)
+        << "restore " << restore;
+    EXPECT_EQ(w.rt.cached_rows(), rows);
+    EXPECT_EQ(w.rt.peak_memory_bytes(), peak);
+    expect_same_bits(out, w.fresh());
+    since = w.rt.built_against();
+  }
+  // A quality-only batch rewrites nothing either.
+  w.net.set_link_jitter(a, b, 2.0);
+  w.rt.sync(w.net);
+  EXPECT_EQ(w.rt.cost_matrix(w.nodes.data(), m, out.data(), since), 0u);
+}
+
+TEST(RoutingTest, CostMatrixSinceRewritesTheRowsALinkOnAPathChanges) {
+  CoordinatorWorld w(97);
+  const std::size_t m = w.nodes.size();
+  const std::vector<double> before = w.fresh();
+  const std::vector<NodeId> path = w.rt.cost_path(w.nodes[0], w.nodes[1]);
+  ASSERT_GE(path.size(), 2u);
+  std::vector<double> out = before;
+  std::uint64_t since = w.rt.built_against();
+  for (const bool restore : {false, true}) {
+    if (restore) {
+      w.net.restore_link(path[0], path[1]);
+    } else {
+      w.net.fail_link(path[0], path[1]);
+    }
+    w.rt.sync(w.net);
+    const std::size_t peak = w.rt.peak_memory_bytes();
+    EXPECT_GT(w.rt.cost_matrix(w.nodes.data(), m, out.data(), since), 0u)
+        << "restore " << restore;
+    EXPECT_EQ(w.rt.peak_memory_bytes(), peak);
+    expect_same_bits(out, w.fresh());
+    EXPECT_EQ(out != before, !restore);
+    since = w.rt.built_against();
+  }
+}
+
+TEST(RoutingTest, CostMatrixSinceRewritesEveryRowForOtherBatches) {
+  CoordinatorWorld w(98);
+  const std::size_t m = w.nodes.size();
+  const auto off = w.links_off_every_path(2);
+  ASSERT_EQ(off.size(), 2u);
+  const auto [a, b] = off.front();
+  std::vector<NodeId> others;  // nodes off the coordinator list
+  for (NodeId v = 0; v < w.net.node_count(); ++v) {
+    if (std::find(w.nodes.begin(), w.nodes.end(), v) == w.nodes.end()) {
+      others.push_back(v);
+    }
+  }
+  const std::vector<std::function<void()>> batches = {
+      [&] {  // two link events
+        w.net.fail_link(off[0].first, off[0].second);
+        w.net.fail_link(off[1].first, off[1].second);
+      },
+      [&] {  // their restores
+        w.net.restore_link(off[0].first, off[0].second);
+        w.net.restore_link(off[1].first, off[1].second);
+      },
+      [&] { w.net.crash_node(others.back()); },
+      [&] { w.net.restore_node(others.back()); },
+      [&] { w.net.set_link_cost(a, b, 1e3); },
+      [&] {  // a journal that no longer reaches back to `since`
+        for (int i = 0; i < 5000; ++i) {
+          w.net.set_link_loss(a, b, 0.01 * (i % 2));
+        }
+      },
+  };
+  std::vector<double> out = w.fresh();
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    const std::uint64_t since = w.rt.built_against();
+    batches[k]();
+    w.rt.sync(w.net);
+    EXPECT_EQ(w.rt.cost_matrix(w.nodes.data(), m, out.data(), since), m)
+        << "batch " << k;
+    expect_same_bits(out, w.fresh());
+  }
+  // The dense tier reads its own matrix, every row.
+  const RoutingTables dense = RoutingTables::build(w.net);
+  const std::uint64_t since = dense.built_against();
+  EXPECT_EQ(dense.cost_matrix(w.nodes.data(), m, out.data(), since), m);
+  expect_same_bits(out, w.fresh());
+}
+
+/// A network whose only cheap i–j route crosses the (a, b) adjacency,
+/// where `nodes` = {i, j}; the direct i–j link is the detour.
+struct Detour {
+  Network net;
+  RoutingTables rt;
+  NodeId a = 0, b = 0;
+  std::vector<NodeId> nodes;
+
+  std::vector<double> fresh() const {
+    std::vector<double> out(4);
+    rt.cost_matrix(nodes.data(), 2, out.data());
+    return out;
+  }
+
+  /// Fails (a, b) and then restores it, each time updating the matrix in
+  /// place and comparing it with a fresh one.
+  void expect_fail_and_restore_rewrite_row_i() {
+    std::vector<double> out = fresh();
+    for (const bool restore : {false, true}) {
+      const std::uint64_t since = rt.built_against();
+      if (restore) {
+        net.restore_link(a, b);
+      } else {
+        net.fail_link(a, b);
+      }
+      rt.sync(net);
+      EXPECT_EQ(rt.cost_matrix(nodes.data(), 2, out.data(), since), 2u)
+          << "restore " << restore;
+      expect_same_bits(out, fresh());
+    }
+  }
+};
+
+Detour make_detour(const std::vector<double>& i_to_a,
+                   const std::vector<double>& a_to_b, double b_to_j,
+                   double direct) {
+  Detour d;
+  const NodeId i = d.net.add_node();
+  NodeId prev = i;
+  for (const double c : i_to_a) {
+    const NodeId next = d.net.add_node();
+    d.net.add_link(prev, next, c, 1.0, 1e6);
+    prev = next;
+  }
+  d.a = prev;
+  d.b = d.net.add_node();
+  for (const double c : a_to_b) d.net.add_link(d.a, d.b, c, 1.0, 1e6);
+  const NodeId j = d.net.add_node();
+  d.net.add_link(d.b, j, b_to_j, 1.0, 1e6);
+  d.net.add_link(i, j, direct, 1.0, 1e6);
+  d.nodes = {i, j};
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  d.rt = RoutingTables::build(d.net, opts);
+  return d;
+}
+
+TEST(RoutingTest, CostMatrixSinceBoundAllowsForRounding) {
+  // From i the route sums to 0.85; the Dijkstra from a sums the i–a legs
+  // in the other order and lands one ulp higher, so without its rounding
+  // allowance the bound would clear the 0.85 that the failure changes.
+  Detour d = make_detour({0.3, 0.2, 0.1}, {0.125}, 0.125, 1.0);
+  ASSERT_EQ(d.fresh()[1], 0.85);
+  d.expect_fail_and_restore_rewrite_row_i();
+}
+
+TEST(RoutingTest, CostMatrixSinceBoundsPathsByTheCheapestParallelLink) {
+  // The first (a, b) link costs 4, the parallel one 1: only the cheap one
+  // makes the route through (a, b) shorter than the direct link.
+  Detour d = make_detour({1.0}, {4.0, 1.0}, 1.0, 4.0);
+  ASSERT_EQ(d.fresh()[1], 3.0);
+  d.expect_fail_and_restore_rewrite_row_i();
 }
 
 }  // namespace
