@@ -304,11 +304,16 @@ const std::vector<net::NodeId>& Hierarchy::underlying(net::NodeId coord,
 }
 
 std::size_t Hierarchy::refresh(const net::RoutingTables& rt) {
+  // The clusters stay as they are, so the structure tables do too.
+  IFLOW_CHECK_MSG(rt.node_count() == node_count_,
+                  "refresh against a table over " << rt.node_count()
+                                                  << " nodes; the hierarchy has "
+                                                  << node_count_);
   // Only the table the matrix was read from can replay what changed since.
   std::optional<std::uint64_t> since;
   if (&rt == rt_) since = coord_version_;
   const std::size_t rows = price_coordinators(rt, since);
-  rebuild_derived(rt);
+  measure_levels(rt);
   return rows;
 }
 
@@ -336,7 +341,6 @@ std::size_t Hierarchy::price_coordinators(const net::RoutingTables& rt,
 }
 
 void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
-  rt_ = &rt;
   node_count_ = rt.node_count();
   const std::size_t n = node_count_;
   const std::size_t h = levels_.size();
@@ -344,32 +348,11 @@ void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
   cluster_idx_.assign(h, std::vector<std::size_t>(n, kNoCluster));
   rep_.assign(h, std::vector<net::NodeId>(n, net::kInvalidNode));
   underlying_.assign(h, std::vector<std::vector<net::NodeId>>(n));
-  d_.assign(h, 0.0);
-
   for (std::size_t li = 0; li < h; ++li) {
     for (std::size_t ci = 0; ci < levels_[li].size(); ++ci) {
-      const Cluster& cl = levels_[li][ci];
-      for (auto m : cl.members) {
+      for (auto m : levels_[li][ci].members) {
         IFLOW_CHECK(m < n);
         cluster_idx_[li][m] = ci;
-      }
-      if (li == 0 && local_leaf_metrics_) {
-        // Scale path: d(1) from each cluster's induced subgraph — an upper
-        // bound on the true intra-cluster cost, never a routing row per
-        // physical node.
-        const std::vector<double> local = induced_distances(*net_, cl.members);
-        for (double v : local) {
-          if (std::isfinite(v)) d_[li] = std::max(d_[li], v);
-        }
-        continue;
-      }
-      // Members above level 1 are leaf coordinators; level 1 has filled
-      // cluster_idx_[0] by now.
-      for (auto a : cl.members) {
-        for (auto b : cl.members) {
-          d_[li] =
-              std::max(d_[li], li == 0 ? rt.cost(a, b) : coord_cost(a, b));
-        }
       }
     }
   }
@@ -399,6 +382,33 @@ void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
       for (auto m : cl.members) {
         const auto& sub = underlying_[li - 1][m];
         u.insert(u.end(), sub.begin(), sub.end());
+      }
+    }
+  }
+  measure_levels(rt);
+}
+
+void Hierarchy::measure_levels(const net::RoutingTables& rt) {
+  rt_ = &rt;
+  d_.assign(levels_.size(), 0.0);
+  for (std::size_t li = 0; li < levels_.size(); ++li) {
+    for (const Cluster& cl : levels_[li]) {
+      if (li == 0 && local_leaf_metrics_) {
+        // Scale path: d(1) from each cluster's induced subgraph — an upper
+        // bound on the true intra-cluster cost, never a routing row per
+        // physical node.
+        const std::vector<double> local = induced_distances(*net_, cl.members);
+        for (double v : local) {
+          if (std::isfinite(v)) d_[li] = std::max(d_[li], v);
+        }
+        continue;
+      }
+      // Members above level 1 are leaf coordinators.
+      for (auto a : cl.members) {
+        for (auto b : cl.members) {
+          d_[li] =
+              std::max(d_[li], li == 0 ? rt.cost(a, b) : coord_cost(a, b));
+        }
       }
     }
   }

@@ -113,9 +113,10 @@ class Hierarchy {
   /// cluster a replacement is elected and the promotion chain repaired.
   void remove_node(net::NodeId n, const net::RoutingTables& rt);
 
-  /// Re-derives lookup tables (d(l), representatives, underlying sets, the
-  /// coordinator matrix) against the routing tables, to which the
-  /// hierarchy keeps a non-owning pointer. Call it after every rebuild and
+  /// Recomputes the coordinator matrix and d(l) against the routing tables,
+  /// to which the hierarchy keeps a non-owning pointer; `rt` must cover the
+  /// hierarchy's node count (CHECKed), and the clusters, representatives
+  /// and underlying sets stay as they are. Call it after every rebuild and
   /// after every sync() that can change a cost — any link or node fault or
   /// restore, cost change or added link: the matrix holds a copy of the
   /// costs. A quality-only sync (loss, jitter, degradation) changes no cost
@@ -154,9 +155,12 @@ class Hierarchy {
   std::size_t price_coordinators(
       const net::RoutingTables& rt,
       std::optional<std::uint64_t> since = std::nullopt);
-  /// Re-derives d(l), representatives and underlying sets against `rt` and
-  /// the coordinator matrix.
+  /// Re-derives the cluster indices, representatives and underlying sets
+  /// for `rt`'s node count after the clusters changed, then measure_levels.
   void rebuild_derived(const net::RoutingTables& rt);
+  /// Recomputes d(l) against `rt` and the coordinator matrix, reads `rt`
+  /// from now on and bumps the version.
+  void measure_levels(const net::RoutingTables& rt);
   /// Coordinator-matrix entry for two Level-1 coordinators.
   double coord_cost(net::NodeId a, net::NodeId b) const {
     return coord_cost_[cluster_idx_[0][a] * levels_[0].size() +
@@ -175,7 +179,8 @@ class Hierarchy {
   std::size_t node_count_ = 0;
   std::vector<std::vector<Cluster>> levels_;  // levels_[l-1] = level l
 
-  // Derived lookup tables, refreshed by rebuild_derived().
+  // Derived lookup tables, rebuilt by rebuild_derived(); refresh() recomputes
+  // only d_ (measure_levels) and the coordinator matrix.
   std::vector<double> d_;                              // d_[l-1]
   std::vector<std::vector<std::size_t>> cluster_idx_;  // per level: node -> cluster
   std::vector<std::vector<net::NodeId>> rep_;          // per level: node -> representative

@@ -87,7 +87,7 @@ void Middleware::rebuild_routing() {
   // In-place incremental repair: the RoutingTables object is stable for the
   // middleware's lifetime, so hierarchies and oracles never hold a dangling
   // snapshot; sync() replays the network's mutation log (quality-only
-  // batches are free, fault batches invalidate only what they touched).
+  // batches are free, fault batches repair only the nodes they reach).
   if (routing_ == nullptr) {
     routing_ = std::make_unique<net::RoutingTables>(
         net::RoutingTables::build(*net_));

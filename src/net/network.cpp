@@ -22,9 +22,9 @@ void check_degradation(const Degradation& d) {
 
 }  // namespace
 
-void Network::record(MutationKind kind, NodeId a, NodeId b, bool relaxing) {
+void Network::record(MutationKind kind, NodeId a, NodeId b) {
   ++version_;
-  log_.push_back(Mutation{version_, kind, a, b, relaxing});
+  log_.push_back(Mutation{version_, kind, a, b});
   if (log_.size() > kMutationLogCapacity) {
     const std::size_t drop = log_.size() - kMutationLogCapacity;
     log_base_ = log_[drop - 1].version;
@@ -67,7 +67,7 @@ void Network::add_link(NodeId a, NodeId b, double cost_per_byte,
   const auto idx = static_cast<std::uint32_t>(links_.size() - 1);
   incident_[a].push_back(idx);
   incident_[b].push_back(idx);
-  record(MutationKind::kTopology, a, b, /*relaxing=*/true);
+  record(MutationKind::kTopology, a, b);
 }
 
 void Network::set_link_cost(NodeId a, NodeId b, double cost_per_byte) {
@@ -75,9 +75,8 @@ void Network::set_link_cost(NodeId a, NodeId b, double cost_per_byte) {
   for (auto idx : incident(a)) {
     Link& l = links_[idx];
     if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) {
-      const bool relaxing = cost_per_byte < l.cost_per_byte;
       l.cost_per_byte = cost_per_byte;
-      record(MutationKind::kLinkCost, a, b, relaxing);
+      record(MutationKind::kLinkCost, a, b);
       return;
     }
   }
@@ -95,7 +94,7 @@ void Network::set_link_loss(NodeId a, NodeId b, double loss) {
     }
   }
   IFLOW_CHECK_MSG(found, "no link between " << a << " and " << b);
-  record(MutationKind::kQuality, a, b, /*relaxing=*/false);
+  record(MutationKind::kQuality, a, b);
 }
 
 void Network::set_link_jitter(NodeId a, NodeId b, double jitter_ms) {
@@ -109,7 +108,7 @@ void Network::set_link_jitter(NodeId a, NodeId b, double jitter_ms) {
     }
   }
   IFLOW_CHECK_MSG(found, "no link between " << a << " and " << b);
-  record(MutationKind::kQuality, a, b, /*relaxing=*/false);
+  record(MutationKind::kQuality, a, b);
 }
 
 void Network::degrade_link(NodeId a, NodeId b, const Degradation& d) {
@@ -123,14 +122,14 @@ void Network::degrade_link(NodeId a, NodeId b, const Degradation& d) {
     }
   }
   IFLOW_CHECK_MSG(found, "no link between " << a << " and " << b);
-  record(MutationKind::kQuality, a, b, /*relaxing=*/false);
+  record(MutationKind::kQuality, a, b);
 }
 
 void Network::degrade_node(NodeId n, const Degradation& d) {
   IFLOW_CHECK(n < node_count());
   check_degradation(d);
   node_degradation_[n] = d;
-  record(MutationKind::kQuality, n, kInvalidNode, /*relaxing=*/false);
+  record(MutationKind::kQuality, n, kInvalidNode);
 }
 
 const Degradation& Network::node_degradation(NodeId n) const {
@@ -153,7 +152,7 @@ void Network::fail_link(NodeId a, NodeId b) {
   }
   IFLOW_CHECK_MSG(found, "no link between " << a << " and " << b);
   IFLOW_CHECK_MSG(changed, "link " << a << "-" << b << " is already down");
-  record(MutationKind::kLinkDown, a, b, /*relaxing=*/false);
+  record(MutationKind::kLinkDown, a, b);
 }
 
 void Network::restore_link(NodeId a, NodeId b) {
@@ -171,21 +170,21 @@ void Network::restore_link(NodeId a, NodeId b) {
   }
   IFLOW_CHECK_MSG(found, "no link between " << a << " and " << b);
   IFLOW_CHECK_MSG(changed, "link " << a << "-" << b << " is not down");
-  record(MutationKind::kLinkUp, a, b, /*relaxing=*/true);
+  record(MutationKind::kLinkUp, a, b);
 }
 
 void Network::crash_node(NodeId n) {
   IFLOW_CHECK(n < node_count());
   IFLOW_CHECK_MSG(alive_[n], "node " << n << " is already crashed");
   alive_[n] = 0;
-  record(MutationKind::kNodeDown, n, kInvalidNode, /*relaxing=*/false);
+  record(MutationKind::kNodeDown, n, kInvalidNode);
 }
 
 void Network::restore_node(NodeId n) {
   IFLOW_CHECK(n < node_count());
   IFLOW_CHECK_MSG(!alive_[n], "node " << n << " is not crashed");
   alive_[n] = 1;
-  record(MutationKind::kNodeUp, n, kInvalidNode, /*relaxing=*/true);
+  record(MutationKind::kNodeUp, n, kInvalidNode);
 }
 
 bool Network::node_alive(NodeId n) const {

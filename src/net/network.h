@@ -56,11 +56,6 @@ struct Mutation {
   /// Link endpoints, or the node in `a` for node events.
   NodeId a = kInvalidNode;
   NodeId b = kInvalidNode;
-  /// True when the change can only shorten shortest paths (restores, cost
-  /// decreases): already-optimal cached routes may be beatable afterwards.
-  /// False means paths can only lengthen, so routes avoiding the touched
-  /// element stay optimal.
-  bool relaxing = false;
 };
 
 /// Continuous gray-failure state of a node or link: the element stays
@@ -223,7 +218,7 @@ class Network {
       std::uint64_t since) const;
 
  private:
-  void record(MutationKind kind, NodeId a, NodeId b, bool relaxing);
+  void record(MutationKind kind, NodeId a, NodeId b);
 
   std::vector<NodeKind> kinds_;
   std::vector<char> alive_;

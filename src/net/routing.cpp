@@ -100,9 +100,9 @@ void fill_next_hops(NodeId src, const std::vector<NodeId>& parent,
 /// A journal batch sorted by what each kind of mutation can invalidate.
 struct Batch {
   bool quality_only = true;
-  bool topology = false;  // links added
-  bool cost_cut = false;  // relaxing cost changes
-  std::vector<std::pair<NodeId, NodeId>> cost_raises;
+  /// Links added or link costs changed: the journal does not record a
+  /// link's old cost, which an in-place repair would need.
+  bool reprice = false;
   std::vector<std::pair<NodeId, NodeId>> links_down;
   std::vector<std::pair<NodeId, NodeId>> links_up;
   std::vector<NodeId> nodes_down;
@@ -115,14 +115,8 @@ Batch classify(const std::vector<Mutation>& muts) {
     if (m.kind != MutationKind::kQuality) b.quality_only = false;
     switch (m.kind) {
       case MutationKind::kTopology:
-        b.topology = true;
-        break;
       case MutationKind::kLinkCost:
-        if (m.relaxing) {
-          b.cost_cut = true;
-        } else {
-          b.cost_raises.emplace_back(m.a, m.b);
-        }
+        b.reprice = true;
         break;
       case MutationKind::kLinkDown:
         b.links_down.emplace_back(m.a, m.b);
@@ -150,16 +144,15 @@ bool contains(const std::vector<NodeId>& v, NodeId x) {
 /// The adjacency of a batch whose only routing change is one link failure
 /// or one restore; nullopt for any other batch.
 std::optional<std::pair<NodeId, NodeId>> single_link_event(const Batch& b) {
-  if (b.topology || b.cost_cut || !b.cost_raises.empty() ||
-      !b.nodes_down.empty() || !b.nodes_up.empty() ||
+  if (b.reprice || !b.nodes_down.empty() || !b.nodes_up.empty() ||
       b.links_down.size() + b.links_up.size() != 1) {
     return std::nullopt;
   }
   return b.links_down.empty() ? b.links_up.front() : b.links_down.front();
 }
 
-/// Scratch space for repairing dense rows in place: O(n), reused across
-/// rows and metrics.
+/// Scratch space for repairing rows in place: O(n), reused across rows and
+/// metrics.
 struct RepairScratch {
   /// A node is invalidated or improved in the current pass when its stamp
   /// equals `pass`.
@@ -176,19 +169,20 @@ struct RepairScratch {
 
 enum class Repair : std::uint8_t { kUntouched, kRepaired, kTie };
 
-/// Repairs one dense source row of one metric in place after a batch of
-/// link and node faults and restores; `net` is the network after the batch.
-/// `along` and `hops` (delay along the chosen path, first hop) are given for
-/// the cost metric and null for the delay metric, whose tree carries only
-/// distances. Each recomputed value uses the expression dijkstra() and
-/// fill_next_hops() evaluate, so it has the bits a fresh build gives it as
-/// long as every node's parent is the unique best candidate. When the cost
-/// repair meets an equal candidate it returns kTie with the row partly
-/// rewritten, and the caller recomputes the row in full.
+/// Repairs one source row of one metric in place after a batch of link and
+/// node faults and restores; `net` is the network after the batch. `along`
+/// and `hops` (delay along the chosen path, first hop) are given for the
+/// cost metric and null for the delay metric, whose tree carries only
+/// distances; `parents`, the cost tree's predecessors, is given where the
+/// row keeps them (the sparse tier). Each recomputed value uses the
+/// expression dijkstra() and fill_next_hops() evaluate, so it has the bits a
+/// fresh build gives it as long as every node's parent is the unique best
+/// candidate. When the cost repair meets an equal candidate it returns kTie
+/// with the row partly rewritten, and the row must be recomputed in full.
 template <typename WeightFn>
 Repair repair_row(const Network& net, const Batch& batch, NodeId src,
                   WeightFn weight, double* dist, double* along, NodeId* hops,
-                  RepairScratch& s) {
+                  NodeId* parents, RepairScratch& s) {
   const bool cost_tree = along != nullptr;
   ++s.pass;
   s.touched.clear();
@@ -233,6 +227,7 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
     if (cost_tree) {
       along[v] = kInf;
       hops[v] = kInvalidNode;
+      if (parents != nullptr) parents[v] = kInvalidNode;
     }
   }
   const auto push = [&](NodeId v, NodeId parent, std::uint32_t via) {
@@ -297,6 +292,7 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
       const NodeId p = s.parent[v];
       along[v] = along[p] + net.links()[s.via[v]].delay_ms;
       hops[v] = (p == src) ? v : hops[p];
+      if (parents != nullptr) parents[v] = p;
     }
     for (const auto idx : net.incident(v)) {
       if (!net.usable(idx)) continue;
@@ -329,10 +325,10 @@ std::vector<NodeId> path_from_parents(NodeId src, NodeId dst,
   return path;
 }
 
-/// Bytes one resident sparse row occupies (three double vectors, three id
+/// Bytes one resident sparse row occupies (three double vectors, two id
 /// vectors).
 std::size_t row_bytes(std::size_t n) {
-  return n * (3 * sizeof(double) + 3 * sizeof(NodeId));
+  return n * (3 * sizeof(double) + 2 * sizeof(NodeId));
 }
 
 }  // namespace
@@ -420,11 +416,12 @@ RoutingTables::Row& RoutingTables::row_locked(NodeId src) const {
   if (it == c.rows.end()) {
     check_synced();
     Row row;
-    dijkstra(*net_, src, kCostWeight, row.cost, row.parent,
-             &row.cost_path_delay);
+    row.cost_ties = dijkstra(*net_, src, kCostWeight, row.cost, row.parent,
+                             &row.cost_path_delay);
     row.next_hop.assign(n_, kInvalidNode);
     fill_next_hops(src, row.parent, row.cost, row.next_hop.data());
-    dijkstra(*net_, src, kDelayWeight, row.delay, row.delay_parent, nullptr);
+    std::vector<NodeId> delay_parent;
+    dijkstra(*net_, src, kDelayWeight, row.delay, delay_parent, nullptr);
     it = c.rows.emplace(src, std::move(row)).first;
     if (c.rows.size() > c.max_rows) {
       // Evict the least-recently-used row (ticks are unique, so the victim
@@ -602,144 +599,85 @@ std::size_t RoutingTables::cost_matrix(
 }
 
 RoutingSyncStats RoutingTables::sync(const Network& net) {
-  if (cache_ == nullptr) return sync_dense(net);
-
+  std::unique_lock<std::mutex> lock;
+  if (cache_ != nullptr) {
+    IFLOW_CHECK_MSG(&net == net_,
+                    "sparse routing tables are bound to the network instance "
+                    "they were built from");
+    lock = std::unique_lock<std::mutex>(cache_->mu);
+  }
   RoutingSyncStats st;
-  IFLOW_CHECK_MSG(&net == net_,
-                  "sparse routing tables are bound to the network instance "
-                  "they were built from");
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  if (net.version() == version_ && net.node_count() == n_) {
-    st.rows_retained = cache_->rows.size();
-    return st;
+  std::optional<Batch> batch;
+  if (const auto muts = net.mutations_since(version_);
+      muts.has_value() && net.node_count() == n_) {
+    batch = classify(*muts);
   }
-  const auto muts = net.mutations_since(version_);
-  if (!muts.has_value() || net.node_count() != n_) {
-    // The journal no longer reaches back to our version (or nodes were
-    // added): everything is potentially stale.
-    reset_sparse(net);
-    st.full_rebuild = true;
-    return st;
-  }
-
-  const Batch batch = classify(*muts);
-  if (batch.quality_only) {
+  if (batch.has_value() && batch->quality_only) {
     version_ = net.version();
     st.quality_only = true;
-    st.rows_retained = cache_->rows.size();
+    st.rows_retained = cache_ == nullptr ? n_ : cache_->rows.size();
     return st;
   }
-  // Added links, cost cuts and restores can shorten paths anywhere, so
-  // every cached row goes; the rest invalidate by shortest-path-tree
-  // membership.
-  if (batch.topology || batch.cost_cut || !batch.links_up.empty() ||
-      !batch.nodes_up.empty()) {
-    reset_sparse(net);
-    st.full_rebuild = true;
-    return st;
-  }
-
-  const std::vector<NodeId>& downs = batch.nodes_down;
-  const auto is_down = [&downs](NodeId v) {
-    return v != kInvalidNode && contains(downs, v);
-  };
-  // A non-relaxing event only invalidates rows whose shortest-path trees
-  // used the touched element: routes that avoided it were optimal among a
-  // superset of paths and stay optimal when alternatives only got worse.
-  for (auto it = cache_->rows.begin(); it != cache_->rows.end();) {
-    const Row& row = it->second;
-    bool drop = is_down(it->first);
-    for (const auto& [a, b] : batch.links_down) {
-      if (drop) break;
-      drop = row.parent[a] == b || row.parent[b] == a ||
-             row.delay_parent[a] == b || row.delay_parent[b] == a;
-    }
-    for (const auto& [a, b] : batch.cost_raises) {
-      if (drop) break;
-      drop = row.parent[a] == b || row.parent[b] == a;
-    }
-    if (!drop && !downs.empty()) {
-      // A crashed node that relays traffic for this source invalidates the
-      // row; one that is a leaf in both trees only unreaches itself.
-      for (std::size_t x = 0; x < n_ && !drop; ++x) {
-        drop = is_down(row.parent[x]) || is_down(row.delay_parent[x]);
-      }
-    }
-    if (drop) {
-      it = cache_->rows.erase(it);
-      ++st.rows_dropped;
-      continue;
-    }
-    if (!downs.empty()) {
-      Row& w = it->second;
-      for (NodeId v : downs) {
-        w.cost[v] = kInf;
-        w.delay[v] = kInf;
-        w.cost_path_delay[v] = kInf;
-        w.next_hop[v] = kInvalidNode;
-        w.parent[v] = kInvalidNode;
-        w.delay_parent[v] = kInvalidNode;
-      }
-      ++st.rows_patched;
+  // Cost changes and added links or nodes rebuild every row, and so does a
+  // journal that no longer reaches back to this table's version. The sparse
+  // tier empties its cache; its rows come back on use.
+  if (!batch.has_value() || batch->reprice) {
+    if (cache_ == nullptr) {
+      rebuild_dense(net);
     } else {
-      ++st.rows_retained;
+      reset_sparse(net);
     }
-    ++it;
-  }
-  version_ = net.version();
-  return st;
-}
-
-RoutingSyncStats RoutingTables::sync_dense(const Network& net) {
-  RoutingSyncStats st;
-  if (net.version() == version_ && net.node_count() == n_) return st;
-  const auto muts = net.mutations_since(version_);
-  if (!muts.has_value() || net.node_count() != n_) {
-    rebuild_dense(net);
-    st.full_rebuild = true;
-    return st;
-  }
-  const Batch batch = classify(*muts);
-  if (batch.quality_only) {
-    version_ = net.version();
-    st.quality_only = true;
-    return st;
-  }
-  // Cost changes and new links keep the full rebuild: the journal does not
-  // record a link's old cost, which the repair would need.
-  if (batch.topology || batch.cost_cut || !batch.cost_raises.empty()) {
-    rebuild_dense(net);
     st.full_rebuild = true;
     return st;
   }
 
-  // Link and node faults and restores: repair every source row in place
-  // (DESIGN.md §13). A row whose cost tree holds an equal-cost tie, or
-  // whose repair meets one, is recomputed in full, since Dijkstra's choice
-  // between equal candidates depends on the heap's pop order; so is the
-  // row of a node that crashed or came back.
+  // Link and node faults and restores: repair every resident row in place
+  // (DESIGN.md §13). A row whose cost tree holds an equal-cost tie, or whose
+  // repair meets one, cannot be repaired, since Dijkstra's choice between
+  // equal candidates depends on the heap's pop order; nor can the row of a
+  // node that crashed or came back. The dense tier recomputes such a row and
+  // the sparse tier evicts it.
   RepairScratch scratch(n_);
-  for (NodeId src = 0; src < n_; ++src) {
-    const std::size_t base = static_cast<std::size_t>(src) * n_;
-    Repair cost = Repair::kTie;
-    if (cost_ties_[src] == 0 && !contains(batch.nodes_down, src) &&
-        !contains(batch.nodes_up, src)) {
-      cost = repair_row(net, batch, src, kCostWeight, cost_.data() + base,
-                        cost_path_delay_.data() + base,
-                        next_hop_.data() + base, scratch);
+  const auto repair = [&](NodeId src, bool ties, double* cost, double* along,
+                          NodeId* hops, NodeId* parents, double* delay) {
+    Repair r = Repair::kTie;
+    if (!ties && !contains(batch->nodes_down, src) &&
+        !contains(batch->nodes_up, src)) {
+      r = repair_row(net, *batch, src, kCostWeight, cost, along, hops,
+                     parents, scratch);
     }
-    if (cost == Repair::kTie) {
-      dense_row(net, src);
+    if (r == Repair::kTie) {
       ++st.rows_dropped;
-      continue;
+      return false;
     }
-    const Repair delay = repair_row(net, batch, src, kDelayWeight,
-                                    delay_.data() + base, nullptr, nullptr,
-                                    scratch);
-    if (cost == Repair::kRepaired || delay == Repair::kRepaired) {
+    const Repair d = repair_row(net, *batch, src, kDelayWeight, delay,
+                                nullptr, nullptr, nullptr, scratch);
+    if (r == Repair::kRepaired || d == Repair::kRepaired) {
       ++st.rows_patched;
     } else {
       ++st.rows_retained;
+    }
+    return true;
+  };
+  if (cache_ == nullptr) {
+    for (NodeId src = 0; src < n_; ++src) {
+      const std::size_t base = static_cast<std::size_t>(src) * n_;
+      if (!repair(src, cost_ties_[src] != 0, cost_.data() + base,
+                  cost_path_delay_.data() + base, next_hop_.data() + base,
+                  nullptr, delay_.data() + base)) {
+        dense_row(net, src);
+      }
+    }
+  } else {
+    for (auto it = cache_->rows.begin(); it != cache_->rows.end();) {
+      Row& row = it->second;
+      if (repair(it->first, row.cost_ties, row.cost.data(),
+                 row.cost_path_delay.data(), row.next_hop.data(),
+                 row.parent.data(), row.delay.data())) {
+        ++it;
+      } else {
+        it = cache_->rows.erase(it);
+      }
     }
   }
   version_ = net.version();

@@ -17,11 +17,9 @@
 //
 // Repair is incremental: `sync()` replays the Network's mutation log
 // instead of rebuilding from scratch. Quality-only changes (loss, jitter)
-// are free. On the dense tier, link and node faults and restores repair
-// each source row in place, recomputing only the nodes beyond the fault;
-// in sparse mode non-relaxing events (link failures, cost increases, node
-// crashes) only invalidate cached rows whose shortest-path trees actually
-// used the touched element.
+// are free. Link and node faults and restores repair each resident row in
+// place — all N on the dense tier, the cached ones on the sparse tier —
+// recomputing only the nodes beyond the fault.
 #pragma once
 
 #include <cstdint>
@@ -49,19 +47,23 @@ struct RoutingOptions {
 };
 
 /// What one `sync()` call did, for tests and the benches. Each row count is
-/// a number of source rows.
+/// a number of resident source rows: all N on the dense tier, the cached
+/// ones on the sparse tier.
 struct RoutingSyncStats {
-  /// Dense: every row recomputed (cost change, added link, node-set change
-  /// or mutation-log truncation). Sparse: every cached row dropped (also on
-  /// any relaxing event).
+  /// Every resident row discarded (cost change, added link or node, or
+  /// mutation-log truncation): the dense tier recomputes all of them, the
+  /// sparse tier empties its cache. The row counts are then 0.
   bool full_rebuild = false;
-  /// Routing-neutral batch (loss/jitter only): nothing recomputed.
+  /// Routing-neutral batch (loss/jitter only, or empty): nothing
+  /// recomputed.
   bool quality_only = false;
-  /// Rows the batch left exact as they were (sparse: cached rows only).
+  /// Resident rows the batch left exact as they were.
   std::size_t rows_retained = 0;
-  /// Dense: rows recomputed in full. Sparse: cached rows invalidated.
+  /// Resident rows the repair could not keep (an equal-cost tie, or their
+  /// own source crashed or came back): the dense tier recomputes them, the
+  /// sparse tier evicts them.
   std::size_t rows_dropped = 0;
-  /// Rows repaired in place (sparse: crashed leaf nodes patched).
+  /// Resident rows repaired in place.
   std::size_t rows_patched = 0;
 };
 
@@ -85,20 +87,19 @@ class RoutingTables {
                              const RoutingOptions& opts = {});
 
   /// Replays the network's mutation log against this table in place:
-  ///   * loss/jitter-only batches just advance the recorded version;
-  ///   * dense tables repair each source row in place for link and node
-  ///     faults and restores: only the nodes whose shortest paths the batch
-  ///     changed are recomputed, and every answer stays bitwise-identical
-  ///     to a fresh build. Cost changes and added links rebuild every row;
-  ///   * sparse tables drop only the cached rows an event can have touched:
-  ///     a non-relaxing link event keeps every row whose cost- and
-  ///     delay-shortest-path trees avoid that adjacency; a crashed node
-  ///     that is a leaf in both trees is patched to unreachable without
-  ///     recomputation. Relaxing events (restores, cost decreases) and
-  ///     topology changes drop all rows — a shorter path may appear
-  ///     anywhere.
-  /// In sparse mode `net` must be the same instance the table was built
-  /// against (the lazy tier recomputes rows from it).
+  ///   * loss/jitter-only (or empty) batches just advance the recorded
+  ///     version;
+  ///   * link and node faults and restores repair each resident row in
+  ///     place: only the nodes whose shortest paths the batch changed are
+  ///     recomputed. A row that cannot be repaired exactly (its cost tree
+  ///     holds an equal-cost tie, or its source crashed or came back) is
+  ///     recomputed on the dense tier and evicted on the sparse tier;
+  ///   * cost changes, added links or nodes and a truncated journal rebuild
+  ///     every row (the sparse tier empties its cache).
+  /// Either way every resident row holds what a fresh build of the same
+  /// tier holds, next hops and paths included. In sparse mode `net` must be
+  /// the same instance the table was built against (the lazy tier
+  /// recomputes rows from it).
   RoutingSyncStats sync(const Network& net);
 
   /// Per-byte cost of the cost-optimal a→b path. 0 when a == b (even for a
@@ -173,23 +174,24 @@ class RoutingTables {
   static std::size_t dense_equivalent_bytes(std::size_t n);
 
  private:
-  /// One lazily computed source row: both metrics plus the predecessor
-  /// trees `sync()` needs for invalidation tests.
+  /// One lazily computed source row: both metrics plus the cost tree's
+  /// predecessors, which cost_path() walks.
   struct Row {
     std::vector<double> cost;             // cost-weighted distances
     std::vector<double> delay;            // delay-weighted distances
     std::vector<double> cost_path_delay;  // delay along cost-optimal paths
     std::vector<NodeId> next_hop;         // first hop on cost-optimal path
     std::vector<NodeId> parent;           // cost-tree predecessor
-    std::vector<NodeId> delay_parent;     // delay-tree predecessor
-    std::uint64_t last_used = 0;          // LRU tick
+    /// The cost tree was built with an equal-cost tie, so sync() cannot
+    /// repair the row in place (as cost_ties_ on the dense tier).
+    bool cost_ties = false;
+    std::uint64_t last_used = 0;  // LRU tick
   };
   struct Cache;  // defined in routing.cpp; holds the mutex + row map
 
   void rebuild_dense(const Network& net);
   /// Dense tier: recomputes source row `src` of every matrix from scratch.
   void dense_row(const Network& net, NodeId src);
-  RoutingSyncStats sync_dense(const Network& net);
   void reset_sparse(const Network& net);
   /// Sparse tier: CHECKs that the network has not moved past the table's
   /// version before a lazy Dijkstra reads it.

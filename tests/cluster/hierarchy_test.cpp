@@ -684,5 +684,18 @@ TEST(CoordinatorMatrixTest, RefreshAgainstAnotherTableRecomputesEveryRow) {
   expect_matrix_is_fresh(h, rt);
 }
 
+TEST(CoordinatorMatrixTest, RefreshAgainstATableOfAnotherSizeThrows) {
+  // A refresh keeps the clusters and the tables indexed by node, so the
+  // routing tables must cover exactly the hierarchy's nodes.
+  Fixture f(57);
+  Prng prng(7);
+  Hierarchy h = Hierarchy::build(f.net, f.rt, 8, prng);
+  net::Network grown = f.net;
+  grown.add_node();
+  const net::RoutingTables wider = net::RoutingTables::build(grown);
+  EXPECT_THROW(h.refresh(wider), CheckError);
+  EXPECT_EQ(h.refresh(f.rt), h.level(1).size());
+}
+
 }  // namespace
 }  // namespace iflow::cluster

@@ -310,7 +310,6 @@ TEST(DegradationTest, DegradationsJournalAsQualityOnlyMutations) {
   ASSERT_EQ(log->size(), 2u);
   for (const net::Mutation& m : *log) {
     EXPECT_EQ(m.kind, net::MutationKind::kQuality);
-    EXPECT_FALSE(m.relaxing);
   }
   // Quality-only batches cost sync() nothing: no rebuild, metrics intact.
   const double before = rt.cost(2, w.sink);

@@ -1,15 +1,14 @@
 // Incremental routing repair must be observationally equivalent to a
 // from-scratch rebuild after any seeded fail/restore script.
 //
-// Distances (cost, delay, data-path delay) are compared exactly on both
-// tiers: every value was produced by the same expressions the fresh build
-// evaluates, so any difference is a stale-row bug. Dense tables must also
-// agree with a fresh build hop for hop — next_hop for every pair, cost_path
-// node by node on a sample — since their repair reproduces Dijkstra's
-// choice of parent or recomputes the row. Sparse paths are compared
-// semantically instead: a retained sparse row may break equal-cost ties
-// differently from a fresh one, so the checker walks the reported path and
-// verifies its edge sums reproduce the reported metrics.
+// A synced table is compared with a fresh build of the same tier: every
+// distance (cost, delay, data-path delay) exactly, next_hop for every pair
+// and cost_path node by node on a sample. Every value was produced by the
+// same expressions the fresh build evaluates, and sync() reproduces
+// Dijkstra's choice of parent or recomputes (dense) or evicts (sparse) the
+// row, so any difference is a stale-row bug. Paths are compared within one
+// tier because under equal-cost ties a sparse path walks one row's
+// predecessor tree while a dense path follows each hop's own row.
 
 #include <gtest/gtest.h>
 
@@ -29,40 +28,14 @@
 namespace iflow::net {
 namespace {
 
-// Walks rt's reported cost path for (a, b) and checks it is a real usable
-// path whose edge sums match the reported cost and data-path delay.
-void expect_path_consistent(const Network& net, const RoutingTables& rt,
-                            NodeId a, NodeId b) {
-  const std::vector<NodeId> path = rt.cost_path(a, b);
-  if (!rt.reachable(a, b)) {
-    EXPECT_TRUE(path.empty());
-    return;
-  }
-  ASSERT_FALSE(path.empty());
-  ASSERT_EQ(path.front(), a);
-  ASSERT_EQ(path.back(), b);
-  if (a != b) {
-    EXPECT_EQ(rt.next_hop(a, b), path[1]);
-  }
-  double cost = 0.0;
-  double delay = 0.0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const std::uint32_t li = net.cheapest_usable_link(path[i], path[i + 1]);
-    ASSERT_NE(li, kInvalidLink) << "path hop is not a usable adjacency";
-    cost += net.links()[li].cost_per_byte;
-    delay += net.links()[li].delay_ms;
-  }
-  EXPECT_NEAR(cost, rt.cost(a, b), 1e-9 * (1.0 + cost));
-  EXPECT_NEAR(delay, rt.data_path_delay_ms(a, b), 1e-9 * (1.0 + delay));
-}
-
-// Compares an incrementally synced table against a fresh build: exact
-// distance equality on all pairs on both tiers. Dense tables must also give
-// the same next hop for every pair, and the same cost path node by node on
-// a sample; sparse paths get the semantic check on that sample.
+// Compares an incrementally synced table against a fresh build of the same
+// tier: distances, reachability and next hops on all pairs, and the cost
+// path node by node on one sampled destination per source.
 void expect_equivalent(const Network& net, const RoutingTables& inc) {
   ASSERT_EQ(inc.built_against(), net.version());
-  const RoutingTables fresh = RoutingTables::build(net);
+  RoutingOptions opts;
+  opts.mode = inc.sparse() ? RoutingMode::kSparse : RoutingMode::kDense;
+  const RoutingTables fresh = RoutingTables::build(net, opts);
   const auto n = static_cast<NodeId>(net.node_count());
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = 0; b < n; ++b) {
@@ -71,16 +44,12 @@ void expect_equivalent(const Network& net, const RoutingTables& inc) {
       ASSERT_EQ(inc.data_path_delay_ms(a, b), fresh.data_path_delay_ms(a, b))
           << a << "->" << b;
       ASSERT_EQ(inc.reachable(a, b), fresh.reachable(a, b));
-      if (!inc.sparse() && a != b) {
+      if (a != b) {
         ASSERT_EQ(inc.next_hop(a, b), fresh.next_hop(a, b)) << a << "->" << b;
       }
     }
     const auto b = static_cast<NodeId>((a * 7 + 3) % n);
-    if (inc.sparse()) {
-      expect_path_consistent(net, inc, a, b);
-    } else {
-      ASSERT_EQ(inc.cost_path(a, b), fresh.cost_path(a, b)) << a << "->" << b;
-    }
+    ASSERT_EQ(inc.cost_path(a, b), fresh.cost_path(a, b)) << a << "->" << b;
   }
 }
 
@@ -166,23 +135,36 @@ Network with_integer_weights(const Network& net) {
   return out;
 }
 
+// Replays `length` seeded events, one sync each, and checks the table
+// against a fresh build after every sync. On the sparse tier `cached_rows`
+// bounds the LRU (0 keeps every row resident).
 void run_script(RoutingMode mode, std::uint64_t seed, int length,
-                bool integer_weights = false) {
+                bool integer_weights = false, std::size_t cached_rows = 0) {
   Prng prng(seed);
   Network net = make_transit_stub(TransitStubParams{}, prng);
   if (integer_weights) net = with_integer_weights(net);
   RoutingOptions opts;
   opts.mode = mode;
-  opts.max_cached_rows = net.node_count();  // keep all rows resident
+  opts.max_cached_rows = cached_rows > 0 ? cached_rows : net.node_count();
   RoutingTables rt = RoutingTables::build(net, opts);
   std::vector<std::pair<NodeId, NodeId>> down_links;
   std::vector<NodeId> down_nodes;
   for (int i = 0; i < length; ++i) {
     apply(net, next_event(net, prng, down_links, down_nodes));
-    rt.sync(net);
+    const std::size_t resident =
+        rt.sparse() ? rt.cached_rows() : net.node_count();
+    const RoutingSyncStats st = rt.sync(net);
+    // Faults and restores are repaired on both tiers: every resident row is
+    // kept, repaired or (under a tie) recomputed or evicted.
+    EXPECT_FALSE(st.full_rebuild);
+    EXPECT_EQ(st.rows_retained + st.rows_patched + st.rows_dropped, resident);
+    if (rt.sparse()) {
+      EXPECT_EQ(rt.cached_rows(), resident - st.rows_dropped);
+    }
     // expect_equivalent touches every pair, which on the sparse tier also
-    // re-warms every row — so the next event exercises retention/patching
-    // against a fully populated cache.
+    // re-warms rows — all of them with an unbounded cache, the last
+    // `cached_rows` sources otherwise, evicting and recomputing the rest —
+    // so the next event repairs a populated cache.
     expect_equivalent(net, rt);
   }
 }
@@ -205,13 +187,24 @@ TEST(IncrementalRoutingTest, DenseSyncMatchesRebuildWithIntegerWeights) {
 TEST(IncrementalRoutingTest, SparseSyncMatchesRebuildAcrossSeededScripts) {
   for (const std::uint64_t seed : {13u, 31u, 53u}) {
     run_script(RoutingMode::kSparse, seed, 20);
+    run_script(RoutingMode::kSparse, seed, 20, /*integer_weights=*/false,
+               /*cached_rows=*/8);
   }
 }
 
-TEST(IncrementalRoutingTest, SparseSyncDropsRowsWhoseTreesCrossedTheLink) {
-  // Line graph: every shortest-path tree crosses the middle link, so a
-  // failure there invalidates every cached row; the relaxing restore then
-  // flushes whatever was cached.
+TEST(IncrementalRoutingTest, SparseSyncMatchesRebuildWithIntegerWeights) {
+  // As on the dense tier, a cached row whose cost tree holds a tie must be
+  // evicted, not kept: a row kept across a fault can hold a path, next hop
+  // and data-path delay that a fresh row no longer picks.
+  for (const std::uint64_t seed : {7u, 19u}) {
+    run_script(RoutingMode::kSparse, seed, 20, /*integer_weights=*/true);
+  }
+}
+
+TEST(IncrementalRoutingTest, SparseSyncRepairsRowsWhoseTreesCrossedTheLink) {
+  // Line graph: every shortest-path tree crosses the middle link, so its
+  // failure and its restore change every cached row. Each is repaired in
+  // place: none is dropped, and the cache stays warm.
   Network net;
   for (int i = 0; i < 6; ++i) net.add_node();
   for (NodeId i = 0; i + 1 < 6; ++i) net.add_link(i, i + 1, 1.0, 10.0, 1e6);
@@ -222,21 +215,43 @@ TEST(IncrementalRoutingTest, SparseSyncDropsRowsWhoseTreesCrossedTheLink) {
   for (NodeId a = 0; a < 6; ++a) rt.cost(a, 0);
   ASSERT_EQ(rt.cached_rows(), 6u);
 
-  net.fail_link(2, 3);
-  RoutingSyncStats st = rt.sync(net);
-  EXPECT_FALSE(st.full_rebuild);
-  EXPECT_FALSE(st.quality_only);
-  EXPECT_EQ(st.rows_dropped, 6u);
-  EXPECT_EQ(st.rows_retained, 0u);
-  EXPECT_EQ(st.rows_patched, 0u);
-  expect_equivalent(net, rt);
+  for (const bool restore : {false, true}) {
+    if (restore) {
+      net.restore_link(2, 3);
+    } else {
+      net.fail_link(2, 3);
+    }
+    const RoutingSyncStats st = rt.sync(net);
+    EXPECT_FALSE(st.full_rebuild);
+    EXPECT_FALSE(st.quality_only);
+    EXPECT_EQ(st.rows_patched, 6u);
+    EXPECT_EQ(st.rows_dropped, 0u);
+    EXPECT_EQ(st.rows_retained, 0u);
+    EXPECT_EQ(rt.cached_rows(), 6u);
+    expect_equivalent(net, rt);
+  }
+}
 
-  ASSERT_GT(rt.cached_rows(), 0u);  // re-warmed by the equivalence sweep
-  net.restore_link(2, 3);
-  st = rt.sync(net);
-  EXPECT_EQ(st.rows_retained, 0u);
-  EXPECT_EQ(rt.cached_rows(), 0u);
-  expect_equivalent(net, rt);
+TEST(IncrementalRoutingTest, SparseSyncEmptiesTheCacheOnACostChange) {
+  // The journal does not record a link's old cost, so a raise or a cut
+  // takes the full fallback on the sparse tier as on the dense one.
+  Network net;
+  for (int i = 0; i < 3; ++i) net.add_node();
+  net.add_link(0, 1, 1.0, 10.0, 1e6);
+  net.add_link(1, 2, 1.0, 10.0, 1e6);
+  net.add_link(0, 2, 5.0, 50.0, 1e6);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  RoutingTables rt = RoutingTables::build(net, opts);
+  for (const double cost : {3.0, 0.5}) {
+    for (NodeId a = 0; a < 3; ++a) rt.cost(a, 0);
+    ASSERT_EQ(rt.cached_rows(), 3u);
+    net.set_link_cost(0, 1, cost);
+    const RoutingSyncStats st = rt.sync(net);
+    EXPECT_TRUE(st.full_rebuild);
+    EXPECT_EQ(rt.cached_rows(), 0u);
+    expect_equivalent(net, rt);
+  }
 }
 
 TEST(IncrementalRoutingTest, SparseSyncRetainsRowsOffTheFailedLink) {
@@ -340,8 +355,8 @@ TEST(IncrementalRoutingTest, SparseSyncSurvivesLogTruncation) {
 
 TEST(IncrementalRoutingTest, CrashedLeafNodeRowsArePatchedInPlace) {
   // A line graph: crashing an endpoint leaves every other node's shortest-
-  // path trees structurally intact, so cached rows are patched (entries for
-  // the dead node set to infinity) instead of recomputed.
+  // path trees otherwise intact, so cached rows are repaired in place (the
+  // dead node's entries set to infinity) instead of recomputed.
   Network net;
   for (int i = 0; i < 6; ++i) net.add_node();
   for (NodeId i = 0; i + 1 < 6; ++i) net.add_link(i, i + 1, 1.0, 10.0, 1e6);
