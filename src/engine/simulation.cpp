@@ -16,6 +16,12 @@ constexpr double kBackoffFactor = 2.0;
 /// projection used when planning.
 constexpr double kProjectionFactor = 1.0;
 
+/// Half-width of the symmetric hash joins' window: a pair matches when its
+/// tuples were born within ±0.5 s of each other, a 1 s window, so measured
+/// join rates match the analytic per-second model (see simulation.h).
+constexpr double kJoinWindowS = 0.5;
+static_assert(kJoinWindowS > 0.0);
+
 std::string producer_key(const std::vector<query::StreamId>& streams,
                          net::NodeId node) {
   std::string key = std::to_string(node) + ":";
@@ -40,7 +46,6 @@ Simulation::Simulation(const net::Network& net, const net::RoutingTables& rt,
       prng_(seed),
       net_prng_(seed ^ 0xAC4DE11FE55ULL) {
   IFLOW_CHECK(cfg.duration_s > 0.0);
-  IFLOW_CHECK(cfg.window_s > 0.0);
   const ReliabilityConfig& r = cfg.reliability;
   IFLOW_CHECK_MSG(r.enabled, "every data edge is a channel; "
                              "reliability.enabled must stay true");
@@ -1154,14 +1159,14 @@ void Simulation::arrive_at(double now, InstanceId id, int port,
   IFLOW_CHECK(port == 0 || port == 1);
   const int other = 1 - port;
   // Event-time join: window entries are keyed by born, a pair matches iff
-  // their borns lie within window_s, and partners are retained an extra
+  // their borns lie within kJoinWindowS, and partners are retained an extra
   // lateness_s so a retransmit-delayed tuple still meets everything it would
   // have met loss-free. Each qualifying pair emits exactly once — when its
   // later-arriving member probes (channel dedup guarantees each member
   // arrives once).
   inst.max_born = std::max(inst.max_born, tuple->born);
   const double horizon =
-      inst.max_born - cfg_.window_s - cfg_.reliability.lateness_s;
+      inst.max_born - kJoinWindowS - cfg_.reliability.lateness_s;
   inst.join[0].expire(horizon);
   inst.join[1].expire(horizon);
   // Probe the opposite window's chain of our key, emit matches, store self.
@@ -1172,7 +1177,7 @@ void Simulation::arrive_at(double now, InstanceId id, int port,
     for (std::uint64_t o = chain->second.head; o != JoinPort::kEnd;) {
       const WindowEntry& e = opposite.at(o);
       o = e.next;
-      if (std::abs(e.time - tuple->born) > cfg_.window_s) continue;
+      if (std::abs(e.time - tuple->born) > kJoinWindowS) continue;
       if (!matches(*tuple, *e.tuple)) continue;
       send(now, id, join_tuples(*tuple, *e.tuple));
     }

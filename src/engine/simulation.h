@@ -14,10 +14,10 @@
 //
 // Join semantics: a new tuple probes the opposite input's window and emits
 // one output per matching pair, so a pair matches iff its tuples were born
-// within `window_s` of each other (partners are retained `lateness_s`
-// longer for late arrivals). With window_s = 0.5 the expected output rate
-// of A ⋈ B is rate_A x rate_B x selectivity — exactly the analytic
-// RateModel.
+// within ±kJoinWindowS = 0.5 s of each other (simulation.cpp; partners are
+// retained `lateness_s` longer for late arrivals). The pairing window is
+// then 1 s wide, so the expected output rate of A ⋈ B is
+// rate_A x rate_B x selectivity — exactly the analytic RateModel.
 //
 // Operator sharing: a Deployment leaf unit marked `derived` binds to the
 // operator of an earlier deployment producing the same stream set at the
@@ -221,9 +221,6 @@ struct DeliveryStats {
 
 struct EngineConfig {
   double duration_s = 30.0;
-  /// Sliding window of the symmetric hash joins. 0.5 s makes measured join
-  /// rates match the analytic model (see file comment).
-  double window_s = 0.5;
   /// Poisson arrivals when true; evenly spaced (with a random phase)
   /// otherwise — useful for low-variance model-validation runs.
   bool poisson = true;

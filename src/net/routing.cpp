@@ -31,23 +31,19 @@ constexpr auto kDelayWeight = [](const Link& l) { return l.delay_ms; };
 NodeId other_end(const Link& l, NodeId u) { return (l.a == u) ? l.b : l.a; }
 
 /// Single-source Dijkstra under a caller-selected link weight. Fills `dist`
-/// and `parent` (predecessor on the shortest path tree), and optionally
-/// `along`, the link delay accumulated along the chosen paths. Links that
-/// are down — or whose endpoints are crashed — are never relaxed, so a
+/// and `parent` (predecessor on the shortest path tree). Links that are
+/// down — or whose endpoints are crashed — are never relaxed, so a
 /// partitioned network simply leaves unreachable entries at infinity.
 /// Returns true when some relaxation exactly matched the target's current
 /// distance: an equal-cost tie, which the heap's pop order broke.
 template <typename WeightFn>
 bool dijkstra(const Network& net, NodeId src, WeightFn weight,
-              std::vector<double>& dist, std::vector<NodeId>& parent,
-              std::vector<double>* along) {
+              std::vector<double>& dist, std::vector<NodeId>& parent) {
   const std::size_t n = net.node_count();
   dist.assign(n, kInf);
   parent.assign(n, kInvalidNode);
-  if (along != nullptr) along->assign(n, kInf);
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
   dist[src] = 0.0;
-  if (along != nullptr) (*along)[src] = 0.0;
   pq.push({0.0, src});
   bool tie = false;
   while (!pq.empty()) {
@@ -62,7 +58,6 @@ bool dijkstra(const Network& net, NodeId src, WeightFn weight,
       if (nd < dist[v]) {
         dist[v] = nd;
         parent[v] = u;
-        if (along != nullptr) (*along)[v] = (*along)[u] + l.delay_ms;
         pq.push({nd, v});
       } else if (nd == dist[v]) {
         tie = true;
@@ -158,32 +153,30 @@ struct RepairScratch {
   /// equals `pass`.
   std::vector<std::uint32_t> stamp;
   std::uint32_t pass = 0;
-  /// A stamped node's parent and the link to it.
-  std::vector<NodeId> parent;
-  std::vector<std::uint32_t> via;
+  std::vector<NodeId> parent;   // a stamped node's parent
   std::vector<NodeId> touched;  // stamped nodes, in stamping order
   std::vector<QueueEntry> heap;
 
-  explicit RepairScratch(std::size_t n) : stamp(n, 0), parent(n), via(n) {}
+  explicit RepairScratch(std::size_t n) : stamp(n, 0), parent(n) {}
 };
 
 enum class Repair : std::uint8_t { kUntouched, kRepaired, kTie };
 
 /// Repairs one source row of one metric in place after a batch of link and
-/// node faults and restores; `net` is the network after the batch. `along`
-/// and `hops` (delay along the chosen path, first hop) are given for the
-/// cost metric and null for the delay metric, whose tree carries only
-/// distances; `parents`, the cost tree's predecessors, is given where the
-/// row keeps them (the sparse tier). Each recomputed value uses the
-/// expression dijkstra() and fill_next_hops() evaluate, so it has the bits a
-/// fresh build gives it as long as every node's parent is the unique best
-/// candidate. When the cost repair meets an equal candidate it returns kTie
-/// with the row partly rewritten, and the row must be recomputed in full.
+/// node faults and restores; `net` is the network after the batch. For the
+/// cost metric exactly one of `hops` (the dense tier's first hops) and
+/// `parents` (the sparse tier's predecessors) is given: the tree its tier's
+/// cost_path() reads. Both are null for the delay metric, whose tree carries
+/// only distances. Each recomputed value uses the expression dijkstra() and
+/// fill_next_hops() evaluate, so it has the bits a fresh build gives it as
+/// long as every node's parent is the unique best candidate. When the cost
+/// repair meets an equal candidate it returns kTie with the row partly
+/// rewritten, and the row must be recomputed in full.
 template <typename WeightFn>
 Repair repair_row(const Network& net, const Batch& batch, NodeId src,
-                  WeightFn weight, double* dist, double* along, NodeId* hops,
+                  WeightFn weight, double* dist, NodeId* hops,
                   NodeId* parents, RepairScratch& s) {
-  const bool cost_tree = along != nullptr;
+  const bool cost_tree = hops != nullptr || parents != nullptr;
   ++s.pass;
   s.touched.clear();
   s.heap.clear();
@@ -224,15 +217,11 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
 
   for (const NodeId v : s.touched) {
     dist[v] = kInf;
-    if (cost_tree) {
-      along[v] = kInf;
-      hops[v] = kInvalidNode;
-      if (parents != nullptr) parents[v] = kInvalidNode;
-    }
+    if (hops != nullptr) hops[v] = kInvalidNode;
+    if (parents != nullptr) parents[v] = kInvalidNode;
   }
-  const auto push = [&](NodeId v, NodeId parent, std::uint32_t via) {
+  const auto push = [&](NodeId v, NodeId parent) {
     s.parent[v] = parent;
-    s.via[v] = via;
     s.heap.push_back({dist[v], v});
     std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
   };
@@ -243,7 +232,6 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
   const auto seed = [&](NodeId v) {
     double best = kInf;
     NodeId parent = kInvalidNode;
-    std::uint32_t via = kInvalidLink;
     bool tie = false;
     for (const auto idx : net.incident(v)) {
       if (!net.usable(idx)) continue;
@@ -254,7 +242,6 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
       if (nd < best) {
         best = nd;
         parent = u;
-        via = idx;
         tie = false;
       } else if (nd == best) {
         tie = true;
@@ -264,7 +251,7 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
     if (best < dist[v]) {
       if (!stamped(v)) stamp(v);
       dist[v] = best;
-      push(v, parent, via);
+      push(v, parent);
     }
     return true;
   };
@@ -288,12 +275,9 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
     const auto [d, v] = s.heap.back();
     s.heap.pop_back();
     if (d > dist[v]) continue;
-    if (cost_tree) {
-      const NodeId p = s.parent[v];
-      along[v] = along[p] + net.links()[s.via[v]].delay_ms;
-      hops[v] = (p == src) ? v : hops[p];
-      if (parents != nullptr) parents[v] = p;
-    }
+    const NodeId p = s.parent[v];
+    if (hops != nullptr) hops[v] = (p == src) ? v : hops[p];
+    if (parents != nullptr) parents[v] = p;
     for (const auto idx : net.incident(v)) {
       if (!net.usable(idx)) continue;
       const Link& l = net.links()[idx];
@@ -302,7 +286,7 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
       if (nd < dist[y]) {
         if (!stamped(y)) stamp(y);
         dist[y] = nd;
-        push(y, v, idx);
+        push(y, v);
       } else if (cost_tree && nd == dist[y]) {
         return Repair::kTie;
       }
@@ -325,10 +309,11 @@ std::vector<NodeId> path_from_parents(NodeId src, NodeId dst,
   return path;
 }
 
-/// Bytes one resident sparse row occupies (three double vectors, two id
-/// vectors).
+/// Bytes one source row occupies on either tier: cost and delay distances
+/// and one cost-tree id per destination (dense first hops, sparse
+/// predecessors).
 std::size_t row_bytes(std::size_t n) {
-  return n * (3 * sizeof(double) + 2 * sizeof(NodeId));
+  return n * (2 * sizeof(double) + sizeof(NodeId));
 }
 
 }  // namespace
@@ -371,7 +356,6 @@ void RoutingTables::rebuild_dense(const Network& net) {
   version_ = net.version();
   cost_.assign(n * n, kInf);
   delay_.assign(n * n, kInf);
-  cost_path_delay_.assign(n * n, kInf);
   next_hop_.assign(n * n, kInvalidNode);
   cost_ties_.assign(n, 0);
   for (NodeId src = 0; src < n; ++src) dense_row(net, src);
@@ -381,15 +365,13 @@ void RoutingTables::dense_row(const Network& net, NodeId src) {
   const std::size_t base = static_cast<std::size_t>(src) * n_;
   std::vector<double> dist;
   std::vector<NodeId> parent;
-  std::vector<double> along;
-  // Cost-weighted pass: distances, first hops, and delay along the path.
-  cost_ties_[src] = dijkstra(net, src, kCostWeight, dist, parent, &along);
+  // Cost-weighted pass: distances and first hops.
+  cost_ties_[src] = dijkstra(net, src, kCostWeight, dist, parent);
   std::copy(dist.begin(), dist.end(), cost_.begin() + base);
-  std::copy(along.begin(), along.end(), cost_path_delay_.begin() + base);
   fill_next_hops(src, parent, dist, next_hop_.data() + base);
   // Delay-weighted pass for the control plane. Its tree carries only
   // distances, which do not depend on how ties were broken.
-  dijkstra(net, src, kDelayWeight, dist, parent, nullptr);
+  dijkstra(net, src, kDelayWeight, dist, parent);
   std::copy(dist.begin(), dist.end(), delay_.begin() + base);
 }
 
@@ -416,12 +398,9 @@ RoutingTables::Row& RoutingTables::row_locked(NodeId src) const {
   if (it == c.rows.end()) {
     check_synced();
     Row row;
-    row.cost_ties = dijkstra(*net_, src, kCostWeight, row.cost, row.parent,
-                             &row.cost_path_delay);
-    row.next_hop.assign(n_, kInvalidNode);
-    fill_next_hops(src, row.parent, row.cost, row.next_hop.data());
+    row.cost_ties = dijkstra(*net_, src, kCostWeight, row.cost, row.parent);
     std::vector<NodeId> delay_parent;
-    dijkstra(*net_, src, kDelayWeight, row.delay, delay_parent, nullptr);
+    dijkstra(*net_, src, kDelayWeight, row.delay, delay_parent);
     it = c.rows.emplace(src, std::move(row)).first;
     if (c.rows.size() > c.max_rows) {
       // Evict the least-recently-used row (ticks are unique, so the victim
@@ -456,25 +435,8 @@ double RoutingTables::delay_ms(NodeId a, NodeId b) const {
   return row_locked(a).delay[b];
 }
 
-double RoutingTables::data_path_delay_ms(NodeId a, NodeId b) const {
-  if (cache_ == nullptr) return at(cost_path_delay_, a, b);
-  IFLOW_CHECK(a < n_ && b < n_);
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return row_locked(a).cost_path_delay[b];
-}
-
 bool RoutingTables::reachable(NodeId a, NodeId b) const {
   return std::isfinite(cost(a, b));
-}
-
-NodeId RoutingTables::next_hop(NodeId from, NodeId to) const {
-  IFLOW_CHECK(from < n_ && to < n_);
-  IFLOW_CHECK_MSG(from != to, "no hop from a node to itself");
-  if (cache_ == nullptr) {
-    return next_hop_[static_cast<std::size_t>(from) * n_ + to];
-  }
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return row_locked(from).next_hop[to];
 }
 
 std::vector<NodeId> RoutingTables::cost_path(NodeId a, NodeId b) const {
@@ -489,7 +451,9 @@ std::vector<NodeId> RoutingTables::cost_path(NodeId a, NodeId b) const {
   if (a != b && !reachable(a, b)) return {};
   std::vector<NodeId> path{a};
   while (a != b) {
-    a = next_hop(a, b);
+    a = next_hop_[static_cast<std::size_t>(a) * n_ + b];
+    // A path visits each node at most once.
+    IFLOW_CHECK(a < n_ && path.size() < n_);
     path.push_back(a);
   }
   return path;
@@ -537,7 +501,7 @@ std::size_t RoutingTables::cost_matrix(
       row = it->second.cost.data();
     } else {
       check_synced();
-      dijkstra(*net_, src, kCostWeight, dist, parent, nullptr);
+      dijkstra(*net_, src, kCostWeight, dist, parent);
       row = dist.data();
     }
     for (std::size_t j = 0; j < m; ++j) to[j] = row[nodes[j]];
@@ -638,20 +602,20 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
   // node that crashed or came back. The dense tier recomputes such a row and
   // the sparse tier evicts it.
   RepairScratch scratch(n_);
-  const auto repair = [&](NodeId src, bool ties, double* cost, double* along,
-                          NodeId* hops, NodeId* parents, double* delay) {
+  const auto repair = [&](NodeId src, bool ties, double* cost, NodeId* hops,
+                          NodeId* parents, double* delay) {
     Repair r = Repair::kTie;
     if (!ties && !contains(batch->nodes_down, src) &&
         !contains(batch->nodes_up, src)) {
-      r = repair_row(net, *batch, src, kCostWeight, cost, along, hops,
-                     parents, scratch);
+      r = repair_row(net, *batch, src, kCostWeight, cost, hops, parents,
+                     scratch);
     }
     if (r == Repair::kTie) {
       ++st.rows_dropped;
       return false;
     }
     const Repair d = repair_row(net, *batch, src, kDelayWeight, delay,
-                                nullptr, nullptr, nullptr, scratch);
+                                nullptr, nullptr, scratch);
     if (r == Repair::kRepaired || d == Repair::kRepaired) {
       ++st.rows_patched;
     } else {
@@ -663,16 +627,14 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
     for (NodeId src = 0; src < n_; ++src) {
       const std::size_t base = static_cast<std::size_t>(src) * n_;
       if (!repair(src, cost_ties_[src] != 0, cost_.data() + base,
-                  cost_path_delay_.data() + base, next_hop_.data() + base,
-                  nullptr, delay_.data() + base)) {
+                  next_hop_.data() + base, nullptr, delay_.data() + base)) {
         dense_row(net, src);
       }
     }
   } else {
     for (auto it = cache_->rows.begin(); it != cache_->rows.end();) {
       Row& row = it->second;
-      if (repair(it->first, row.cost_ties, row.cost.data(),
-                 row.cost_path_delay.data(), row.next_hop.data(),
+      if (repair(it->first, row.cost_ties, row.cost.data(), nullptr,
                  row.parent.data(), row.delay.data())) {
         ++it;
       } else {
@@ -703,7 +665,7 @@ std::size_t RoutingTables::peak_memory_bytes() const {
 }
 
 std::size_t RoutingTables::dense_equivalent_bytes(std::size_t n) {
-  return n * n * (3 * sizeof(double) + sizeof(NodeId));
+  return n * row_bytes(n);
 }
 
 }  // namespace iflow::net

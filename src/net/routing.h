@@ -2,15 +2,21 @@
 //
 // The data plane routes along cost-optimal paths (minimising per-byte cost,
 // the paper's optimisation metric); the control plane (deployment messages,
-// advertisements) routes along delay-optimal paths.
+// advertisements) routes along delay-optimal paths. The tables answer what
+// their callers read: the cost and the delay of each pair, and the
+// cost-optimal path.
 //
-// Two storage tiers behind one query interface:
+// Two storage tiers behind one query interface, each holding 20 bytes per
+// (source, destination) entry — two distances and the one cost-tree id its
+// cost_path() walks:
 //   * dense  — the classic all-pairs snapshot (repeated Dijkstra, O(N²)
-//     memory). Default below RoutingOptions::dense_node_limit nodes, where
-//     the matrices are small and every query is a flat array read.
+//     memory), with a first-hop matrix. Default below
+//     RoutingOptions::dense_node_limit nodes, where the matrices are small
+//     and every query is a flat array read.
 //   * sparse — per-source rows computed by Dijkstra on demand and kept in a
-//     bounded LRU cache, O(cached_rows · N) memory. Default at scale
-//     (10k–100k-node topologies), where a dense matrix would not fit.
+//     bounded LRU cache, O(cached_rows · N) memory, each row with its cost
+//     tree's predecessors. Default at scale (10k–100k-node topologies),
+//     where a dense matrix would not fit.
 // Both tiers produce bitwise-identical values for identical queries (the
 // same per-source Dijkstra runs either eagerly or lazily), so planner
 // digests do not depend on the tier.
@@ -82,7 +88,7 @@ class RoutingTables {
   /// O(N · E log N). Sparse tier: records the topology and computes rows on
   /// first use. The network may be partitioned: pairs in different
   /// components (or pairs involving a crashed node) get infinite cost/delay
-  /// and no next hop.
+  /// and an empty path.
   static RoutingTables build(const Network& net,
                              const RoutingOptions& opts = {});
 
@@ -97,9 +103,9 @@ class RoutingTables {
   ///   * cost changes, added links or nodes and a truncated journal rebuild
   ///     every row (the sparse tier empties its cache).
   /// Either way every resident row holds what a fresh build of the same
-  /// tier holds, next hops and paths included. In sparse mode `net` must be
-  /// the same instance the table was built against (the lazy tier
-  /// recomputes rows from it).
+  /// tier holds, paths included. In sparse mode `net` must be the same
+  /// instance the table was built against (the lazy tier recomputes rows
+  /// from it).
   RoutingSyncStats sync(const Network& net);
 
   /// Per-byte cost of the cost-optimal a→b path. 0 when a == b (even for a
@@ -111,20 +117,12 @@ class RoutingTables {
   /// (+inf when unreachable).
   double delay_ms(NodeId a, NodeId b) const;
 
-  /// Latency accumulated along the *cost-optimal* path; this is what data
-  /// tuples experience in the engine (+inf when unreachable).
-  double data_path_delay_ms(NodeId a, NodeId b) const;
-
   /// True when a usable a→b route exists (a == b included).
   bool reachable(NodeId a, NodeId b) const;
 
   /// Cost-optimal route from a to b, inclusive of both endpoints. Empty —
   /// never garbage — when b is unreachable from a.
   std::vector<NodeId> cost_path(NodeId a, NodeId b) const;
-
-  /// Next node after `from` on the cost-optimal route to `to`;
-  /// kInvalidNode when `to` is unreachable.
-  NodeId next_hop(NodeId from, NodeId to) const;
 
   /// Bulk row read: out[i] = cost(src, dst[i]). On the sparse tier this
   /// pins the source row once instead of taking the cache lock per lookup —
@@ -177,11 +175,9 @@ class RoutingTables {
   /// One lazily computed source row: both metrics plus the cost tree's
   /// predecessors, which cost_path() walks.
   struct Row {
-    std::vector<double> cost;             // cost-weighted distances
-    std::vector<double> delay;            // delay-weighted distances
-    std::vector<double> cost_path_delay;  // delay along cost-optimal paths
-    std::vector<NodeId> next_hop;         // first hop on cost-optimal path
-    std::vector<NodeId> parent;           // cost-tree predecessor
+    std::vector<double> cost;    // cost-weighted distances
+    std::vector<double> delay;   // delay-weighted distances
+    std::vector<NodeId> parent;  // cost-tree predecessor
     /// The cost tree was built with an equal-cost tie, so sync() cannot
     /// repair the row in place (as cost_ties_ on the dense tier).
     bool cost_ties = false;
@@ -208,10 +204,9 @@ class RoutingTables {
   std::uint64_t version_ = 0;
 
   // Dense tier storage (empty in sparse mode).
-  std::vector<double> cost_;             // cost-weighted distances
-  std::vector<double> delay_;            // delay-weighted distances
-  std::vector<double> cost_path_delay_;  // delay along cost-optimal paths
-  std::vector<NodeId> next_hop_;         // next_hop_[a*n+b]: first hop a→b
+  std::vector<double> cost_;      // cost-weighted distances
+  std::vector<double> delay_;     // delay-weighted distances
+  std::vector<NodeId> next_hop_;  // next_hop_[a*n+b]: first hop a→b
   /// cost_ties_[a] != 0: row a's cost tree was built with an equal-cost
   /// tie, so sync() cannot repair it in place.
   std::vector<std::uint8_t> cost_ties_;

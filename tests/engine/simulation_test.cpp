@@ -37,7 +37,6 @@ struct World {
 EngineConfig low_variance_config(double duration = 40.0) {
   EngineConfig cfg;
   cfg.duration_s = duration;
-  cfg.window_s = 0.5;
   cfg.poisson = false;  // deterministic arrivals for tight tolerances
   cfg.reliability.drain_s = 0.0;
   cfg.reliability.ack_timeout_s = 1.0;

@@ -36,7 +36,6 @@ TEST(RoutingTest, LineDistancesAreAdditive) {
   EXPECT_DOUBLE_EQ(rt.cost(0, 4), 8.0);
   EXPECT_DOUBLE_EQ(rt.cost(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(rt.delay_ms(0, 4), 40.0);
-  EXPECT_DOUBLE_EQ(rt.data_path_delay_ms(0, 4), 40.0);
 }
 
 TEST(RoutingTest, PicksCheaperMultiHopPath) {
@@ -50,7 +49,13 @@ TEST(RoutingTest, PicksCheaperMultiHopPath) {
   EXPECT_DOUBLE_EQ(rt.cost(0, 2), 2.0);
   // The data path (cost-optimal) has 60 ms of latency even though a 1 ms
   // path exists; the control plane uses the delay-optimal one.
-  EXPECT_DOUBLE_EQ(rt.data_path_delay_ms(0, 2), 60.0);
+  const std::vector<NodeId> path = rt.cost_path(0, 2);
+  double data_path_delay = 0.0;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    data_path_delay +=
+        net.links()[net.cheapest_usable_link(path[i], path[i + 1])].delay_ms;
+  }
+  EXPECT_DOUBLE_EQ(data_path_delay, 60.0);
   EXPECT_DOUBLE_EQ(rt.delay_ms(0, 2), 1.0);
 }
 
@@ -61,7 +66,6 @@ TEST(RoutingTest, NextHopAndPathFollowCostMetric) {
   net.add_link(0, 1, 1.0, 30.0, 1e6);
   net.add_link(1, 2, 1.0, 30.0, 1e6);
   const RoutingTables rt = RoutingTables::build(net);
-  EXPECT_EQ(rt.next_hop(0, 2), 1u);
   const std::vector<NodeId> path = rt.cost_path(0, 2);
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path[0], 0u);
@@ -132,23 +136,6 @@ TEST(RoutingTest, PathEdgeCostsSumToCostMatrix) {
   }
 }
 
-TEST(RoutingTest, NextHopWalkReconstructsCostPath) {
-  Prng prng(56);
-  const Network net = make_transit_stub(TransitStubParams{}, prng);
-  const RoutingTables rt = RoutingTables::build(net);
-  const NodeId n = static_cast<NodeId>(std::min<std::size_t>(net.node_count(), 24));
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      std::vector<NodeId> walked = {a};
-      while (walked.back() != b) {
-        walked.push_back(rt.next_hop(walked.back(), b));
-        ASSERT_LE(walked.size(), net.node_count()) << "next_hop cycle";
-      }
-      EXPECT_EQ(walked, rt.cost_path(a, b)) << "a=" << a << " b=" << b;
-    }
-  }
-}
-
 TEST(RoutingTest, DisconnectedPairsCostInfinity) {
   // Two isolated nodes: routing must build (no throw) and report the pair
   // as unreachable, symmetrically, with self-distances intact.
@@ -175,8 +162,6 @@ TEST(RoutingTest, UnreachablePathIsEmptyAndNextHopInvalid) {
   const RoutingTables rt = RoutingTables::build(net);
   EXPECT_TRUE(rt.cost_path(0, 2).empty());
   EXPECT_TRUE(rt.cost_path(3, 1).empty());
-  EXPECT_EQ(rt.next_hop(0, 2), kInvalidNode);
-  EXPECT_EQ(rt.next_hop(3, 1), kInvalidNode);
   // Within-component answers are unaffected.
   EXPECT_DOUBLE_EQ(rt.cost(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(rt.cost(2, 3), 1.0);
@@ -275,7 +260,7 @@ TEST(RoutingTest, CostPathEdgeCases) {
 
 TEST(RoutingTest, SparseTierMatchesDenseBitwise) {
   // Both tiers run the identical per-source Dijkstra, so every query must
-  // agree bit for bit — including infinities and next hops.
+  // agree bit for bit — including infinities and paths.
   Prng prng(91);
   const Network net = make_transit_stub(TransitStubParams{}, prng);
   const RoutingTables dense = RoutingTables::build(net);
@@ -290,11 +275,6 @@ TEST(RoutingTest, SparseTierMatchesDenseBitwise) {
     for (NodeId b = 0; b < n; ++b) {
       ASSERT_EQ(dense.cost(a, b), sparse.cost(a, b)) << a << "," << b;
       ASSERT_EQ(dense.delay_ms(a, b), sparse.delay_ms(a, b));
-      ASSERT_EQ(dense.data_path_delay_ms(a, b),
-                sparse.data_path_delay_ms(a, b));
-      if (a != b) {
-        ASSERT_EQ(dense.next_hop(a, b), sparse.next_hop(a, b));
-      }
       ASSERT_EQ(dense.cost_path(a, b), sparse.cost_path(a, b));
     }
   }
@@ -330,6 +310,10 @@ TEST(RoutingTest, SparseCacheHonoursRowCapAndTracksPeak) {
   EXPECT_GT(rt.cached_rows(), 0u);
   EXPECT_EQ(rt.peak_memory_bytes(),
             rt.memory_bytes() / rt.cached_rows() * 4u);
+  // Either tier stores two distances and one cost-tree id per entry.
+  const std::size_t n = net.node_count();
+  EXPECT_EQ(rt.memory_bytes(), rt.cached_rows() * n * 20u);
+  EXPECT_EQ(RoutingTables::dense_equivalent_bytes(n), n * n * 20u);
   // Far below the dense footprint.
   EXPECT_LT(rt.peak_memory_bytes(),
             RoutingTables::dense_equivalent_bytes(net.node_count()));

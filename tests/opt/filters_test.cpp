@@ -161,7 +161,6 @@ TEST(FiltersTest, EngineFiltersMatchAnalyticRates) {
 
   engine::EngineConfig cfg;
   cfg.duration_s = 60.0;
-  cfg.window_s = 0.5;
   cfg.poisson = false;
   // Sized to compare measured with planned cost (DESIGN.md §11).
   cfg.reliability.drain_s = 0.0;
