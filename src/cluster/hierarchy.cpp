@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "cluster/kmedoids.h"
+#include "net/shortest_path.h"
 
 namespace iflow::cluster {
 
@@ -33,6 +33,17 @@ net::NodeId elect_coordinator(const std::vector<net::NodeId>& members,
     }
   }
   return best;
+}
+
+/// Largest finite distance of the subgraph induced by `members` (0 for a
+/// singleton): that leaf cluster's share of d(1) on the scale path.
+double induced_diameter(const net::Network& net,
+                        const std::vector<net::NodeId>& members) {
+  double d = 0.0;
+  for (const double v : induced_distances(net, members)) {
+    if (std::isfinite(v)) d = std::max(d, v);
+  }
+  return d;
 }
 
 net::NodeId elect_coordinator(const std::vector<net::NodeId>& members,
@@ -87,36 +98,29 @@ std::vector<double> induced_distances(
   for (std::size_t i = 0; i < m; ++i) {
     local[members[i]] = static_cast<std::uint32_t>(i);
   }
-  // Induced adjacency: only links with both endpoints inside the set.
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> adj(m);
+  // Induced adjacency over local ids: only usable links with both endpoints
+  // inside the set, each arc with its own weight slot.
+  net::Adjacency g;
+  g.first.reserve(m + 1);
   for (std::size_t i = 0; i < m; ++i) {
+    g.first.push_back(static_cast<std::uint32_t>(g.arcs.size()));
     for (auto idx : net.incident(members[i])) {
       if (!net.usable(idx)) continue;
       const net::Link& l = net.links()[idx];
       const net::NodeId other = (l.a == members[i]) ? l.b : l.a;
       const auto it = local.find(other);
       if (it == local.end()) continue;
-      adj[i].emplace_back(it->second, l.cost_per_byte);
+      g.arcs.push_back({it->second, static_cast<std::uint32_t>(g.cost.size())});
+      g.cost.push_back(l.cost_per_byte);
     }
   }
-  std::vector<double> mat(m * m, kInf);
-  using Entry = std::pair<double, std::uint32_t>;
+  g.first.push_back(static_cast<std::uint32_t>(g.arcs.size()));
+  g.usable.assign(g.cost.size(), 1);
+  std::vector<double> mat(m * m);
+  net::DistanceHeap heap;
   for (std::size_t s = 0; s < m; ++s) {
-    double* dist = mat.data() + s * m;
-    dist[s] = 0.0;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-    pq.push({0.0, static_cast<std::uint32_t>(s)});
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
-      if (d > dist[u]) continue;
-      for (const auto& [v, w] : adj[u]) {
-        if (d + w < dist[v]) {
-          dist[v] = d + w;
-          pq.push({dist[v], v});
-        }
-      }
-    }
+    net::shortest_paths(g, g.cost.data(), static_cast<net::NodeId>(s),
+                        mat.data() + s * m, nullptr, heap);
   }
   return mat;
 }
@@ -276,7 +280,9 @@ double Hierarchy::est_cost(net::NodeId a, net::NodeId b, int l) const {
 }
 
 std::size_t Hierarchy::memory_bytes() const {
-  std::size_t bytes = (d_.size() + coord_cost_.size()) * sizeof(double);
+  std::size_t bytes =
+      (d_.size() + leaf_diameter_.size() + coord_cost_.size()) *
+      sizeof(double);
   for (const auto& clusters : levels_) {
     for (const auto& cl : clusters) {
       bytes += sizeof(Cluster) + cl.members.size() * sizeof(net::NodeId);
@@ -385,24 +391,21 @@ void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
       }
     }
   }
+  // The clusters changed, so every leaf is measured afresh.
+  leaf_diameter_.clear();
   measure_levels(rt);
 }
 
 void Hierarchy::measure_levels(const net::RoutingTables& rt) {
   rt_ = &rt;
   d_.assign(levels_.size(), 0.0);
-  for (std::size_t li = 0; li < levels_.size(); ++li) {
+  std::size_t li = 0;
+  if (local_leaf_metrics_) {
+    measure_leaves();
+    li = 1;
+  }
+  for (; li < levels_.size(); ++li) {
     for (const Cluster& cl : levels_[li]) {
-      if (li == 0 && local_leaf_metrics_) {
-        // Scale path: d(1) from each cluster's induced subgraph — an upper
-        // bound on the true intra-cluster cost, never a routing row per
-        // physical node.
-        const std::vector<double> local = induced_distances(*net_, cl.members);
-        for (double v : local) {
-          if (std::isfinite(v)) d_[li] = std::max(d_[li], v);
-        }
-        continue;
-      }
       // Members above level 1 are leaf coordinators.
       for (auto a : cl.members) {
         for (auto b : cl.members) {
@@ -413,6 +416,63 @@ void Hierarchy::measure_levels(const net::RoutingTables& rt) {
     }
   }
   ++version_;
+}
+
+void Hierarchy::measure_leaves() {
+  // Scale path: d(1) from each cluster's induced subgraph — an upper bound
+  // on the true intra-cluster cost, never a routing row per physical node.
+  const std::vector<Cluster>& leaves = levels_[0];
+  std::vector<std::uint8_t> stale(leaves.size(), 1);
+  std::optional<std::vector<net::Mutation>> muts;
+  if (!leaf_diameter_.empty()) muts = net_->mutations_since(leaf_version_);
+  if (muts.has_value()) {
+    // A cluster's induced subgraph changes only with a fault or restore of
+    // a link inside it or of a member; a cost change or an added link can
+    // reach any of them.
+    std::fill(stale.begin(), stale.end(), 0);
+    const auto mark = [&](net::NodeId v) {
+      if (v < node_count_ && cluster_idx_[0][v] != kNoCluster) {
+        stale[cluster_idx_[0][v]] = 1;
+      }
+    };
+    for (const net::Mutation& mu : *muts) {
+      switch (mu.kind) {
+        case net::MutationKind::kQuality:
+          break;
+        case net::MutationKind::kLinkDown:
+        case net::MutationKind::kLinkUp:
+          mark(mu.a);
+          mark(mu.b);
+          break;
+        case net::MutationKind::kNodeDown:
+        case net::MutationKind::kNodeUp:
+          mark(mu.a);
+          break;
+        case net::MutationKind::kTopology:
+        case net::MutationKind::kLinkCost:
+          std::fill(stale.begin(), stale.end(), 1);
+          break;
+      }
+    }
+  }
+  leaf_diameter_.resize(leaves.size());
+  for (std::size_t ci = 0; ci < leaves.size(); ++ci) {
+    if (stale[ci] != 0) {
+      leaf_diameter_[ci] = induced_diameter(*net_, leaves[ci].members);
+    }
+  }
+  leaf_version_ = net_->version();
+  // A max is exact, so d(1) has the bits a full measure gives it.
+  for (const double d : leaf_diameter_) d_[0] = std::max(d_[0], d);
+#ifndef NDEBUG
+  if (muts.has_value()) {
+    double full = 0.0;
+    for (const Cluster& cl : leaves) {
+      full = std::max(full, induced_diameter(*net_, cl.members));
+    }
+    IFLOW_CHECK(std::memcmp(&full, &d_[0], sizeof(double)) == 0);
+  }
+#endif
 }
 
 void Hierarchy::add_node(net::NodeId n, const net::RoutingTables& rt,

@@ -161,6 +161,12 @@ class Hierarchy {
   /// Recomputes d(l) against `rt` and the coordinator matrix, reads `rt`
   /// from now on and bumps the version.
   void measure_levels(const net::RoutingTables& rt);
+  /// Scale path: d(1) as the largest kept induced diameter. Recomputes
+  /// only the leaf clusters holding an endpoint of a link or node fault or
+  /// restore since the last measure: every one after a cost change, an
+  /// added link, a truncated journal or a change of the clusters (which
+  /// clears the kept diameters).
+  void measure_leaves();
   /// Coordinator-matrix entry for two Level-1 coordinators.
   double coord_cost(net::NodeId a, net::NodeId b) const {
     return coord_cost_[cluster_idx_[0][a] * levels_[0].size() +
@@ -182,6 +188,10 @@ class Hierarchy {
   // Derived lookup tables, rebuilt by rebuild_derived(); refresh() recomputes
   // only d_ (measure_levels) and the coordinator matrix.
   std::vector<double> d_;                              // d_[l-1]
+  // Scale path: leaf_diameter_[i] is level(1)[i]'s induced diameter as of
+  // network version leaf_version_; d(1) is their max.
+  std::vector<double> leaf_diameter_;
+  std::uint64_t leaf_version_ = 0;
   std::vector<std::vector<std::size_t>> cluster_idx_;  // per level: node -> cluster
   std::vector<std::vector<net::NodeId>> rep_;          // per level: node -> representative
   // underlying_[l-1][coord] — physical nodes beneath a level-l node; stored

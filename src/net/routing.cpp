@@ -7,7 +7,6 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <utility>
 
@@ -30,49 +29,12 @@ constexpr auto kDelayWeight = [](const Link& l) { return l.delay_ms; };
 
 NodeId other_end(const Link& l, NodeId u) { return (l.a == u) ? l.b : l.a; }
 
-/// Single-source Dijkstra under a caller-selected link weight. Fills `dist`
-/// and `parent` (predecessor on the shortest path tree). Links that are
-/// down — or whose endpoints are crashed — are never relaxed, so a
-/// partitioned network simply leaves unreachable entries at infinity.
-/// Returns true when some relaxation exactly matched the target's current
-/// distance: an equal-cost tie, which the heap's pop order broke.
-template <typename WeightFn>
-bool dijkstra(const Network& net, NodeId src, WeightFn weight,
-              std::vector<double>& dist, std::vector<NodeId>& parent) {
-  const std::size_t n = net.node_count();
-  dist.assign(n, kInf);
-  parent.assign(n, kInvalidNode);
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
-  dist[src] = 0.0;
-  pq.push({0.0, src});
-  bool tie = false;
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    for (auto idx : net.incident(u)) {
-      if (!net.usable(idx)) continue;
-      const Link& l = net.links()[idx];
-      const NodeId v = other_end(l, u);
-      const double nd = d + weight(l);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        parent[v] = u;
-        pq.push({nd, v});
-      } else if (nd == dist[v]) {
-        tie = true;
-      }
-    }
-  }
-  return tie;
-}
-
 /// Fills one source's next-hop entries from its predecessor tree. Memoized
 /// descent: each node's first hop is resolved once and shared by every
 /// deeper destination, O(N) total instead of the per-destination chain walk
 /// (quadratic on deep paths). `out` must hold n entries.
 void fill_next_hops(NodeId src, const std::vector<NodeId>& parent,
-                    const std::vector<double>& dist, NodeId* out) {
+                    const double* dist, NodeId* out) {
   const std::size_t n = parent.size();
   std::fill(out, out + n, kInvalidNode);
   std::vector<NodeId> chain;
@@ -167,11 +129,11 @@ enum class Repair : std::uint8_t { kUntouched, kRepaired, kTie };
 /// cost metric exactly one of `hops` (the dense tier's first hops) and
 /// `parents` (the sparse tier's predecessors) is given: the tree its tier's
 /// cost_path() reads. Both are null for the delay metric, whose tree carries
-/// only distances. Each recomputed value uses the expression dijkstra() and
-/// fill_next_hops() evaluate, so it has the bits a fresh build gives it as
-/// long as every node's parent is the unique best candidate. When the cost
-/// repair meets an equal candidate it returns kTie with the row partly
-/// rewritten, and the row must be recomputed in full.
+/// only distances. Each recomputed value uses the expression
+/// shortest_paths() and fill_next_hops() evaluate, so it has the bits a
+/// fresh build gives it as long as every node's parent is the unique best
+/// candidate. When the cost repair meets an equal candidate it returns kTie
+/// with the row partly rewritten, and the row must be recomputed in full.
 template <typename WeightFn>
 Repair repair_row(const Network& net, const Batch& batch, NodeId src,
                   WeightFn weight, double* dist, NodeId* hops,
@@ -318,13 +280,15 @@ std::size_t row_bytes(std::size_t n) {
 
 }  // namespace
 
-/// Sparse-tier state: the bounded per-source row cache.
+/// Sparse-tier state: the bounded per-source row cache, and the heap its
+/// lazy passes share under the lock.
 struct RoutingTables::Cache {
   std::size_t max_rows = 512;
   std::mutex mu;
   std::unordered_map<NodeId, Row> rows;
   std::uint64_t tick = 0;
   std::size_t peak_rows = 0;
+  DistanceHeap heap;
 };
 
 RoutingTables::RoutingTables() = default;
@@ -358,27 +322,31 @@ void RoutingTables::rebuild_dense(const Network& net) {
   delay_.assign(n * n, kInf);
   next_hop_.assign(n * n, kInvalidNode);
   cost_ties_.assign(n, 0);
-  for (NodeId src = 0; src < n; ++src) dense_row(net, src);
+  adj_ = Adjacency::of(net);
+  DistanceHeap heap;
+  std::vector<NodeId> parent;
+  for (NodeId src = 0; src < n; ++src) dense_row(src, heap, parent);
 }
 
-void RoutingTables::dense_row(const Network& net, NodeId src) {
+void RoutingTables::dense_row(NodeId src, DistanceHeap& heap,
+                              std::vector<NodeId>& parent) {
   const std::size_t base = static_cast<std::size_t>(src) * n_;
-  std::vector<double> dist;
-  std::vector<NodeId> parent;
+  parent.resize(n_);
   // Cost-weighted pass: distances and first hops.
-  cost_ties_[src] = dijkstra(net, src, kCostWeight, dist, parent);
-  std::copy(dist.begin(), dist.end(), cost_.begin() + base);
-  fill_next_hops(src, parent, dist, next_hop_.data() + base);
+  cost_ties_[src] = shortest_paths(adj_, adj_.cost.data(), src,
+                                   cost_.data() + base, parent.data(), heap);
+  fill_next_hops(src, parent, cost_.data() + base, next_hop_.data() + base);
   // Delay-weighted pass for the control plane. Its tree carries only
   // distances, which do not depend on how ties were broken.
-  dijkstra(net, src, kDelayWeight, dist, parent);
-  std::copy(dist.begin(), dist.end(), delay_.begin() + base);
+  shortest_paths(adj_, adj_.delay.data(), src, delay_.data() + base, nullptr,
+                 heap);
 }
 
 void RoutingTables::reset_sparse(const Network& net) {
   n_ = net.node_count();
   version_ = net.version();
   cache_->rows.clear();
+  adj_ = Adjacency::of(net);
 }
 
 void RoutingTables::check_synced() const {
@@ -398,9 +366,13 @@ RoutingTables::Row& RoutingTables::row_locked(NodeId src) const {
   if (it == c.rows.end()) {
     check_synced();
     Row row;
-    row.cost_ties = dijkstra(*net_, src, kCostWeight, row.cost, row.parent);
-    std::vector<NodeId> delay_parent;
-    dijkstra(*net_, src, kDelayWeight, row.delay, delay_parent);
+    row.cost.resize(n_);
+    row.delay.resize(n_);
+    row.parent.resize(n_);
+    row.cost_ties = shortest_paths(adj_, adj_.cost.data(), src,
+                                   row.cost.data(), row.parent.data(), c.heap);
+    shortest_paths(adj_, adj_.delay.data(), src, row.delay.data(), nullptr,
+                   c.heap);
     it = c.rows.emplace(src, std::move(row)).first;
     if (c.rows.size() > c.max_rows) {
       // Evict the least-recently-used row (ticks are unique, so the victim
@@ -493,7 +465,6 @@ std::size_t RoutingTables::cost_matrix(
   // inserting it would evict rows the planner reads again. to[j] receives
   // cost(src, nodes[j]).
   std::vector<double> dist;
-  std::vector<NodeId> parent;
   const auto read_row = [&](NodeId src, double* to) {
     const auto it = cache_->rows.find(src);
     const double* row = nullptr;
@@ -501,7 +472,9 @@ std::size_t RoutingTables::cost_matrix(
       row = it->second.cost.data();
     } else {
       check_synced();
-      dijkstra(*net_, src, kCostWeight, dist, parent);
+      dist.resize(n_);
+      shortest_paths(adj_, adj_.cost.data(), src, dist.data(), nullptr,
+                     cache_->heap);
       row = dist.data();
     }
     for (std::size_t j = 0; j < m; ++j) to[j] = row[nodes[j]];
@@ -595,12 +568,18 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
     return st;
   }
 
-  // Link and node faults and restores: repair every resident row in place
-  // (DESIGN.md §13). A row whose cost tree holds an equal-cost tie, or whose
-  // repair meets one, cannot be repaired, since Dijkstra's choice between
-  // equal candidates depends on the heap's pop order; nor can the row of a
-  // node that crashed or came back. The dense tier recomputes such a row and
-  // the sparse tier evicts it.
+  // Link and node faults and restores. The adjacency flips the usable byte
+  // of each link the batch touches, so the passes below read the new state.
+  for (const auto& [a, b] : batch->links_down) adj_.refresh_usable(net, a);
+  for (const auto& [a, b] : batch->links_up) adj_.refresh_usable(net, a);
+  for (const NodeId z : batch->nodes_down) adj_.refresh_usable(net, z);
+  for (const NodeId z : batch->nodes_up) adj_.refresh_usable(net, z);
+  // Then every resident row is repaired in place (DESIGN.md §13). A row
+  // whose cost tree holds an equal-cost tie, or whose repair meets one,
+  // cannot be repaired, since Dijkstra's choice between equal candidates
+  // depends on the heap's pop order; nor can the row of a node that crashed
+  // or came back. The dense tier recomputes such a row and the sparse tier
+  // evicts it.
   RepairScratch scratch(n_);
   const auto repair = [&](NodeId src, bool ties, double* cost, NodeId* hops,
                           NodeId* parents, double* delay) {
@@ -624,11 +603,13 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
     return true;
   };
   if (cache_ == nullptr) {
+    DistanceHeap heap;
+    std::vector<NodeId> parent;
     for (NodeId src = 0; src < n_; ++src) {
       const std::size_t base = static_cast<std::size_t>(src) * n_;
       if (!repair(src, cost_ties_[src] != 0, cost_.data() + base,
                   next_hop_.data() + base, nullptr, delay_.data() + base)) {
-        dense_row(net, src);
+        dense_row(src, heap, parent);
       }
     }
   } else {

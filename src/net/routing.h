@@ -19,7 +19,9 @@
 //     where a dense matrix would not fit.
 // Both tiers produce bitwise-identical values for identical queries (the
 // same per-source Dijkstra runs either eagerly or lazily), so planner
-// digests do not depend on the tier.
+// digests do not depend on the tier. Every full pass runs the one kernel in
+// net/shortest_path.h over a compressed adjacency the table keeps beside
+// the rows.
 //
 // Repair is incremental: `sync()` replays the Network's mutation log
 // instead of rebuilding from scratch. Quality-only changes (loss, jitter)
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "net/shortest_path.h"
 
 namespace iflow::net {
 
@@ -186,8 +189,9 @@ class RoutingTables {
   struct Cache;  // defined in routing.cpp; holds the mutex + row map
 
   void rebuild_dense(const Network& net);
-  /// Dense tier: recomputes source row `src` of every matrix from scratch.
-  void dense_row(const Network& net, NodeId src);
+  /// Dense tier: recomputes source row `src` of every matrix from scratch,
+  /// with `parent` as scratch for its cost tree.
+  void dense_row(NodeId src, DistanceHeap& heap, std::vector<NodeId>& parent);
   void reset_sparse(const Network& net);
   /// Sparse tier: CHECKs that the network has not moved past the table's
   /// version before a lazy Dijkstra reads it.
@@ -202,6 +206,9 @@ class RoutingTables {
 
   std::size_t n_ = 0;
   std::uint64_t version_ = 0;
+  /// The network as every full pass reads it (both tiers): rebuilt with the
+  /// rows, its usable bytes patched in place by a fault sync.
+  Adjacency adj_;
 
   // Dense tier storage (empty in sparse mode).
   std::vector<double> cost_;      // cost-weighted distances

@@ -1,0 +1,188 @@
+// The one single-source shortest-path kernel behind every full routing pass:
+// the dense rows, the lazy sparse rows, the rows of the coordinator matrix
+// and the induced-subgraph distances of the hierarchy.
+//
+// It reads a compressed adjacency (each node's arcs in one contiguous range,
+// in Network::incident() order, with per-link weights and a usable byte)
+// instead of the Network's link records, and queues nodes in an indexed
+// 4-ary min-heap that lowers a queued node's key in place. Distances do not
+// depend on the heap: each is the least of the same `dist[u] + w` candidates
+// whatever order the nodes settle in (DESIGN.md §13).
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "net/network.h"
+
+namespace iflow::net {
+
+/// Compressed adjacency of a graph: the arcs of node u are
+/// arcs[first[u] .. first[u + 1]), and each arc names its far end and the
+/// link it crosses, an index into the per-link arrays.
+struct Adjacency {
+  struct Arc {
+    NodeId to = kInvalidNode;
+    std::uint32_t link = 0;
+  };
+  std::vector<std::uint32_t> first;
+  std::vector<Arc> arcs;
+  std::vector<double> cost;          // per link: cost_per_byte
+  std::vector<double> delay;         // per link: delay_ms
+  std::vector<std::uint8_t> usable;  // per link: Network::usable()
+
+  /// The whole network: one arc per link end, in incident() order, and
+  /// links indexed as in Network::links().
+  static Adjacency of(const Network& net) {
+    Adjacency g;
+    const std::size_t n = net.node_count();
+    const std::vector<Link>& links = net.links();
+    g.first.reserve(n + 1);
+    g.arcs.reserve(2 * links.size());
+    for (NodeId u = 0; u < n; ++u) {
+      g.first.push_back(static_cast<std::uint32_t>(g.arcs.size()));
+      for (const std::uint32_t idx : net.incident(u)) {
+        const Link& l = links[idx];
+        g.arcs.push_back({l.a == u ? l.b : l.a, idx});
+      }
+    }
+    g.first.push_back(static_cast<std::uint32_t>(g.arcs.size()));
+    g.cost.reserve(links.size());
+    g.delay.reserve(links.size());
+    g.usable.reserve(links.size());
+    for (std::uint32_t idx = 0; idx < links.size(); ++idx) {
+      g.cost.push_back(links[idx].cost_per_byte);
+      g.delay.push_back(links[idx].delay_ms);
+      g.usable.push_back(net.usable(idx) ? 1 : 0);
+    }
+    return g;
+  }
+
+  /// Re-reads the usable byte of every link incident to `v` after a fault
+  /// or restore there: O(degree), so a fault sync stays O(batch).
+  void refresh_usable(const Network& net, NodeId v) {
+    for (const std::uint32_t idx : net.incident(v)) {
+      usable[idx] = net.usable(idx) ? 1 : 0;
+    }
+  }
+};
+
+/// Indexed 4-ary min-heap of nodes keyed by tentative distance. `slot_`
+/// holds each queued node's position, so a relaxation lowers its key in
+/// place instead of queueing a duplicate. Keys and nodes sit in parallel
+/// arrays, and a pop picks the least of four children with arithmetic
+/// rather than branches, which the random keys would mispredict. Every node
+/// a pass queues is popped before it ends, so the slots are all free again
+/// between passes and the heap can be reused without clearing.
+class DistanceHeap {
+ public:
+  bool empty() const { return size_ == 0; }
+
+  /// Makes room for nodes [0, n).
+  void fit(std::size_t n) {
+    if (slot_.size() >= n) return;
+    slot_.resize(n, kFree);
+    key_.resize(n);
+    node_.resize(n);
+  }
+
+  /// Queues v (< the fitted n) at `key`, or lowers its key when it is
+  /// already queued.
+  void push_or_decrease(NodeId v, double key) {
+    std::size_t i = slot_[v];
+    if (i == kFree) i = size_++;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!(key < key_[parent])) break;
+      place(i, key_[parent], node_[parent]);
+      i = parent;
+    }
+    place(i, key, v);
+  }
+
+  /// Removes and returns the node with the least key.
+  NodeId pop() {
+    const NodeId top = node_[0];
+    slot_[top] = kFree;
+    if (--size_ == 0) return top;
+    // Fill the emptied root with the last entry, moving the least child up
+    // each level until none is smaller.
+    const double key = key_[size_];
+    const NodeId v = node_[size_];
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t c = 4 * i + 1;
+      if (c >= size_) break;
+      const std::size_t end = std::min(c + 4, size_);
+      std::size_t best = c;
+      double best_key = key_[c];
+      for (std::size_t k = c + 1; k < end; ++k) {
+        const std::size_t less = key_[k] < best_key ? 1 : 0;
+        best ^= (best ^ k) & (0 - less);
+        best_key = std::min(best_key, key_[k]);
+      }
+      if (!(best_key < key)) break;
+      place(i, best_key, node_[best]);
+      i = best;
+    }
+    place(i, key, v);
+    return top;
+  }
+
+ private:
+  static constexpr std::uint32_t kFree =
+      std::numeric_limits<std::uint32_t>::max();
+
+  void place(std::size_t i, double key, NodeId v) {
+    key_[i] = key;
+    node_[i] = v;
+    slot_[v] = static_cast<std::uint32_t>(i);
+  }
+
+  std::size_t size_ = 0;
+  std::vector<double> key_;          // key_[0, size_): the heap's keys
+  std::vector<NodeId> node_;         // node_[i]: the node keyed by key_[i]
+  std::vector<std::uint32_t> slot_;  // per node: heap index, or kFree
+};
+
+/// Single-source shortest paths from `src` over the usable links of `g`,
+/// under the per-link weight `w` (g.cost, g.delay or another per-link
+/// array). Fills dist[0, n) — +inf where unreachable — and, when `parent`
+/// is given, each reached node's predecessor (kInvalidNode for `src` and
+/// unreached nodes). Returns true when some relaxation exactly matched its
+/// target's current distance: an equal-cost tie, which the pop order broke.
+inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
+                           double* dist, NodeId* parent, DistanceHeap& heap) {
+  const std::size_t n = g.first.size() - 1;
+  std::fill(dist, dist + n, std::numeric_limits<double>::infinity());
+  if (parent != nullptr) std::fill(parent, parent + n, kInvalidNode);
+  const std::uint32_t* first = g.first.data();
+  const Adjacency::Arc* arcs = g.arcs.data();
+  const std::uint8_t* usable = g.usable.data();
+  bool tie = false;
+  heap.fit(n);
+  dist[src] = 0.0;
+  heap.push_or_decrease(src, 0.0);
+  while (!heap.empty()) {
+    const NodeId u = heap.pop();
+    const double d = dist[u];
+    for (std::uint32_t e = first[u]; e < first[u + 1]; ++e) {
+      const Adjacency::Arc arc = arcs[e];
+      if (usable[arc.link] == 0) continue;
+      const double nd = d + w[arc.link];
+      if (nd < dist[arc.to]) {
+        dist[arc.to] = nd;
+        if (parent != nullptr) parent[arc.to] = u;
+        heap.push_or_decrease(arc.to, nd);
+      } else if (nd == dist[arc.to]) {
+        tie = true;
+      }
+    }
+  }
+  return tie;
+}
+
+}  // namespace iflow::net

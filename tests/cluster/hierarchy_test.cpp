@@ -592,10 +592,23 @@ void expect_matrix_is_fresh(const Hierarchy& h, const net::RoutingTables& rt) {
   }
 }
 
+/// d(1) of a partitioned hierarchy measured afresh: the largest finite
+/// induced distance inside any leaf cluster.
+double measured_d1(const Hierarchy& h, const net::Network& net) {
+  double d = 0.0;
+  for (const Cluster& cl : h.level(1)) {
+    for (const double v : induced_distances(net, cl.members)) {
+      if (std::isfinite(v)) d = std::max(d, v);
+    }
+  }
+  return d;
+}
+
 /// Refreshes a partitioned hierarchy on the sparse tier after each of 20
 /// random single-link failures and restores and after 4 fallback batches
 /// (two link events, a cost change, a node crash and its restore), and
-/// checks the coordinator matrix against a fresh one each time.
+/// checks the coordinator matrix and every d(l) against a full recompute
+/// each time.
 void run_refresh_script(std::uint64_t seed, bool integer_weights) {
   net::TransitStubParams p;
   p.transit_count = 3;
@@ -656,6 +669,8 @@ void run_refresh_script(std::uint64_t seed, bool integer_weights) {
       ++partial;
     }
     expect_matrix_is_fresh(h, rt);
+    ASSERT_EQ(bits(h.d(1)), bits(measured_d1(h, net)))
+        << "seed " << seed << " step " << step;
     if (::testing::Test::HasFatalFailure()) {
       ADD_FAILURE() << "seed " << seed << " step " << step;
       return;
@@ -668,6 +683,42 @@ TEST(CoordinatorMatrixTest, IncrementalRefreshMatchesAFreshMatrix) {
   run_refresh_script(61, /*integer_weights=*/false);
   run_refresh_script(62, /*integer_weights=*/false);
   run_refresh_script(63, /*integer_weights=*/true);
+}
+
+TEST(PartitionedHierarchyTest, RefreshRemeasuresTheLeafALinkFaultChanges) {
+  // A refresh remeasures only the leaf clusters holding an endpoint of a
+  // fault or restore. Fail and restore, one at a time, every link inside a
+  // leaf cluster: d(1) must follow each change, and some must move it.
+  net::TransitStubParams p;
+  p.transit_count = 3;
+  p.stub_domains_per_transit = 3;
+  p.stub_domain_size = 6;
+  Prng prng(64);
+  net::Network net = net::make_transit_stub(p, prng);
+  net::RoutingTables rt = sparse_routing(net, 8);
+  Hierarchy h =
+      Hierarchy::build_partitioned(net, rt, domain_partitions(p), 4, prng);
+  std::size_t moved = 0;
+  for (std::uint32_t idx = 0; idx < net.link_count(); ++idx) {
+    const net::Link l = net.links()[idx];
+    if (!net.link_up(idx) || h.cluster_of(l.a, 1) != h.cluster_of(l.b, 1)) {
+      continue;
+    }
+    const double before = h.d(1);
+    for (const bool restore : {false, true}) {
+      if (restore) {
+        net.restore_link(l.a, l.b);
+      } else {
+        net.fail_link(l.a, l.b);
+      }
+      rt.sync(net);
+      h.refresh(rt);
+      ASSERT_EQ(bits(h.d(1)), bits(measured_d1(h, net)))
+          << "link " << l.a << "-" << l.b << (restore ? " restored" : "");
+      if (!restore && h.d(1) != before) ++moved;
+    }
+  }
+  EXPECT_GT(moved, 0u);
 }
 
 TEST(CoordinatorMatrixTest, RefreshAgainstAnotherTableRecomputesEveryRow) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/prng.h"
+#include "integer_weights.h"
 #include "net/gtitm.h"
 #include "net/network.h"
 #include "net/routing.h"
@@ -118,19 +119,6 @@ void apply(Network& net, const Event& e) {
   }
 }
 
-// The same topology with every link's cost and delay rounded down to an
-// integer: equal-cost paths become common, so Dijkstra's tie-breaking
-// decides many parents.
-Network with_integer_weights(const Network& net) {
-  Network out;
-  for (NodeId v = 0; v < net.node_count(); ++v) out.add_node(net.kind(v));
-  for (const Link& l : net.links()) {
-    out.add_link(l.a, l.b, std::floor(l.cost_per_byte), std::floor(l.delay_ms),
-                 l.bandwidth_bps);
-  }
-  return out;
-}
-
 // Replays `length` seeded events, one sync each, and checks the table
 // against a fresh build after every sync. On the sparse tier `cached_rows`
 // bounds the LRU (0 keeps every row resident).
@@ -180,6 +168,10 @@ TEST(IncrementalRoutingTest, DenseSyncMatchesRebuildWithIntegerWeights) {
   }
 }
 
+// The sparse scripts also pin the in-place patch of the adjacency's usable
+// bytes in sync(): with an 8-row cache, expect_equivalent evicts rows and
+// recomputes them from the patched adjacency after every sync, and compares
+// them with rows a fresh build computes from a fresh adjacency.
 TEST(IncrementalRoutingTest, SparseSyncMatchesRebuildAcrossSeededScripts) {
   for (const std::uint64_t seed : {13u, 31u, 53u}) {
     run_script(RoutingMode::kSparse, seed, 20);

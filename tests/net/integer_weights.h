@@ -1,0 +1,23 @@
+// Test worlds shared by the routing suites.
+#pragma once
+
+#include <cmath>
+
+#include "net/network.h"
+
+namespace iflow::net {
+
+/// The same topology with every link's cost and delay rounded down to an
+/// integer: equal-cost paths become common, so Dijkstra's tie-breaking
+/// decides many parents.
+inline Network with_integer_weights(const Network& net) {
+  Network out;
+  for (NodeId v = 0; v < net.node_count(); ++v) out.add_node(net.kind(v));
+  for (const Link& l : net.links()) {
+    out.add_link(l.a, l.b, std::floor(l.cost_per_byte), std::floor(l.delay_ms),
+                 l.bandwidth_bps);
+  }
+  return out;
+}
+
+}  // namespace iflow::net

@@ -9,10 +9,13 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/prng.h"
+#include "integer_weights.h"
 #include "net/gtitm.h"
 
 namespace iflow::net {
@@ -668,6 +671,207 @@ TEST(RoutingTest, CostMatrixSinceBoundsPathsByTheCheapestParallelLink) {
   Detour d = make_detour({1.0}, {4.0, 1.0}, 1.0, 4.0);
   ASSERT_EQ(d.fresh()[1], 3.0);
   d.expect_fail_and_restore_rewrite_row_i();
+}
+
+// Reference oracle: a textbook Dijkstra over the Network itself — a lazy
+// binary heap over incident() and usable() — that the tables' kernel (a
+// compressed adjacency and an indexed heap) must match bit for bit.
+struct ReferenceRow {
+  std::vector<double> cost;
+  std::vector<double> delay;
+  std::vector<NodeId> parent;  // cost tree
+  bool cost_tie = false;       // some cost relaxation met an equal distance
+};
+
+bool reference_pass(const Network& net, NodeId src, bool by_cost,
+                    std::vector<double>& dist, std::vector<NodeId>& parent) {
+  const std::size_t n = net.node_count();
+  dist.assign(n, std::numeric_limits<double>::infinity());
+  parent.assign(n, kInvalidNode);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+  bool tie = false;
+  dist[src] = 0.0;
+  queue.push({0.0, src});
+  while (!queue.empty()) {
+    const auto [d, u] = queue.top();
+    queue.pop();
+    if (d > dist[u]) continue;
+    for (const std::uint32_t idx : net.incident(u)) {
+      if (!net.usable(idx)) continue;
+      const Link& l = net.links()[idx];
+      const NodeId v = l.a == u ? l.b : l.a;
+      const double nd = d + (by_cost ? l.cost_per_byte : l.delay_ms);
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        parent[v] = u;
+        queue.push({nd, v});
+      } else if (nd == dist[v]) {
+        tie = true;
+      }
+    }
+  }
+  return tie;
+}
+
+ReferenceRow reference_row(const Network& net, NodeId src) {
+  ReferenceRow r;
+  std::vector<NodeId> delay_parent;
+  r.cost_tie = reference_pass(net, src, true, r.cost, r.parent);
+  reference_pass(net, src, false, r.delay, delay_parent);
+  return r;
+}
+
+/// The a→b walk up a predecessor tree rooted at a; empty when unreachable.
+std::vector<NodeId> tree_path(const std::vector<NodeId>& parent, NodeId a,
+                              NodeId b) {
+  if (a == b) return {a};
+  if (parent[b] == kInvalidNode) return {};
+  std::vector<NodeId> path;
+  for (NodeId v = b; v != a; v = parent[v]) path.push_back(v);
+  path.push_back(a);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+/// Checks cost, delay_ms and cost_path from every source in `sources`
+/// against the reference, bit for bit, on a world where no reference cost
+/// tree holds a tie. The dense tier takes each hop from the row of the node
+/// it stands on, so its reference path does too; the sparse tier walks the
+/// source's tree.
+void expect_matches_reference(const Network& net, const RoutingTables& rt,
+                              const std::vector<NodeId>& sources) {
+  const auto n = static_cast<NodeId>(net.node_count());
+  std::vector<ReferenceRow> rows(n);
+  const auto row = [&](NodeId v) -> const ReferenceRow& {
+    if (rows[v].cost.empty()) rows[v] = reference_row(net, v);
+    return rows[v];
+  };
+  for (const NodeId a : sources) {
+    ASSERT_FALSE(row(a).cost_tie) << "source " << a;
+    for (NodeId b = 0; b < n; ++b) {
+      ASSERT_EQ(bits(rt.cost(a, b)), bits(row(a).cost[b])) << a << "->" << b;
+      ASSERT_EQ(bits(rt.delay_ms(a, b)), bits(row(a).delay[b]))
+          << a << "->" << b;
+      std::vector<NodeId> want = tree_path(row(a).parent, a, b);
+      if (!rt.sparse() && want.size() > 2) {
+        want = {a};
+        for (NodeId at = a; at != b;) {
+          ASSERT_FALSE(row(at).cost_tie) << "source " << at;
+          at = tree_path(row(at).parent, at, b)[1];
+          want.push_back(at);
+        }
+      }
+      ASSERT_EQ(rt.cost_path(a, b), want) << a << "->" << b;
+    }
+  }
+}
+
+std::vector<NodeId> every_node(const Network& net) {
+  std::vector<NodeId> all(net.node_count());
+  for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
+  return all;
+}
+
+TEST(RoutingReferenceTest, DenseTierMatchesTheReferenceOnGtItmWorlds) {
+  for (const TransitStubParams& p : {TransitStubParams{}, scale_to(528)}) {
+    Prng prng(101);
+    const Network net = make_transit_stub(p, prng);
+    RoutingOptions opts;
+    opts.mode = RoutingMode::kDense;
+    const RoutingTables rt = RoutingTables::build(net, opts);
+    expect_matches_reference(net, rt, every_node(net));
+  }
+}
+
+TEST(RoutingReferenceTest, SparseTierMatchesTheReferenceBeforeAndAfterFaults) {
+  // Sampled sources keep the sanitizer builds quick. After the faults the
+  // resident rows are repaired in place and the others are computed from
+  // the adjacency whose usable bytes sync() patched.
+  Prng prng(102);
+  Network net = make_transit_stub(scale_to(1000), prng);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  RoutingTables rt = RoutingTables::build(net, opts);
+  std::vector<NodeId> sources;
+  for (int i = 0; i < 24; ++i) {
+    sources.push_back(static_cast<NodeId>(prng.index(net.node_count())));
+  }
+  expect_matches_reference(net, rt, sources);
+  // Fail a link in the middle of three sampled routes, and crash a source.
+  for (std::size_t i = 2; i < 5; ++i) {
+    const std::vector<NodeId> path = rt.cost_path(sources[i], sources[i + 12]);
+    if (path.size() < 2) continue;
+    const NodeId a = path[path.size() / 2 - 1];
+    const NodeId b = path[path.size() / 2];
+    if (net.cheapest_usable_link(a, b) != kInvalidLink) net.fail_link(a, b);
+  }
+  net.crash_node(sources[1]);
+  ASSERT_FALSE(rt.sync(net).full_rebuild);
+  std::vector<NodeId> after(sources.begin(), sources.begin() + 12);
+  for (int i = 0; i < 12; ++i) {
+    after.push_back(static_cast<NodeId>(prng.index(net.node_count())));
+  }
+  expect_matches_reference(net, rt, after);
+}
+
+/// Where equal-cost paths exist the tables may pick another parent than
+/// the reference, but distances keep their bits, and each cost path is a
+/// walk over usable links whose left fold of cheapest-link costs — the sum
+/// Dijkstra forms along a tree path — is cost(a, b) bit for bit.
+void expect_tied_world_matches_reference(const Network& net) {
+  const auto n = static_cast<NodeId>(net.node_count());
+  bool tie = false;
+  for (const RoutingMode mode : {RoutingMode::kDense, RoutingMode::kSparse}) {
+    RoutingOptions opts;
+    opts.mode = mode;
+    const RoutingTables rt = RoutingTables::build(net, opts);
+    for (NodeId a = 0; a < n; ++a) {
+      const ReferenceRow ref = reference_row(net, a);
+      tie = tie || ref.cost_tie;
+      for (NodeId b = 0; b < n; ++b) {
+        ASSERT_EQ(bits(rt.cost(a, b)), bits(ref.cost[b])) << a << "->" << b;
+        ASSERT_EQ(bits(rt.delay_ms(a, b)), bits(ref.delay[b]))
+            << a << "->" << b;
+        const std::vector<NodeId> path = rt.cost_path(a, b);
+        if (!std::isfinite(ref.cost[b])) {
+          ASSERT_TRUE(path.empty()) << a << "->" << b;
+          continue;
+        }
+        ASSERT_FALSE(path.empty()) << a << "->" << b;
+        ASSERT_EQ(path.front(), a);
+        ASSERT_EQ(path.back(), b);
+        double fold = 0.0;
+        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+          const std::uint32_t l =
+              net.cheapest_usable_link(path[i], path[i + 1]);
+          ASSERT_NE(l, kInvalidLink)
+              << "hop " << path[i] << "-" << path[i + 1];
+          fold = fold + net.links()[l].cost_per_byte;
+        }
+        ASSERT_EQ(bits(fold), bits(rt.cost(a, b))) << a << "->" << b;
+      }
+    }
+  }
+  EXPECT_TRUE(tie) << "the world holds no equal-cost tie";
+}
+
+TEST(RoutingReferenceTest, IntegerWeightWorldMatchesTheReference) {
+  Prng prng(103);
+  Network net = with_integer_weights(make_transit_stub({}, prng));
+  net.fail_link(net.links()[5].a, net.links()[5].b);
+  expect_tied_world_matches_reference(net);
+}
+
+TEST(RoutingReferenceTest, TwoRelayDiamondMatchesTheReference) {
+  // 0 reaches 3 through relay 1 or relay 2 at the same cost and delay.
+  Network net;
+  for (int i = 0; i < 4; ++i) net.add_node();
+  net.add_link(0, 1, 1.5, 2.0, 1e6);
+  net.add_link(0, 2, 1.5, 2.0, 1e6);
+  net.add_link(1, 3, 2.5, 3.0, 1e6);
+  net.add_link(2, 3, 2.5, 3.0, 1e6);
+  expect_tied_world_matches_reference(net);
 }
 
 }  // namespace
