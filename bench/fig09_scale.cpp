@@ -13,8 +13,10 @@
 //   * incremental repair time after a single link failure vs recomputing
 //     the same working set from scratch (target: >= 10x at 10k nodes);
 //   * the hierarchy's refresh after that failure, which recomputes only
-//     the coordinator-matrix rows the link can change, vs one full
-//     recompute of the matrix, and the rows the refresh recomputed;
+//     the coordinator-matrix entries the link can change, vs one full
+//     recompute of the matrix, and the rows the refresh touched;
+//   * the refresh after a failure on a leaf coordinator's cost path, which
+//     changes that coordinator's row and column;
 //   * an FNV-1a digest over the hexfloat plan costs — rerun with a
 //     different --threads value and diff the digest lines to check the
 //     parallel site sweep is bitwise-identical to the serial one.
@@ -90,6 +92,8 @@ struct Cell {
   double refresh_ms = 0.0;
   double full_matrix_ms = 0.0;
   std::size_t refresh_rows = 0;
+  double gateway_refresh_ms = 0.0;
+  std::size_t gateway_refresh_rows = 0;
   std::uint64_t digest = 0;
 };
 
@@ -215,6 +219,38 @@ Cell run_cell(int target_nodes, std::uint64_t seed, int threads,
   const auto t_matrix = Clock::now();
   rt.cost_matrix(coords.data(), coords.size(), matrix.data());
   cell.full_matrix_ms = ms_since(t_matrix);
+
+  // A failure on a leaf coordinator's cost path: the first stub link on a
+  // stub coordinator's path to the first coordinator whose failure keeps
+  // the network connected. The restore above and the probes are synced and
+  // refreshed untimed, so the timed refresh replays one event.
+  net.restore_link(va, vb);
+  rt.sync(net);
+  net::NodeId ga = net::kInvalidNode, gb = net::kInvalidNode;
+  for (std::size_t k = 1; k < coords.size() && ga == net::kInvalidNode; ++k) {
+    if (net.kind(coords[k]) != net::NodeKind::kStub) continue;
+    const std::vector<net::NodeId> path = rt.cost_path(coords[k], coords[0]);
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      if (net.kind(path[h + 1]) != net::NodeKind::kStub) break;
+      net.fail_link(path[h], path[h + 1]);
+      const bool connected = net.connected();
+      net.restore_link(path[h], path[h + 1]);
+      rt.sync(net);
+      if (connected) {
+        ga = path[h];
+        gb = path[h + 1];
+        break;
+      }
+    }
+  }
+  IFLOW_CHECK_MSG(ga != net::kInvalidNode,
+                  "no coordinator path holds a non-bridge stub link");
+  hierarchy.refresh(rt);
+  net.fail_link(ga, gb);
+  rt.sync(net);
+  const auto t_gateway = Clock::now();
+  cell.gateway_refresh_rows = hierarchy.refresh(rt);
+  cell.gateway_refresh_ms = ms_since(t_gateway);
   return cell;
 }
 
@@ -241,6 +277,8 @@ void write_json(const std::string& path, const std::vector<Cell>& cells,
         << ", \"refresh_ms\": " << c.refresh_ms
         << ", \"full_matrix_ms\": " << c.full_matrix_ms
         << ", \"refresh_rows\": " << c.refresh_rows
+        << ", \"gateway_refresh_ms\": " << c.gateway_refresh_ms
+        << ", \"gateway_refresh_rows\": " << c.gateway_refresh_rows
         << ", \"digest\": \"" << std::hex << c.digest << std::dec << "\"}"
         << (i + 1 < cells.size() ? "," : "") << '\n';
   }
@@ -288,7 +326,8 @@ int main(int argc, char** argv) {
             << ", threads " << threads << ")\n\n";
   TextTable t({"nodes", "hier ms", "plan ms", "oracle MB", "dense MB",
                "mem %", "quality", "inc ms", "full ms", "speedup",
-               "refresh ms", "matrix ms", "rows", "digest-fnv"});
+               "refresh ms", "matrix ms", "rows", "gw ms", "gw rows",
+               "digest-fnv"});
   std::vector<Cell> cells;
   for (const int size : sizes) {
     const Cell c = run_cell(size, seed, threads, /*dense_baseline=*/size <= 1000);
@@ -311,6 +350,8 @@ int main(int argc, char** argv) {
         .cell(c.refresh_ms, 2)
         .cell(c.full_matrix_ms, 2)
         .cell(static_cast<std::uint64_t>(c.refresh_rows))
+        .cell(c.gateway_refresh_ms, 2)
+        .cell(static_cast<std::uint64_t>(c.gateway_refresh_rows))
         .cell(dg.str());
     cells.push_back(c);
     std::cout << "digest-fnv " << c.nodes << ' ' << dg.str() << '\n';

@@ -336,7 +336,8 @@ std::size_t Hierarchy::price_coordinators(const net::RoutingTables& rt,
   coord_version_ = rt.built_against();
 #ifndef NDEBUG
   if (since.has_value()) {
-    // Every row the update kept must hold what a full recompute gives.
+    // Every entry the update kept or recomputed must hold what a full
+    // recompute gives.
     std::vector<double> full(coord_cost_.size());
     rt.cost_matrix(coords.data(), leaves, full.data());
     IFLOW_CHECK(std::memcmp(full.data(), coord_cost_.data(),

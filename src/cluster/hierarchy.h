@@ -122,11 +122,12 @@ class Hierarchy {
   /// costs. A quality-only sync (loss, jitter, degradation) changes no cost
   /// and keeps the hierarchy valid without a refresh. When `rt` is the
   /// table the matrix was computed from, the matrix is updated in place and
-  /// RoutingTables::cost_matrix recomputes only the rows the network
-  /// changes since then can reach (on the sparse tier, none or a few after
-  /// one link fault or restore); a different table recomputes every row.
-  /// Debug builds compare the result with a full recompute bit for bit.
-  /// Returns the number of matrix rows recomputed.
+  /// RoutingTables::cost_matrix recomputes only the entries the network
+  /// changes since then can reach (on the sparse tier, after one link fault
+  /// or restore, none or those of a few rows and columns); a different
+  /// table recomputes every row. Debug builds compare the result with a
+  /// full recompute bit for bit. Returns the number of matrix rows in which
+  /// an entry was recomputed.
   std::size_t refresh(const net::RoutingTables& rt);
 
   /// Bytes held by the clusters, the derived lookup tables and the
@@ -149,9 +150,9 @@ class Hierarchy {
 
  private:
   /// Fills the coordinator matrix from `rt` in place; with `since`, it holds
-  /// the matrix as of network version `since` and only the rows
-  /// RoutingTables::cost_matrix finds changed are rewritten. Returns the
-  /// rows rewritten.
+  /// the matrix as of network version `since` and only the entries
+  /// RoutingTables::cost_matrix finds stale are rewritten. Returns the rows
+  /// with a rewritten entry.
   std::size_t price_coordinators(
       const net::RoutingTables& rt,
       std::optional<std::uint64_t> since = std::nullopt);

@@ -108,19 +108,29 @@ std::optional<std::pair<NodeId, NodeId>> single_link_event(const Batch& b) {
   return b.links_down.empty() ? b.links_up.front() : b.links_down.front();
 }
 
-/// Scratch space for repairing rows in place: O(n), reused across rows and
-/// metrics.
+}  // namespace
+
+/// Scratch space for repairing rows in place: O(n), kept with the table and
+/// reused across syncs, rows and metrics.
 struct RepairScratch {
   /// A node is invalidated or improved in the current pass when its stamp
-  /// equals `pass`.
+  /// equals `pass`. The stamps are zeroed only when `pass` wraps.
   std::vector<std::uint32_t> stamp;
   std::uint32_t pass = 0;
   std::vector<NodeId> parent;   // a stamped node's parent
   std::vector<NodeId> touched;  // stamped nodes, in stamping order
   std::vector<QueueEntry> heap;
 
-  explicit RepairScratch(std::size_t n) : stamp(n, 0), parent(n) {}
+  /// Sizes the scratch for an n-node table; a no-op when it already is.
+  void fit(std::size_t n) {
+    if (stamp.size() == n) return;
+    stamp.assign(n, 0);
+    pass = 0;
+    parent.resize(n);
+  }
 };
+
+namespace {
 
 enum class Repair : std::uint8_t { kUntouched, kRepaired, kTie };
 
@@ -139,7 +149,10 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
                   WeightFn weight, double* dist, NodeId* hops,
                   NodeId* parents, RepairScratch& s) {
   const bool cost_tree = hops != nullptr || parents != nullptr;
-  ++s.pass;
+  if (++s.pass == 0) {  // wrapped: clear the stamps of earlier passes
+    std::fill(s.stamp.begin(), s.stamp.end(), 0);
+    s.pass = 1;
+  }
   s.touched.clear();
   s.heap.clear();
   const auto stamped = [&](NodeId v) { return s.stamp[v] == s.pass; };
@@ -271,24 +284,31 @@ std::vector<NodeId> path_from_parents(NodeId src, NodeId dst,
   return path;
 }
 
-/// Bytes one source row occupies on either tier: cost and delay distances
-/// and one cost-tree id per destination (dense first hops, sparse
-/// predecessors).
+/// Bytes one dense source row occupies: cost and delay distances and one
+/// first hop per destination.
 std::size_t row_bytes(std::size_t n) {
   return n * (2 * sizeof(double) + sizeof(NodeId));
 }
 
 }  // namespace
 
-/// Sparse-tier state: the bounded per-source row cache, and the heap its
-/// lazy passes share under the lock.
+/// Sparse-tier state: the bounded per-source row cache with the bytes its
+/// parts hold, and the heap its lazy passes share under the lock.
 struct RoutingTables::Cache {
   std::size_t max_rows = 512;
   std::mutex mu;
   std::unordered_map<NodeId, Row> rows;
   std::uint64_t tick = 0;
-  std::size_t peak_rows = 0;
+  std::size_t bytes = 0;
+  std::size_t peak_bytes = 0;
   DistanceHeap heap;
+
+  /// Bytes a sparse row holds: 12 per entry for the cost part (distance and
+  /// predecessor), 8 for the delay part.
+  static std::size_t bytes_of(const Row& r) {
+    return (r.cost.size() + r.delay.size()) * sizeof(double) +
+           r.parent.size() * sizeof(NodeId);
+  }
 };
 
 RoutingTables::RoutingTables() = default;
@@ -346,6 +366,7 @@ void RoutingTables::reset_sparse(const Network& net) {
   n_ = net.node_count();
   version_ = net.version();
   cache_->rows.clear();
+  cache_->bytes = 0;
   adj_ = Adjacency::of(net);
 }
 
@@ -360,34 +381,47 @@ void RoutingTables::check_synced() const {
           << "): call sync() before querying");
 }
 
-RoutingTables::Row& RoutingTables::row_locked(NodeId src) const {
+RoutingTables::Row& RoutingTables::row_locked(NodeId src,
+                                              Metric metric) const {
   Cache& c = *cache_;
   auto it = c.rows.find(src);
-  if (it == c.rows.end()) {
+  const bool held = it != c.rows.end() && !(metric == Metric::kCost
+                                                ? it->second.cost.empty()
+                                                : it->second.delay.empty());
+  if (!held) {
     check_synced();
-    Row row;
-    row.cost.resize(n_);
-    row.delay.resize(n_);
-    row.parent.resize(n_);
-    row.cost_ties = shortest_paths(adj_, adj_.cost.data(), src,
-                                   row.cost.data(), row.parent.data(), c.heap);
-    shortest_paths(adj_, adj_.delay.data(), src, row.delay.data(), nullptr,
-                   c.heap);
-    it = c.rows.emplace(src, std::move(row)).first;
-    if (c.rows.size() > c.max_rows) {
-      // Evict the least-recently-used row (ticks are unique, so the victim
-      // does not depend on map iteration order).
-      auto victim = c.rows.end();
-      for (auto r = c.rows.begin(); r != c.rows.end(); ++r) {
-        if (r->first == src) continue;
-        if (victim == c.rows.end() ||
-            r->second.last_used < victim->second.last_used) {
-          victim = r;
+    if (it == c.rows.end()) {
+      it = c.rows.emplace(src, Row{}).first;
+      if (c.rows.size() > c.max_rows) {
+        // Evict the least-recently-used row (ticks are unique, so the
+        // victim does not depend on map iteration order).
+        auto victim = c.rows.end();
+        for (auto r = c.rows.begin(); r != c.rows.end(); ++r) {
+          if (r->first == src) continue;
+          if (victim == c.rows.end() ||
+              r->second.last_used < victim->second.last_used) {
+            victim = r;
+          }
         }
+        c.bytes -= Cache::bytes_of(victim->second);
+        c.rows.erase(victim);
       }
-      c.rows.erase(victim);
     }
-    c.peak_rows = std::max(c.peak_rows, c.rows.size());
+    Row& row = it->second;
+    if (metric == Metric::kCost) {
+      row.cost.resize(n_);
+      row.parent.resize(n_);
+      row.cost_ties = shortest_paths(adj_, adj_.cost.data(), src,
+                                     row.cost.data(), row.parent.data(),
+                                     c.heap);
+      c.bytes += n_ * (sizeof(double) + sizeof(NodeId));
+    } else {
+      row.delay.resize(n_);
+      shortest_paths(adj_, adj_.delay.data(), src, row.delay.data(), nullptr,
+                     c.heap);
+      c.bytes += n_ * sizeof(double);
+    }
+    c.peak_bytes = std::max(c.peak_bytes, c.bytes);
   }
   it->second.last_used = ++c.tick;
   return it->second;
@@ -397,14 +431,14 @@ double RoutingTables::cost(NodeId a, NodeId b) const {
   if (cache_ == nullptr) return at(cost_, a, b);
   IFLOW_CHECK(a < n_ && b < n_);
   std::lock_guard<std::mutex> lock(cache_->mu);
-  return row_locked(a).cost[b];
+  return row_locked(a, Metric::kCost).cost[b];
 }
 
 double RoutingTables::delay_ms(NodeId a, NodeId b) const {
   if (cache_ == nullptr) return at(delay_, a, b);
   IFLOW_CHECK(a < n_ && b < n_);
   std::lock_guard<std::mutex> lock(cache_->mu);
-  return row_locked(a).delay[b];
+  return row_locked(a, Metric::kDelay).delay[b];
 }
 
 bool RoutingTables::reachable(NodeId a, NodeId b) const {
@@ -417,7 +451,7 @@ std::vector<NodeId> RoutingTables::cost_path(NodeId a, NodeId b) const {
     // One lock, one row: the predecessor chain gives the whole path without
     // per-hop row lookups.
     std::lock_guard<std::mutex> lock(cache_->mu);
-    const Row& row = row_locked(a);
+    const Row& row = row_locked(a, Metric::kCost);
     return path_from_parents(a, b, row.parent, row.cost);
   }
   if (a != b && !reachable(a, b)) return {};
@@ -443,7 +477,7 @@ void RoutingTables::fill_costs(NodeId src, const NodeId* dst,
     return;
   }
   std::lock_guard<std::mutex> lock(cache_->mu);
-  const Row& row = row_locked(src);
+  const Row& row = row_locked(src, Metric::kCost);
   for (std::size_t i = 0; i < count; ++i) {
     IFLOW_CHECK(dst[i] < n_);
     out[i] = row.cost[dst[i]];
@@ -461,78 +495,132 @@ std::size_t RoutingTables::cost_matrix(
   }
   for (std::size_t i = 0; i < m; ++i) IFLOW_CHECK(nodes[i] < n_);
   std::lock_guard<std::mutex> lock(cache_->mu);
-  // A matrix row is read once, so a missing one is not worth a cache slot:
-  // inserting it would evict rows the planner reads again. to[j] receives
-  // cost(src, nodes[j]).
+  // A matrix row is read once, so a row whose costs the cache does not hold
+  // is not worth a cache slot: inserting it would evict rows the planner
+  // reads again. full_row(src)[v] = cost(src, v) for every node v.
   std::vector<double> dist;
-  const auto read_row = [&](NodeId src, double* to) {
+  const auto full_row = [&](NodeId src) -> const double* {
     const auto it = cache_->rows.find(src);
-    const double* row = nullptr;
-    if (it != cache_->rows.end()) {
-      row = it->second.cost.data();
-    } else {
-      check_synced();
-      dist.resize(n_);
-      shortest_paths(adj_, adj_.cost.data(), src, dist.data(), nullptr,
-                     cache_->heap);
-      row = dist.data();
+    if (it != cache_->rows.end() && !it->second.cost.empty()) {
+      return it->second.cost.data();
     }
+    check_synced();
+    dist.resize(n_);
+    shortest_paths(adj_, adj_.cost.data(), src, dist.data(), nullptr,
+                   cache_->heap);
+    return dist.data();
+  };
+  const auto read_row = [&](NodeId src, double* to) {
+    const double* row = full_row(src);
     for (std::size_t j = 0; j < m; ++j) to[j] = row[nodes[j]];
   };
 
-  std::vector<std::uint8_t> keep(m, 0);
+  std::optional<std::pair<NodeId, NodeId>> link;
   if (since.has_value()) {
     check_synced();
     IFLOW_CHECK(*since <= version_);
-    const auto muts = net_->mutations_since(*since);
-    std::optional<std::pair<NodeId, NodeId>> link;
-    if (muts.has_value()) {
+    if (const auto muts = net_->mutations_since(*since); muts.has_value()) {
       const Batch batch = classify(*muts);
       if (batch.quality_only) return 0;
       link = single_link_event(batch);
     }
-    if (link.has_value()) {
-      const auto [a, b] = *link;
-      // Any path through the adjacency takes one of its links, the cheapest
-      // of which is w.
-      double w = kInf;
-      for (const auto idx : net_->incident(a)) {
-        const Link& l = net_->links()[idx];
-        if (other_end(l, a) == b) w = std::min(w, l.cost_per_byte);
+  }
+  if (!link.has_value()) {
+    for (std::size_t i = 0; i < m; ++i) read_row(nodes[i], out + i * m);
+    return m;
+  }
+
+  const auto [a, b] = *link;
+  // Any path through the adjacency takes one of its links, the cheapest of
+  // which is w.
+  double w = kInf;
+  for (const auto idx : net_->incident(a)) {
+    const Link& l = net_->links()[idx];
+    if (other_end(l, a) == b) w = std::min(w, l.cost_per_byte);
+  }
+  std::vector<double> from_a(m), from_b(m);
+  read_row(a, from_a.data());
+  read_row(b, from_b.data());
+  // A simple path through the adjacency (in the old network for a failure,
+  // the new one for a restore) splits into an i–a and a b–j part that avoid
+  // it, or the mirror image, so its length is at least from_a[i] + w +
+  // from_b[j] or from_b[i] + w + from_a[j]. Each Dijkstra value is within
+  // (n − 1) roundings of its real length, and `rounding` also covers this
+  // test's own three. When the bound clears a stored entry, no such path
+  // can tie or beat it, and it is what a fresh Dijkstra returns; every other
+  // entry is stale. An infinite entry never clears it.
+  const double rounding = 4.0 * static_cast<double>(n_) * kUnitRoundoff;
+  std::vector<std::uint8_t> stale(m * m, 0);
+  std::vector<std::size_t> order;  // rows with a stale entry
+  std::vector<std::size_t> count(m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const double through = std::min(from_a[i] + w + from_b[j],
+                                      from_b[i] + w + from_a[j]);
+      if (!(through > out[i * m + j] * (1.0 + rounding))) {
+        stale[i * m + j] = 1;
+        ++count[i];
       }
-      std::vector<double> from_a(m), from_b(m);
-      read_row(a, from_a.data());
-      read_row(b, from_b.data());
-      // A simple path through the adjacency (in the old network for a
-      // failure, the new one for a restore) splits into an i–a and a b–j
-      // part that avoid it, or the mirror image, so its length is at least
-      // from_a[i] + w + from_b[j] or from_b[i] + w + from_a[j]. Each
-      // Dijkstra value is within (n − 1) roundings of its real length, and
-      // `slack` also covers this test's own three. When the bound clears
-      // every stored entry of row i, no such path can tie or beat one, and
-      // the stored row is what a fresh Dijkstra returns. An infinite entry
-      // never clears it.
-      const double slack =
-          1.0 + 4.0 * static_cast<double>(n_) * kUnitRoundoff;
-      for (std::size_t i = 0; i < m; ++i) {
-        bool clear = true;
-        for (std::size_t j = 0; j < m && clear; ++j) {
-          const double through = std::min(from_a[i] + w + from_b[j],
-                                          from_b[i] + w + from_a[j]);
-          clear = through > out[i * m + j] * slack;
-        }
-        keep[i] = clear ? 1 : 0;
+    }
+    if (count[i] > 0) order.push_back(i);
+  }
+
+  // Rows to recompute in full, greedily, most stale entries first: a row is
+  // recomputed in full unless each of its stale columns belongs to a row
+  // already chosen. Each stale entry of the other rows then gets a
+  // goal-directed pass aimed at its column's node.
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return count[x] > count[y];
+                   });
+  std::vector<std::uint8_t> full(m, 0);
+  std::vector<std::size_t> full_rows;
+  for (const std::size_t i : order) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (stale[i * m + j] != 0 && full[j] == 0) {
+        full[i] = 1;
+        full_rows.push_back(i);
+        break;
       }
     }
   }
 
-  std::size_t rewritten = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (keep[i] != 0) continue;
-    read_row(nodes[i], out + i * m);
-    ++rewritten;
+  // Each full row, then the entries aimed at its node, keyed by the row's
+  // distances (links are undirected, so row j bounds the rest of a path to
+  // nodes[j] from below). The bound is deflated by the factor 1 − rounding
+  // and by rounding times the farthest source aimed at the row, so every
+  // node on a best path keys at or below the entry's exact value and the
+  // goal pops with the bits a full pass gives it (DESIGN.md §13).
+  std::vector<double> potential;
+  for (const std::size_t j : full_rows) {
+    const double* row = full_row(nodes[j]);
+    for (std::size_t k = 0; k < m; ++k) out[j * m + k] = row[nodes[k]];
+    bool aimed = false;
+    double farthest = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (full[i] != 0 || stale[i * m + j] == 0) continue;
+      aimed = true;
+      if (out[j * m + i] < kInf) farthest = std::max(farthest, out[j * m + i]);
+    }
+    if (!aimed) continue;
+    const double shave = rounding * farthest;
+    potential.resize(n_);
+    for (std::size_t v = 0; v < n_; ++v) {
+      potential[v] = std::max(0.0, row[v] * (1.0 - rounding) - shave);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      if (full[i] != 0 || stale[i * m + j] == 0) continue;
+      if (!(out[j * m + i] < kInf)) {  // no path joins the two nodes
+        out[i * m + j] = kInf;
+        continue;
+      }
+      dist.resize(n_);
+      shortest_paths(adj_, adj_.cost.data(), nodes[i], dist.data(), nullptr,
+                     cache_->heap, Goal{nodes[j], potential.data()});
+      out[i * m + j] = dist[nodes[j]];
+    }
   }
-  return rewritten;
+  return order.size();
 }
 
 RoutingSyncStats RoutingTables::sync(const Network& net) {
@@ -574,27 +662,33 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
   for (const auto& [a, b] : batch->links_up) adj_.refresh_usable(net, a);
   for (const NodeId z : batch->nodes_down) adj_.refresh_usable(net, z);
   for (const NodeId z : batch->nodes_up) adj_.refresh_usable(net, z);
-  // Then every resident row is repaired in place (DESIGN.md §13). A row
-  // whose cost tree holds an equal-cost tie, or whose repair meets one,
-  // cannot be repaired, since Dijkstra's choice between equal candidates
-  // depends on the heap's pop order; nor can the row of a node that crashed
-  // or came back. The dense tier recomputes such a row and the sparse tier
-  // evicts it.
-  RepairScratch scratch(n_);
+  // Then every part a resident row holds is repaired in place (DESIGN.md
+  // §13): both on the dense tier, the cost and the delay part a sparse row
+  // has computed. A row whose cost tree holds an equal-cost tie, or whose
+  // repair meets one, cannot be repaired, since Dijkstra's choice between
+  // equal candidates depends on the heap's pop order; nor can the row of a
+  // node that crashed or came back. The dense tier recomputes such a row and
+  // the sparse tier evicts it, both parts.
+  if (repair_ == nullptr) repair_ = std::make_unique<RepairScratch>();
+  RepairScratch& scratch = *repair_;
+  scratch.fit(n_);
   const auto repair = [&](NodeId src, bool ties, double* cost, NodeId* hops,
                           NodeId* parents, double* delay) {
     Repair r = Repair::kTie;
-    if (!ties && !contains(batch->nodes_down, src) &&
+    if (!(cost != nullptr && ties) && !contains(batch->nodes_down, src) &&
         !contains(batch->nodes_up, src)) {
-      r = repair_row(net, *batch, src, kCostWeight, cost, hops, parents,
-                     scratch);
+      r = cost == nullptr ? Repair::kUntouched
+                          : repair_row(net, *batch, src, kCostWeight, cost,
+                                       hops, parents, scratch);
     }
     if (r == Repair::kTie) {
       ++st.rows_dropped;
       return false;
     }
-    const Repair d = repair_row(net, *batch, src, kDelayWeight, delay,
-                                nullptr, nullptr, scratch);
+    const Repair d = delay == nullptr
+                         ? Repair::kUntouched
+                         : repair_row(net, *batch, src, kDelayWeight, delay,
+                                      nullptr, nullptr, scratch);
     if (r == Repair::kRepaired || d == Repair::kRepaired) {
       ++st.rows_patched;
     } else {
@@ -613,12 +707,14 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
       }
     }
   } else {
+    const auto part = [](auto& v) { return v.empty() ? nullptr : v.data(); };
     for (auto it = cache_->rows.begin(); it != cache_->rows.end();) {
       Row& row = it->second;
-      if (repair(it->first, row.cost_ties, row.cost.data(), nullptr,
-                 row.parent.data(), row.delay.data())) {
+      if (repair(it->first, row.cost_ties, part(row.cost), nullptr,
+                 part(row.parent), part(row.delay))) {
         ++it;
       } else {
+        cache_->bytes -= Cache::bytes_of(row);
         it = cache_->rows.erase(it);
       }
     }
@@ -636,13 +732,13 @@ std::size_t RoutingTables::cached_rows() const {
 std::size_t RoutingTables::memory_bytes() const {
   if (cache_ == nullptr) return dense_equivalent_bytes(n_);
   std::lock_guard<std::mutex> lock(cache_->mu);
-  return cache_->rows.size() * row_bytes(n_);
+  return cache_->bytes;
 }
 
 std::size_t RoutingTables::peak_memory_bytes() const {
   if (cache_ == nullptr) return dense_equivalent_bytes(n_);
   std::lock_guard<std::mutex> lock(cache_->mu);
-  return cache_->peak_rows * row_bytes(n_);
+  return cache_->peak_bytes;
 }
 
 std::size_t RoutingTables::dense_equivalent_bytes(std::size_t n) {

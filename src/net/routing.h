@@ -6,17 +6,17 @@
 // their callers read: the cost and the delay of each pair, and the
 // cost-optimal path.
 //
-// Two storage tiers behind one query interface, each holding 20 bytes per
-// (source, destination) entry — two distances and the one cost-tree id its
-// cost_path() walks:
+// Two storage tiers behind one query interface:
 //   * dense  — the classic all-pairs snapshot (repeated Dijkstra, O(N²)
-//     memory), with a first-hop matrix. Default below
-//     RoutingOptions::dense_node_limit nodes, where the matrices are small
-//     and every query is a flat array read.
+//     memory), 20 bytes per (source, destination) entry: two distances and
+//     a first hop. Default below RoutingOptions::dense_node_limit nodes,
+//     where the matrices are small and every query is a flat array read.
 //   * sparse — per-source rows computed by Dijkstra on demand and kept in a
-//     bounded LRU cache, O(cached_rows · N) memory, each row with its cost
-//     tree's predecessors. Default at scale (10k–100k-node topologies),
-//     where a dense matrix would not fit.
+//     bounded LRU cache, O(cached_rows · N) memory. Each metric of a row is
+//     computed on its first read: the cost part (distances and the cost
+//     tree's predecessors, which cost_path() walks, 12 bytes per entry) and
+//     the delay part (distances, 8 bytes). Default at scale (10k–100k-node
+//     topologies), where a dense matrix would not fit.
 // Both tiers produce bitwise-identical values for identical queries (the
 // same per-source Dijkstra runs either eagerly or lazily), so planner
 // digests do not depend on the tier. Every full pass runs the one kernel in
@@ -75,6 +75,9 @@ struct RoutingSyncStats {
   /// Resident rows repaired in place.
   std::size_t rows_patched = 0;
 };
+
+/// sync()'s O(N) repair scratch (defined in routing.cpp).
+struct RepairScratch;
 
 /// All-pairs shortest-path view of a Network (see file comment for the
 /// dense/sparse tiers). Queries are const and thread-safe; after the
@@ -135,20 +138,21 @@ class RoutingTables {
 
   /// Square cost matrix among `nodes`: out[i·m + j] = cost(nodes[i],
   /// nodes[j]) bit for bit, `out` holding m·m entries. Returns the number of
-  /// rows it rewrote. The dense tier reads its matrix, every row. The sparse
-  /// tier reads a resident row and runs a cost-only Dijkstra for a missing
-  /// one without caching it, so the LRU, cached_rows() and
-  /// peak_memory_bytes() stay as they were.
+  /// rows in which it rewrote an entry. The dense tier reads its matrix,
+  /// every row. The sparse tier reads a resident row's costs and runs a
+  /// cost-only Dijkstra for a row it does not hold without caching it, so
+  /// the LRU, cached_rows() and peak_memory_bytes() stay as they were.
   ///
   /// With `since`, `out` already holds the matrix among the same `nodes` as
   /// of network version `since`, and the sparse tier (which CHECKs that it
-  /// is synced) rewrites only the rows the journal batch since then can
+  /// is synced) rewrites only the entries the journal batch since then can
   /// change (DESIGN.md §13): none for a quality-only batch; for exactly one
-  /// link failure or restore, the rows whose entries a path through that
-  /// adjacency could tie or beat, found from cost-only Dijkstras at its two
-  /// endpoints and a rounding bound; every row for any other batch or a
-  /// truncated journal. A row it keeps holds the bits a fresh Dijkstra
-  /// gives it.
+  /// link failure or restore, the entries a path through that adjacency
+  /// could tie or beat, found from cost-only Dijkstras at its two endpoints
+  /// and a rounding bound; every entry for any other batch or a truncated
+  /// journal. Of the rows with a flagged entry it recomputes some in full
+  /// and gives each other flagged entry a goal-directed pass aimed at a
+  /// full row's node. Every entry holds the bits a fresh Dijkstra gives it.
   std::size_t cost_matrix(
       const NodeId* nodes, std::size_t m, double* out,
       std::optional<std::uint64_t> since = std::nullopt) const;
@@ -164,7 +168,8 @@ class RoutingTables {
   /// Sparse tier: rows currently resident (0 on the dense tier).
   std::size_t cached_rows() const;
 
-  /// Current table footprint in bytes (matrices, or resident rows).
+  /// Current table footprint in bytes (matrices, or the parts of the
+  /// resident rows).
   std::size_t memory_bytes() const;
 
   /// High-water footprint since build (equals memory_bytes() when dense).
@@ -175,17 +180,19 @@ class RoutingTables {
   static std::size_t dense_equivalent_bytes(std::size_t n);
 
  private:
-  /// One lazily computed source row: both metrics plus the cost tree's
-  /// predecessors, which cost_path() walks.
+  /// One lazily computed source row in two parts, each empty until the
+  /// first read of its metric: the cost part (distances and the cost tree's
+  /// predecessors, which cost_path() walks) and the delay part.
   struct Row {
     std::vector<double> cost;    // cost-weighted distances
-    std::vector<double> delay;   // delay-weighted distances
     std::vector<NodeId> parent;  // cost-tree predecessor
+    std::vector<double> delay;   // delay-weighted distances
     /// The cost tree was built with an equal-cost tie, so sync() cannot
     /// repair the row in place (as cost_ties_ on the dense tier).
     bool cost_ties = false;
     std::uint64_t last_used = 0;  // LRU tick
   };
+  enum class Metric : std::uint8_t { kCost, kDelay };
   struct Cache;  // defined in routing.cpp; holds the mutex + row map
 
   void rebuild_dense(const Network& net);
@@ -196,8 +203,9 @@ class RoutingTables {
   /// Sparse tier: CHECKs that the network has not moved past the table's
   /// version before a lazy Dijkstra reads it.
   void check_synced() const;
-  /// Locates or computes the row for `src`; caller holds the cache mutex.
-  Row& row_locked(NodeId src) const;
+  /// Locates the row for `src`, computing it or its `metric` part when
+  /// missing; caller holds the cache mutex.
+  Row& row_locked(NodeId src, Metric metric) const;
 
   double at(const std::vector<double>& m, NodeId a, NodeId b) const {
     IFLOW_CHECK(a < n_ && b < n_);
@@ -209,6 +217,8 @@ class RoutingTables {
   /// The network as every full pass reads it (both tiers): rebuilt with the
   /// rows, its usable bytes patched in place by a fault sync.
   Adjacency adj_;
+  /// Kept across syncs on both tiers, so a fault sync allocates nothing.
+  std::unique_ptr<RepairScratch> repair_;
 
   // Dense tier storage (empty in sparse mode).
   std::vector<double> cost_;      // cost-weighted distances

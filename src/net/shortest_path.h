@@ -1,6 +1,7 @@
-// The one single-source shortest-path kernel behind every full routing pass:
-// the dense rows, the lazy sparse rows, the rows of the coordinator matrix
-// and the induced-subgraph distances of the hierarchy.
+// The one single-source shortest-path kernel behind every routing pass: the
+// dense rows, the lazy sparse rows, the rows and the goal-directed entries
+// of the coordinator matrix and the induced-subgraph distances of the
+// hierarchy.
 //
 // It reads a compressed adjacency (each node's arcs in one contiguous range,
 // in Network::incident() order, with per-link weights and a usable byte)
@@ -74,12 +75,19 @@ struct Adjacency {
 /// holds each queued node's position, so a relaxation lowers its key in
 /// place instead of queueing a duplicate. Keys and nodes sit in parallel
 /// arrays, and a pop picks the least of four children with arithmetic
-/// rather than branches, which the random keys would mispredict. Every node
-/// a pass queues is popped before it ends, so the slots are all free again
-/// between passes and the heap can be reused without clearing.
+/// rather than branches, which the random keys would mispredict. A full pass
+/// pops every node it queues and a goal-directed one clears the rest, so the
+/// slots are all free again between passes.
 class DistanceHeap {
  public:
   bool empty() const { return size_ == 0; }
+
+  /// Frees the slots of the nodes still queued, for a pass that stops
+  /// before the heap runs empty.
+  void clear() {
+    for (std::size_t i = 0; i < size_; ++i) slot_[node_[i]] = kFree;
+    size_ = 0;
+  }
 
   /// Makes room for nodes [0, n).
   void fit(std::size_t n) {
@@ -148,14 +156,38 @@ class DistanceHeap {
   std::vector<std::uint32_t> slot_;  // per node: heap index, or kFree
 };
 
+/// A full pass: every reached node settles, keyed by its distance.
+struct NoGoal {
+  static constexpr bool reached(NodeId) { return false; }
+  static constexpr double key(NodeId, double dist) { return dist; }
+};
+
+/// A goal-directed pass: it stops when `target` pops, and keys each node by
+/// its distance plus `potential[v]`, a lower bound on the rest of the path
+/// from v to the target. The caller bounds it so that every node on a best
+/// path keys at or below the target's exact distance; the target itself
+/// must have potential 0. Then the target pops with the distance a full
+/// pass gives it (DESIGN.md §13, "Full rows and goal-directed entries").
+struct Goal {
+  NodeId target = kInvalidNode;
+  const double* potential = nullptr;
+
+  bool reached(NodeId u) const { return u == target; }
+  double key(NodeId v, double dist) const { return dist + potential[v]; }
+};
+
 /// Single-source shortest paths from `src` over the usable links of `g`,
 /// under the per-link weight `w` (g.cost, g.delay or another per-link
-/// array). Fills dist[0, n) — +inf where unreachable — and, when `parent`
-/// is given, each reached node's predecessor (kInvalidNode for `src` and
-/// unreached nodes). Returns true when some relaxation exactly matched its
-/// target's current distance: an equal-cost tie, which the pop order broke.
+/// array). A full pass fills dist[0, n) — +inf where unreachable — and,
+/// when `parent` is given, each reached node's predecessor (kInvalidNode
+/// for `src` and unreached nodes), and returns true when some relaxation
+/// exactly matched its target's current distance: an equal-cost tie, which
+/// the pop order broke. With a Goal, only dist[goal.target] is final when
+/// the pass returns.
+template <typename Target = NoGoal>
 inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
-                           double* dist, NodeId* parent, DistanceHeap& heap) {
+                           double* dist, NodeId* parent, DistanceHeap& heap,
+                           const Target& goal = {}) {
   const std::size_t n = g.first.size() - 1;
   std::fill(dist, dist + n, std::numeric_limits<double>::infinity());
   if (parent != nullptr) std::fill(parent, parent + n, kInvalidNode);
@@ -165,9 +197,13 @@ inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
   bool tie = false;
   heap.fit(n);
   dist[src] = 0.0;
-  heap.push_or_decrease(src, 0.0);
+  heap.push_or_decrease(src, goal.key(src, 0.0));
   while (!heap.empty()) {
     const NodeId u = heap.pop();
+    if (goal.reached(u)) {
+      heap.clear();
+      break;
+    }
     const double d = dist[u];
     for (std::uint32_t e = first[u]; e < first[u + 1]; ++e) {
       const Adjacency::Arc arc = arcs[e];
@@ -176,7 +212,7 @@ inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
       if (nd < dist[arc.to]) {
         dist[arc.to] = nd;
         if (parent != nullptr) parent[arc.to] = u;
-        heap.push_or_decrease(arc.to, nd);
+        heap.push_or_decrease(arc.to, goal.key(arc.to, nd));
       } else if (nd == dist[arc.to]) {
         tie = true;
       }

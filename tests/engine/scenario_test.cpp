@@ -55,7 +55,7 @@ TEST(ScenarioTest, UnknownNameThrows) {
 }
 
 TEST(ScenarioTest, BuildIsDeterministic) {
-  for (const std::string& name :
+  for (const char* name :
        {"baseline-uniform", "geo-clustered", "cluster-outage"}) {
     const Scenario a = build_scenario(scenario_spec(name));
     const Scenario b = build_scenario(scenario_spec(name));
@@ -227,7 +227,7 @@ TEST(ScenarioTest, EveryScenarioHoldsTheChaosAndDeliveryContracts) {
 TEST(ScenarioTest, DigestsAreStableAcrossPlannerThreadCounts) {
   // The PR-2 determinism contract extended to scenarios: scripted replay at
   // 1 and 4 planner threads must produce bitwise-identical transcripts.
-  for (const std::string& name :
+  for (const char* name :
        {"baseline-uniform", "diurnal-rates", "cluster-outage", "loss-storm"}) {
     const Scenario s = build_scenario(scenario_spec(name));
     const ChaosReport one = run_scenario(s, Algorithm::kTopDown, 1);

@@ -55,7 +55,11 @@
 // plans every query twice — once against exact routing rows, once through
 // the tiered SparseOracle. Feasibility must be identical, sparse-planned
 // deployments must validate, and the sparse exhaustive optimum must stay
-// within the Theorem-1 slack budget of the dense optimum.
+// within the Theorem-1 slack budget of the dense optimum. It then fails and
+// restores links on a sparse-tier table with a small row cap, one of them
+// on a leaf coordinator's cost path, refreshing a partitioned hierarchy
+// after each sync: the coordinator matrix it updates in place must equal a
+// fresh one bit for bit.
 //
 // --gray fuzzes the gray-failure health plane: each iteration builds a
 // seeded relay-shaped world (a cheap star hub is the strictly optimal
@@ -775,8 +779,78 @@ void check_recovery_instance(std::uint64_t seed, const Options& opt,
   }
 }
 
+/// Fails two links, one on a leaf coordinator's cost path, and restores
+/// them, one event per sync, on a sparse-tier table with a small row cap;
+/// after each event the hierarchy refreshes its coordinator matrix in place
+/// and every coordinator pair's level-2 estimate, which reads it, must equal
+/// a fresh cost_matrix bit for bit.
+void check_matrix_updates(
+    net::Network& net, const std::vector<std::vector<net::NodeId>>& partitions,
+    int max_cs, Prng prng, IterationLog& log) {
+  net::RoutingOptions ropts;
+  ropts.mode = net::RoutingMode::kSparse;
+  ropts.max_cached_rows = 2 + prng.index(4);  // [2, 5]
+  net::RoutingTables rt = net::RoutingTables::build(net, ropts);
+  cluster::Hierarchy h =
+      cluster::Hierarchy::build_partitioned(net, rt, partitions, max_cs, prng);
+  if (h.height() < 2) return;
+  std::vector<net::NodeId> coords;
+  for (const cluster::Cluster& cl : h.level(1)) {
+    coords.push_back(cl.coordinator);
+  }
+  const std::size_t m = coords.size();
+  std::vector<double> fresh(m * m);
+
+  const std::size_t c = prng.index(m);
+  const std::size_t d = (c + 1 + prng.index(m - 1)) % m;
+  const std::vector<net::NodeId> path = rt.cost_path(coords[c], coords[d]);
+  if (path.size() < 2) return;  // the two are cut off from each other
+  const std::size_t hop = prng.index(path.size() - 1);
+  std::vector<std::pair<net::NodeId, net::NodeId>> down{
+      {path[hop], path[hop + 1]}};
+  const auto same_adjacency = [&](const net::Link& l) {
+    return std::minmax(l.a, l.b) == std::minmax(path[hop], path[hop + 1]);
+  };
+  std::uint32_t idx = 0;
+  do {
+    idx = static_cast<std::uint32_t>(prng.index(net.link_count()));
+  } while (!net.link_up(idx) || same_adjacency(net.links()[idx]));
+  down.emplace_back(net.links()[idx].a, net.links()[idx].b);
+
+  const auto event = [&](bool restore, std::size_t k) {
+    const auto [a, b] = down[k];
+    if (restore) {
+      net.restore_link(a, b);
+    } else {
+      net.fail_link(a, b);
+    }
+    rt.sync(net);
+    h.refresh(rt);
+    rt.cost_matrix(coords.data(), m, fresh.data());
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        const double got = h.est_cost(coords[i], coords[j], 2);
+        if (std::memcmp(&got, &fresh[i * m + j], sizeof got) != 0) {
+          std::ostringstream os;
+          os << "matrix: after " << (restore ? "restoring " : "failing ")
+             << a << '-' << b << ", est_cost(" << coords[i] << ", "
+             << coords[j] << ", 2) = " << std::hexfloat << got
+             << " but a fresh matrix holds " << fresh[i * m + j];
+          log.fail(os.str());
+          return;
+        }
+      }
+    }
+  };
+  event(false, 0);
+  event(false, 1);
+  event(true, 0);
+  event(true, 1);
+}
+
 /// One oracle-fuzz iteration: estimate-vs-exact sweep plus dense-vs-sparse
-/// differential planning over a partitioned hierarchy.
+/// differential planning over a partitioned hierarchy, then the in-place
+/// coordinator-matrix updates of a sparse-tier table over the same world.
 void check_oracle_instance(std::uint64_t seed, const Options& opt,
                            opt::PlanWorkspace& ws, IterationLog& log) {
   Prng prng(seed);
@@ -888,6 +962,8 @@ void check_oracle_instance(std::uint64_t seed, const Options& opt,
       }
     }
   }
+  // On a fork taken after the draws above, so they stay as they were.
+  check_matrix_updates(net, partitions, max_cs, prng.fork(5), log);
 }
 
 int run(const Options& opt) {

@@ -313,13 +313,50 @@ TEST(RoutingTest, SparseCacheHonoursRowCapAndTracksPeak) {
   EXPECT_GT(rt.cached_rows(), 0u);
   EXPECT_EQ(rt.peak_memory_bytes(),
             rt.memory_bytes() / rt.cached_rows() * 4u);
-  // Either tier stores two distances and one cost-tree id per entry.
+  // Rows read only for cost hold a distance and a predecessor per entry;
+  // the dense tier stores two distances and a first hop.
   const std::size_t n = net.node_count();
-  EXPECT_EQ(rt.memory_bytes(), rt.cached_rows() * n * 20u);
+  EXPECT_EQ(rt.memory_bytes(), rt.cached_rows() * n * 12u);
   EXPECT_EQ(RoutingTables::dense_equivalent_bytes(n), n * n * 20u);
   // Far below the dense footprint.
   EXPECT_LT(rt.peak_memory_bytes(),
             RoutingTables::dense_equivalent_bytes(net.node_count()));
+}
+
+TEST(RoutingTest, SparseRowComputesEachMetricOnItsFirstRead) {
+  Prng prng(88);
+  const Network net = make_transit_stub(TransitStubParams{}, prng);
+  const RoutingTables dense = RoutingTables::build(net);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables rt = RoutingTables::build(net, opts);
+  const std::size_t n = net.node_count();
+  // A delay read computes only the delay part: 8 bytes per entry.
+  EXPECT_EQ(bits(rt.delay_ms(3, 90)), bits(dense.delay_ms(3, 90)));
+  EXPECT_EQ(rt.cached_rows(), 1u);
+  EXPECT_EQ(rt.memory_bytes(), n * 8u);
+  EXPECT_EQ(rt.peak_memory_bytes(), n * 8u);
+  // The first cost read adds the cost part: a distance and a predecessor.
+  EXPECT_EQ(bits(rt.cost(3, 90)), bits(dense.cost(3, 90)));
+  EXPECT_EQ(rt.cached_rows(), 1u);
+  EXPECT_EQ(rt.memory_bytes(), n * 20u);
+  EXPECT_EQ(rt.peak_memory_bytes(), n * 20u);
+  EXPECT_EQ(rt.cost_path(3, 90), dense.cost_path(3, 90));
+}
+
+TEST(RoutingTest, CostMatrixRunsAPassForARowHeldOnlyForDelay) {
+  Network net = make_line(4);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables rt = RoutingTables::build(net, opts);
+  rt.delay_ms(0, 3);
+  rt.cost(3, 0);
+  net.set_link_cost(1, 2, 5.0);
+  // Row 0 holds no costs, so the matrix needs a fresh pass, which CHECKs
+  // against the unsynced network.
+  const NodeId nodes[] = {0, 3};
+  double out[4];
+  EXPECT_THROW(rt.cost_matrix(nodes, 2, out), CheckError);
 }
 
 TEST(RoutingTest, AutoModePicksTierByNodeCount) {
@@ -358,6 +395,96 @@ TEST(RoutingTest, SparseQueryAfterMutationWithoutSyncThrows) {
   net.fail_link(0, 1);
   // Cached row reads would silently mix versions; a fresh row CHECKs.
   EXPECT_THROW(rt.cost(1, 2), CheckError);
+}
+
+/// Checks every held part of `rt`'s rows for `sources` (in that order, so
+/// no read adds a part before it is checked), then cost, delay and cost
+/// path from each source to every node, bit for bit against a fresh sparse
+/// build of `net`.
+void expect_rows_match_a_fresh_build(
+    const Network& net, const RoutingTables& rt,
+    const std::vector<std::pair<NodeId, bool>>& held_for_cost) {
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables fresh = RoutingTables::build(net, opts);
+  const auto n = static_cast<NodeId>(net.node_count());
+  for (const auto& [src, cost] : held_for_cost) {
+    for (NodeId b = 0; b < n; ++b) {
+      if (cost) {
+        ASSERT_EQ(bits(rt.cost(src, b)), bits(fresh.cost(src, b)));
+        ASSERT_EQ(rt.cost_path(src, b), fresh.cost_path(src, b));
+      } else {
+        ASSERT_EQ(bits(rt.delay_ms(src, b)), bits(fresh.delay_ms(src, b)));
+      }
+    }
+  }
+  for (const auto& [src, cost] : held_for_cost) {
+    for (NodeId b = 0; b < n; ++b) {
+      ASSERT_EQ(bits(rt.cost(src, b)), bits(fresh.cost(src, b)));
+      ASSERT_EQ(bits(rt.delay_ms(src, b)), bits(fresh.delay_ms(src, b)));
+      ASSERT_EQ(rt.cost_path(src, b), fresh.cost_path(src, b));
+    }
+  }
+}
+
+TEST(RoutingTest, SparseSyncRepairsEachPartARowHolds) {
+  // Three rows of one stub domain: one read for delay only, one for cost
+  // only, one for both. The failed link lies in both trees of every row.
+  Prng prng(89);
+  Network net = make_transit_stub(TransitStubParams{}, prng);
+  const std::vector<NodeId> domain = stub_domain_members({}, 2);
+  const NodeId by_delay = domain[0], by_cost = domain[1], both = domain[2];
+  const RoutingTables probe = RoutingTables::build(net);
+  const auto in_trees = [&](const Link& l, NodeId src) {
+    const auto child = [&](NodeId x, NodeId y) {
+      return probe.cost(src, x) + l.cost_per_byte == probe.cost(src, y) &&
+             probe.delay_ms(src, x) + l.delay_ms == probe.delay_ms(src, y);
+    };
+    return child(l.a, l.b) || child(l.b, l.a);
+  };
+  NodeId a = kInvalidNode, b = kInvalidNode;
+  for (const Link& l : net.links()) {
+    if (!in_trees(l, by_delay) || !in_trees(l, by_cost) || !in_trees(l, both)) {
+      continue;
+    }
+    net.fail_link(l.a, l.b);
+    const bool connected = net.connected();
+    net.restore_link(l.a, l.b);
+    if (connected) {
+      a = l.a;
+      b = l.b;
+      break;
+    }
+  }
+  ASSERT_NE(a, kInvalidNode);
+
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  RoutingTables rt = RoutingTables::build(net, opts);
+  rt.delay_ms(by_delay, 0);
+  rt.cost(by_cost, 0);
+  rt.cost(both, 0);
+  rt.delay_ms(both, 0);
+  const std::size_t bytes = rt.memory_bytes();
+  ASSERT_EQ(bytes, net.node_count() * (8u + 12u + 20u));
+  for (const bool restore : {false, true}) {
+    if (restore) {
+      net.restore_link(a, b);
+    } else {
+      net.fail_link(a, b);
+    }
+    const RoutingSyncStats st = rt.sync(net);
+    EXPECT_EQ(st.rows_patched, 3u) << "restore " << restore;
+    EXPECT_EQ(rt.memory_bytes(), bytes);
+    expect_rows_match_a_fresh_build(
+        net, rt, {{by_delay, false}, {by_cost, true}, {both, true}});
+    // The checks read every part; drop the ones the rows did not hold.
+    rt = RoutingTables::build(net, opts);
+    rt.delay_ms(by_delay, 0);
+    rt.cost(by_cost, 0);
+    rt.cost(both, 0);
+    rt.delay_ms(both, 0);
+  }
 }
 
 TEST(RoutingTest, CostMatrixEqualsCostBitwiseOnBothTiers) {
@@ -443,9 +570,10 @@ struct CoordinatorWorld {
   std::vector<NodeId> nodes;
   RoutingTables rt;
 
-  explicit CoordinatorWorld(std::uint64_t seed) {
+  explicit CoordinatorWorld(std::uint64_t seed, bool integer_weights = false) {
     Prng prng(seed);
     net = make_transit_stub(p, prng);
+    if (integer_weights) net = with_integer_weights(net);
     nodes.push_back(0);
     for (int d = 0; d < stub_domain_count(p); ++d) {
       nodes.push_back(stub_domain_members(p, d).front());
@@ -483,6 +611,44 @@ struct CoordinatorWorld {
     }
     return out;
   }
+
+  /// A stub link on the cost path from nodes[k] to every other node of the
+  /// list, whose failure keeps the network connected and changes every
+  /// other entry of row k; the network is restored and synced after each
+  /// probe.
+  std::pair<NodeId, NodeId> link_on_every_path_from(std::size_t k) {
+    const std::size_t m = nodes.size();
+    const std::vector<NodeId> path = rt.cost_path(nodes[k], nodes[0]);
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      const NodeId a = path[h], b = path[h + 1];
+      if (net.kind(a) != NodeKind::kStub || net.kind(b) != NodeKind::kStub) {
+        continue;
+      }
+      const std::vector<double> base = fresh();
+      net.fail_link(a, b);
+      rt.sync(net);
+      bool every = net.connected();
+      const std::vector<double> after = fresh();
+      for (std::size_t j = 0; j < m && every; ++j) {
+        every = j == k || after[k * m + j] != base[k * m + j];
+      }
+      net.restore_link(a, b);
+      rt.sync(net);
+      if (every) return {a, b};
+    }
+    return {kInvalidNode, kInvalidNode};
+  }
+
+  /// The link that hangs nodes[k]'s stub domain off the transit core.
+  std::pair<NodeId, NodeId> gateway_link_of(std::size_t k) {
+    const std::vector<NodeId> path = rt.cost_path(nodes[k], nodes[0]);
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      if (net.kind(path[h + 1]) == NodeKind::kTransit) {
+        return {path[h], path[h + 1]};
+      }
+    }
+    return {kInvalidNode, kInvalidNode};
+  }
 };
 
 void expect_same_bits(const std::vector<double>& got,
@@ -491,6 +657,31 @@ void expect_same_bits(const std::vector<double>& got,
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(bits(got[i]), bits(want[i])) << "entry " << i;
   }
+}
+
+/// Fails (a, b) and then restores it, each time updating w's matrix in
+/// place, which must touch every row, and comparing it with a fresh one.
+/// Returns the matrix the failure left.
+std::vector<double> expect_fail_and_restore_match_a_fresh_matrix(
+    CoordinatorWorld& w, NodeId a, NodeId b) {
+  const std::size_t m = w.nodes.size();
+  const std::vector<double> before = w.fresh();
+  std::vector<double> out = before, failed;
+  for (const bool restore : {false, true}) {
+    const std::uint64_t since = w.rt.built_against();
+    if (restore) {
+      w.net.restore_link(a, b);
+    } else {
+      w.net.fail_link(a, b);
+    }
+    w.rt.sync(w.net);
+    EXPECT_EQ(w.rt.cost_matrix(w.nodes.data(), m, out.data(), since), m)
+        << "restore " << restore;
+    expect_same_bits(out, w.fresh());
+    if (!restore) failed = out;
+  }
+  expect_same_bits(out, before);
+  return failed;
 }
 
 TEST(RoutingTest, CostMatrixSinceRewritesNoRowForALinkOffEveryPath) {
@@ -599,6 +790,33 @@ TEST(RoutingTest, CostMatrixSinceRewritesEveryRowForOtherBatches) {
   expect_same_bits(out, w.fresh());
 }
 
+TEST(RoutingTest, CostMatrixSinceUpdatesALinkOnOneNodesPathToEveryOther) {
+  // The failure changes row k and column k: row k is recomputed in full and
+  // every other row's entry k gets a goal-directed pass aimed at nodes[k].
+  for (const bool integer_weights : {false, true}) {
+    CoordinatorWorld w(99, integer_weights);
+    std::pair<NodeId, NodeId> link{kInvalidNode, kInvalidNode};
+    for (std::size_t k = 1; k < w.nodes.size(); ++k) {
+      link = w.link_on_every_path_from(k);
+      if (link.first != kInvalidNode) break;
+    }
+    ASSERT_NE(link.first, kInvalidNode) << "integer " << integer_weights;
+    expect_fail_and_restore_match_a_fresh_matrix(w, link.first, link.second);
+  }
+}
+
+TEST(RoutingTest, CostMatrixSinceUpdatesABridgeThatCutsOffOneNode) {
+  CoordinatorWorld w(100);
+  const std::size_t m = w.nodes.size();
+  const auto [a, b] = w.gateway_link_of(1);
+  ASSERT_NE(a, kInvalidNode);
+  const std::vector<double> failed =
+      expect_fail_and_restore_match_a_fresh_matrix(w, a, b);
+  for (std::size_t j = 0; j < m; ++j) {
+    EXPECT_EQ(std::isinf(failed[j * m + 1]), j != 1) << "row " << j;
+  }
+}
+
 /// A network whose only cheap i–j route crosses the (a, b) adjacency,
 /// where `nodes` = {i, j}; the direct i–j link is the detour.
 struct Detour {
@@ -670,6 +888,19 @@ TEST(RoutingTest, CostMatrixSinceBoundsPathsByTheCheapestParallelLink) {
   // makes the route through (a, b) shorter than the direct link.
   Detour d = make_detour({1.0}, {4.0, 1.0}, 1.0, 4.0);
   ASSERT_EQ(d.fresh()[1], 3.0);
+  d.expect_fail_and_restore_rewrite_row_i();
+}
+
+TEST(RoutingTest, CostMatrixSinceGoalPassAllowsForRounding) {
+  // After the restore both entries are stale: row i is recomputed in full
+  // and entry (j, i) gets a pass from j aimed at i, keyed by i's row. From
+  // j the route through (a, b) sums to 0.7499999999999999, under the 0.75
+  // direct link; from i it sums to 0.7500000000000001, so keyed by i's
+  // distances as they are, b (0.15 + 0.6000000000000001) would queue behind
+  // the direct offer and i would pop at 0.75.
+  Detour d = make_detour({0.1, 0.2}, {0.3}, 0.15, 0.75);
+  ASSERT_EQ(d.fresh()[1], 0.75);
+  ASSERT_EQ(d.fresh()[2], 0.7499999999999999);
   d.expect_fail_and_restore_rewrite_row_i();
 }
 
@@ -771,6 +1002,34 @@ std::vector<NodeId> every_node(const Network& net) {
   std::vector<NodeId> all(net.node_count());
   for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
   return all;
+}
+
+TEST(RoutingTest, CostTieEvictsTheRowWithItsDelayPart) {
+  Prng prng(90);
+  Network net = with_integer_weights(make_transit_stub({}, prng));
+  // Two sources whose cost trees hold a tie: one read for both metrics,
+  // one only for delay, which holds no cost tree to repair.
+  std::vector<NodeId> tied;
+  for (NodeId v = 0; v < net.node_count() && tied.size() < 2; ++v) {
+    if (reference_row(net, v).cost_tie) tied.push_back(v);
+  }
+  ASSERT_EQ(tied.size(), 2u);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  RoutingTables rt = RoutingTables::build(net, opts);
+  rt.cost(tied[0], 0);
+  rt.delay_ms(tied[0], 0);
+  rt.delay_ms(tied[1], 0);
+  const std::size_t n = net.node_count();
+  ASSERT_EQ(rt.memory_bytes(), n * (20u + 8u));
+  const Link l = net.links().back();
+  net.fail_link(l.a, l.b);
+  const RoutingSyncStats st = rt.sync(net);
+  EXPECT_EQ(st.rows_dropped, 1u);
+  EXPECT_EQ(rt.cached_rows(), 1u);
+  EXPECT_EQ(rt.memory_bytes(), n * 8u);
+  expect_rows_match_a_fresh_build(net, rt,
+                                  {{tied[1], false}, {tied[0], true}});
 }
 
 TEST(RoutingReferenceTest, DenseTierMatchesTheReferenceOnGtItmWorlds) {
