@@ -430,31 +430,23 @@ void Hierarchy::measure_leaves() {
     // A cluster's induced subgraph changes only with a fault or restore of
     // a link inside it or of a member; a cost change or an added link can
     // reach any of them.
-    std::fill(stale.begin(), stale.end(), 0);
+    const net::Batch batch = net::classify(*muts);
+    std::fill(stale.begin(), stale.end(), batch.reprice ? 1 : 0);
     const auto mark = [&](net::NodeId v) {
       if (v < node_count_ && cluster_idx_[0][v] != kNoCluster) {
         stale[cluster_idx_[0][v]] = 1;
       }
     };
-    for (const net::Mutation& mu : *muts) {
-      switch (mu.kind) {
-        case net::MutationKind::kQuality:
-          break;
-        case net::MutationKind::kLinkDown:
-        case net::MutationKind::kLinkUp:
-          mark(mu.a);
-          mark(mu.b);
-          break;
-        case net::MutationKind::kNodeDown:
-        case net::MutationKind::kNodeUp:
-          mark(mu.a);
-          break;
-        case net::MutationKind::kTopology:
-        case net::MutationKind::kLinkCost:
-          std::fill(stale.begin(), stale.end(), 1);
-          break;
-      }
+    for (const auto& [a, b] : batch.links_down) {
+      mark(a);
+      mark(b);
     }
+    for (const auto& [a, b] : batch.links_up) {
+      mark(a);
+      mark(b);
+    }
+    for (const net::NodeId v : batch.nodes_down) mark(v);
+    for (const net::NodeId v : batch.nodes_up) mark(v);
   }
   leaf_diameter_.resize(leaves.size());
   for (std::size_t ci = 0; ci < leaves.size(); ++ci) {

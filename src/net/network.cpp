@@ -22,6 +22,34 @@ void check_degradation(const Degradation& d) {
 
 }  // namespace
 
+Batch classify(const std::vector<Mutation>& muts) {
+  Batch b;
+  for (const Mutation& m : muts) {
+    if (m.kind != MutationKind::kQuality) b.quality_only = false;
+    switch (m.kind) {
+      case MutationKind::kTopology:
+      case MutationKind::kLinkCost:
+        b.reprice = true;
+        break;
+      case MutationKind::kLinkDown:
+        b.links_down.emplace_back(m.a, m.b);
+        break;
+      case MutationKind::kLinkUp:
+        b.links_up.emplace_back(m.a, m.b);
+        break;
+      case MutationKind::kNodeDown:
+        b.nodes_down.push_back(m.a);
+        break;
+      case MutationKind::kNodeUp:
+        b.nodes_up.push_back(m.a);
+        break;
+      case MutationKind::kQuality:
+        break;
+    }
+  }
+  return b;
+}
+
 void Network::record(MutationKind kind, NodeId a, NodeId b) {
   ++version_;
   log_.push_back(Mutation{version_, kind, a, b});

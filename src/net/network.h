@@ -24,6 +24,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -57,6 +58,23 @@ struct Mutation {
   NodeId a = kInvalidNode;
   NodeId b = kInvalidNode;
 };
+
+/// A journal batch sorted by what each kind of mutation can invalidate.
+struct Batch {
+  /// Every mutation is kQuality (or there is none): no routing metric moved.
+  bool quality_only = true;
+  /// Links added or link costs changed: the journal does not record a
+  /// link's old cost, which an in-place repair would need.
+  bool reprice = false;
+  std::vector<std::pair<NodeId, NodeId>> links_down;
+  std::vector<std::pair<NodeId, NodeId>> links_up;
+  std::vector<NodeId> nodes_down;
+  std::vector<NodeId> nodes_up;
+};
+
+/// Sorts a journal batch (Network::mutations_since) into a Batch, keeping
+/// the order of the events of each kind.
+Batch classify(const std::vector<Mutation>& muts);
 
 /// Continuous gray-failure state of a node or link: the element stays
 /// administratively up — routing, planning costs and paths are unchanged —

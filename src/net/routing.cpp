@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -17,82 +17,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// 2⁻⁵³: the relative error of one rounded double operation.
 constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
-
-struct QueueEntry {
-  double dist;
-  NodeId node;
-  bool operator>(const QueueEntry& o) const { return dist > o.dist; }
-};
-
-constexpr auto kCostWeight = [](const Link& l) { return l.cost_per_byte; };
-constexpr auto kDelayWeight = [](const Link& l) { return l.delay_ms; };
-
-NodeId other_end(const Link& l, NodeId u) { return (l.a == u) ? l.b : l.a; }
-
-/// Fills one source's next-hop entries from its predecessor tree. Memoized
-/// descent: each node's first hop is resolved once and shared by every
-/// deeper destination, O(N) total instead of the per-destination chain walk
-/// (quadratic on deep paths). `out` must hold n entries.
-void fill_next_hops(NodeId src, const std::vector<NodeId>& parent,
-                    const double* dist, NodeId* out) {
-  const std::size_t n = parent.size();
-  std::fill(out, out + n, kInvalidNode);
-  std::vector<NodeId> chain;
-  for (NodeId dst = 0; dst < n; ++dst) {
-    if (dst == src || !std::isfinite(dist[dst]) || out[dst] != kInvalidNode) {
-      continue;
-    }
-    chain.clear();
-    NodeId hop = dst;
-    while (parent[hop] != src && out[hop] == kInvalidNode) {
-      chain.push_back(hop);
-      hop = parent[hop];
-    }
-    const NodeId first = (out[hop] != kInvalidNode) ? out[hop] : hop;
-    out[hop] = first;
-    for (NodeId v : chain) out[v] = first;
-  }
-}
-
-/// A journal batch sorted by what each kind of mutation can invalidate.
-struct Batch {
-  bool quality_only = true;
-  /// Links added or link costs changed: the journal does not record a
-  /// link's old cost, which an in-place repair would need.
-  bool reprice = false;
-  std::vector<std::pair<NodeId, NodeId>> links_down;
-  std::vector<std::pair<NodeId, NodeId>> links_up;
-  std::vector<NodeId> nodes_down;
-  std::vector<NodeId> nodes_up;
-};
-
-Batch classify(const std::vector<Mutation>& muts) {
-  Batch b;
-  for (const Mutation& m : muts) {
-    if (m.kind != MutationKind::kQuality) b.quality_only = false;
-    switch (m.kind) {
-      case MutationKind::kTopology:
-      case MutationKind::kLinkCost:
-        b.reprice = true;
-        break;
-      case MutationKind::kLinkDown:
-        b.links_down.emplace_back(m.a, m.b);
-        break;
-      case MutationKind::kLinkUp:
-        b.links_up.emplace_back(m.a, m.b);
-        break;
-      case MutationKind::kNodeDown:
-        b.nodes_down.push_back(m.a);
-        break;
-      case MutationKind::kNodeUp:
-        b.nodes_up.push_back(m.a);
-        break;
-      case MutationKind::kQuality:
-        break;
-    }
-  }
-  return b;
-}
 
 bool contains(const std::vector<NodeId>& v, NodeId x) {
   return std::find(v.begin(), v.end(), x) != v.end();
@@ -117,16 +41,15 @@ struct RepairScratch {
   /// equals `pass`. The stamps are zeroed only when `pass` wraps.
   std::vector<std::uint32_t> stamp;
   std::uint32_t pass = 0;
-  std::vector<NodeId> parent;   // a stamped node's parent
   std::vector<NodeId> touched;  // stamped nodes, in stamping order
-  std::vector<QueueEntry> heap;
+  /// The dense tier's heap; the sparse tier repairs with its cache's.
+  DistanceHeap heap;
 
   /// Sizes the scratch for an n-node table; a no-op when it already is.
   void fit(std::size_t n) {
     if (stamp.size() == n) return;
     stamp.assign(n, 0);
     pass = 0;
-    parent.resize(n);
   }
 };
 
@@ -135,47 +58,49 @@ namespace {
 enum class Repair : std::uint8_t { kUntouched, kRepaired, kTie };
 
 /// Repairs one source row of one metric in place after a batch of link and
-/// node faults and restores; `net` is the network after the batch. For the
-/// cost metric exactly one of `hops` (the dense tier's first hops) and
-/// `parents` (the sparse tier's predecessors) is given: the tree its tier's
-/// cost_path() reads. Both are null for the delay metric, whose tree carries
-/// only distances. Each recomputed value uses the expression
-/// shortest_paths() and fill_next_hops() evaluate, so it has the bits a
-/// fresh build gives it as long as every node's parent is the unique best
-/// candidate. When the cost repair meets an equal candidate it returns kTie
-/// with the row partly rewritten, and the row must be recomputed in full.
-template <typename WeightFn>
-Repair repair_row(const Network& net, const Batch& batch, NodeId src,
-                  WeightFn weight, double* dist, NodeId* hops,
-                  NodeId* parents, RepairScratch& s) {
-  const bool cost_tree = hops != nullptr || parents != nullptr;
+/// node faults and restores, over `g` (its usable bytes already patched to
+/// the network after the batch) under the per-link weight `w`, with `heap`
+/// fitted to the table's n and empty. `parent` is the row's cost tree, which
+/// cost_path() walks; it is null for the delay metric, whose tree carries
+/// only distances. The nodes the batch cut off are invalidated, they and the
+/// nodes a restore improves are seeded, and the kernel's settle() finishes
+/// the pass, so each recomputed value has the bits a fresh pass gives it as
+/// long as every node's parent is the unique best candidate. When the cost
+/// repair meets an equal candidate it returns kTie with the row partly
+/// rewritten, and the row must be recomputed in full.
+Repair repair_row(const Adjacency& g, const double* w, const Batch& batch,
+                  NodeId src, double* dist, NodeId* parent, RepairScratch& s,
+                  DistanceHeap& heap) {
+  const bool cost_tree = parent != nullptr;
   if (++s.pass == 0) {  // wrapped: clear the stamps of earlier passes
     std::fill(s.stamp.begin(), s.stamp.end(), 0);
     s.pass = 1;
   }
   s.touched.clear();
-  s.heap.clear();
   const auto stamped = [&](NodeId v) { return s.stamp[v] == s.pass; };
   const auto stamp = [&](NodeId v) {
     s.stamp[v] = s.pass;
     s.touched.push_back(v);
   };
-  // y is a tree child of x over l: the double addition Dijkstra performed
-  // when it set dist[y] reproduces it exactly.
-  const auto child = [&](NodeId x, const Link& l, NodeId y) {
+  const auto arcs = [&](NodeId v) {
+    return std::span(g.arcs.data() + g.first[v],
+                     g.arcs.data() + g.first[v + 1]);
+  };
+  // y is a tree child of x over a link of weight wl: the double addition
+  // the pass performed when it set dist[y] reproduces it exactly.
+  const auto child = [&](NodeId x, double wl, NodeId y) {
     return y != src && !stamped(y) && dist[x] < kInf &&
-           dist[x] + weight(l) == dist[y];
+           dist[x] + wl == dist[y];
   };
 
   // Down events: invalidate the subtrees below the failed adjacencies and
   // the crashed nodes, walked from the stored distances before any of them
   // is overwritten.
   for (const auto& [a, b] : batch.links_down) {
-    for (const auto idx : net.incident(a)) {
-      const Link& l = net.links()[idx];
-      if (other_end(l, a) != b) continue;
-      if (child(a, l, b)) stamp(b);
-      if (child(b, l, a)) stamp(a);
+    for (const Adjacency::Arc arc : arcs(a)) {
+      if (arc.to != b) continue;
+      if (child(a, w[arc.link], b)) stamp(b);
+      if (child(b, w[arc.link], a)) stamp(a);
     }
   }
   for (const NodeId z : batch.nodes_down) {
@@ -183,40 +108,31 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
   }
   for (std::size_t i = 0; i < s.touched.size(); ++i) {
     const NodeId x = s.touched[i];
-    for (const auto idx : net.incident(x)) {
-      const Link& l = net.links()[idx];
-      const NodeId y = other_end(l, x);
-      if (child(x, l, y)) stamp(y);
+    for (const Adjacency::Arc arc : arcs(x)) {
+      if (child(x, w[arc.link], arc.to)) stamp(arc.to);
     }
   }
 
   for (const NodeId v : s.touched) {
     dist[v] = kInf;
-    if (hops != nullptr) hops[v] = kInvalidNode;
-    if (parents != nullptr) parents[v] = kInvalidNode;
+    if (cost_tree) parent[v] = kInvalidNode;
   }
-  const auto push = [&](NodeId v, NodeId parent) {
-    s.parent[v] = parent;
-    s.heap.push_back({dist[v], v});
-    std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
-  };
   // Labels v — an invalidated node or an endpoint a restore can improve —
-  // from its unstamped usable neighbours in the final network. Stamped
-  // neighbours are skipped: each relaxes v when popped, with a value no
-  // worse than its old one. Returns false on an equal best candidate.
+  // from its unstamped usable neighbours in the final network, and queues it
+  // when that lowers its distance. Stamped neighbours are skipped: each
+  // relaxes v when it settles, with a value no worse than its old one.
+  // Returns false on an equal best candidate.
   const auto seed = [&](NodeId v) {
     double best = kInf;
-    NodeId parent = kInvalidNode;
+    NodeId from = kInvalidNode;
     bool tie = false;
-    for (const auto idx : net.incident(v)) {
-      if (!net.usable(idx)) continue;
-      const Link& l = net.links()[idx];
-      const NodeId u = other_end(l, v);
-      if (stamped(u) || !(dist[u] < kInf)) continue;
-      const double nd = dist[u] + weight(l);
+    for (const Adjacency::Arc arc : arcs(v)) {
+      if (g.usable[arc.link] == 0) continue;
+      if (stamped(arc.to) || !(dist[arc.to] < kInf)) continue;
+      const double nd = dist[arc.to] + w[arc.link];
       if (nd < best) {
         best = nd;
-        parent = u;
+        from = arc.to;
         tie = false;
       } else if (nd == best) {
         tie = true;
@@ -226,66 +142,39 @@ Repair repair_row(const Network& net, const Batch& batch, NodeId src,
     if (best < dist[v]) {
       if (!stamped(v)) stamp(v);
       dist[v] = best;
-      push(v, parent);
+      if (cost_tree) parent[v] = from;
+      heap.push_or_decrease(v, best);
     }
     return true;
   };
-  const std::size_t invalidated = s.touched.size();
-  for (std::size_t i = 0; i < invalidated; ++i) {
-    if (!seed(s.touched[i])) return Repair::kTie;
-  }
   const auto seed_restored = [&](NodeId v) {
     return v == src || stamped(v) || seed(v);
   };
-  for (const auto& [a, b] : batch.links_up) {
-    if (!seed_restored(a) || !seed_restored(b)) return Repair::kTie;
-  }
-  for (const NodeId z : batch.nodes_up) {
-    if (!seed_restored(z)) return Repair::kTie;
-  }
-
-  // Dijkstra over the invalidated and improved nodes only.
-  while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
-    const auto [d, v] = s.heap.back();
-    s.heap.pop_back();
-    if (d > dist[v]) continue;
-    const NodeId p = s.parent[v];
-    if (hops != nullptr) hops[v] = (p == src) ? v : hops[p];
-    if (parents != nullptr) parents[v] = p;
-    for (const auto idx : net.incident(v)) {
-      if (!net.usable(idx)) continue;
-      const Link& l = net.links()[idx];
-      const NodeId y = other_end(l, v);
-      const double nd = d + weight(l);
-      if (nd < dist[y]) {
-        if (!stamped(y)) stamp(y);
-        dist[y] = nd;
-        push(y, v);
-      } else if (cost_tree && nd == dist[y]) {
-        return Repair::kTie;
-      }
+  const auto seed_all = [&] {
+    const std::size_t invalidated = s.touched.size();
+    for (std::size_t i = 0; i < invalidated; ++i) {
+      if (!seed(s.touched[i])) return false;
     }
+    for (const auto& [a, b] : batch.links_up) {
+      if (!seed_restored(a) || !seed_restored(b)) return false;
+    }
+    for (const NodeId z : batch.nodes_up) {
+      if (!seed_restored(z)) return false;
+    }
+    return true;
+  };
+  if (!seed_all()) {
+    heap.clear();  // frees the slots of the nodes already queued
+    return Repair::kTie;
   }
+  // The kernel's loop over the seeded nodes: only nodes whose distance
+  // falls are queued, so it stays within the invalidated and improved ones.
+  if (settle(g, w, dist, parent, heap) && cost_tree) return Repair::kTie;
   return s.touched.empty() ? Repair::kUntouched : Repair::kRepaired;
 }
 
-/// Reconstructs src→dst from a predecessor tree (inclusive of endpoints);
-/// empty when unreachable.
-std::vector<NodeId> path_from_parents(NodeId src, NodeId dst,
-                                      const std::vector<NodeId>& parent,
-                                      const std::vector<double>& dist) {
-  if (src == dst) return {src};
-  if (!std::isfinite(dist[dst])) return {};
-  std::vector<NodeId> path;
-  for (NodeId v = dst; v != src; v = parent[v]) path.push_back(v);
-  path.push_back(src);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 /// Bytes one dense source row occupies: cost and delay distances and one
-/// first hop per destination.
+/// predecessor per destination.
 std::size_t row_bytes(std::size_t n) {
   return n * (2 * sizeof(double) + sizeof(NodeId));
 }
@@ -293,7 +182,7 @@ std::size_t row_bytes(std::size_t n) {
 }  // namespace
 
 /// Sparse-tier state: the bounded per-source row cache with the bytes its
-/// parts hold, and the heap its lazy passes share under the lock.
+/// parts hold, and the heap its passes and repairs share under the lock.
 struct RoutingTables::Cache {
   std::size_t max_rows = 512;
   std::mutex mu;
@@ -309,6 +198,15 @@ struct RoutingTables::Cache {
     return (r.cost.size() + r.delay.size()) * sizeof(double) +
            r.parent.size() * sizeof(NodeId);
   }
+};
+
+/// One source row as the queries read it: its distances of one metric and,
+/// for the cost metric, its cost tree's predecessors. On the sparse tier it
+/// holds the cache lock, so the row stays put while it is read.
+struct RoutingTables::PinnedRow {
+  std::unique_lock<std::mutex> lock;  // empty on the dense tier
+  const double* dist = nullptr;
+  const NodeId* parent = nullptr;  // null for the delay metric
 };
 
 RoutingTables::RoutingTables() = default;
@@ -340,22 +238,19 @@ void RoutingTables::rebuild_dense(const Network& net) {
   version_ = net.version();
   cost_.assign(n * n, kInf);
   delay_.assign(n * n, kInf);
-  next_hop_.assign(n * n, kInvalidNode);
+  parent_.assign(n * n, kInvalidNode);
   cost_ties_.assign(n, 0);
   adj_ = Adjacency::of(net);
   DistanceHeap heap;
-  std::vector<NodeId> parent;
-  for (NodeId src = 0; src < n; ++src) dense_row(src, heap, parent);
+  for (NodeId src = 0; src < n; ++src) dense_row(src, heap);
 }
 
-void RoutingTables::dense_row(NodeId src, DistanceHeap& heap,
-                              std::vector<NodeId>& parent) {
+void RoutingTables::dense_row(NodeId src, DistanceHeap& heap) {
   const std::size_t base = static_cast<std::size_t>(src) * n_;
-  parent.resize(n_);
-  // Cost-weighted pass: distances and first hops.
-  cost_ties_[src] = shortest_paths(adj_, adj_.cost.data(), src,
-                                   cost_.data() + base, parent.data(), heap);
-  fill_next_hops(src, parent, cost_.data() + base, next_hop_.data() + base);
+  // Cost-weighted pass: distances and the cost tree cost_path() walks.
+  cost_ties_[src] =
+      shortest_paths(adj_, adj_.cost.data(), src, cost_.data() + base,
+                     parent_.data() + base, heap);
   // Delay-weighted pass for the control plane. Its tree carries only
   // distances, which do not depend on how ties were broken.
   shortest_paths(adj_, adj_.delay.data(), src, delay_.data() + base, nullptr,
@@ -427,18 +322,29 @@ RoutingTables::Row& RoutingTables::row_locked(NodeId src,
   return it->second;
 }
 
+RoutingTables::PinnedRow RoutingTables::pin(NodeId src, Metric metric) const {
+  IFLOW_CHECK(src < n_);
+  const bool by_cost = metric == Metric::kCost;
+  if (cache_ == nullptr) {
+    const std::size_t base = static_cast<std::size_t>(src) * n_;
+    return {{},
+            (by_cost ? cost_ : delay_).data() + base,
+            by_cost ? parent_.data() + base : nullptr};
+  }
+  std::unique_lock<std::mutex> lock(cache_->mu);
+  const Row& row = row_locked(src, metric);
+  return {std::move(lock), (by_cost ? row.cost : row.delay).data(),
+          by_cost ? row.parent.data() : nullptr};
+}
+
 double RoutingTables::cost(NodeId a, NodeId b) const {
-  if (cache_ == nullptr) return at(cost_, a, b);
-  IFLOW_CHECK(a < n_ && b < n_);
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return row_locked(a, Metric::kCost).cost[b];
+  IFLOW_CHECK(b < n_);
+  return pin(a, Metric::kCost).dist[b];
 }
 
 double RoutingTables::delay_ms(NodeId a, NodeId b) const {
-  if (cache_ == nullptr) return at(delay_, a, b);
-  IFLOW_CHECK(a < n_ && b < n_);
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return row_locked(a, Metric::kDelay).delay[b];
+  IFLOW_CHECK(b < n_);
+  return pin(a, Metric::kDelay).dist[b];
 }
 
 bool RoutingTables::reachable(NodeId a, NodeId b) const {
@@ -446,41 +352,28 @@ bool RoutingTables::reachable(NodeId a, NodeId b) const {
 }
 
 std::vector<NodeId> RoutingTables::cost_path(NodeId a, NodeId b) const {
-  IFLOW_CHECK(a < n_ && b < n_);
-  if (cache_ != nullptr) {
-    // One lock, one row: the predecessor chain gives the whole path without
-    // per-hop row lookups.
-    std::lock_guard<std::mutex> lock(cache_->mu);
-    const Row& row = row_locked(a, Metric::kCost);
-    return path_from_parents(a, b, row.parent, row.cost);
+  IFLOW_CHECK(b < n_);
+  // One row: the source's predecessor chain gives the whole path.
+  const PinnedRow row = pin(a, Metric::kCost);
+  if (a == b) return {a};
+  if (!std::isfinite(row.dist[b])) return {};
+  std::vector<NodeId> path;
+  for (NodeId v = b; v != a; v = row.parent[v]) {
+    // Each predecessor is a node, and a path visits each node at most once.
+    IFLOW_CHECK(v < n_ && path.size() + 1 < n_);
+    path.push_back(v);
   }
-  if (a != b && !reachable(a, b)) return {};
-  std::vector<NodeId> path{a};
-  while (a != b) {
-    a = next_hop_[static_cast<std::size_t>(a) * n_ + b];
-    // A path visits each node at most once.
-    IFLOW_CHECK(a < n_ && path.size() < n_);
-    path.push_back(a);
-  }
+  path.push_back(a);
+  std::reverse(path.begin(), path.end());
   return path;
 }
 
 void RoutingTables::fill_costs(NodeId src, const NodeId* dst,
                                std::size_t count, double* out) const {
-  IFLOW_CHECK(src < n_);
-  if (cache_ == nullptr) {
-    const double* row = cost_.data() + static_cast<std::size_t>(src) * n_;
-    for (std::size_t i = 0; i < count; ++i) {
-      IFLOW_CHECK(dst[i] < n_);
-      out[i] = row[dst[i]];
-    }
-    return;
-  }
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  const Row& row = row_locked(src, Metric::kCost);
+  const PinnedRow row = pin(src, Metric::kCost);
   for (std::size_t i = 0; i < count; ++i) {
     IFLOW_CHECK(dst[i] < n_);
-    out[i] = row.cost[dst[i]];
+    out[i] = row.dist[dst[i]];
   }
 }
 
@@ -534,9 +427,9 @@ std::size_t RoutingTables::cost_matrix(
   // Any path through the adjacency takes one of its links, the cheapest of
   // which is w.
   double w = kInf;
-  for (const auto idx : net_->incident(a)) {
-    const Link& l = net_->links()[idx];
-    if (other_end(l, a) == b) w = std::min(w, l.cost_per_byte);
+  for (std::uint32_t e = adj_.first[a]; e < adj_.first[a + 1]; ++e) {
+    const Adjacency::Arc arc = adj_.arcs[e];
+    if (arc.to == b) w = std::min(w, adj_.cost[arc.link]);
   }
   std::vector<double> from_a(m), from_b(m);
   read_row(a, from_a.data());
@@ -672,14 +565,17 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
   if (repair_ == nullptr) repair_ = std::make_unique<RepairScratch>();
   RepairScratch& scratch = *repair_;
   scratch.fit(n_);
-  const auto repair = [&](NodeId src, bool ties, double* cost, NodeId* hops,
-                          NodeId* parents, double* delay) {
+  // The sparse tier's passes share its cache's heap, which the lock guards.
+  DistanceHeap& heap = cache_ == nullptr ? scratch.heap : cache_->heap;
+  heap.fit(n_);
+  const auto repair = [&](NodeId src, bool ties, double* cost, NodeId* parent,
+                          double* delay) {
     Repair r = Repair::kTie;
     if (!(cost != nullptr && ties) && !contains(batch->nodes_down, src) &&
         !contains(batch->nodes_up, src)) {
       r = cost == nullptr ? Repair::kUntouched
-                          : repair_row(net, *batch, src, kCostWeight, cost,
-                                       hops, parents, scratch);
+                          : repair_row(adj_, adj_.cost.data(), *batch, src,
+                                       cost, parent, scratch, heap);
     }
     if (r == Repair::kTie) {
       ++st.rows_dropped;
@@ -687,8 +583,8 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
     }
     const Repair d = delay == nullptr
                          ? Repair::kUntouched
-                         : repair_row(net, *batch, src, kDelayWeight, delay,
-                                      nullptr, nullptr, scratch);
+                         : repair_row(adj_, adj_.delay.data(), *batch, src,
+                                      delay, nullptr, scratch, heap);
     if (r == Repair::kRepaired || d == Repair::kRepaired) {
       ++st.rows_patched;
     } else {
@@ -697,21 +593,19 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
     return true;
   };
   if (cache_ == nullptr) {
-    DistanceHeap heap;
-    std::vector<NodeId> parent;
     for (NodeId src = 0; src < n_; ++src) {
       const std::size_t base = static_cast<std::size_t>(src) * n_;
       if (!repair(src, cost_ties_[src] != 0, cost_.data() + base,
-                  next_hop_.data() + base, nullptr, delay_.data() + base)) {
-        dense_row(src, heap, parent);
+                  parent_.data() + base, delay_.data() + base)) {
+        dense_row(src, heap);
       }
     }
   } else {
     const auto part = [](auto& v) { return v.empty() ? nullptr : v.data(); };
     for (auto it = cache_->rows.begin(); it != cache_->rows.end();) {
       Row& row = it->second;
-      if (repair(it->first, row.cost_ties, part(row.cost), nullptr,
-                 part(row.parent), part(row.delay))) {
+      if (repair(it->first, row.cost_ties, part(row.cost), part(row.parent),
+                 part(row.delay))) {
         ++it;
       } else {
         cache_->bytes -= Cache::bytes_of(row);

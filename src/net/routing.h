@@ -9,25 +9,30 @@
 // Two storage tiers behind one query interface:
 //   * dense  — the classic all-pairs snapshot (repeated Dijkstra, O(N²)
 //     memory), 20 bytes per (source, destination) entry: two distances and
-//     a first hop. Default below RoutingOptions::dense_node_limit nodes,
-//     where the matrices are small and every query is a flat array read.
+//     the cost tree's predecessor. Default below
+//     RoutingOptions::dense_node_limit nodes, where the matrices are small
+//     and every query is a flat array read.
 //   * sparse — per-source rows computed by Dijkstra on demand and kept in a
 //     bounded LRU cache, O(cached_rows · N) memory. Each metric of a row is
 //     computed on its first read: the cost part (distances and the cost
-//     tree's predecessors, which cost_path() walks, 12 bytes per entry) and
-//     the delay part (distances, 8 bytes). Default at scale (10k–100k-node
-//     topologies), where a dense matrix would not fit.
-// Both tiers produce bitwise-identical values for identical queries (the
+//     tree's predecessors, 12 bytes per entry) and the delay part
+//     (distances, 8 bytes). Default at scale (10k–100k-node topologies),
+//     where a dense matrix would not fit.
+// Both tiers store each source row's cost tree as predecessors, and
+// cost_path() walks the source row's tree on both. They produce
+// bitwise-identical answers for identical queries, paths included (the
 // same per-source Dijkstra runs either eagerly or lazily), so planner
-// digests do not depend on the tier. Every full pass runs the one kernel in
-// net/shortest_path.h over a compressed adjacency the table keeps beside
-// the rows.
+// digests do not depend on the tier. One private row reader serves every
+// query: the dense tier indexes its matrices, the sparse tier takes its
+// lock and computes a missing part.
 //
-// Repair is incremental: `sync()` replays the Network's mutation log
-// instead of rebuilding from scratch. Quality-only changes (loss, jitter)
-// are free. Link and node faults and restores repair each resident row in
-// place — all N on the dense tier, the cached ones on the sparse tier —
-// recomputing only the nodes beyond the fault.
+// Every pass runs the one kernel in net/shortest_path.h over a compressed
+// adjacency the table keeps beside the rows. Repair is incremental:
+// `sync()` replays the Network's mutation log instead of rebuilding from
+// scratch. Quality-only changes (loss, jitter) are free. Link and node
+// faults and restores repair each resident row in place — all N on the
+// dense tier, the cached ones on the sparse tier — seeding only the nodes
+// beyond the fault and settling them with the kernel's loop.
 #pragma once
 
 #include <cstdint>
@@ -182,7 +187,7 @@ class RoutingTables {
  private:
   /// One lazily computed source row in two parts, each empty until the
   /// first read of its metric: the cost part (distances and the cost tree's
-  /// predecessors, which cost_path() walks) and the delay part.
+  /// predecessors) and the delay part.
   struct Row {
     std::vector<double> cost;    // cost-weighted distances
     std::vector<NodeId> parent;  // cost-tree predecessor
@@ -193,12 +198,12 @@ class RoutingTables {
     std::uint64_t last_used = 0;  // LRU tick
   };
   enum class Metric : std::uint8_t { kCost, kDelay };
-  struct Cache;  // defined in routing.cpp; holds the mutex + row map
+  struct Cache;      // defined in routing.cpp; holds the mutex + row map
+  struct PinnedRow;  // defined in routing.cpp; a row read under the lock
 
   void rebuild_dense(const Network& net);
-  /// Dense tier: recomputes source row `src` of every matrix from scratch,
-  /// with `parent` as scratch for its cost tree.
-  void dense_row(NodeId src, DistanceHeap& heap, std::vector<NodeId>& parent);
+  /// Dense tier: recomputes source row `src` of every matrix from scratch.
+  void dense_row(NodeId src, DistanceHeap& heap);
   void reset_sparse(const Network& net);
   /// Sparse tier: CHECKs that the network has not moved past the table's
   /// version before a lazy Dijkstra reads it.
@@ -206,11 +211,10 @@ class RoutingTables {
   /// Locates the row for `src`, computing it or its `metric` part when
   /// missing; caller holds the cache mutex.
   Row& row_locked(NodeId src, Metric metric) const;
-
-  double at(const std::vector<double>& m, NodeId a, NodeId b) const {
-    IFLOW_CHECK(a < n_ && b < n_);
-    return m[static_cast<std::size_t>(a) * n_ + b];
-  }
+  /// The one row reader behind cost(), delay_ms(), cost_path() and
+  /// fill_costs(): the dense tier points into its matrices, the sparse tier
+  /// takes the cache lock and computes the row's `metric` part when missing.
+  PinnedRow pin(NodeId src, Metric metric) const;
 
   std::size_t n_ = 0;
   std::uint64_t version_ = 0;
@@ -221,9 +225,9 @@ class RoutingTables {
   std::unique_ptr<RepairScratch> repair_;
 
   // Dense tier storage (empty in sparse mode).
-  std::vector<double> cost_;      // cost-weighted distances
-  std::vector<double> delay_;     // delay-weighted distances
-  std::vector<NodeId> next_hop_;  // next_hop_[a*n+b]: first hop a→b
+  std::vector<double> cost_;    // cost-weighted distances
+  std::vector<double> delay_;   // delay-weighted distances
+  std::vector<NodeId> parent_;  // parent_[a*n+b]: b's predecessor from a
   /// cost_ties_[a] != 0: row a's cost tree was built with an equal-cost
   /// tie, so sync() cannot repair it in place.
   std::vector<std::uint8_t> cost_ties_;

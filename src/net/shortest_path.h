@@ -1,7 +1,9 @@
-// The one single-source shortest-path kernel behind every routing pass: the
-// dense rows, the lazy sparse rows, the rows and the goal-directed entries
-// of the coordinator matrix and the induced-subgraph distances of the
-// hierarchy.
+// The one shortest-path kernel behind every routing pass: the dense rows,
+// the lazy sparse rows, the rows and the goal-directed entries of the
+// coordinator matrix, the induced-subgraph distances of the hierarchy and
+// the in-place row repair. A pass seeds its heap and runs `settle`, the one
+// loop that pops nodes and relaxes their arcs: a full pass seeds the source,
+// the repair seeds the nodes a fault or restore changed (DESIGN.md §13).
 //
 // It reads a compressed adjacency (each node's arcs in one contiguous range,
 // in Network::incident() order, with per-link weights and a usable byte)
@@ -76,8 +78,9 @@ struct Adjacency {
 /// place instead of queueing a duplicate. Keys and nodes sit in parallel
 /// arrays, and a pop picks the least of four children with arithmetic
 /// rather than branches, which the random keys would mispredict. A full pass
-/// pops every node it queues and a goal-directed one clears the rest, so the
-/// slots are all free again between passes.
+/// pops every node it queues, and a goal-directed pass or a repair that
+/// stops early clears the rest, so the slots are all free again between
+/// passes.
 class DistanceHeap {
  public:
   bool empty() const { return size_ == 0; }
@@ -176,28 +179,22 @@ struct Goal {
   double key(NodeId v, double dist) const { return dist + potential[v]; }
 };
 
-/// Single-source shortest paths from `src` over the usable links of `g`,
-/// under the per-link weight `w` (g.cost, g.delay or another per-link
-/// array). A full pass fills dist[0, n) — +inf where unreachable — and,
-/// when `parent` is given, each reached node's predecessor (kInvalidNode
-/// for `src` and unreached nodes), and returns true when some relaxation
-/// exactly matched its target's current distance: an equal-cost tie, which
-/// the pop order broke. With a Goal, only dist[goal.target] is final when
-/// the pass returns.
+/// Settles the queued nodes of `heap` in key order: each pop relaxes the
+/// popped node's usable arcs under the per-link weight `w`, and a neighbour
+/// whose distance falls gets the new distance, its predecessor when
+/// `parent` is given, and a lowered key. The caller seeds the heap with
+/// nodes whose `dist` it has set. Returns true when some relaxation exactly
+/// matched its target's current distance: an equal-cost tie, which the pop
+/// order broke. With a Goal it stops when the target pops and frees the
+/// slots of the nodes still queued.
 template <typename Target = NoGoal>
-inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
-                           double* dist, NodeId* parent, DistanceHeap& heap,
-                           const Target& goal = {}) {
-  const std::size_t n = g.first.size() - 1;
-  std::fill(dist, dist + n, std::numeric_limits<double>::infinity());
-  if (parent != nullptr) std::fill(parent, parent + n, kInvalidNode);
+inline bool settle(const Adjacency& g, const double* w, double* dist,
+                   NodeId* parent, DistanceHeap& heap,
+                   const Target& goal = {}) {
   const std::uint32_t* first = g.first.data();
   const Adjacency::Arc* arcs = g.arcs.data();
   const std::uint8_t* usable = g.usable.data();
   bool tie = false;
-  heap.fit(n);
-  dist[src] = 0.0;
-  heap.push_or_decrease(src, goal.key(src, 0.0));
   while (!heap.empty()) {
     const NodeId u = heap.pop();
     if (goal.reached(u)) {
@@ -219,6 +216,26 @@ inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
     }
   }
   return tie;
+}
+
+/// Single-source shortest paths from `src` over the usable links of `g`,
+/// under the per-link weight `w` (g.cost, g.delay or another per-link
+/// array): seeds `src` alone and settles. A full pass fills dist[0, n) —
+/// +inf where unreachable — and, when `parent` is given, each reached
+/// node's predecessor (kInvalidNode for `src` and unreached nodes), and
+/// returns settle()'s tie flag. With a Goal, only dist[goal.target] is final
+/// when the pass returns.
+template <typename Target = NoGoal>
+inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
+                           double* dist, NodeId* parent, DistanceHeap& heap,
+                           const Target& goal = {}) {
+  const std::size_t n = g.first.size() - 1;
+  std::fill(dist, dist + n, std::numeric_limits<double>::infinity());
+  if (parent != nullptr) std::fill(parent, parent + n, kInvalidNode);
+  heap.fit(n);
+  dist[src] = 0.0;
+  heap.push_or_decrease(src, goal.key(src, 0.0));
+  return settle(g, w, dist, parent, heap, goal);
 }
 
 }  // namespace iflow::net

@@ -6,9 +6,8 @@
 // node. Every value was produced by the same expressions the fresh build
 // evaluates, and sync() reproduces Dijkstra's choice of parent or
 // recomputes (dense) or evicts (sparse) the row, so any difference is a
-// stale-row bug. Paths are compared within one tier because under
-// equal-cost ties a sparse path walks one row's predecessor tree while a
-// dense path follows each hop's own row.
+// stale-row bug. Both tiers walk the source row's predecessor tree, so the
+// path a→b reads every predecessor on it.
 
 #include <gtest/gtest.h>
 
@@ -31,9 +30,8 @@ namespace {
 
 // Compares an incrementally synced table against a fresh build of the same
 // tier on all pairs: distances, reachability and the cost path node by
-// node. The dense path a→b starts with the first-hop entry (a, b) and the
-// sparse path ends with b's predecessor in row a, so this checks every first
-// hop and every predecessor that a path reads.
+// node. The path a→b ends with b's predecessor in row a, so this checks
+// every predecessor of every row.
 void expect_equivalent(const Network& net, const RoutingTables& inc) {
   ASSERT_EQ(inc.built_against(), net.version());
   RoutingOptions opts;

@@ -314,7 +314,7 @@ TEST(RoutingTest, SparseCacheHonoursRowCapAndTracksPeak) {
   EXPECT_EQ(rt.peak_memory_bytes(),
             rt.memory_bytes() / rt.cached_rows() * 4u);
   // Rows read only for cost hold a distance and a predecessor per entry;
-  // the dense tier stores two distances and a first hop.
+  // the dense tier stores two distances and a predecessor.
   const std::size_t n = net.node_count();
   EXPECT_EQ(rt.memory_bytes(), rt.cached_rows() * n * 12u);
   EXPECT_EQ(RoutingTables::dense_equivalent_bytes(n), n * n * 20u);
@@ -967,33 +967,19 @@ std::vector<NodeId> tree_path(const std::vector<NodeId>& parent, NodeId a,
 
 /// Checks cost, delay_ms and cost_path from every source in `sources`
 /// against the reference, bit for bit, on a world where no reference cost
-/// tree holds a tie. The dense tier takes each hop from the row of the node
-/// it stands on, so its reference path does too; the sparse tier walks the
-/// source's tree.
+/// tree holds a tie. Both tiers walk the source's tree.
 void expect_matches_reference(const Network& net, const RoutingTables& rt,
                               const std::vector<NodeId>& sources) {
   const auto n = static_cast<NodeId>(net.node_count());
-  std::vector<ReferenceRow> rows(n);
-  const auto row = [&](NodeId v) -> const ReferenceRow& {
-    if (rows[v].cost.empty()) rows[v] = reference_row(net, v);
-    return rows[v];
-  };
   for (const NodeId a : sources) {
-    ASSERT_FALSE(row(a).cost_tie) << "source " << a;
+    const ReferenceRow ref = reference_row(net, a);
+    ASSERT_FALSE(ref.cost_tie) << "source " << a;
     for (NodeId b = 0; b < n; ++b) {
-      ASSERT_EQ(bits(rt.cost(a, b)), bits(row(a).cost[b])) << a << "->" << b;
-      ASSERT_EQ(bits(rt.delay_ms(a, b)), bits(row(a).delay[b]))
+      ASSERT_EQ(bits(rt.cost(a, b)), bits(ref.cost[b])) << a << "->" << b;
+      ASSERT_EQ(bits(rt.delay_ms(a, b)), bits(ref.delay[b]))
           << a << "->" << b;
-      std::vector<NodeId> want = tree_path(row(a).parent, a, b);
-      if (!rt.sparse() && want.size() > 2) {
-        want = {a};
-        for (NodeId at = a; at != b;) {
-          ASSERT_FALSE(row(at).cost_tie) << "source " << at;
-          at = tree_path(row(at).parent, at, b)[1];
-          want.push_back(at);
-        }
-      }
-      ASSERT_EQ(rt.cost_path(a, b), want) << a << "->" << b;
+      ASSERT_EQ(rt.cost_path(a, b), tree_path(ref.parent, a, b))
+          << a << "->" << b;
     }
   }
 }
@@ -1077,39 +1063,41 @@ TEST(RoutingReferenceTest, SparseTierMatchesTheReferenceBeforeAndAfterFaults) {
 /// Where equal-cost paths exist the tables may pick another parent than
 /// the reference, but distances keep their bits, and each cost path is a
 /// walk over usable links whose left fold of cheapest-link costs — the sum
-/// Dijkstra forms along a tree path — is cost(a, b) bit for bit.
+/// Dijkstra forms along a tree path — is cost(a, b) bit for bit. Both tiers
+/// walk the same source tree, so their paths are equal on every pair.
 void expect_tied_world_matches_reference(const Network& net) {
   const auto n = static_cast<NodeId>(net.node_count());
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kDense;
+  const RoutingTables dense = RoutingTables::build(net, opts);
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables sparse = RoutingTables::build(net, opts);
   bool tie = false;
-  for (const RoutingMode mode : {RoutingMode::kDense, RoutingMode::kSparse}) {
-    RoutingOptions opts;
-    opts.mode = mode;
-    const RoutingTables rt = RoutingTables::build(net, opts);
-    for (NodeId a = 0; a < n; ++a) {
-      const ReferenceRow ref = reference_row(net, a);
-      tie = tie || ref.cost_tie;
-      for (NodeId b = 0; b < n; ++b) {
-        ASSERT_EQ(bits(rt.cost(a, b)), bits(ref.cost[b])) << a << "->" << b;
-        ASSERT_EQ(bits(rt.delay_ms(a, b)), bits(ref.delay[b]))
+  for (NodeId a = 0; a < n; ++a) {
+    const ReferenceRow ref = reference_row(net, a);
+    tie = tie || ref.cost_tie;
+    for (NodeId b = 0; b < n; ++b) {
+      const std::vector<NodeId> path = dense.cost_path(a, b);
+      ASSERT_EQ(sparse.cost_path(a, b), path) << a << "->" << b;
+      for (const RoutingTables* rt : {&dense, &sparse}) {
+        ASSERT_EQ(bits(rt->cost(a, b)), bits(ref.cost[b])) << a << "->" << b;
+        ASSERT_EQ(bits(rt->delay_ms(a, b)), bits(ref.delay[b]))
             << a << "->" << b;
-        const std::vector<NodeId> path = rt.cost_path(a, b);
-        if (!std::isfinite(ref.cost[b])) {
-          ASSERT_TRUE(path.empty()) << a << "->" << b;
-          continue;
-        }
-        ASSERT_FALSE(path.empty()) << a << "->" << b;
-        ASSERT_EQ(path.front(), a);
-        ASSERT_EQ(path.back(), b);
-        double fold = 0.0;
-        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-          const std::uint32_t l =
-              net.cheapest_usable_link(path[i], path[i + 1]);
-          ASSERT_NE(l, kInvalidLink)
-              << "hop " << path[i] << "-" << path[i + 1];
-          fold = fold + net.links()[l].cost_per_byte;
-        }
-        ASSERT_EQ(bits(fold), bits(rt.cost(a, b))) << a << "->" << b;
       }
+      if (!std::isfinite(ref.cost[b])) {
+        ASSERT_TRUE(path.empty()) << a << "->" << b;
+        continue;
+      }
+      ASSERT_FALSE(path.empty()) << a << "->" << b;
+      ASSERT_EQ(path.front(), a);
+      ASSERT_EQ(path.back(), b);
+      double fold = 0.0;
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const std::uint32_t l = net.cheapest_usable_link(path[i], path[i + 1]);
+        ASSERT_NE(l, kInvalidLink) << "hop " << path[i] << "-" << path[i + 1];
+        fold = fold + net.links()[l].cost_per_byte;
+      }
+      ASSERT_EQ(bits(fold), bits(ref.cost[b])) << a << "->" << b;
     }
   }
   EXPECT_TRUE(tie) << "the world holds no equal-cost tie";

@@ -370,9 +370,15 @@ void expect_identical(const PlannerResult& a, const PlannerResult& b) {
 }
 
 TEST(PlannerTest, ParallelSweepBitwiseIdenticalToSerial) {
-  // Large enough that the parallel path actually engages (>= 32 sites).
+  // Large enough that the parallel path actually engages (>= 32 sites). On
+  // the sparse table, which holds fewer rows than there are sites, the
+  // pool's threads compute, evict and read rows under its lock.
   for (const std::uint64_t seed : {101u, 202u, 303u}) {
     Fixture f(48, seed);
+    net::RoutingOptions sparse_opts;
+    sparse_opts.mode = net::RoutingMode::kSparse;
+    sparse_opts.max_cached_rows = 8;
+    net::RoutingTables sparse = net::RoutingTables::build(f.net, sparse_opts);
     Prng prng(seed * 13 + 5);
     QuerySetup qs(4, f.net, prng);
     query::RateModel rates(qs.catalog, qs.q);
@@ -383,13 +389,14 @@ TEST(PlannerTest, ParallelSweepBitwiseIdenticalToSerial) {
     in.target = rates.full();
     in.delivery = qs.q.sink;
     for (net::NodeId n = 0; n < f.net.node_count(); ++n) in.sites.push_back(n);
-    in.dist = DistanceOracle::routing(f.rt);
-
-    PlanWorkspace serial(1);
-    PlanWorkspace parallel(4);
-    const PlannerResult a = plan_optimal(in, serial);
-    const PlannerResult b = plan_optimal(in, parallel);
-    expect_identical(a, b);
+    for (const net::RoutingTables* rt : {&f.rt, &sparse}) {
+      in.dist = DistanceOracle::routing(*rt);
+      PlanWorkspace serial(1);
+      PlanWorkspace parallel(4);
+      const PlannerResult a = plan_optimal(in, serial);
+      const PlannerResult b = plan_optimal(in, parallel);
+      expect_identical(a, b);
+    }
   }
 }
 
