@@ -173,6 +173,31 @@ Repair repair_row(const Adjacency& g, const double* w, const Batch& batch,
   return s.touched.empty() ? Repair::kUntouched : Repair::kRepaired;
 }
 
+/// True when a batch of link and node faults and restores changes a link
+/// that a popped node of a paused pass may have relaxed: an endpoint of a
+/// failed or restored link, or a faulted node or one of its neighbours, has
+/// a distance at or below `frontier`, the pass's least queued key. A popped
+/// node's distance is at or below it and any other node's at or above it,
+/// so the test errs only toward finishing the pass.
+bool reaches(const Adjacency& g, const Batch& b, const double* dist,
+             double frontier) {
+  const auto popped = [&](NodeId v) { return dist[v] <= frontier; };
+  const auto link = [&](const std::pair<NodeId, NodeId>& l) {
+    return popped(l.first) || popped(l.second);
+  };
+  const auto node = [&](NodeId z) {
+    if (popped(z)) return true;
+    for (std::uint32_t e = g.first[z]; e < g.first[z + 1]; ++e) {
+      if (popped(g.arcs[e].to)) return true;
+    }
+    return false;
+  };
+  return std::any_of(b.links_down.begin(), b.links_down.end(), link) ||
+         std::any_of(b.links_up.begin(), b.links_up.end(), link) ||
+         std::any_of(b.nodes_down.begin(), b.nodes_down.end(), node) ||
+         std::any_of(b.nodes_up.begin(), b.nodes_up.end(), node);
+}
+
 /// Bytes one dense source row occupies: cost and delay distances and one
 /// predecessor per destination.
 std::size_t row_bytes(std::size_t n) {
@@ -193,10 +218,35 @@ struct RoutingTables::Cache {
   DistanceHeap heap;
 
   /// Bytes a sparse row holds: 12 per entry for the cost part (distance and
-  /// predecessor), 8 for the delay part.
+  /// predecessor), 8 for the delay part and 4 per node its paused pass
+  /// keeps queued.
   static std::size_t bytes_of(const Row& r) {
     return (r.cost.size() + r.delay.size()) * sizeof(double) +
-           r.parent.size() * sizeof(NodeId);
+           (r.parent.size() + r.queued.size()) * sizeof(NodeId);
+  }
+
+  /// Runs the delay pass of `row`, the row of `src`, over `g` under
+  /// `until`: it starts the pass on the part's first run and otherwise puts
+  /// the paused queue back, and it keeps the queue again when the pass
+  /// pauses. Each run continues the one pass, so the part holds the bits of
+  /// an uninterrupted pass as far as it has settled (DESIGN.md §13).
+  template <typename Target>
+  void run_delay(const Adjacency& g, NodeId src, Row& row,
+                 const Target& until) {
+    bytes -= row.queued.size() * sizeof(NodeId);
+    if (row.delay.empty()) {
+      row.delay.resize(g.first.size() - 1);
+      bytes += row.delay.size() * sizeof(double);
+      shortest_paths(g, g.delay.data(), src, row.delay.data(), nullptr, heap,
+                     until);
+    } else {
+      heap.restore(row.queued, row.delay.data());
+      settle(g, g.delay.data(), row.delay.data(), nullptr, heap, until);
+    }
+    heap.save(row.queued);
+    if (row.queued.empty()) row.queued.shrink_to_fit();
+    bytes += row.queued.size() * sizeof(NodeId);
+    peak_bytes = std::max(peak_bytes, bytes);
   }
 };
 
@@ -236,10 +286,11 @@ void RoutingTables::rebuild_dense(const Network& net) {
   const std::size_t n = net.node_count();
   n_ = n;
   version_ = net.version();
-  cost_.assign(n * n, kInf);
-  delay_.assign(n * n, kInf);
-  parent_.assign(n * n, kInvalidNode);
-  cost_ties_.assign(n, 0);
+  // Each dense_row pass writes its whole row, flags included.
+  cost_.resize(n * n);
+  delay_.resize(n * n);
+  parent_.resize(n * n);
+  cost_ties_.resize(n);
   adj_ = Adjacency::of(net);
   DistanceHeap heap;
   for (NodeId src = 0; src < n; ++src) dense_row(src, heap);
@@ -276,13 +327,19 @@ void RoutingTables::check_synced() const {
           << "): call sync() before querying");
 }
 
-RoutingTables::Row& RoutingTables::row_locked(NodeId src,
-                                              Metric metric) const {
+RoutingTables::Row& RoutingTables::row_locked(NodeId src, Metric metric,
+                                              NodeId dst) const {
   Cache& c = *cache_;
   auto it = c.rows.find(src);
-  const bool held = it != c.rows.end() && !(metric == Metric::kCost
-                                                ? it->second.cost.empty()
-                                                : it->second.delay.empty());
+  // A paused delay part holds dst's final distance when it lies below the
+  // least queued one, the first in heap order.
+  const auto final_at_dst = [&](const Row& r) {
+    return !r.delay.empty() &&
+           (r.queued.empty() || r.delay[dst] < r.delay[r.queued.front()]);
+  };
+  const bool held = it != c.rows.end() &&
+                    (metric == Metric::kCost ? !it->second.cost.empty()
+                                             : final_at_dst(it->second));
   if (!held) {
     check_synced();
     if (it == c.rows.end()) {
@@ -310,19 +367,17 @@ RoutingTables::Row& RoutingTables::row_locked(NodeId src,
                                      row.cost.data(), row.parent.data(),
                                      c.heap);
       c.bytes += n_ * (sizeof(double) + sizeof(NodeId));
+      c.peak_bytes = std::max(c.peak_bytes, c.bytes);
     } else {
-      row.delay.resize(n_);
-      shortest_paths(adj_, adj_.delay.data(), src, row.delay.data(), nullptr,
-                     c.heap);
-      c.bytes += n_ * sizeof(double);
+      c.run_delay(adj_, src, row, Until{dst});
     }
-    c.peak_bytes = std::max(c.peak_bytes, c.bytes);
   }
   it->second.last_used = ++c.tick;
   return it->second;
 }
 
-RoutingTables::PinnedRow RoutingTables::pin(NodeId src, Metric metric) const {
+RoutingTables::PinnedRow RoutingTables::pin(NodeId src, Metric metric,
+                                            NodeId dst) const {
   IFLOW_CHECK(src < n_);
   const bool by_cost = metric == Metric::kCost;
   if (cache_ == nullptr) {
@@ -332,7 +387,7 @@ RoutingTables::PinnedRow RoutingTables::pin(NodeId src, Metric metric) const {
             by_cost ? parent_.data() + base : nullptr};
   }
   std::unique_lock<std::mutex> lock(cache_->mu);
-  const Row& row = row_locked(src, metric);
+  const Row& row = row_locked(src, metric, dst);
   return {std::move(lock), (by_cost ? row.cost : row.delay).data(),
           by_cost ? row.parent.data() : nullptr};
 }
@@ -344,7 +399,7 @@ double RoutingTables::cost(NodeId a, NodeId b) const {
 
 double RoutingTables::delay_ms(NodeId a, NodeId b) const {
   IFLOW_CHECK(b < n_);
-  return pin(a, Metric::kDelay).dist[b];
+  return pin(a, Metric::kDelay, b).dist[b];
 }
 
 bool RoutingTables::reachable(NodeId a, NodeId b) const {
@@ -549,19 +604,39 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
     return st;
   }
 
-  // Link and node faults and restores. The adjacency flips the usable byte
-  // of each link the batch touches, so the passes below read the new state.
+  // Link and node faults and restores. A row whose cost tree holds an
+  // equal-cost tie cannot be repaired, since Dijkstra's choice between equal
+  // candidates depends on the heap's pop order; nor can the row of a node
+  // that crashed or came back. The dense tier recomputes such a row and the
+  // sparse tier evicts it, both parts.
+  const auto doomed = [&](NodeId src, bool ties) {
+    return ties || contains(batch->nodes_down, src) ||
+           contains(batch->nodes_up, src);
+  };
+  // A paused delay part the batch reaches is run to its end over the
+  // adjacency as it was, then repaired like a complete part. One it does
+  // not reach stays paused: none of its popped nodes has relaxed a changed
+  // link, so it is the state a pass over the new network is in at the same
+  // point (DESIGN.md §13, "Paused delay parts").
+  if (cache_ != nullptr) {
+    for (auto& [src, row] : cache_->rows) {
+      if (!row.queued.empty() && !doomed(src, row.cost_ties) &&
+          reaches(adj_, *batch, row.delay.data(),
+                  row.delay[row.queued.front()])) {
+        cache_->run_delay(adj_, src, row, NoGoal{});
+      }
+    }
+  }
+  // The adjacency flips the usable byte of each link the batch touches, so
+  // the passes below read the new state.
   for (const auto& [a, b] : batch->links_down) adj_.refresh_usable(net, a);
   for (const auto& [a, b] : batch->links_up) adj_.refresh_usable(net, a);
   for (const NodeId z : batch->nodes_down) adj_.refresh_usable(net, z);
   for (const NodeId z : batch->nodes_up) adj_.refresh_usable(net, z);
-  // Then every part a resident row holds is repaired in place (DESIGN.md
-  // §13): both on the dense tier, the cost and the delay part a sparse row
-  // has computed. A row whose cost tree holds an equal-cost tie, or whose
-  // repair meets one, cannot be repaired, since Dijkstra's choice between
-  // equal candidates depends on the heap's pop order; nor can the row of a
-  // node that crashed or came back. The dense tier recomputes such a row and
-  // the sparse tier evicts it, both parts.
+  // Then every complete part a resident row holds is repaired in place
+  // (DESIGN.md §13): both on the dense tier, the cost and the delay part a
+  // sparse row has computed. A row whose cost repair meets a tie is
+  // recomputed or evicted like a doomed one.
   if (repair_ == nullptr) repair_ = std::make_unique<RepairScratch>();
   RepairScratch& scratch = *repair_;
   scratch.fit(n_);
@@ -571,8 +646,7 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
   const auto repair = [&](NodeId src, bool ties, double* cost, NodeId* parent,
                           double* delay) {
     Repair r = Repair::kTie;
-    if (!(cost != nullptr && ties) && !contains(batch->nodes_down, src) &&
-        !contains(batch->nodes_up, src)) {
+    if (!doomed(src, cost != nullptr && ties)) {
       r = cost == nullptr ? Repair::kUntouched
                           : repair_row(adj_, adj_.cost.data(), *batch, src,
                                        cost, parent, scratch, heap);
@@ -605,7 +679,7 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
     for (auto it = cache_->rows.begin(); it != cache_->rows.end();) {
       Row& row = it->second;
       if (repair(it->first, row.cost_ties, part(row.cost), part(row.parent),
-                 part(row.delay))) {
+                 row.queued.empty() ? part(row.delay) : nullptr)) {
         ++it;
       } else {
         cache_->bytes -= Cache::bytes_of(row);

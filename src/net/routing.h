@@ -15,9 +15,11 @@
 //   * sparse — per-source rows computed by Dijkstra on demand and kept in a
 //     bounded LRU cache, O(cached_rows · N) memory. Each metric of a row is
 //     computed on its first read: the cost part (distances and the cost
-//     tree's predecessors, 12 bytes per entry) and the delay part
-//     (distances, 8 bytes). Default at scale (10k–100k-node topologies),
-//     where a dense matrix would not fit.
+//     tree's predecessors, 12 bytes per entry) in full, and the delay part
+//     (distances, 8 bytes) lazily: a delay read settles the pass only until
+//     the node it reads is final, then pauses it, keeping its queue (4
+//     bytes per queued node) for the next read to continue. Default at
+//     scale (10k–100k-node topologies), where a dense matrix would not fit.
 // Both tiers store each source row's cost tree as predecessors, and
 // cost_path() walks the source row's tree on both. They produce
 // bitwise-identical answers for identical queries, paths included (the
@@ -32,7 +34,9 @@
 // scratch. Quality-only changes (loss, jitter) are free. Link and node
 // faults and restores repair each resident row in place — all N on the
 // dense tier, the cached ones on the sparse tier — seeding only the nodes
-// beyond the fault and settling them with the kernel's loop.
+// beyond the fault and settling them with the kernel's loop. A paused delay
+// part the batch reaches is first run to its end, then repaired; one it
+// does not reach stays paused.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +129,9 @@ class RoutingTables {
   double cost(NodeId a, NodeId b) const;
 
   /// One-way latency of the delay-optimal a→b path in milliseconds
-  /// (+inf when unreachable).
+  /// (+inf when unreachable). On the sparse tier the read settles a's delay
+  /// pass only until b is final and pauses it there; the value has the bits
+  /// of a full pass.
   double delay_ms(NodeId a, NodeId b) const;
 
   /// True when a usable a→b route exists (a == b included).
@@ -174,7 +180,8 @@ class RoutingTables {
   std::size_t cached_rows() const;
 
   /// Current table footprint in bytes (matrices, or the parts of the
-  /// resident rows).
+  /// resident rows, a paused delay part's queue included at 4 bytes per
+  /// queued node).
   std::size_t memory_bytes() const;
 
   /// High-water footprint since build (equals memory_bytes() when dense).
@@ -187,11 +194,14 @@ class RoutingTables {
  private:
   /// One lazily computed source row in two parts, each empty until the
   /// first read of its metric: the cost part (distances and the cost tree's
-  /// predecessors) and the delay part.
+  /// predecessors) and the delay part. The delay part is paused while
+  /// `queued` holds nodes: its pass has settled the nodes below the least
+  /// queued distance, and `queued` is the rest of its heap, in heap order.
   struct Row {
     std::vector<double> cost;    // cost-weighted distances
     std::vector<NodeId> parent;  // cost-tree predecessor
     std::vector<double> delay;   // delay-weighted distances
+    std::vector<NodeId> queued;  // a paused delay pass's heap
     /// The cost tree was built with an equal-cost tie, so sync() cannot
     /// repair the row in place (as cost_ties_ on the dense tier).
     bool cost_ties = false;
@@ -209,12 +219,14 @@ class RoutingTables {
   /// version before a lazy Dijkstra reads it.
   void check_synced() const;
   /// Locates the row for `src`, computing it or its `metric` part when
-  /// missing; caller holds the cache mutex.
-  Row& row_locked(NodeId src, Metric metric) const;
+  /// missing, a delay part until `dst` is final; caller holds the cache
+  /// mutex.
+  Row& row_locked(NodeId src, Metric metric, NodeId dst) const;
   /// The one row reader behind cost(), delay_ms(), cost_path() and
   /// fill_costs(): the dense tier points into its matrices, the sparse tier
-  /// takes the cache lock and computes the row's `metric` part when missing.
-  PinnedRow pin(NodeId src, Metric metric) const;
+  /// takes the cache lock and computes the row's `metric` part when missing
+  /// — a delay part as far as `dst`, the node the caller reads.
+  PinnedRow pin(NodeId src, Metric metric, NodeId dst = kInvalidNode) const;
 
   std::size_t n_ = 0;
   std::uint64_t version_ = 0;

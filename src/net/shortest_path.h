@@ -3,7 +3,8 @@
 // coordinator matrix, the induced-subgraph distances of the hierarchy and
 // the in-place row repair. A pass seeds its heap and runs `settle`, the one
 // loop that pops nodes and relaxes their arcs: a full pass seeds the source,
-// the repair seeds the nodes a fault or restore changed (DESIGN.md §13).
+// the repair seeds the nodes a fault or restore changed, and a paused pass
+// puts its saved queue back (DESIGN.md §13).
 //
 // It reads a compressed adjacency (each node's arcs in one contiguous range,
 // in Network::incident() order, with per-link weights and a usable byte)
@@ -78,18 +79,38 @@ struct Adjacency {
 /// place instead of queueing a duplicate. Keys and nodes sit in parallel
 /// arrays, and a pop picks the least of four children with arithmetic
 /// rather than branches, which the random keys would mispredict. A full pass
-/// pops every node it queues, and a goal-directed pass or a repair that
-/// stops early clears the rest, so the slots are all free again between
-/// passes.
+/// pops every node it queues, a goal-directed pass or a repair that stops
+/// early clears the rest, and a paused pass saves them, so the slots are all
+/// free again between passes.
 class DistanceHeap {
  public:
   bool empty() const { return size_ == 0; }
+
+  /// The least queued key; the heap must not be empty.
+  double top_key() const { return key_[0]; }
 
   /// Frees the slots of the nodes still queued, for a pass that stops
   /// before the heap runs empty.
   void clear() {
     for (std::size_t i = 0; i < size_; ++i) slot_[node_[i]] = kFree;
     size_ = 0;
+  }
+
+  /// Moves the queued nodes into `nodes` in heap order and empties the
+  /// heap, for a pass that pauses. When every key is its node's distance,
+  /// restore() rebuilds the same heap from the nodes and the distances.
+  void save(std::vector<NodeId>& nodes) {
+    nodes.assign(node_.begin(), node_.begin() + size_);
+    clear();
+  }
+
+  /// Puts nodes that save() took back at the same positions, each keyed by
+  /// dist[v]. The heap must be empty and fitted to the pass's n.
+  void restore(const std::vector<NodeId>& nodes, const double* dist) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      place(i, dist[nodes[i]], nodes[i]);
+    }
+    size_ = nodes.size();
   }
 
   /// Makes room for nodes [0, n).
@@ -161,6 +182,25 @@ class DistanceHeap {
 
 /// A full pass: every reached node settles, keyed by its distance.
 struct NoGoal {
+  static constexpr bool pause(const double*, const DistanceHeap&) {
+    return false;
+  }
+  static constexpr bool reached(NodeId) { return false; }
+  static constexpr double key(NodeId, double dist) { return dist; }
+};
+
+/// A paused pass: keyed like a full pass, it stops before a pop once
+/// `target`'s distance is below the least queued key, which makes it final,
+/// and leaves the rest queued. The caller saves the heap beside the
+/// distances and restores it to continue, so the pass pops the nodes an
+/// uninterrupted one pops, in the same order (DESIGN.md §13, "Paused delay
+/// parts").
+struct Until {
+  NodeId target = kInvalidNode;
+
+  bool pause(const double* dist, const DistanceHeap& heap) const {
+    return dist[target] < heap.top_key();
+  }
   static constexpr bool reached(NodeId) { return false; }
   static constexpr double key(NodeId, double dist) { return dist; }
 };
@@ -175,6 +215,9 @@ struct Goal {
   NodeId target = kInvalidNode;
   const double* potential = nullptr;
 
+  static constexpr bool pause(const double*, const DistanceHeap&) {
+    return false;
+  }
   bool reached(NodeId u) const { return u == target; }
   double key(NodeId v, double dist) const { return dist + potential[v]; }
 };
@@ -186,7 +229,8 @@ struct Goal {
 /// nodes whose `dist` it has set. Returns true when some relaxation exactly
 /// matched its target's current distance: an equal-cost tie, which the pop
 /// order broke. With a Goal it stops when the target pops and frees the
-/// slots of the nodes still queued.
+/// slots of the nodes still queued; with Until it stops before a pop and
+/// keeps them queued.
 template <typename Target = NoGoal>
 inline bool settle(const Adjacency& g, const double* w, double* dist,
                    NodeId* parent, DistanceHeap& heap,
@@ -196,6 +240,7 @@ inline bool settle(const Adjacency& g, const double* w, double* dist,
   const std::uint8_t* usable = g.usable.data();
   bool tie = false;
   while (!heap.empty()) {
+    if (goal.pause(dist, heap)) break;
     const NodeId u = heap.pop();
     if (goal.reached(u)) {
       heap.clear();
@@ -224,7 +269,7 @@ inline bool settle(const Adjacency& g, const double* w, double* dist,
 /// +inf where unreachable — and, when `parent` is given, each reached
 /// node's predecessor (kInvalidNode for `src` and unreached nodes), and
 /// returns settle()'s tie flag. With a Goal, only dist[goal.target] is final
-/// when the pass returns.
+/// when the pass returns; with Until, the pass may return paused.
 template <typename Target = NoGoal>
 inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
                            double* dist, NodeId* parent, DistanceHeap& heap,

@@ -1,6 +1,7 @@
 #include "workload/generator.h"
 
 #include <algorithm>
+#include <string>
 
 namespace iflow::workload {
 
@@ -18,7 +19,7 @@ Workload make_workload(const net::Network& net, const WorkloadParams& params,
     const auto node =
         static_cast<net::NodeId>(prng.index(net.node_count()));
     w.catalog.add_stream(
-        "S" + std::to_string(s), node,
+        std::string("S").append(std::to_string(s)), node,
         prng.uniform(params.tuple_rate_min, params.tuple_rate_max),
         prng.uniform(kTupleWidthMin, kTupleWidthMax));
   }
@@ -42,7 +43,7 @@ Workload make_workload(const net::Network& net, const WorkloadParams& params,
     prng.shuffle(all_streams);
     query::Query q;
     q.id = static_cast<query::QueryId>(qi);
-    q.name = "Q" + std::to_string(qi);
+    q.name = std::string("Q").append(std::to_string(qi));
     q.sources.assign(all_streams.begin(),
                      all_streams.begin() + static_cast<std::ptrdiff_t>(k));
     std::sort(q.sources.begin(), q.sources.end());
@@ -76,8 +77,8 @@ RelayStar make_relay_star(double rate, double selectivity) {
   w.net.add_link(w.backup, w.sink, 1.3, 1.0, 1e6);
   for (int i = 0; i < 3; ++i) {
     w.query.sources.push_back(w.catalog.add_stream(
-        "S" + std::to_string(i), srcs[static_cast<std::size_t>(i)], rate,
-        100.0));
+        std::string("S").append(std::to_string(i)),
+        srcs[static_cast<std::size_t>(i)], rate, 100.0));
   }
   for (std::size_t i = 0; i < w.query.sources.size(); ++i) {
     for (std::size_t j = i + 1; j < w.query.sources.size(); ++j) {

@@ -24,8 +24,8 @@ struct Star {
     }
     // Streams on leaves 0..3.
     for (int i = 0; i < 4; ++i) {
-      catalog.add_stream("S" + std::to_string(i), leaves[static_cast<std::size_t>(i)],
-                         50.0, 100.0);
+      catalog.add_stream(std::string("S").append(std::to_string(i)),
+                         leaves[static_cast<std::size_t>(i)], 50.0, 100.0);
     }
     for (query::StreamId a = 0; a < 4; ++a) {
       for (query::StreamId b = static_cast<query::StreamId>(a + 1); b < 4; ++b) {

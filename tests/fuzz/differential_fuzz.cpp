@@ -161,7 +161,7 @@ struct Instance {
     const int k = 2 + static_cast<int>(prng.index(4));  // K in [2, 5]
     for (int i = 0; i < k; ++i) {
       query.sources.push_back(catalog.add_stream(
-          "S" + std::to_string(i),
+          std::string("S").append(std::to_string(i)),
           static_cast<net::NodeId>(prng.index(net.node_count())),
           prng.uniform(5.0, 50.0), prng.uniform(10.0, 100.0)));
     }
@@ -783,7 +783,9 @@ void check_recovery_instance(std::uint64_t seed, const Options& opt,
 /// them, one event per sync, on a sparse-tier table with a small row cap;
 /// after each event the hierarchy refreshes its coordinator matrix in place
 /// and every coordinator pair's level-2 estimate, which reads it, must equal
-/// a fresh cost_matrix bit for bit.
+/// a fresh cost_matrix bit for bit. Delays read before the events, which
+/// leave delay passes paused across syncs, must equal a fresh table's after
+/// each.
 void check_matrix_updates(
     net::Network& net, const std::vector<std::vector<net::NodeId>>& partitions,
     int max_cs, Prng prng, IterationLog& log) {
@@ -817,7 +819,16 @@ void check_matrix_updates(
   } while (!net.link_up(idx) || same_adjacency(net.links()[idx]));
   down.emplace_back(net.links()[idx].a, net.links()[idx].b);
 
+  // Each read settles its row's delay pass only as far as a random node.
+  Prng reads = prng.fork(7);
+  std::vector<std::pair<net::NodeId, net::NodeId>> read;
   const auto event = [&](bool restore, std::size_t k) {
+    for (int r = 0; r < 3; ++r) {
+      const auto src = static_cast<net::NodeId>(reads.index(net.node_count()));
+      const auto dst = static_cast<net::NodeId>(reads.index(net.node_count()));
+      rt.delay_ms(src, dst);
+      read.emplace_back(src, dst);
+    }
     const auto [a, b] = down[k];
     if (restore) {
       net.restore_link(a, b);
@@ -825,6 +836,20 @@ void check_matrix_updates(
       net.fail_link(a, b);
     }
     rt.sync(net);
+    const net::RoutingTables fresh_rt = net::RoutingTables::build(net);
+    for (const auto& [src, dst] : read) {
+      const double got = rt.delay_ms(src, dst);
+      const double want = fresh_rt.delay_ms(src, dst);
+      if (std::memcmp(&got, &want, sizeof got) != 0) {
+        std::ostringstream os;
+        os << "delay: after " << (restore ? "restoring " : "failing ") << a
+           << '-' << b << ", delay_ms(" << src << ", " << dst
+           << ") = " << std::hexfloat << got << " but a fresh table holds "
+           << want;
+        log.fail(os.str());
+        return;
+      }
+    }
     h.refresh(rt);
     rt.cost_matrix(coords.data(), m, fresh.data());
     for (std::size_t i = 0; i < m; ++i) {

@@ -187,6 +187,69 @@ TEST(IncrementalRoutingTest, SparseSyncMatchesRebuildWithIntegerWeights) {
   }
 }
 
+// Replays `length` seeded events on a sparse table whose delay parts are
+// read only partly between events: a few delays from random sources to the
+// end of short random walks, so most parts stay paused across the next
+// sync. After every sync each pair read so far, and a sample of other pairs
+// (cost, delay and cost path), must match a fresh build.
+void run_paused_script(std::uint64_t seed, int length, bool integer_weights) {
+  Prng prng(seed);
+  Network net = make_transit_stub(TransitStubParams{}, prng);
+  if (integer_weights) net = with_integer_weights(net);
+  const std::size_t n = net.node_count();
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  opts.max_cached_rows = n;
+  RoutingTables rt = RoutingTables::build(net, opts);
+  std::vector<std::pair<NodeId, NodeId>> down_links;
+  std::vector<NodeId> down_nodes;
+  std::vector<std::pair<NodeId, NodeId>> read;
+  int paused_syncs = 0;
+  for (int i = 0; i < length; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      const auto a = static_cast<NodeId>(prng.index(n));
+      NodeId b = a;
+      for (int hops = static_cast<int>(prng.index(5)); hops > 0; --hops) {
+        const std::vector<std::uint32_t>& arcs = net.incident(b);
+        const Link& l = net.links()[arcs[prng.index(arcs.size())]];
+        b = l.a == b ? l.b : l.a;
+      }
+      rt.delay_ms(a, b);
+      read.emplace_back(a, b);
+    }
+    // Every part's footprint is a multiple of 4n bytes, so any other
+    // remainder is a queue: some part is paused when the event comes.
+    if (rt.memory_bytes() % (4 * n) != 0) ++paused_syncs;
+    apply(net, next_event(net, prng, down_links, down_nodes));
+    const std::size_t resident = rt.cached_rows();
+    const RoutingSyncStats st = rt.sync(net);
+    EXPECT_FALSE(st.full_rebuild);
+    EXPECT_EQ(st.rows_retained + st.rows_patched + st.rows_dropped, resident);
+    EXPECT_EQ(rt.cached_rows(), resident - st.rows_dropped);
+    const RoutingTables fresh = RoutingTables::build(net, opts);
+    for (const auto& [a, b] : read) {
+      ASSERT_EQ(rt.delay_ms(a, b), fresh.delay_ms(a, b)) << a << "->" << b;
+    }
+    for (int k = 0; k < 8; ++k) {
+      const auto a = static_cast<NodeId>(prng.index(n));
+      const auto b = static_cast<NodeId>(prng.index(n));
+      ASSERT_EQ(rt.delay_ms(a, b), fresh.delay_ms(a, b)) << a << "->" << b;
+      ASSERT_EQ(rt.cost(a, b), fresh.cost(a, b)) << a << "->" << b;
+      ASSERT_EQ(rt.cost_path(a, b), fresh.cost_path(a, b)) << a << "->" << b;
+    }
+  }
+  EXPECT_GT(paused_syncs, length / 2);
+}
+
+TEST(IncrementalRoutingTest, SparseSyncKeepsPausedDelayPartsExact) {
+  for (const std::uint64_t seed : {13u, 31u}) {
+    run_paused_script(seed, 30, /*integer_weights=*/false);
+  }
+  for (const std::uint64_t seed : {7u, 19u}) {
+    run_paused_script(seed, 30, /*integer_weights=*/true);
+  }
+}
+
 TEST(IncrementalRoutingTest, SparseSyncRepairsRowsWhoseTreesCrossedTheLink) {
   // Line graph: every shortest-path tree crosses the middle link, so its
   // failure and its restore change every cached row. Each is repaired in

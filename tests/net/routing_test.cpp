@@ -9,12 +9,14 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/prng.h"
+#include "common/thread_pool.h"
 #include "integer_weights.h"
 #include "net/gtitm.h"
 
@@ -323,6 +325,11 @@ TEST(RoutingTest, SparseCacheHonoursRowCapAndTracksPeak) {
             RoutingTables::dense_equivalent_bytes(net.node_count()));
 }
 
+/// Reads every delay of `src`'s row, which runs its delay pass to the end.
+void read_delay_row(const RoutingTables& rt, NodeId src) {
+  for (NodeId b = 0; b < rt.node_count(); ++b) rt.delay_ms(src, b);
+}
+
 TEST(RoutingTest, SparseRowComputesEachMetricOnItsFirstRead) {
   Prng prng(88);
   const Network net = make_transit_stub(TransitStubParams{}, prng);
@@ -331,11 +338,19 @@ TEST(RoutingTest, SparseRowComputesEachMetricOnItsFirstRead) {
   opts.mode = RoutingMode::kSparse;
   const RoutingTables rt = RoutingTables::build(net, opts);
   const std::size_t n = net.node_count();
-  // A delay read computes only the delay part: 8 bytes per entry.
+  // A delay read computes only the delay part: 8 bytes per entry, and 4 per
+  // node its paused pass keeps queued.
   EXPECT_EQ(bits(rt.delay_ms(3, 90)), bits(dense.delay_ms(3, 90)));
   EXPECT_EQ(rt.cached_rows(), 1u);
+  const std::size_t paused = rt.memory_bytes();
+  EXPECT_GT(paused, n * 8u);
+  EXPECT_EQ((paused - n * 8u) % 4u, 0u);
+  EXPECT_EQ(rt.peak_memory_bytes(), paused);
+  // Reading the rest of the row runs the pass to its end and frees the
+  // queue.
+  read_delay_row(rt, 3);
+  EXPECT_EQ(rt.cached_rows(), 1u);
   EXPECT_EQ(rt.memory_bytes(), n * 8u);
-  EXPECT_EQ(rt.peak_memory_bytes(), n * 8u);
   // The first cost read adds the cost part: a distance and a predecessor.
   EXPECT_EQ(bits(rt.cost(3, 90)), bits(dense.cost(3, 90)));
   EXPECT_EQ(rt.cached_rows(), 1u);
@@ -429,7 +444,8 @@ void expect_rows_match_a_fresh_build(
 
 TEST(RoutingTest, SparseSyncRepairsEachPartARowHolds) {
   // Three rows of one stub domain: one read for delay only, one for cost
-  // only, one for both. The failed link lies in both trees of every row.
+  // only, one for both, each delay part in full. The failed link lies in
+  // both trees of every row.
   Prng prng(89);
   Network net = make_transit_stub(TransitStubParams{}, prng);
   const std::vector<NodeId> domain = stub_domain_members({}, 2);
@@ -461,10 +477,10 @@ TEST(RoutingTest, SparseSyncRepairsEachPartARowHolds) {
   RoutingOptions opts;
   opts.mode = RoutingMode::kSparse;
   RoutingTables rt = RoutingTables::build(net, opts);
-  rt.delay_ms(by_delay, 0);
+  read_delay_row(rt, by_delay);
   rt.cost(by_cost, 0);
   rt.cost(both, 0);
-  rt.delay_ms(both, 0);
+  read_delay_row(rt, both);
   const std::size_t bytes = rt.memory_bytes();
   ASSERT_EQ(bytes, net.node_count() * (8u + 12u + 20u));
   for (const bool restore : {false, true}) {
@@ -480,10 +496,10 @@ TEST(RoutingTest, SparseSyncRepairsEachPartARowHolds) {
         net, rt, {{by_delay, false}, {by_cost, true}, {both, true}});
     // The checks read every part; drop the ones the rows did not hold.
     rt = RoutingTables::build(net, opts);
-    rt.delay_ms(by_delay, 0);
+    read_delay_row(rt, by_delay);
     rt.cost(by_cost, 0);
     rt.cost(both, 0);
-    rt.delay_ms(both, 0);
+    read_delay_row(rt, both);
   }
 }
 
@@ -994,7 +1010,8 @@ TEST(RoutingTest, CostTieEvictsTheRowWithItsDelayPart) {
   Prng prng(90);
   Network net = with_integer_weights(make_transit_stub({}, prng));
   // Two sources whose cost trees hold a tie: one read for both metrics,
-  // one only for delay, which holds no cost tree to repair.
+  // one only for delay, which holds no cost tree to repair. Both delay parts
+  // are read in full.
   std::vector<NodeId> tied;
   for (NodeId v = 0; v < net.node_count() && tied.size() < 2; ++v) {
     if (reference_row(net, v).cost_tie) tied.push_back(v);
@@ -1004,8 +1021,8 @@ TEST(RoutingTest, CostTieEvictsTheRowWithItsDelayPart) {
   opts.mode = RoutingMode::kSparse;
   RoutingTables rt = RoutingTables::build(net, opts);
   rt.cost(tied[0], 0);
-  rt.delay_ms(tied[0], 0);
-  rt.delay_ms(tied[1], 0);
+  read_delay_row(rt, tied[0]);
+  read_delay_row(rt, tied[1]);
   const std::size_t n = net.node_count();
   ASSERT_EQ(rt.memory_bytes(), n * (20u + 8u));
   const Link l = net.links().back();
@@ -1119,6 +1136,197 @@ TEST(RoutingReferenceTest, TwoRelayDiamondMatchesTheReference) {
   net.add_link(1, 3, 2.5, 3.0, 1e6);
   net.add_link(2, 3, 2.5, 3.0, 1e6);
   expect_tied_world_matches_reference(net);
+}
+
+std::vector<double> reference_delays(const Network& net, NodeId src) {
+  std::vector<double> dist;
+  std::vector<NodeId> parent;
+  reference_pass(net, src, /*by_cost=*/false, dist, parent);
+  return dist;
+}
+
+/// Reads the delay parts of one sparse table at seeded (source, node) pairs
+/// in random order and checks each value against the reference bit for
+/// bit. A read changes only its own row, so each part's queue bytes follow
+/// from the table's footprint, and most reads must leave their part paused.
+/// Reading the rows in full then completes every part.
+void expect_paused_reads_match_reference(const Network& net, Prng& prng) {
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables rt = RoutingTables::build(net, opts);
+  const std::size_t n = net.node_count();
+  std::map<NodeId, std::vector<double>> ref;
+  while (ref.size() < 8) {
+    const auto a = static_cast<NodeId>(prng.index(n));
+    ref.emplace(a, reference_delays(net, a));
+  }
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const auto& [a, delays] : ref) {
+    for (int k = 0; k < 16; ++k) {
+      pairs.emplace_back(a, static_cast<NodeId>(prng.index(n)));
+    }
+  }
+  prng.shuffle(pairs);
+  std::map<NodeId, std::size_t> queue_bytes;
+  std::size_t paused = 0;
+  for (const auto& [a, b] : pairs) {
+    const auto [it, first] = queue_bytes.try_emplace(a, 0);
+    const std::size_t before = rt.memory_bytes();
+    const double got = rt.delay_ms(a, b);
+    it->second += rt.memory_bytes() - before - (first ? n * 8u : 0u);
+    ASSERT_EQ(bits(got), bits(ref[a][b])) << a << "->" << b;
+    if (it->second > 0) ++paused;
+  }
+  EXPECT_GE(paused, pairs.size() / 2);
+  for (const auto& [a, delays] : ref) {
+    for (NodeId b = 0; b < n; ++b) {
+      ASSERT_EQ(bits(rt.delay_ms(a, b)), bits(delays[b])) << a << "->" << b;
+    }
+  }
+  EXPECT_EQ(rt.memory_bytes(), ref.size() * n * 8u);
+}
+
+TEST(RoutingReferenceTest, PausedDelayPartsMatchTheReference) {
+  Prng prng(104);
+  expect_paused_reads_match_reference(make_transit_stub(scale_to(1000), prng),
+                                      prng);
+  expect_paused_reads_match_reference(
+      with_integer_weights(make_transit_stub({}, prng)), prng);
+}
+
+/// A world and one source whose delay part a read of `mid`, the node at the
+/// median reference delay, pauses. The pass has then popped every node at
+/// or below delay[mid] and no other, and its least queued key is
+/// `frontier`, the least delay above delay[mid]: a fault reaches the part
+/// when it changes a link with an endpoint at or below the frontier.
+struct PausedPart {
+  Network world;
+  NodeId src = 5;
+  std::vector<double> delay;
+  NodeId mid = kInvalidNode;
+  double frontier = 0.0;
+
+  explicit PausedPart(std::uint64_t seed) {
+    Prng prng(seed);
+    world = make_transit_stub({}, prng);
+    delay = reference_delays(world, src);
+    std::vector<double> sorted = delay;
+    std::sort(sorted.begin(), sorted.end());
+    const double settled = sorted[sorted.size() / 2];
+    mid = static_cast<NodeId>(
+        std::find(delay.begin(), delay.end(), settled) - delay.begin());
+    frontier = *std::upper_bound(sorted.begin(), sorted.end(), settled);
+  }
+
+  bool popped(NodeId v) const { return delay[v] <= delay[mid]; }
+  bool beyond(NodeId v) const { return delay[v] > frontier; }
+
+  /// The first link whose endpoints pass `where` and whose failure moves
+  /// some delay from the source; null when there is none.
+  const Link* link_where(const std::function<bool(NodeId)>& where) const {
+    for (const Link& l : world.links()) {
+      if (!where(l.a) || !where(l.b)) continue;
+      Network probe = world;
+      probe.fail_link(l.a, l.b);
+      if (reference_delays(probe, src) != delay) return &l;
+    }
+    return nullptr;
+  }
+
+  /// Pauses the part, applies `fault`, syncs, checks the sync's stats and
+  /// footprint — the part stays paused exactly when the fault misses it —
+  /// and compares the row with a fresh build.
+  void expect_sync(const std::function<void(Network&)>& fault,
+                   bool reaches) const {
+    Network net = world;
+    RoutingOptions opts;
+    opts.mode = RoutingMode::kSparse;
+    RoutingTables rt = RoutingTables::build(net, opts);
+    ASSERT_EQ(bits(rt.delay_ms(src, mid)), bits(delay[mid]));
+    const std::size_t n = net.node_count();
+    const std::size_t bytes = rt.memory_bytes();
+    ASSERT_GT(bytes, n * 8u);
+    fault(net);
+    const RoutingSyncStats st = rt.sync(net);
+    EXPECT_FALSE(st.full_rebuild);
+    EXPECT_EQ(st.rows_patched, reaches ? 1u : 0u);
+    EXPECT_EQ(st.rows_retained, reaches ? 0u : 1u);
+    EXPECT_EQ(rt.cached_rows(), 1u);
+    EXPECT_EQ(rt.memory_bytes(), reaches ? n * 8u : bytes);
+    expect_rows_match_a_fresh_build(net, rt, {{src, false}});
+  }
+};
+
+TEST(RoutingTest, SparseSyncLeavesAPartPausedWhenAFailedLinkIsBeyondIt) {
+  // The pass has not reached the link, so it continues over the new network
+  // on the next read.
+  const PausedPart p(94);
+  const Link* l = p.link_where([&](NodeId v) { return p.beyond(v); });
+  ASSERT_NE(l, nullptr);
+  p.expect_sync([&](Network& net) { net.fail_link(l->a, l->b); },
+                /*reaches=*/false);
+}
+
+TEST(RoutingTest, SparseSyncFinishesAndRepairsAPartAFailedLinkIsInside) {
+  // Both endpoints are popped: the pass is finished over the old network,
+  // then repaired in place like a complete part.
+  const PausedPart p(94);
+  const Link* l = p.link_where([&](NodeId v) { return p.popped(v); });
+  ASSERT_NE(l, nullptr);
+  p.expect_sync([&](Network& net) { net.fail_link(l->a, l->b); },
+                /*reaches=*/true);
+}
+
+TEST(RoutingTest, SparseSyncFinishesAPartACrashBesideItsPoppedNodesReaches) {
+  // The crashed node is beyond the frontier, but a popped neighbour relaxed
+  // a link to it.
+  const PausedPart p(94);
+  NodeId crashed = kInvalidNode;
+  for (NodeId z = 0; z < p.world.node_count() && crashed == kInvalidNode;
+       ++z) {
+    if (!p.beyond(z)) continue;
+    for (const std::uint32_t idx : p.world.incident(z)) {
+      const Link& l = p.world.links()[idx];
+      if (p.popped(l.a == z ? l.b : l.a)) crashed = z;
+    }
+  }
+  ASSERT_NE(crashed, kInvalidNode);
+  p.expect_sync([&](Network& net) { net.crash_node(crashed); },
+                /*reaches=*/true);
+}
+
+TEST(RoutingTest, PausedDelayPartsResumeFromPoolThreads) {
+  // The pool's threads read the same few delay parts at random depths, so
+  // each part is started, paused and resumed by several threads under the
+  // table's lock. Every value must equal a serial read's.
+  Prng prng(95);
+  const Network net = make_transit_stub(scale_to(528), prng);
+  const std::size_t n = net.node_count();
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables serial = RoutingTables::build(net, opts);
+  ThreadPool pool(4);
+  for (int round = 0; round < 3; ++round) {
+    const RoutingTables shared = RoutingTables::build(net, opts);
+    std::vector<NodeId> sources(4);
+    for (NodeId& a : sources) a = static_cast<NodeId>(prng.index(n));
+    std::vector<std::pair<NodeId, NodeId>> reads(256);
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      reads[i] = {sources[i % sources.size()],
+                  static_cast<NodeId>(prng.index(n))};
+    }
+    std::vector<double> got(reads.size());
+    pool.parallel_blocks(reads.size(), [&](std::size_t begin,
+                                           std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        got[i] = shared.delay_ms(reads[i].first, reads[i].second);
+      }
+    });
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      const auto [a, b] = reads[i];
+      ASSERT_EQ(bits(got[i]), bits(serial.delay_ms(a, b))) << a << "->" << b;
+    }
+  }
 }
 
 }  // namespace

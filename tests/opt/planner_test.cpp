@@ -45,7 +45,7 @@ struct QuerySetup {
   QuerySetup(int k, const net::Network& net, Prng& prng) {
     for (int i = 0; i < k; ++i) {
       q.sources.push_back(catalog.add_stream(
-          "S" + std::to_string(i),
+          std::string("S").append(std::to_string(i)),
           static_cast<net::NodeId>(prng.index(net.node_count())),
           prng.uniform(5.0, 50.0), prng.uniform(10.0, 100.0)));
     }

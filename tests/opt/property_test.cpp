@@ -40,7 +40,7 @@ struct Instance {
     rt = net::RoutingTables::build(net);
     for (int i = 0; i < k; ++i) {
       q.sources.push_back(catalog.add_stream(
-          "S" + std::to_string(i),
+          std::string("S").append(std::to_string(i)),
           static_cast<net::NodeId>(prng.index(net.node_count())),
           prng.uniform(5.0, 50.0), prng.uniform(10.0, 100.0)));
     }
@@ -205,7 +205,7 @@ TEST_P(BottomUpBoundTest, AnchoredByOptimalPlacementOfItsOwnTree) {
   Prng qp(seed + 3);
   for (int i = 0; i < 4; ++i) {
     q.sources.push_back(catalog.add_stream(
-        "S" + std::to_string(i),
+        std::string("S").append(std::to_string(i)),
         static_cast<net::NodeId>(qp.index(net.node_count())),
         qp.uniform(5.0, 50.0), qp.uniform(10.0, 100.0)));
   }

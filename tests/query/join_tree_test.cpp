@@ -17,7 +17,7 @@ std::vector<Mask> singleton_masks(int k) {
 /// are sorted by mask.
 std::string canon(const JoinTree& t, int v) {
   const TreeNode& n = t.nodes[static_cast<std::size_t>(v)];
-  if (n.unit >= 0) return "u" + std::to_string(n.unit);
+  if (n.unit >= 0) return std::string("u").append(std::to_string(n.unit));
   std::string l = canon(t, n.left);
   std::string r = canon(t, n.right);
   if (r < l) std::swap(l, r);
