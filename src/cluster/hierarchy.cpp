@@ -164,23 +164,27 @@ Hierarchy Hierarchy::build_partitioned(
   // max_cs, a local k-medoids split of it). All metrics here are induced —
   // the global routing tables are never consulted per physical node.
   std::vector<Cluster> leaf_level;
-  std::unordered_set<net::NodeId> covered;
+  // pos[v]: v's index in its partition, or kUncovered. Partitions are
+  // disjoint, so one NodeId-indexed vector serves them all.
+  constexpr std::uint32_t kUncovered =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> pos(net.node_count(), kUncovered);
+  std::size_t covered = 0;
   for (const auto& part : partitions) {
     IFLOW_CHECK_MSG(!part.empty(), "empty partition");
-    for (auto m : part) {
-      IFLOW_CHECK(m < net.node_count());
-      IFLOW_CHECK_MSG(covered.insert(m).second,
-                      "node " << m << " in two partitions");
-    }
-    std::unordered_map<net::NodeId, std::uint32_t> pos;
     for (std::size_t i = 0; i < part.size(); ++i) {
-      pos[part[i]] = static_cast<std::uint32_t>(i);
+      const net::NodeId v = part[i];
+      IFLOW_CHECK(v < net.node_count());
+      IFLOW_CHECK_MSG(pos[v] == kUncovered,
+                      "node " << v << " in two partitions");
+      pos[v] = static_cast<std::uint32_t>(i);
+      ++covered;
     }
     const std::vector<double> local = induced_distances(net, part);
     const std::size_t m = part.size();
     const DistanceFn dist = [&local, &pos, m](std::uint32_t a,
                                               std::uint32_t b) {
-      return local[static_cast<std::size_t>(pos.at(a)) * m + pos.at(b)];
+      return local[static_cast<std::size_t>(pos[a]) * m + pos[b]];
     };
     if (part.size() <= static_cast<std::size_t>(max_cs)) {
       Cluster cl;
@@ -200,8 +204,8 @@ Hierarchy Hierarchy::build_partitioned(
       leaf_level.push_back(std::move(cl));
     }
   }
-  IFLOW_CHECK_MSG(covered.size() == net.node_count(),
-                  "partitions cover " << covered.size() << " of "
+  IFLOW_CHECK_MSG(covered == net.node_count(),
+                  "partitions cover " << covered << " of "
                                       << net.node_count() << " nodes");
   std::vector<net::NodeId> items;
   items.reserve(leaf_level.size());
@@ -213,11 +217,11 @@ Hierarchy Hierarchy::build_partitioned(
   // every round and is then kept for est_cost.
   const std::size_t leaves = items.size();
   h.price_coordinators(rt);
-  std::unordered_map<net::NodeId, std::size_t> leaf;
+  std::vector<std::size_t> leaf(net.node_count());  // a coordinator's index
   for (std::size_t i = 0; i < leaves; ++i) leaf[items[i]] = i;
   cluster_upward(std::move(items), max_cs,
                  [&](std::uint32_t a, std::uint32_t b) {
-                   return h.coord_cost_[leaf.at(a) * leaves + leaf.at(b)];
+                   return h.coord_cost_[leaf[a] * leaves + leaf[b]];
                  },
                  prng, h.levels_);
 

@@ -204,6 +204,147 @@ std::size_t row_bytes(std::size_t n) {
   return n * (2 * sizeof(double) + sizeof(NodeId));
 }
 
+/// The full rows of a sparse coordinator matrix, priced region by region
+/// (DESIGN.md §13, "Single-homed regions"). A depth-first search over the
+/// usable arcs, rooted at the node with the most of them, finds the bridges.
+/// The far side of a topmost bridge, the side without the root, is a
+/// region: every path from outside enters it over that one link, from its
+/// attachment node t to its gateway g. With those links blocked, a row's
+/// pass over the core never enters a region, and each other region that
+/// holds targets gets a pass of its own, seeded at g with dist[t] + w.
+class RegionPasses {
+ public:
+  RegionPasses(const Adjacency& g, const NodeId* nodes, std::size_t m)
+      : g_(g), nodes_(nodes), m_(m), blocked_(g.cost) {
+    const std::size_t n = g.first.size() - 1;
+    dist_.resize(n);
+    region_.assign(n, kCore);
+    if (n == 0) return;
+    const auto degree = [&](NodeId v) {
+      std::uint32_t d = 0;
+      for (std::uint32_t e = g.first[v]; e < g.first[v + 1]; ++e) {
+        d += g.usable[g.arcs[e].link];
+      }
+      return d;
+    };
+    NodeId root = 0;
+    for (NodeId v = 1, most = degree(0); v < n; ++v) {
+      if (degree(v) > most) {
+        most = degree(v);
+        root = v;
+      }
+    }
+    // Tarjan's bridges, iteratively: a tree arc into v over link via[v] is
+    // a bridge when no arc from v's subtree but that link reaches above v.
+    constexpr std::uint32_t kNoLink = std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> disc(n, 0), low(n, 0), next(n), via(n, kNoLink);
+    std::vector<NodeId> parent(n, kInvalidNode), preorder, stack;
+    std::uint32_t clock = 0;
+    const auto visit = [&](NodeId v) {
+      disc[v] = low[v] = ++clock;
+      next[v] = g.first[v];
+      preorder.push_back(v);
+      stack.push_back(v);
+    };
+    visit(root);
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      if (next[u] == g.first[u + 1]) {
+        stack.pop_back();
+        if (!stack.empty()) {
+          low[stack.back()] = std::min(low[stack.back()], low[u]);
+        }
+        continue;
+      }
+      const Adjacency::Arc arc = g.arcs[next[u]++];
+      if (g.usable[arc.link] == 0 || arc.link == via[u]) continue;
+      if (disc[arc.to] == 0) {
+        parent[arc.to] = u;
+        via[arc.to] = arc.link;
+        visit(arc.to);
+      } else {
+        low[u] = std::min(low[u], disc[arc.to]);
+      }
+    }
+    // In preorder a node's parent is placed first: a node below a region's
+    // gateway joins that region, and a bridge into the core opens one.
+    for (std::size_t k = 1; k < preorder.size(); ++k) {
+      const NodeId v = preorder[k];
+      const NodeId t = parent[v];
+      if (region_[t] != kCore) {
+        region_[v] = region_[t];
+      } else if (low[v] > disc[t]) {
+        region_[v] = static_cast<std::uint32_t>(regions_.size());
+        regions_.push_back({t, v, g.cost[via[v]], {}});
+        blocked_[via[v]] = kInf;
+      }
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::uint32_t r = region_[nodes[j]];
+      if (r != kCore) regions_[r].targets.push_back(nodes[j]);
+    }
+  }
+
+  /// out[j] = the cost from src to nodes[j], with the bits a full pass from
+  /// src gives it. `heap` must be empty; it is empty again on return.
+  void row(NodeId src, DistanceHeap& heap, double* out) {
+    const double* w = blocked_.data();
+    double* dist = dist_.data();
+    std::fill(dist_.begin(), dist_.end(), kInf);
+    heap.fit(dist_.size());
+    const auto seed = [&](NodeId v, double d) {
+      dist[v] = d;
+      heap.push_or_decrease(v, d);
+    };
+    // A region's pass settles until each of its targets is final.
+    const auto settle_targets = [&](const Region& r) {
+      for (const NodeId v : r.targets) {
+        settle(g_, w, dist, nullptr, heap, Until{v});
+      }
+      heap.clear();
+    };
+    seed(src, 0.0);
+    const std::uint32_t home = region_[src];
+    if (home != kCore) {
+      // A source inside a region settles it first, as far as its gateway
+      // and targets; every path out of it crosses to t.
+      const Region& r = regions_[home];
+      settle(g_, w, dist, nullptr, heap, Until{r.gateway});
+      settle_targets(r);
+      seed(r.attach, dist[r.gateway] + r.w);
+    }
+    settle(g_, w, dist, nullptr, heap);  // the core
+    for (std::uint32_t k = 0; k < regions_.size(); ++k) {
+      const Region& r = regions_[k];
+      if (r.targets.empty() || k == home || !(dist[r.attach] < kInf)) {
+        continue;
+      }
+      seed(r.gateway, dist[r.attach] + r.w);
+      settle_targets(r);
+    }
+    for (std::size_t j = 0; j < m_; ++j) out[j] = dist[nodes_[j]];
+  }
+
+ private:
+  static constexpr std::uint32_t kCore =
+      std::numeric_limits<std::uint32_t>::max();
+
+  struct Region {
+    NodeId attach = kInvalidNode;   // t, outside the region
+    NodeId gateway = kInvalidNode;  // g, its end of the bridge
+    double w = 0.0;                 // the bridge's cost
+    std::vector<NodeId> targets;    // the nodes[j] inside
+  };
+
+  const Adjacency& g_;
+  const NodeId* nodes_;
+  std::size_t m_;
+  std::vector<double> blocked_;        // link costs, +inf on the bridges
+  std::vector<std::uint32_t> region_;  // per node: its region, or kCore
+  std::vector<Region> regions_;
+  std::vector<double> dist_;
+};
+
 }  // namespace
 
 /// Sparse-tier state: the bounded per-source row cache with the bytes its
@@ -445,21 +586,24 @@ std::size_t RoutingTables::cost_matrix(
   std::lock_guard<std::mutex> lock(cache_->mu);
   // A matrix row is read once, so a row whose costs the cache does not hold
   // is not worth a cache slot: inserting it would evict rows the planner
-  // reads again. full_row(src)[v] = cost(src, v) for every node v.
+  // reads again. resident(src) is src's cached cost part, or null, and
+  // full_row(src)[v] = cost(src, v) for every node v.
+  const auto resident = [&](NodeId src) -> const double* {
+    const auto it = cache_->rows.find(src);
+    return it == cache_->rows.end() || it->second.cost.empty()
+               ? nullptr
+               : it->second.cost.data();
+  };
   std::vector<double> dist;
   const auto full_row = [&](NodeId src) -> const double* {
-    const auto it = cache_->rows.find(src);
-    if (it != cache_->rows.end() && !it->second.cost.empty()) {
-      return it->second.cost.data();
-    }
+    if (const double* row = resident(src)) return row;
     check_synced();
     dist.resize(n_);
     shortest_paths(adj_, adj_.cost.data(), src, dist.data(), nullptr,
                    cache_->heap);
     return dist.data();
   };
-  const auto read_row = [&](NodeId src, double* to) {
-    const double* row = full_row(src);
+  const auto read = [&](const double* row, double* to) {
     for (std::size_t j = 0; j < m; ++j) to[j] = row[nodes[j]];
   };
 
@@ -474,7 +618,20 @@ std::size_t RoutingTables::cost_matrix(
     }
   }
   if (!link.has_value()) {
-    for (std::size_t i = 0; i < m; ++i) read_row(nodes[i], out + i * m);
+    // Every row in full: a resident row's costs are read, and the others
+    // are priced region by region, from a search made on the first of them.
+    std::optional<RegionPasses> passes;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (const double* row = resident(nodes[i])) {
+        read(row, out + i * m);
+        continue;
+      }
+      if (!passes.has_value()) {
+        check_synced();
+        passes.emplace(adj_, nodes, m);
+      }
+      passes->row(nodes[i], cache_->heap, out + i * m);
+    }
     return m;
   }
 
@@ -487,8 +644,8 @@ std::size_t RoutingTables::cost_matrix(
     if (arc.to == b) w = std::min(w, adj_.cost[arc.link]);
   }
   std::vector<double> from_a(m), from_b(m);
-  read_row(a, from_a.data());
-  read_row(b, from_b.data());
+  read(full_row(a), from_a.data());
+  read(full_row(b), from_b.data());
   // A simple path through the adjacency (in the old network for a failure,
   // the new one for a restore) splits into an i–a and a b–j part that avoid
   // it, or the mirror image, so its length is at least from_a[i] + w +
@@ -542,7 +699,7 @@ std::size_t RoutingTables::cost_matrix(
   std::vector<double> potential;
   for (const std::size_t j : full_rows) {
     const double* row = full_row(nodes[j]);
-    for (std::size_t k = 0; k < m; ++k) out[j * m + k] = row[nodes[k]];
+    read(row, out + j * m);
     bool aimed = false;
     double farthest = 0.0;
     for (std::size_t i = 0; i < m; ++i) {

@@ -150,9 +150,13 @@ class RoutingTables {
   /// Square cost matrix among `nodes`: out[i·m + j] = cost(nodes[i],
   /// nodes[j]) bit for bit, `out` holding m·m entries. Returns the number of
   /// rows in which it rewrote an entry. The dense tier reads its matrix,
-  /// every row. The sparse tier reads a resident row's costs and runs a
-  /// cost-only Dijkstra for a row it does not hold without caching it, so
-  /// the LRU, cached_rows() and peak_memory_bytes() stay as they were.
+  /// every row. The sparse tier reads a resident row's costs and prices a
+  /// row it does not hold without caching it, so the LRU, cached_rows() and
+  /// peak_memory_bytes() stay as they were: one depth-first search finds
+  /// the single-homed regions, the far sides of bridges, and each row runs
+  /// one cost-only pass over the rest of the network and one for each
+  /// region holding a node of the list, as far as those nodes (DESIGN.md
+  /// §13, "Single-homed regions").
   ///
   /// With `since`, `out` already holds the matrix among the same `nodes` as
   /// of network version `since`, and the sparse tier (which CHECKs that it

@@ -3,7 +3,8 @@
 // coordinator matrix, the induced-subgraph distances of the hierarchy and
 // the in-place row repair. A pass seeds its heap and runs `settle`, the one
 // loop that pops nodes and relaxes their arcs: a full pass seeds the source,
-// the repair seeds the nodes a fault or restore changed, and a paused pass
+// the repair seeds the nodes a fault or restore changed, a matrix row's
+// region pass seeds the node where the region is entered, and a paused pass
 // puts its saved queue back (DESIGN.md §13).
 //
 // It reads a compressed adjacency (each node's arcs in one contiguous range,
@@ -191,10 +192,11 @@ struct NoGoal {
 
 /// A paused pass: keyed like a full pass, it stops before a pop once
 /// `target`'s distance is below the least queued key, which makes it final,
-/// and leaves the rest queued. The caller saves the heap beside the
+/// and leaves the rest queued. A sparse delay part saves the heap beside the
 /// distances and restores it to continue, so the pass pops the nodes an
 /// uninterrupted one pops, in the same order (DESIGN.md §13, "Paused delay
-/// parts").
+/// parts"); a coordinator-matrix region's pass settles on to its next
+/// target and clears the heap after the last ("Single-homed regions").
 struct Until {
   NodeId target = kInvalidNode;
 

@@ -561,7 +561,8 @@ net::Network with_integer_weights(const net::Network& net) {
 }
 
 /// Every leaf-coordinator pair's level-2 estimate and every d(l) above
-/// level 1, bit for bit against a fresh cost_matrix of the coordinators.
+/// level 1, bit for bit against a fresh cost_matrix of the coordinators,
+/// whose every entry must be what rt.cost returns.
 void expect_matrix_is_fresh(const Hierarchy& h, const net::RoutingTables& rt) {
   std::vector<net::NodeId> coords;
   for (const Cluster& cl : h.level(1)) coords.push_back(cl.coordinator);
@@ -570,6 +571,8 @@ void expect_matrix_is_fresh(const Hierarchy& h, const net::RoutingTables& rt) {
   rt.cost_matrix(coords.data(), m, fresh.data());
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < m; ++j) {
+      ASSERT_EQ(bits(fresh[i * m + j]), bits(rt.cost(coords[i], coords[j])))
+          << "coordinators " << coords[i] << "," << coords[j];
       ASSERT_EQ(bits(h.est_cost(coords[i], coords[j], 2)),
                 bits(fresh[i * m + j]))
           << "coordinators " << coords[i] << "," << coords[j];

@@ -783,9 +783,10 @@ void check_recovery_instance(std::uint64_t seed, const Options& opt,
 /// them, one event per sync, on a sparse-tier table with a small row cap;
 /// after each event the hierarchy refreshes its coordinator matrix in place
 /// and every coordinator pair's level-2 estimate, which reads it, must equal
-/// a fresh cost_matrix bit for bit. Delays read before the events, which
-/// leave delay passes paused across syncs, must equal a fresh table's after
-/// each.
+/// a fresh cost_matrix bit for bit. The build's matrix and each fresh one,
+/// which the sparse tier prices region by region, must equal a dense
+/// table's costs. Delays read before the events, which leave delay passes
+/// paused across syncs, must equal a fresh table's after each.
 void check_matrix_updates(
     net::Network& net, const std::vector<std::vector<net::NodeId>>& partitions,
     int max_cs, Prng prng, IterationLog& log) {
@@ -802,6 +803,29 @@ void check_matrix_updates(
   }
   const std::size_t m = coords.size();
   std::vector<double> fresh(m * m);
+  const auto matches_dense = [&](const net::RoutingTables& dense,
+                                 const std::string& when) {
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        const double want = dense.cost(coords[i], coords[j]);
+        if (std::memcmp(&fresh[i * m + j], &want, sizeof want) != 0) {
+          std::ostringstream os;
+          os << "matrix: " << when << ", entry (" << coords[i] << ", "
+             << coords[j] << ") = " << std::hexfloat << fresh[i * m + j]
+             << " but a dense table holds " << want;
+          log.fail(os.str());
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      fresh[i * m + j] = h.est_cost(coords[i], coords[j], 2);
+    }
+  }
+  if (!matches_dense(net::RoutingTables::build(net), "at build")) return;
 
   const std::size_t c = prng.index(m);
   const std::size_t d = (c + 1 + prng.index(m - 1)) % m;
@@ -836,14 +860,15 @@ void check_matrix_updates(
       net.fail_link(a, b);
     }
     rt.sync(net);
+    std::ostringstream when;
+    when << "after " << (restore ? "restoring " : "failing ") << a << '-' << b;
     const net::RoutingTables fresh_rt = net::RoutingTables::build(net);
     for (const auto& [src, dst] : read) {
       const double got = rt.delay_ms(src, dst);
       const double want = fresh_rt.delay_ms(src, dst);
       if (std::memcmp(&got, &want, sizeof got) != 0) {
         std::ostringstream os;
-        os << "delay: after " << (restore ? "restoring " : "failing ") << a
-           << '-' << b << ", delay_ms(" << src << ", " << dst
+        os << "delay: " << when.str() << ", delay_ms(" << src << ", " << dst
            << ") = " << std::hexfloat << got << " but a fresh table holds "
            << want;
         log.fail(os.str());
@@ -852,13 +877,13 @@ void check_matrix_updates(
     }
     h.refresh(rt);
     rt.cost_matrix(coords.data(), m, fresh.data());
+    if (!matches_dense(fresh_rt, when.str())) return;
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < m; ++j) {
         const double got = h.est_cost(coords[i], coords[j], 2);
         if (std::memcmp(&got, &fresh[i * m + j], sizeof got) != 0) {
           std::ostringstream os;
-          os << "matrix: after " << (restore ? "restoring " : "failing ")
-             << a << '-' << b << ", est_cost(" << coords[i] << ", "
+          os << "matrix: " << when.str() << ", est_cost(" << coords[i] << ", "
              << coords[j] << ", 2) = " << std::hexfloat << got
              << " but a fresh matrix holds " << fresh[i * m + j];
           log.fail(os.str());

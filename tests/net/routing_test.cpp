@@ -1138,6 +1138,213 @@ TEST(RoutingReferenceTest, TwoRelayDiamondMatchesTheReference) {
   expect_tied_world_matches_reference(net);
 }
 
+/// The reference cost from each of `nodes` to each, row-major.
+std::vector<double> reference_matrix(const Network& net,
+                                     const std::vector<NodeId>& nodes) {
+  const std::size_t m = nodes.size();
+  std::vector<double> out(m * m), dist;
+  std::vector<NodeId> parent;
+  for (std::size_t i = 0; i < m; ++i) {
+    reference_pass(net, nodes[i], /*by_cost=*/true, dist, parent);
+    for (std::size_t j = 0; j < m; ++j) out[i * m + j] = dist[nodes[j]];
+  }
+  return out;
+}
+
+/// A full cost_matrix among `nodes` on `rt`, a sparse table of `net`, bit
+/// for bit against the reference. Returns the matrix.
+std::vector<double> expect_matrix_matches_reference(
+    const Network& net, const RoutingTables& rt,
+    const std::vector<NodeId>& nodes) {
+  EXPECT_TRUE(rt.sparse());
+  const std::size_t m = nodes.size();
+  std::vector<double> out(m * m);
+  EXPECT_EQ(rt.cost_matrix(nodes.data(), m, out.data()), m);
+  expect_same_bits(out, reference_matrix(net, nodes));
+  return out;
+}
+
+std::vector<double> expect_sparse_matrix_matches_reference(
+    const Network& net, const std::vector<NodeId>& nodes) {
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  return expect_matrix_matches_reference(net, RoutingTables::build(net, opts),
+                                         nodes);
+}
+
+/// Stub domain d's gateway: its end of the link to the transit core.
+NodeId gateway_of(const Network& net, const TransitStubParams& p, int d) {
+  for (const NodeId v : stub_domain_members(p, d)) {
+    for (const std::uint32_t idx : net.incident(v)) {
+      const Link& l = net.links()[idx];
+      if (net.kind(l.a == v ? l.b : l.a) == NodeKind::kTransit) return v;
+    }
+  }
+  return kInvalidNode;
+}
+
+/// A member of stub domain d other than its gateway with one link, which
+/// is a bridge inside the domain; kInvalidNode when there is none.
+NodeId pendant_of(const Network& net, const TransitStubParams& p, int d) {
+  const NodeId gateway = gateway_of(net, p, d);
+  for (const NodeId v : stub_domain_members(p, d)) {
+    if (v != gateway && net.incident(v).size() == 1) return v;
+  }
+  return kInvalidNode;
+}
+
+/// Transit nodes 0, 1 and the last, then one member of each stub domain
+/// drawn by `prng`: where a partitioned hierarchy's leaf coordinators sit.
+std::vector<NodeId> coordinator_like(const TransitStubParams& p, Prng& prng) {
+  std::vector<NodeId> nodes{0, 1, static_cast<NodeId>(p.transit_count - 1)};
+  for (int d = 0; d < stub_domain_count(p); ++d) {
+    const std::vector<NodeId> members = stub_domain_members(p, d);
+    nodes.push_back(prng.pick(members));
+  }
+  return nodes;
+}
+
+TEST(RoutingReferenceTest, CostMatrixMatchesTheReferenceOnGtItmWorlds) {
+  // Each stub domain hangs off its transit node by one gateway link, so the
+  // sparse tier prices the targets inside it in a pass of their own.
+  Prng prng(105);
+  const TransitStubParams p = scale_to(1000);
+  const Network net = make_transit_stub(p, prng);
+  expect_sparse_matrix_matches_reference(net, coordinator_like(p, prng));
+  // Integer weights make equal-cost paths common; every node is a target.
+  const Network tied = with_integer_weights(make_transit_stub({}, prng));
+  expect_sparse_matrix_matches_reference(tied, every_node(tied));
+}
+
+TEST(RoutingReferenceTest, CostMatrixPricesSeveralTargetsInOneRegion) {
+  // A domain's gateway, a member behind a bridge nested in the domain and a
+  // third member, beside targets in the core and in two other domains: rows
+  // from inside the domain leave it through the gateway, rows from outside
+  // enter it there.
+  const TransitStubParams p;
+  Prng prng(106);
+  const Network net = make_transit_stub(p, prng);
+  const int domains = stub_domain_count(p);
+  int checked = 0;
+  for (int d = 0; d < domains; ++d) {
+    const NodeId gateway = gateway_of(net, p, d);
+    const NodeId pendant = pendant_of(net, p, d);
+    if (pendant == kInvalidNode) continue;
+    std::vector<NodeId> nodes{gateway, pendant};
+    for (const NodeId v : stub_domain_members(p, d)) {
+      if (v != gateway && v != pendant) {
+        nodes.push_back(v);
+        break;
+      }
+    }
+    nodes.push_back(0);
+    nodes.push_back(stub_domain_members(p, (d + 1) % domains).front());
+    nodes.push_back(stub_domain_members(p, (d + 5) % domains).back());
+    expect_sparse_matrix_matches_reference(net, nodes);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0) << "no domain holds a member behind a nested bridge";
+}
+
+TEST(RoutingReferenceTest, CostMatrixMatchesTheReferenceOnAMultiHomedDomain) {
+  // A second link from domain 0 (hung off transit node 0) to transit node 1
+  // leaves no bridge between the domain and the core, and neither does a
+  // cheaper twin of domain 2's gateway link.
+  const TransitStubParams p;
+  Prng prng(107);
+  Network net = make_transit_stub(p, prng);
+  net.add_link(stub_domain_members(p, 0).back(), 1, 4.5, 10.0, 1e6);
+  net.add_link(gateway_of(net, p, 2), 0, 1.0, 10.0, 1e6);
+  expect_sparse_matrix_matches_reference(net, every_node(net));
+}
+
+TEST(RoutingReferenceTest, CostMatrixMatchesTheReferenceAfterFaults) {
+  const TransitStubParams p;
+  Prng prng(108);
+  Network net = make_transit_stub(p, prng);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  opts.max_cached_rows = 8;
+  RoutingTables rt = RoutingTables::build(net, opts);
+  std::vector<NodeId> nodes = coordinator_like(p, prng);
+  const std::size_t m = nodes.size();
+  expect_matrix_matches_reference(net, rt, nodes);
+
+  // Domain 1 hangs off transit node 0. Without its gateway link its target,
+  // nodes[4], is cut off: +inf both ways.
+  const NodeId gateway = gateway_of(net, p, 1);
+  net.fail_link(gateway, 0);
+  rt.sync(net);
+  const std::vector<double> cut = expect_matrix_matches_reference(net, rt,
+                                                                  nodes);
+  for (std::size_t j = 0; j < m; ++j) {
+    EXPECT_EQ(std::isinf(cut[4 * m + j]), j != 4) << "column " << j;
+    EXPECT_EQ(std::isinf(cut[j * m + 4]), j != 4) << "row " << j;
+  }
+  net.restore_link(gateway, 0);
+  rt.sync(net);
+  expect_matrix_matches_reference(net, rt, nodes);
+
+  // A failed bridge inside a domain cuts off the member behind it.
+  NodeId pendant = kInvalidNode;
+  for (int d = 0; d < stub_domain_count(p) && pendant == kInvalidNode; ++d) {
+    pendant = pendant_of(net, p, d);
+  }
+  ASSERT_NE(pendant, kInvalidNode);
+  nodes.push_back(pendant);
+  const Link bridge = net.links()[net.incident(pendant).front()];
+  net.fail_link(bridge.a, bridge.b);
+  rt.sync(net);
+  expect_matrix_matches_reference(net, rt, nodes);
+
+  // A crashed target, whose row is a crashed source's, and a crashed
+  // transit node, to which four domains are attached.
+  net.crash_node(nodes[6]);
+  net.crash_node(2);
+  rt.sync(net);
+  expect_matrix_matches_reference(net, rt, nodes);
+}
+
+TEST(RoutingReferenceTest, CostMatrixMatchesTheReferenceOnALineAndAStar) {
+  // On a line every link is a bridge; on a star each leaf is a region, and
+  // the leaves with a pendant of their own hold a nested bridge.
+  Prng prng(109);
+  Network line = make_line(40, 0.1);  // sums of 0.1 round
+  Network star;
+  star.add_node();
+  for (int leaf = 0; leaf < 30; ++leaf) {
+    const NodeId v = star.add_node();
+    star.add_link(0, v, prng.uniform(1.0, 3.0), 1.0, 1e6);
+    if (leaf % 3 == 0) {
+      star.add_link(v, star.add_node(), prng.uniform(1.0, 3.0), 1.0, 1e6);
+    }
+  }
+  for (const Network* net : {&line, &star}) {
+    expect_sparse_matrix_matches_reference(*net, every_node(*net));
+    std::vector<NodeId> some;  // regions without a target too
+    for (NodeId v = 1; v < net->node_count(); v += 4) some.push_back(v);
+    expect_sparse_matrix_matches_reference(*net, some);
+  }
+}
+
+TEST(RoutingReferenceTest, CostMatrixMixesResidentAndMissingRows) {
+  // Every other target's cost row is resident and read as it is; another
+  // row holds only delays, so it is priced like the rest.
+  const TransitStubParams p;
+  Prng prng(110);
+  const Network net = make_transit_stub(p, prng);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  opts.max_cached_rows = 16;
+  const RoutingTables rt = RoutingTables::build(net, opts);
+  const std::vector<NodeId> nodes = coordinator_like(p, prng);
+  for (std::size_t i = 0; i < nodes.size(); i += 2) rt.cost(nodes[i], 0);
+  rt.delay_ms(nodes[1], nodes[2]);
+  const std::size_t rows = rt.cached_rows();
+  expect_matrix_matches_reference(net, rt, nodes);
+  EXPECT_EQ(rt.cached_rows(), rows);
+}
+
 std::vector<double> reference_delays(const Network& net, NodeId src) {
   std::vector<double> dist;
   std::vector<NodeId> parent;
