@@ -35,15 +35,19 @@ net::NodeId elect_coordinator(const std::vector<net::NodeId>& members,
   return best;
 }
 
-/// Largest finite distance of the subgraph induced by `members` (0 for a
+/// Largest finite entry of an induced_distances matrix (0 for a
 /// singleton): that leaf cluster's share of d(1) on the scale path.
-double induced_diameter(const net::Network& net,
-                        const std::vector<net::NodeId>& members) {
+double diameter_of(const std::vector<double>& induced) {
   double d = 0.0;
-  for (const double v : induced_distances(net, members)) {
+  for (const double v : induced) {
     if (std::isfinite(v)) d = std::max(d, v);
   }
   return d;
+}
+
+double induced_diameter(const net::Network& net,
+                        const std::vector<net::NodeId>& members) {
+  return diameter_of(induced_distances(net, members));
 }
 
 net::NodeId elect_coordinator(const std::vector<net::NodeId>& members,
@@ -164,6 +168,9 @@ Hierarchy Hierarchy::build_partitioned(
   // max_cs, a local k-medoids split of it). All metrics here are induced —
   // the global routing tables are never consulted per physical node.
   std::vector<Cluster> leaf_level;
+  // Each leaf cluster's induced diameter; a partition that fits in max_cs
+  // takes it from the distances its coordinator election computed.
+  std::vector<double> diameters;
   // pos[v]: v's index in its partition, or kUncovered. Partitions are
   // disjoint, so one NodeId-indexed vector serves them all.
   constexpr std::uint32_t kUncovered =
@@ -191,6 +198,7 @@ Hierarchy Hierarchy::build_partitioned(
       cl.members = part;
       cl.coordinator = elect_coordinator(cl.members, dist);
       leaf_level.push_back(std::move(cl));
+      diameters.push_back(diameter_of(local));
       continue;
     }
     const int k = static_cast<int>((part.size() + max_cs - 1) /
@@ -201,6 +209,7 @@ Hierarchy Hierarchy::build_partitioned(
       Cluster cl;
       cl.members.assign(km.clusters[c].begin(), km.clusters[c].end());
       cl.coordinator = km.medoids[c];
+      diameters.push_back(induced_diameter(net, cl.members));
       leaf_level.push_back(std::move(cl));
     }
   }
@@ -225,7 +234,7 @@ Hierarchy Hierarchy::build_partitioned(
                  },
                  prng, h.levels_);
 
-  h.rebuild_derived(rt);
+  h.rebuild_derived(rt, std::move(diameters));
   return h;
 }
 
@@ -268,19 +277,43 @@ bool Hierarchy::contains(net::NodeId n) const {
 }
 
 double Hierarchy::est_cost(net::NodeId a, net::NodeId b, int l) const {
+  double cost = 0.0;
+  fill_est_costs(a, &b, 1, l, &cost);
+  return cost;
+}
+
+void Hierarchy::fill_est_costs(net::NodeId a, const net::NodeId* b,
+                               std::size_t count, int l, double* out) const {
   IFLOW_CHECK(rt_ != nullptr);
   IFLOW_CHECK(l >= 1 && l <= height());
-  IFLOW_CHECK(a < node_count_ && b < node_count_);
-  const net::NodeId ra = rep_[static_cast<std::size_t>(l - 1)][a];
-  const net::NodeId rb = rep_[static_cast<std::size_t>(l - 1)][b];
-  if (ra == net::kInvalidNode || rb == net::kInvalidNode) {
-    return std::numeric_limits<double>::infinity();
+  IFLOW_CHECK(a < node_count_);
+  const std::vector<net::NodeId>& rep = rep_[static_cast<std::size_t>(l - 1)];
+  bool any = false;  // some destination is in the hierarchy
+  for (std::size_t i = 0; i < count; ++i) {
+    IFLOW_CHECK(b[i] < node_count_);
+    any |= rep[b[i]] != net::kInvalidNode;
   }
-  if (l == 1) return rt_->cost(ra, rb);
-  const double cost = coord_cost(ra, rb);
-  // Fails when costs changed under the hierarchy without a refresh().
-  IFLOW_DCHECK(cost == rt_->cost(ra, rb));
-  return cost;
+  const net::NodeId ra = rep[a];
+  if (ra == net::kInvalidNode || !any) {
+    std::fill(out, out + count, kInf);
+    return;
+  }
+  if (l == 1) {
+    // Level-1 representatives are the nodes themselves.
+    rt_->fill_costs(ra, b, count, out);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (rep[b[i]] == net::kInvalidNode) out[i] = kInf;
+    }
+    return;
+  }
+  const std::vector<std::size_t>& leaf = cluster_idx_[0];
+  const double* row = coord_cost_.data() + leaf[ra] * levels_[0].size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const net::NodeId rb = rep[b[i]];
+    out[i] = rb == net::kInvalidNode ? kInf : row[leaf[rb]];
+    // Fails when costs changed under the hierarchy without a refresh().
+    IFLOW_DCHECK(rb == net::kInvalidNode || out[i] == rt_->cost(ra, rb));
+  }
 }
 
 std::size_t Hierarchy::memory_bytes() const {
@@ -351,7 +384,8 @@ std::size_t Hierarchy::price_coordinators(const net::RoutingTables& rt,
   return rows;
 }
 
-void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
+void Hierarchy::rebuild_derived(const net::RoutingTables& rt,
+                                std::vector<double> leaf_diameters) {
   node_count_ = rt.node_count();
   const std::size_t n = node_count_;
   const std::size_t h = levels_.size();
@@ -396,8 +430,10 @@ void Hierarchy::rebuild_derived(const net::RoutingTables& rt) {
       }
     }
   }
-  // The clusters changed, so every leaf is measured afresh.
-  leaf_diameter_.clear();
+  // The clusters changed, so every leaf is measured afresh unless the
+  // caller has just measured them.
+  leaf_diameter_ = std::move(leaf_diameters);
+  if (!leaf_diameter_.empty()) leaf_version_ = net_->version();
   measure_levels(rt);
 }
 

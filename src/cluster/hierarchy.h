@@ -95,8 +95,18 @@ class Hierarchy {
   /// not (or no longer) in the hierarchy estimate at +inf, so planners
   /// naturally price failed hosts out instead of tripping an assertion.
   /// Level 1 reads the routing tables; higher levels read the coordinator
-  /// matrix (Debug CHECKs each read against the routing tables).
+  /// matrix (Debug CHECKs each read against the routing tables). A whole
+  /// row is cheaper through fill_est_costs.
   double est_cost(net::NodeId a, net::NodeId b, int l) const;
+
+  /// Bulk row read: out[i] = est_cost(a, b[i], l) for every i < count. It
+  /// looks up a's level-l representative and runs the checks once, then
+  /// gathers from one routing row (level 1, through
+  /// RoutingTables::fill_costs) or one coordinator-matrix row (levels >= 2);
+  /// a node outside the hierarchy reads +inf. The planner materializes its
+  /// Theorem-1 distance matrices through this.
+  void fill_est_costs(net::NodeId a, const net::NodeId* b, std::size_t count,
+                      int l, double* out) const;
 
   /// Physical nodes in the subtree under level-l node `coord` (for l == 1,
   /// just {coord}).
@@ -158,7 +168,12 @@ class Hierarchy {
       std::optional<std::uint64_t> since = std::nullopt);
   /// Re-derives the cluster indices, representatives and underlying sets
   /// for `rt`'s node count after the clusters changed, then measure_levels.
-  void rebuild_derived(const net::RoutingTables& rt);
+  /// On the scale path `leaf_diameters`, when given, holds every level-1
+  /// cluster's induced diameter at the network's current version, so
+  /// measure_leaves recomputes none of them (Debug still cross-checks a
+  /// full measure); empty measures every leaf afresh.
+  void rebuild_derived(const net::RoutingTables& rt,
+                       std::vector<double> leaf_diameters = {});
   /// Recomputes d(l) against `rt` and the coordinator matrix, reads `rt`
   /// from now on and bumps the version.
   void measure_levels(const net::RoutingTables& rt);

@@ -45,10 +45,10 @@ struct OptimizerEnv {
   /// a subset of columns).
   double projection_factor = 1.0;
   /// Nodes available for in-network processing (Figure 3 marks a subset of
-  /// nodes as processing-capable). Empty = every node may host operators.
-  /// Sources and sinks need not be processing nodes. When a search scope
-  /// (cluster, zone) contains no processing node, the scope falls back to
-  /// all of its nodes so planning never becomes infeasible.
+  /// nodes as processing-capable). Sorted. Empty = every node may host
+  /// operators. Sources and sinks need not be processing nodes. When a
+  /// search scope (cluster, zone) contains no processing node, the scope
+  /// falls back to all of its nodes so planning never becomes infeasible.
   std::vector<net::NodeId> processing_nodes;
   /// Hosts the current search must avoid (degraded admission plans around
   /// saturated nodes; failed/overloaded hosts use the complement form in

@@ -95,13 +95,18 @@ class DistanceOracle {
 
   /// Bulk row read: out[i] = (*this)(src, dst[i]). Routing oracles pin the
   /// source row once (one lock + one potential Dijkstra on the sparse
-  /// routing tier) instead of paying per-entry; the planner materializes
-  /// its per-source matrix rows through this.
+  /// routing tier) and hierarchy oracles resolve the source's
+  /// representative once (Hierarchy::fill_est_costs) instead of paying
+  /// per-entry; the planner materializes its per-source matrix rows through
+  /// this.
   void fill_from(net::NodeId src, const net::NodeId* dst, std::size_t count,
                  double* out) const {
     if (kind_ == Kind::kRouting) {
       IFLOW_DCHECK(routing_->built_against() == stamp_);
       routing_->fill_costs(src, dst, count, out);
+    } else if (kind_ == Kind::kHierarchy) {
+      IFLOW_DCHECK(hierarchy_->version() == stamp_);
+      hierarchy_->fill_est_costs(src, dst, count, level_, out);
     } else {
       for (std::size_t i = 0; i < count; ++i) out[i] = raw(src, dst[i]);
     }

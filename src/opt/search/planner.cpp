@@ -65,8 +65,16 @@ struct GChoice {
 struct Split {
   std::uint32_t ar = 0;
   std::uint32_t br = 0;
-  query::Mask a = 0;
 };
+
+/// Calls f(ar, br) for every split of rank `mr` in the documented order:
+/// the lowest bit pinned to side A (no mirror duplicates), B running over
+/// the nonempty submasks of the rest in descending order.
+template <typename F>
+void for_each_split(std::uint32_t mr, const F& f) {
+  const std::uint32_t rest = mr ^ (mr & (~mr + 1u));
+  for (std::uint32_t br = rest; br != 0; br = (br - 1) & rest) f(mr ^ br, br);
+}
 
 /// Runs f(begin, end) over [0, n): on the pool when one is given, inline
 /// otherwise. The per-index work is identical either way, so the two modes
@@ -86,11 +94,13 @@ double count_plans(const std::vector<query::LeafUnit>& units,
                    query::Mask target, std::size_t site_count) {
   IFLOW_CHECK(target != 0);
   const int k = popcount(target);
-  // ways[r][c] = number of ways to partition the submask of rank r into
-  // exactly c units.
+  // ways[r*C + c] = number of ways to partition the submask of rank r into
+  // exactly c units; one flat table, since the planner calls this on every
+  // invocation.
   const std::uint32_t R = std::uint32_t{1} << k;
-  std::vector<std::vector<double>> ways(R);
-  ways[0].assign(1, 1.0);
+  const std::size_t C = static_cast<std::size_t>(k) + 1;
+  std::vector<double> ways(std::size_t{R} * C, 0.0);
+  ways[0] = 1.0;
   // Unit ranks, precomputed; units not covered by the target never match.
   std::vector<std::uint32_t> unit_rank(units.size());
   for (std::size_t u = 0; u < units.size(); ++u) {
@@ -99,23 +109,26 @@ double count_plans(const std::vector<query::LeafUnit>& units,
                        : 0;  // rank 0 never matches a nonzero submask
   }
   for (std::uint32_t r = 1; r < R; ++r) {
-    ways[r].assign(static_cast<std::size_t>(k) + 1, 0.0);
+    double* wr = ways.data() + std::size_t{r} * C;
     const std::uint32_t low = r & (~r + 1u);
     for (std::size_t u = 0; u < units.size(); ++u) {
       const std::uint32_t ur = unit_rank[u];
       if (ur == 0 || (ur & low) == 0 || (ur & ~r) != 0) continue;
-      const auto& sub = ways[r ^ ur];
-      for (std::size_t c = 0; c + 1 < ways[r].size() && c < sub.size(); ++c) {
-        ways[r][c + 1] += sub[c];
-      }
+      // A rank-s submask splits into at most popcount(s) < k units; the
+      // entries past that are zero, and adding them would change nothing.
+      const std::uint32_t s = r ^ ur;
+      const double* sub = ways.data() + std::size_t{s} * C;
+      const auto parts = static_cast<std::size_t>(std::popcount(s));
+      for (std::size_t c = 0; c <= parts; ++c) wr[c + 1] += sub[c];
     }
   }
   double total = 0.0;
-  for (std::size_t c = 1; c < ways[R - 1].size(); ++c) {
-    if (ways[R - 1][c] == 0.0) continue;
+  const double* full = ways.data() + std::size_t{R - 1} * C;
+  for (std::size_t c = 1; c < C; ++c) {
+    if (full[c] == 0.0) continue;
     double trees = 1.0;
     for (int f = 2 * static_cast<int>(c) - 3; f >= 3; f -= 2) trees *= f;
-    total += ways[R - 1][c] * trees *
+    total += full[c] * trees *
              std::pow(static_cast<double>(site_count),
                       static_cast<double>(c) - 1.0);
   }
@@ -135,23 +148,21 @@ PlannerResult plan_optimal(const PlannerInput& in, PlanWorkspace& ws) {
   const std::uint32_t R = std::uint32_t{1} << k;  // table rows (subset ranks)
   const bool deliver = in.delivery != net::kInvalidNode;
 
-  // Every table of this invocation comes from one arena grab.
+  // Every table of this invocation comes from one arena grab. g has no row
+  // for the full target: nothing reads it (the final selection prices the
+  // target's units and best_op row directly).
   const std::size_t rs = std::size_t{R} * S;
   const std::size_t max_splits = std::size_t{1} << (k > 0 ? k - 1 : 0);
-  ws.begin(rs * (2 * sizeof(double) + sizeof(GChoice) + sizeof(query::Mask)) +
-           (S * S + U * S + S + U) * sizeof(double) +
-           S * sizeof(std::int64_t) + max_splits * sizeof(Split));
-  double* g = ws.carve<double>(rs);
+  ws.begin((2 * rs - S + S * S + U * S + S + U) * sizeof(double) +
+           max_splits * sizeof(Split));
+  double* g = ws.carve<double>(rs - S);
   double* best_op = ws.carve<double>(rs);
-  GChoice* g_choice = ws.carve<GChoice>(rs);
-  query::Mask* split_choice = ws.carve<query::Mask>(rs);
   // site_from[q*S+p] = dist(q→p): source-major so the relay update for a
   // fixed op site q walks destinations contiguously.
   double* site_from = ws.carve<double>(S * S);
   double* unit_site = ws.carve<double>(U * S);  // dist(unit u → site p)
   double* site_sink = ws.carve<double>(S);
   double* unit_sink = ws.carve<double>(U);
-  std::int64_t* relay_q = ws.carve<std::int64_t>(S);
   Split* splits = ws.carve<Split>(max_splits);
 
   ThreadPool* pool =
@@ -178,43 +189,38 @@ PlannerResult plan_optimal(const PlannerInput& in, PlanWorkspace& ws) {
     }
   }
 
+  // The sweeps compute values only. Every inner loop is a strict-< running
+  // minimum with no branch and no argmin store, which lets GCC vectorize it
+  // at -O3; the reconstruction below recomputes the argmin of just the
+  // cells it visits, scanning the candidates in the same order.
   for (std::uint32_t mr = 1; mr < R; ++mr) {
     const query::Mask m = expand_mask(mr, target);
     const bool joinable = std::popcount(mr) >= 2;
-    double* gm = g + std::size_t{mr} * S;
-    GChoice* gcm = g_choice + std::size_t{mr} * S;
     double* bom = best_op + std::size_t{mr} * S;
 
     if (joinable) {
-      // Splits with the lowest bit pinned to side A avoid mirror duplicates.
       std::size_t n_splits = 0;
-      const std::uint32_t rest = mr ^ (mr & (~mr + 1u));
-      for (std::uint32_t br = rest; br != 0; br = (br - 1) & rest) {
-        const std::uint32_t ar = mr ^ br;
-        splits[n_splits++] = Split{ar, br, expand_mask(ar, target)};
-      }
-      query::Mask* spm = split_choice + std::size_t{mr} * S;
+      for_each_split(mr, [&](std::uint32_t ar, std::uint32_t br) {
+        splits[n_splits++] = Split{ar, br};
+      });
       sweep(pool, S, [&](std::size_t p0, std::size_t p1) {
         std::fill(bom + p0, bom + p1, kInf);
         for (std::size_t si = 0; si < n_splits; ++si) {
           const double* ga = g + std::size_t{splits[si].ar} * S;
           const double* gb = g + std::size_t{splits[si].br} * S;
-          const query::Mask a = splits[si].a;
           for (std::size_t p = p0; p < p1; ++p) {
             const double c = ga[p] + gb[p];
-            if (c < bom[p]) {
-              bom[p] = c;
-              spm[p] = a;
-            }
+            bom[p] = c < bom[p] ? c : bom[p];
           }
         }
       });
     }
+    if (mr == R - 1) break;  // the full target's g row is never read
 
+    double* gm = g + std::size_t{mr} * S;
     const double rate_m = in.rates->bytes_rate(m);
     sweep(pool, S, [&](std::size_t p0, std::size_t p1) {
       std::fill(gm + p0, gm + p1, kInf);
-      std::fill(gcm + p0, gcm + p1, GChoice{});
       // Units streamed straight to each site.
       for (std::size_t u = 0; u < U; ++u) {
         if (in.units[u].mask != m) continue;
@@ -222,32 +228,21 @@ PlannerResult plan_optimal(const PlannerInput& in, PlanWorkspace& ws) {
         const double rate_u = in.units[u].bytes_rate;
         for (std::size_t p = p0; p < p1; ++p) {
           const double c = rate_u * row[p];
-          if (c < gm[p]) {
-            gm[p] = c;
-            gcm[p] = GChoice{static_cast<int>(u), -1};
-          }
+          gm[p] = c < gm[p] ? c : gm[p];
         }
       }
       if (!joinable) return;
       // A join op at site q plus the q→p edge. Scanning q in the outer loop
       // keeps the inner update contiguous; per destination p the candidates
-      // still arrive in ascending-q order under strict <, so the cell value
-      // and the recorded site match the q-inner scan bit for bit.
-      std::fill(relay_q + p0, relay_q + p1, std::int64_t{-1});
+      // still arrive in ascending-q order.
       for (std::size_t q = 0; q < S; ++q) {
         const double bq = bom[q];
         if (bq == kInf) continue;
         const double* from_q = site_from + q * S;
         for (std::size_t p = p0; p < p1; ++p) {
           const double c = bq + rate_m * from_q[p];
-          if (c < gm[p]) {
-            gm[p] = c;
-            relay_q[p] = static_cast<std::int64_t>(q);
-          }
+          gm[p] = c < gm[p] ? c : gm[p];
         }
-      }
-      for (std::size_t p = p0; p < p1; ++p) {
-        if (relay_q[p] >= 0) gcm[p] = GChoice{-1, static_cast<int>(relay_q[p])};
       }
     });
   }
@@ -288,6 +283,52 @@ PlannerResult plan_optimal(const PlannerInput& in, PlanWorkspace& ws) {
     return result;  // infeasible: units cannot cover the target
   }
 
+  // The argmins of the cells the reconstruction visits, recomputed with the
+  // sweeps' arithmetic and candidate order under strict <, so each picks
+  // what an eagerly recorded argmin would have.
+  // Cheapest split of rank `mr` for a join op at site q (as A's rank).
+  const auto split_at = [&](std::uint32_t mr, std::size_t q) {
+    double best = kInf;
+    std::uint32_t best_ar = 0;
+    for_each_split(mr, [&](std::uint32_t ar, std::uint32_t br) {
+      const double c = g[std::size_t{ar} * S + q] + g[std::size_t{br} * S + q];
+      if (c < best) {
+        best = c;
+        best_ar = ar;
+      }
+    });
+    IFLOW_DCHECK(best == best_op[std::size_t{mr} * S + q]);
+    return best_ar;
+  };
+  // How g[mr][p] was reached: units by index, then relay sites by index.
+  const auto g_choice = [&](std::uint32_t mr, std::size_t p) {
+    const query::Mask m = expand_mask(mr, target);
+    double best = kInf;
+    GChoice choice;
+    for (std::size_t u = 0; u < U; ++u) {
+      if (in.units[u].mask != m) continue;
+      const double c = in.units[u].bytes_rate * unit_site[u * S + p];
+      if (c < best) {
+        best = c;
+        choice = GChoice{static_cast<int>(u), -1};
+      }
+    }
+    if (std::popcount(mr) >= 2) {
+      const double* bom = best_op + std::size_t{mr} * S;
+      const double rate_m = in.rates->bytes_rate(m);
+      for (std::size_t q = 0; q < S; ++q) {
+        if (bom[q] == kInf) continue;
+        const double c = bom[q] + rate_m * site_from[q * S + p];
+        if (c < best) {
+          best = c;
+          choice = GChoice{-1, static_cast<int>(q)};
+        }
+      }
+    }
+    IFLOW_DCHECK(best == g[std::size_t{mr} * S + p]);
+    return choice;
+  };
+
   // Reconstruction into a Deployment (children before parents).
   query::Deployment dep;
   dep.query = in.query_id;
@@ -301,19 +342,17 @@ PlannerResult plan_optimal(const PlannerInput& in, PlanWorkspace& ws) {
     unit_slot.emplace(u, slot);
     return query::encode_unit_child(slot);
   };
-  // Builds the subtree that makes `m` available per the recorded choice and
+  // Builds the subtree that makes rank `mr` available per `choice` and
   // returns the child code of its producer.
-  auto build = [&](auto&& self, query::Mask m, GChoice choice) -> int {
+  auto build = [&](auto&& self, std::uint32_t mr, GChoice choice) -> int {
     if (choice.unit >= 0) return use_unit(choice.unit);
     IFLOW_CHECK(choice.op_site >= 0);
     const auto q = static_cast<std::size_t>(choice.op_site);
-    const std::size_t row = std::size_t{compress_mask(m, target)} * S;
-    const query::Mask a = split_choice[row + q];
-    const query::Mask b = m ^ a;
-    const int lc =
-        self(self, a, g_choice[std::size_t{compress_mask(a, target)} * S + q]);
-    const int rc =
-        self(self, b, g_choice[std::size_t{compress_mask(b, target)} * S + q]);
+    const std::uint32_t ar = split_at(mr, q);
+    const std::uint32_t br = mr ^ ar;
+    const int lc = self(self, ar, g_choice(ar, q));
+    const int rc = self(self, br, g_choice(br, q));
+    const query::Mask m = expand_mask(mr, target);
     query::DeployedOp op;
     op.mask = m;
     op.left = lc;
@@ -324,7 +363,7 @@ PlannerResult plan_optimal(const PlannerInput& in, PlanWorkspace& ws) {
     dep.ops.push_back(op);
     return static_cast<int>(dep.ops.size()) - 1;
   };
-  build(build, target, final_choice);
+  build(build, R - 1, final_choice);
   dep.sink = deliver ? in.delivery : dep.root_node();
   validate_deployment(dep);
 
@@ -347,7 +386,9 @@ PlannerResult plan_optimal(const PlannerInput& in, PlanWorkspace& ws) {
       direct += rate * dist(loc, op.node);
     }
   }
-  direct += (deliver ? deliver_rate : 0.0) * dist(dep.root_node(), dep.sink);
+  // Without a delivery node the result stays where it is produced; that
+  // node may be priced at +inf (outside the hierarchy), and 0 · inf is NaN.
+  if (deliver) direct += deliver_rate * dist(dep.root_node(), dep.sink);
   IFLOW_DCHECK(direct <= best_total + 1e-6 * (1.0 + best_total));
 
   dep.planned_cost = direct;

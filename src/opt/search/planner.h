@@ -24,11 +24,17 @@
 // Mechanically the tables are flat arrays carved from a PlanWorkspace arena
 // and indexed by (compressed subset rank, site); the distance oracle is
 // materialized into dense unit×site / site×site matrices up front so the DP
-// hot loops never indirect through it. The per-site sweep runs on the
-// workspace's thread pool when profitable, with a fixed reduction order per
-// (mask, site) cell — every argmin scans units, splits and relay sites in
-// the same ascending order regardless of thread count, so parallel results
-// are bitwise-identical to the serial ones (the differential fuzzer checks
+// hot loops never indirect through it. The sweeps compute values only: each
+// inner loop is a branch-free strict-< running minimum (vectorized at -O3),
+// and no argmin is stored. The full target's g row is not computed (nothing reads it). The
+// reconstruction then recomputes the argmin of just the O(k) cells it
+// visits, scanning in the documented order — splits with the lowest bit
+// pinned to A (B over the rest's submasks, descending), then units by
+// index, then relay sites by index, all under strict < — so it picks what
+// an eagerly recorded argmin would. The per-site sweep runs on the
+// workspace's thread pool when profitable; each cell's reduction order is
+// the same regardless of thread count, so parallel results are
+// bitwise-identical to the serial ones (the differential fuzzer checks
 // this).
 #pragma once
 
@@ -80,7 +86,9 @@ struct PlannerResult {
 
 /// `ws` supplies the DP scratch and worker threads; pass the same workspace
 /// across invocations to amortize allocation. The default is a process-wide
-/// thread-local workspace.
+/// thread-local workspace. Among equal-cost optima the result is the one the
+/// documented scan order (file comment) meets first, whatever the thread
+/// count.
 PlannerResult plan_optimal(const PlannerInput& in,
                            PlanWorkspace& ws = default_workspace());
 

@@ -1,8 +1,8 @@
 // Reusable scratch for the joint plan+placement search.
 //
 // Every planner invocation needs the same family of buffers — the DP tables
-// g / best_op / choices keyed by (mask, site), the materialized distance
-// matrices, and per-tree placement tables. A PlanWorkspace owns them as one
+// g / best_op keyed by (mask, site), the materialized distance matrices, and
+// per-tree placement tables. A PlanWorkspace owns them as one
 // bump-allocated arena that grows to the high-water mark and is then reused
 // verbatim, so multi-query sessions, the hierarchical optimizers (which run
 // one planner call per cluster per level) and the differential fuzzer stop

@@ -24,10 +24,12 @@ std::vector<net::NodeId> restrict_sites(const OptimizerEnv& env,
     if (!kept.empty()) sites = std::move(kept);
   }
   if (env.processing_nodes.empty()) return sites;
+  IFLOW_DCHECK(std::is_sorted(env.processing_nodes.begin(),
+                              env.processing_nodes.end()));
   std::vector<net::NodeId> kept;
   for (net::NodeId n : sites) {
-    if (std::find(env.processing_nodes.begin(), env.processing_nodes.end(),
-                  n) != env.processing_nodes.end()) {
+    if (std::binary_search(env.processing_nodes.begin(),
+                           env.processing_nodes.end(), n)) {
       kept.push_back(n);
     }
   }

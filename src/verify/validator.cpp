@@ -45,8 +45,8 @@ bool node_exists(const opt::OptimizerEnv& env, net::NodeId n) {
 /// exactly when some scope containing it is processing-free.
 bool fallback_excuses(const opt::OptimizerEnv& env, net::NodeId n) {
   const auto is_processing = [&env](net::NodeId m) {
-    return std::find(env.processing_nodes.begin(), env.processing_nodes.end(),
-                     m) != env.processing_nodes.end();
+    return std::binary_search(env.processing_nodes.begin(),
+                              env.processing_nodes.end(), m);
   };
   // Degenerate restriction: no network node is processing-capable, so the
   // whole-network scope already fell back.
@@ -218,13 +218,11 @@ std::vector<Violation> validate(const query::Deployment& d,
                  op.node);
       placements_ok = false;
     } else if (!env.processing_nodes.empty() &&
-               std::find(env.processing_nodes.begin(),
-                         env.processing_nodes.end(),
-                         op.node) == env.processing_nodes.end()) {
+               !std::binary_search(env.processing_nodes.begin(),
+                                   env.processing_nodes.end(), op.node)) {
       const auto is_processing = [&env](net::NodeId m) {
-        return std::find(env.processing_nodes.begin(),
-                         env.processing_nodes.end(),
-                         m) != env.processing_nodes.end();
+        return std::binary_search(env.processing_nodes.begin(),
+                                  env.processing_nodes.end(), m);
       };
       if (opts.op_scopes != nullptr && i < opts.op_scopes->size()) {
         // Recorded scope: the fallback is exact — a non-processing node is

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "cluster/theory.h"
@@ -524,6 +526,72 @@ TEST(CoordinatorMatrixTest, EstimatesFollowRemoveAndAddNode) {
       h.add_node(v, rt, prng);
       expect_estimates_match_routing(h, rt);
     }
+  }
+}
+
+/// Every bulk row read equals est_cost bit for bit, and both are the
+/// routing cost between the representatives (+inf outside the hierarchy):
+/// at each level, from each node, to every node id and to a scrambled
+/// subset with a repeat.
+void expect_bulk_rows_match(const Hierarchy& h, const net::RoutingTables& rt) {
+  const std::size_t n = rt.node_count();
+  std::vector<net::NodeId> all(n);
+  std::iota(all.begin(), all.end(), net::NodeId{0});
+  std::vector<net::NodeId> some;
+  for (std::size_t i = n; i-- > 0;) {
+    if (i % 3 == 0) some.push_back(static_cast<net::NodeId>(i));
+  }
+  some.push_back(some.front());
+  std::vector<double> row(n);
+  for (int l = 1; l <= h.height(); ++l) {
+    for (net::NodeId a = 0; a < n; ++a) {
+      for (const std::vector<net::NodeId>* dst : {&all, &some}) {
+        h.fill_est_costs(a, dst->data(), dst->size(), l, row.data());
+        for (std::size_t i = 0; i < dst->size(); ++i) {
+          const net::NodeId b = (*dst)[i];
+          const double want =
+              h.contains(a) && h.contains(b)
+                  ? rt.cost(h.representative(a, l), h.representative(b, l))
+                  : std::numeric_limits<double>::infinity();
+          ASSERT_EQ(bits(row[i]), bits(want))
+              << "level " << l << " pair " << a << "," << b;
+          ASSERT_EQ(bits(h.est_cost(a, b, l)), bits(want))
+              << "level " << l << " pair " << a << "," << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(CoordinatorMatrixTest, BulkRowReadsMatchEstCost) {
+  for (const bool partitioned : {false, true}) {
+    Fixture f(56);
+    net::RoutingTables rt = routing_for(partitioned, f.net);
+    Prng prng(6);
+    Hierarchy h = build_hierarchy(partitioned, f.net, rt, prng);
+    ASSERT_GE(h.height(), 3) << "partitioned " << partitioned;
+    expect_bulk_rows_match(h, rt);
+    // Removed nodes read +inf as sources and as destinations.
+    const std::vector<net::NodeId> victims = h.level(1)[1].members;
+    for (const net::NodeId v : victims) h.remove_node(v, rt);
+    expect_bulk_rows_match(h, rt);
+    // A crash, synced and refreshed: the node is still a member, and the
+    // routing tables price it out.
+    const net::NodeId crashed = h.level(1).back().members.back();
+    f.net.crash_node(crashed);
+    rt.sync(f.net);
+    h.refresh(rt);
+    expect_bulk_rows_match(h, rt);
+    // Then it leaves the hierarchy, as the middleware has it on a crash.
+    h.remove_node(crashed, rt);
+    expect_bulk_rows_match(h, rt);
+    f.net.restore_node(crashed);
+    rt.sync(f.net);
+    h.refresh(rt);
+    for (const net::NodeId v : victims) h.add_node(v, rt, prng);
+    h.add_node(crashed, rt, prng);
+    expect_bulk_rows_match(h, rt);
+    if (HasFatalFailure()) FAIL() << "partitioned " << partitioned;
   }
 }
 
