@@ -11,12 +11,17 @@
 //   * plan-quality ratio vs dense exact planning (1k cell only, where the
 //     dense baseline is still buildable);
 //   * incremental repair time after a single link failure vs recomputing
-//     the same working set from scratch (target: >= 10x at 10k nodes);
+//     the same working set from scratch (target: >= 10x at 10k nodes), and
+//     the kernel pops of the repair's sync against the rows that re-settled
+//     the faulted stub domain;
 //   * the hierarchy's refresh after that failure, which recomputes only
 //     the coordinator-matrix entries the link can change, vs one full
-//     recompute of the matrix, and the rows the refresh touched;
+//     recompute of the matrix (its time and kernel pops), and the rows the
+//     refresh touched;
 //   * the refresh after a failure on a leaf coordinator's cost path, which
 //     changes that coordinator's row and column;
+//   * the routing table's kernel pops by caller (rows, sync, matrix) over
+//     the whole cell;
 //   * an FNV-1a digest over the hexfloat plan costs — rerun with a
 //     different --threads value and diff the digest lines to check the
 //     parallel site sweep is bitwise-identical to the serial one.
@@ -89,11 +94,17 @@ struct Cell {
   double quality_ratio = 0.0;  // 0 = dense baseline not run
   double inc_repair_ms = 0.0;
   double full_rebuild_ms = 0.0;
+  std::uint64_t repair_sync_pops = 0;
+  std::size_t repair_rows_patched = 0;
+  std::size_t repair_region_nodes = 0;
   double refresh_ms = 0.0;
   double full_matrix_ms = 0.0;
+  std::uint64_t full_matrix_pops = 0;
+  std::size_t matrix_rows = 0;
   std::size_t refresh_rows = 0;
   double gateway_refresh_ms = 0.0;
   std::size_t gateway_refresh_rows = 0;
+  net::RoutingWork work;
   std::uint64_t digest = 0;
 };
 
@@ -195,11 +206,16 @@ Cell run_cell(int target_nodes, std::uint64_t seed, int threads,
   const net::NodeId va = net.links()[victim].a;
   const net::NodeId vb = net.links()[victim].b;
 
+  // The link lies inside one stub domain, a single-homed region of the
+  // sparse tier: the sync re-settles it in the rows that hold it.
+  cell.repair_region_nodes = static_cast<std::size_t>(p.stub_domain_size);
   net.fail_link(va, vb);
+  const std::uint64_t sync_pops = rt.work().sync_pops;
   const auto t_inc = Clock::now();
-  rt.sync(net);
+  cell.repair_rows_patched = rt.sync(net).rows_patched;
   for (net::NodeId a = 0; a < warm; ++a) rt.cost(a, 0);
   cell.inc_repair_ms = ms_since(t_inc);
+  cell.repair_sync_pops = rt.work().sync_pops - sync_pops;
 
   const auto t_full = Clock::now();
   net::RoutingTables fresh = net::RoutingTables::build(net, ropts);
@@ -216,9 +232,12 @@ Cell run_cell(int target_nodes, std::uint64_t seed, int threads,
     coords.push_back(cl.coordinator);
   }
   std::vector<double> matrix(coords.size() * coords.size());
+  cell.matrix_rows = coords.size();
+  const std::uint64_t matrix_pops = rt.work().matrix_pops;
   const auto t_matrix = Clock::now();
   rt.cost_matrix(coords.data(), coords.size(), matrix.data());
   cell.full_matrix_ms = ms_since(t_matrix);
+  cell.full_matrix_pops = rt.work().matrix_pops - matrix_pops;
 
   // A failure on a leaf coordinator's cost path: the first stub link on a
   // stub coordinator's path to the first coordinator whose failure keeps
@@ -251,6 +270,7 @@ Cell run_cell(int target_nodes, std::uint64_t seed, int threads,
   const auto t_gateway = Clock::now();
   cell.gateway_refresh_rows = hierarchy.refresh(rt);
   cell.gateway_refresh_ms = ms_since(t_gateway);
+  cell.work = rt.work();
   return cell;
 }
 
@@ -274,11 +294,19 @@ void write_json(const std::string& path, const std::vector<Cell>& cells,
         << ", \"incremental_repair_ms\": " << c.inc_repair_ms
         << ", \"full_rebuild_ms\": " << c.full_rebuild_ms
         << ", \"repair_speedup\": " << c.full_rebuild_ms / c.inc_repair_ms
+        << ", \"repair_sync_pops\": " << c.repair_sync_pops
+        << ", \"repair_rows_patched\": " << c.repair_rows_patched
+        << ", \"repair_region_nodes\": " << c.repair_region_nodes
         << ", \"refresh_ms\": " << c.refresh_ms
         << ", \"full_matrix_ms\": " << c.full_matrix_ms
+        << ", \"full_matrix_pops\": " << c.full_matrix_pops
+        << ", \"matrix_rows\": " << c.matrix_rows
         << ", \"refresh_rows\": " << c.refresh_rows
         << ", \"gateway_refresh_ms\": " << c.gateway_refresh_ms
         << ", \"gateway_refresh_rows\": " << c.gateway_refresh_rows
+        << ", \"row_pops\": " << c.work.row_pops
+        << ", \"sync_pops\": " << c.work.sync_pops
+        << ", \"matrix_pops\": " << c.work.matrix_pops
         << ", \"digest\": \"" << std::hex << c.digest << std::dec << "\"}"
         << (i + 1 < cells.size() ? "," : "") << '\n';
   }

@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -366,23 +367,29 @@ BENCHMARK(BM_PlanOptimalFig09Legacy);
 // --------------------------------------------------------------------------
 // BENCH_planner.json: machine-readable Fig-9-size planner/optimizer numbers.
 
+/// Nanoseconds per call of f: the median of five timed samples, each
+/// running f often enough to last at least `min_seconds`, so that one
+/// sample slowed by the machine does not move the figure.
 template <typename F>
-double measure_ns_per_op(const F& f, double min_seconds = 0.25) {
+double measure_ns_per_op(const F& f, double min_seconds = 0.1) {
   using clock = std::chrono::steady_clock;
   f();  // warm-up (also sizes arenas / starts pools)
-  long iters = 1;
-  for (;;) {
+  const auto sample = [&](long iters) {
     const auto t0 = clock::now();
     for (long i = 0; i < iters; ++i) f();
-    const double secs = std::chrono::duration<double>(clock::now() - t0).count();
-    if (secs >= min_seconds) {
-      return secs * 1e9 / static_cast<double>(iters);
-    }
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  long iters = 1;
+  for (double secs = sample(iters); secs < min_seconds; secs = sample(iters)) {
     const double target = std::max(secs, 1e-6);
     iters = std::max(iters * 2,
                      static_cast<long>(static_cast<double>(iters) *
                                        min_seconds / target * 1.2));
   }
+  std::array<double, 5> ns{};
+  for (double& x : ns) x = sample(iters) * 1e9 / static_cast<double>(iters);
+  std::nth_element(ns.begin(), ns.begin() + 2, ns.end());
+  return ns[2];
 }
 
 void write_planner_json(const std::string& path) {

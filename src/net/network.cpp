@@ -52,20 +52,23 @@ Batch classify(const std::vector<Mutation>& muts) {
 
 void Network::record(MutationKind kind, NodeId a, NodeId b) {
   ++version_;
-  log_.push_back(Mutation{version_, kind, a, b});
-  if (log_.size() > kMutationLogCapacity) {
-    const std::size_t drop = log_.size() - kMutationLogCapacity;
-    log_base_ = log_[drop - 1].version;
-    log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(drop));
+  const Mutation m{version_, kind, a, b};
+  if (log_.size() < kMutationLogCapacity) {
+    log_.push_back(m);
+    return;
   }
+  log_base_ = log_[log_head_].version;
+  log_[log_head_] = m;
+  log_head_ = (log_head_ + 1) % log_.size();
 }
 
 std::optional<std::vector<Mutation>> Network::mutations_since(
     std::uint64_t since) const {
   if (since < log_base_) return std::nullopt;
   std::vector<Mutation> out;
-  for (const Mutation& m : log_) {
-    if (m.version > since) out.push_back(m);
+  // Versions are consecutive: v sits v - log_base_ - 1 past the oldest.
+  for (std::uint64_t v = since + 1; v <= version_; ++v) {
+    out.push_back(log_[(log_head_ + (v - log_base_ - 1)) % log_.size()]);
   }
   return out;
 }

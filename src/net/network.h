@@ -245,10 +245,12 @@ class Network {
   std::vector<Link> links_;
   std::vector<std::vector<std::uint32_t>> incident_;
   std::uint64_t version_ = 0;
-  /// Bounded change journal for incremental repair of derived tables.
-  /// `log_base_` is the version the oldest retained entry applies on top
-  /// of; a reader at or past it can replay instead of rebuilding.
+  /// Bounded change journal for incremental repair of derived tables: a
+  /// ring of versions log_base_ + 1 .. version_, one entry each, the oldest
+  /// at `log_head_` once it is full. A reader at or past `log_base_` can
+  /// replay instead of rebuilding.
   std::vector<Mutation> log_;
+  std::size_t log_head_ = 0;
   std::uint64_t log_base_ = 0;
 };
 

@@ -17,8 +17,11 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// 2⁻⁵³: the relative error of one rounded double operation.
 constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
+/// The region of a node outside every single-homed region.
+constexpr std::uint32_t kCore = std::numeric_limits<std::uint32_t>::max();
 
-bool contains(const std::vector<NodeId>& v, NodeId x) {
+template <typename T>
+bool contains(const std::vector<T>& v, T x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
@@ -34,19 +37,19 @@ std::optional<std::pair<NodeId, NodeId>> single_link_event(const Batch& b) {
 
 }  // namespace
 
-/// Scratch space for repairing rows in place: O(n), kept with the table and
-/// reused across syncs, rows and metrics.
+/// Scratch space for repairing dense rows in place: O(n), kept with the
+/// table and reused across syncs, rows and metrics.
 struct RepairScratch {
   /// A node is invalidated or improved in the current pass when its stamp
   /// equals `pass`. The stamps are zeroed only when `pass` wraps.
   std::vector<std::uint32_t> stamp;
   std::uint32_t pass = 0;
   std::vector<NodeId> touched;  // stamped nodes, in stamping order
-  /// The dense tier's heap; the sparse tier repairs with its cache's.
   DistanceHeap heap;
 
   /// Sizes the scratch for an n-node table; a no-op when it already is.
   void fit(std::size_t n) {
+    heap.fit(n);
     if (stamp.size() == n) return;
     stamp.assign(n, 0);
     pass = 0;
@@ -57,21 +60,22 @@ namespace {
 
 enum class Repair : std::uint8_t { kUntouched, kRepaired, kTie };
 
-/// Repairs one source row of one metric in place after a batch of link and
-/// node faults and restores, over `g` (its usable bytes already patched to
-/// the network after the batch) under the per-link weight `w`, with `heap`
-/// fitted to the table's n and empty. `parent` is the row's cost tree, which
-/// cost_path() walks; it is null for the delay metric, whose tree carries
-/// only distances. The nodes the batch cut off are invalidated, they and the
-/// nodes a restore improves are seeded, and the kernel's settle() finishes
-/// the pass, so each recomputed value has the bits a fresh pass gives it as
-/// long as every node's parent is the unique best candidate. When the cost
-/// repair meets an equal candidate it returns kTie with the row partly
-/// rewritten, and the row must be recomputed in full.
+/// Repairs one source row of one metric in place after a batch of link and node
+/// faults and restores, over `g` (its usable bytes already patched to the
+/// network after the batch) under the per-link weight `w`, with the scratch's
+/// heap fitted to the table's n and empty, and adds the pops to `pops`.
+/// `parent` is the row's cost tree, which cost_path() walks; it is null for the
+/// delay metric, whose tree carries only distances. The nodes the batch cut off
+/// are invalidated, they and the nodes a restore improves are seeded, and the
+/// kernel's settle() finishes the pass, so each recomputed value has the bits a
+/// fresh pass gives it as long as every node's parent is the unique best
+/// candidate. When the cost repair meets an equal candidate it returns kTie
+/// with the row partly rewritten, and the row must be recomputed in full.
 Repair repair_row(const Adjacency& g, const double* w, const Batch& batch,
                   NodeId src, double* dist, NodeId* parent, RepairScratch& s,
-                  DistanceHeap& heap) {
+                  std::uint64_t& pops) {
   const bool cost_tree = parent != nullptr;
+  DistanceHeap& heap = s.heap;
   if (++s.pass == 0) {  // wrapped: clear the stamps of earlier passes
     std::fill(s.stamp.begin(), s.stamp.end(), 0);
     s.pass = 1;
@@ -169,33 +173,10 @@ Repair repair_row(const Adjacency& g, const double* w, const Batch& batch,
   }
   // The kernel's loop over the seeded nodes: only nodes whose distance
   // falls are queued, so it stays within the invalidated and improved ones.
-  if (settle(g, w, dist, parent, heap) && cost_tree) return Repair::kTie;
+  const Settled settled = settle(g, w, dist, parent, heap);
+  pops += settled.pops;
+  if (settled.tie && cost_tree) return Repair::kTie;
   return s.touched.empty() ? Repair::kUntouched : Repair::kRepaired;
-}
-
-/// True when a batch of link and node faults and restores changes a link
-/// that a popped node of a paused pass may have relaxed: an endpoint of a
-/// failed or restored link, or a faulted node or one of its neighbours, has
-/// a distance at or below `frontier`, the pass's least queued key. A popped
-/// node's distance is at or below it and any other node's at or above it,
-/// so the test errs only toward finishing the pass.
-bool reaches(const Adjacency& g, const Batch& b, const double* dist,
-             double frontier) {
-  const auto popped = [&](NodeId v) { return dist[v] <= frontier; };
-  const auto link = [&](const std::pair<NodeId, NodeId>& l) {
-    return popped(l.first) || popped(l.second);
-  };
-  const auto node = [&](NodeId z) {
-    if (popped(z)) return true;
-    for (std::uint32_t e = g.first[z]; e < g.first[z + 1]; ++e) {
-      if (popped(g.arcs[e].to)) return true;
-    }
-    return false;
-  };
-  return std::any_of(b.links_down.begin(), b.links_down.end(), link) ||
-         std::any_of(b.links_up.begin(), b.links_up.end(), link) ||
-         std::any_of(b.nodes_down.begin(), b.nodes_down.end(), node) ||
-         std::any_of(b.nodes_up.begin(), b.nodes_up.end(), node);
 }
 
 /// Bytes one dense source row occupies: cost and delay distances and one
@@ -204,46 +185,51 @@ std::size_t row_bytes(std::size_t n) {
   return n * (2 * sizeof(double) + sizeof(NodeId));
 }
 
-/// The full rows of a sparse coordinator matrix, priced region by region
-/// (DESIGN.md §13, "Single-homed regions"). A depth-first search over the
-/// usable arcs, rooted at the node with the most of them, finds the bridges.
-/// The far side of a topmost bridge, the side without the root, is a
-/// region: every path from outside enters it over that one link, from its
-/// attachment node t to its gateway g. With those links blocked, a row's
-/// pass over the core never enters a region, and each other region that
-/// holds targets gets a pass of its own, seeded at g with dist[t] + w.
-class RegionPasses {
- public:
-  RegionPasses(const Adjacency& g, const NodeId* nodes, std::size_t m)
-      : g_(g), nodes_(nodes), m_(m), blocked_(g.cost) {
+/// The single-homed regions of a network (DESIGN.md §13, "Single-homed
+/// regions"): the far sides of its topmost bridges, the sides without the
+/// root of a depth-first search over every link, usable or not. Every path
+/// from outside a region enters it over its bridge, from its attachment
+/// node t to its gateway g. Faults and restores never change them.
+struct Regions {
+  struct Region {
+    NodeId attach = kInvalidNode;   // t, in the core
+    NodeId gateway = kInvalidNode;  // g, its end of the bridge
+    std::uint32_t link = 0;         // the bridge
+    std::uint32_t begin = 0;        // its nodes: members[begin, end)
+    std::uint32_t end = 0;
+  };
+  std::vector<std::uint32_t> of;  // per node: its region, or kCore
+  std::vector<Region> list;
+  /// The search's preorder, in which each region's nodes are contiguous.
+  std::vector<NodeId> members;
+  /// The adjacency's usable bytes with every bridge closed: a pass over
+  /// them never crosses from the core into a region or back.
+  std::vector<std::uint8_t> open;
+
+  Regions() = default;
+
+  explicit Regions(const Adjacency& g) {
     const std::size_t n = g.first.size() - 1;
-    dist_.resize(n);
-    region_.assign(n, kCore);
+    of.assign(n, kCore);
+    open = g.usable;
     if (n == 0) return;
-    const auto degree = [&](NodeId v) {
-      std::uint32_t d = 0;
-      for (std::uint32_t e = g.first[v]; e < g.first[v + 1]; ++e) {
-        d += g.usable[g.arcs[e].link];
-      }
-      return d;
-    };
+    const auto arcs = [&](NodeId v) { return g.first[v + 1] - g.first[v]; };
     NodeId root = 0;
-    for (NodeId v = 1, most = degree(0); v < n; ++v) {
-      if (degree(v) > most) {
-        most = degree(v);
-        root = v;
-      }
+    for (NodeId v = 1; v < n; ++v) {
+      if (arcs(v) > arcs(root)) root = v;
     }
-    // Tarjan's bridges, iteratively: a tree arc into v over link via[v] is
-    // a bridge when no arc from v's subtree but that link reaches above v.
+    // Tarjan's bridges, rooted at the node with the most arcs (the lowest id
+    // on a tie): a tree arc into v over link via[v] is a bridge when no arc
+    // from v's subtree but that link reaches above v, so a doubled link
+    // never is one.
     constexpr std::uint32_t kNoLink = std::numeric_limits<std::uint32_t>::max();
     std::vector<std::uint32_t> disc(n, 0), low(n, 0), next(n), via(n, kNoLink);
-    std::vector<NodeId> parent(n, kInvalidNode), preorder, stack;
+    std::vector<NodeId> parent(n, kInvalidNode), stack;
     std::uint32_t clock = 0;
     const auto visit = [&](NodeId v) {
       disc[v] = low[v] = ++clock;
       next[v] = g.first[v];
-      preorder.push_back(v);
+      members.push_back(v);
       stack.push_back(v);
     };
     visit(root);
@@ -257,7 +243,7 @@ class RegionPasses {
         continue;
       }
       const Adjacency::Arc arc = g.arcs[next[u]++];
-      if (g.usable[arc.link] == 0 || arc.link == via[u]) continue;
+      if (arc.link == via[u]) continue;
       if (disc[arc.to] == 0) {
         parent[arc.to] = u;
         via[arc.to] = arc.link;
@@ -266,90 +252,42 @@ class RegionPasses {
         low[u] = std::min(low[u], disc[arc.to]);
       }
     }
-    // In preorder a node's parent is placed first: a node below a region's
-    // gateway joins that region, and a bridge into the core opens one.
-    for (std::size_t k = 1; k < preorder.size(); ++k) {
-      const NodeId v = preorder[k];
+    // In preorder a node's parent comes first: a node below a region's
+    // gateway joins it, and a bridge out of the core opens one, the subtree.
+    for (std::uint32_t k = 1; k < members.size(); ++k) {
+      const NodeId v = members[k];
       const NodeId t = parent[v];
-      if (region_[t] != kCore) {
-        region_[v] = region_[t];
-      } else if (low[v] > disc[t]) {
-        region_[v] = static_cast<std::uint32_t>(regions_.size());
-        regions_.push_back({t, v, g.cost[via[v]], {}});
-        blocked_[via[v]] = kInf;
+      if (of[t] == kCore && low[v] > disc[t]) {
+        of[v] = static_cast<std::uint32_t>(list.size());
+        list.push_back({t, v, via[v], k, k});
+        open[via[v]] = 0;
+      } else {
+        of[v] = of[t];
       }
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint32_t r = region_[nodes[j]];
-      if (r != kCore) regions_[r].targets.push_back(nodes[j]);
+      if (of[v] != kCore) list[of[v]].end = k + 1;
     }
   }
 
-  /// out[j] = the cost from src to nodes[j], with the bits a full pass from
-  /// src gives it. `heap` must be empty; it is empty again on return.
-  void row(NodeId src, DistanceHeap& heap, double* out) {
-    const double* w = blocked_.data();
-    double* dist = dist_.data();
-    std::fill(dist_.begin(), dist_.end(), kInf);
-    heap.fit(dist_.size());
-    const auto seed = [&](NodeId v, double d) {
-      dist[v] = d;
-      heap.push_or_decrease(v, d);
-    };
-    // A region's pass settles until each of its targets is final.
-    const auto settle_targets = [&](const Region& r) {
-      for (const NodeId v : r.targets) {
-        settle(g_, w, dist, nullptr, heap, Until{v});
-      }
-      heap.clear();
-    };
-    seed(src, 0.0);
-    const std::uint32_t home = region_[src];
-    if (home != kCore) {
-      // A source inside a region settles it first, as far as its gateway
-      // and targets; every path out of it crosses to t.
-      const Region& r = regions_[home];
-      settle(g_, w, dist, nullptr, heap, Until{r.gateway});
-      settle_targets(r);
-      seed(r.attach, dist[r.gateway] + r.w);
-    }
-    settle(g_, w, dist, nullptr, heap);  // the core
-    for (std::uint32_t k = 0; k < regions_.size(); ++k) {
-      const Region& r = regions_[k];
-      if (r.targets.empty() || k == home || !(dist[r.attach] < kInf)) {
-        continue;
-      }
-      seed(r.gateway, dist[r.attach] + r.w);
-      settle_targets(r);
-    }
-    for (std::size_t j = 0; j < m_; ++j) out[j] = dist[nodes_[j]];
+  /// Seeds a pass across region k's usable bridge, into it from t or out
+  /// from g, with dist + w when the near end is reached.
+  void cross(const Adjacency& g, const double* w, std::uint32_t k, bool into,
+             double* dist, NodeId* parent, DistanceHeap& heap) const {
+    const Region& r = list[k];
+    const NodeId x = into ? r.attach : r.gateway;
+    const NodeId y = into ? r.gateway : r.attach;
+    if (g.usable[r.link] == 0 || !(dist[x] < kInf)) return;
+    dist[y] = dist[x] + w[r.link];
+    if (parent != nullptr) parent[y] = x;
+    heap.push_or_decrease(y, dist[y]);
   }
-
- private:
-  static constexpr std::uint32_t kCore =
-      std::numeric_limits<std::uint32_t>::max();
-
-  struct Region {
-    NodeId attach = kInvalidNode;   // t, outside the region
-    NodeId gateway = kInvalidNode;  // g, its end of the bridge
-    double w = 0.0;                 // the bridge's cost
-    std::vector<NodeId> targets;    // the nodes[j] inside
-  };
-
-  const Adjacency& g_;
-  const NodeId* nodes_;
-  std::size_t m_;
-  std::vector<double> blocked_;        // link costs, +inf on the bridges
-  std::vector<std::uint32_t> region_;  // per node: its region, or kCore
-  std::vector<Region> regions_;
-  std::vector<double> dist_;
 };
 
 }  // namespace
 
-/// Sparse-tier state: the bounded per-source row cache with the bytes its
-/// parts hold, and the heap its passes and repairs share under the lock.
+/// Sparse-tier state: the network's single-homed regions, the bounded row
+/// cache with the bytes its parts hold, and the heap its passes share.
 struct RoutingTables::Cache {
+  Regions regions;
   std::size_t max_rows = 512;
   std::mutex mu;
   std::unordered_map<NodeId, Row> rows;
@@ -359,35 +297,57 @@ struct RoutingTables::Cache {
   DistanceHeap heap;
 
   /// Bytes a sparse row holds: 12 per entry for the cost part (distance and
-  /// predecessor), 8 for the delay part and 4 per node its paused pass
-  /// keeps queued.
+  /// predecessor) and 8 for the delay part.
   static std::size_t bytes_of(const Row& r) {
-    return (r.cost.size() + r.delay.size()) * sizeof(double) +
-           (r.parent.size() + r.queued.size()) * sizeof(NodeId);
+    return (r.cost.dist.size() + r.delay.dist.size()) * sizeof(double) +
+           r.parent.size() * sizeof(NodeId);
   }
 
-  /// Runs the delay pass of `row`, the row of `src`, over `g` under
-  /// `until`: it starts the pass on the part's first run and otherwise puts
-  /// the paused queue back, and it keeps the queue again when the pass
-  /// pauses. Each run continues the one pass, so the part holds the bits of
-  /// an uninterrupted pass as far as it has settled (DESIGN.md §13).
-  template <typename Target>
-  void run_delay(const Adjacency& g, NodeId src, Row& row,
-                 const Target& until) {
-    bytes -= row.queued.size() * sizeof(NodeId);
-    if (row.delay.empty()) {
-      row.delay.resize(g.first.size() - 1);
-      bytes += row.delay.size() * sizeof(double);
-      shortest_paths(g, g.delay.data(), src, row.delay.data(), nullptr, heap,
-                     until);
-    } else {
-      heap.restore(row.queued, row.delay.data());
-      settle(g, g.delay.data(), row.delay.data(), nullptr, heap, until);
+  /// Settles region r of the `metric` part of src's row, or, for kCore,
+  /// starts it: N entries at +inf, then src's home region and the core
+  /// (DESIGN.md §13, "Region parts"). A cost pass that meets an equal
+  /// candidate is redone as one full pass. Returns the pops.
+  std::uint64_t settle_part(const Adjacency& g, Metric metric, NodeId src,
+                            Row& row, std::uint32_t r) {
+    const bool by_cost = metric == Metric::kCost;
+    Part& part = by_cost ? row.cost : row.delay;
+    const double* w = by_cost ? g.cost.data() : g.delay.data();
+    const std::size_t n = g.first.size() - 1;
+    if (r == kCore) {
+      const std::size_t held = bytes_of(row);
+      part.dist.assign(n, kInf);
+      part.settled.assign(regions.list.size(), false);
+      if (by_cost) row.parent.assign(n, kInvalidNode);
+      bytes += bytes_of(row) - held;
+      peak_bytes = std::max(peak_bytes, bytes);
     }
-    heap.save(row.queued);
-    if (row.queued.empty()) row.queued.shrink_to_fit();
-    bytes += row.queued.size() * sizeof(NodeId);
-    peak_bytes = std::max(peak_bytes, bytes);
+    double* dist = part.dist.data();
+    NodeId* parent = by_cost ? row.parent.data() : nullptr;
+    heap.fit(n);
+    Settled s;
+    if (r == kCore) {
+      dist[src] = 0.0;
+      heap.push_or_decrease(src, 0.0);
+      const std::uint32_t home = regions.of[src];
+      if (home != kCore) {
+        s = settle(g, w, dist, parent, heap, NoGoal{}, regions.open.data());
+        part.settled[home] = true;
+        regions.cross(g, w, home, false, dist, parent, heap);
+      }
+    } else {
+      part.settled[r] = true;
+      regions.cross(g, w, r, true, dist, parent, heap);
+    }
+    const Settled last =
+        settle(g, w, dist, parent, heap, NoGoal{}, regions.open.data());
+    s = {s.tie || last.tie, s.pops + last.pops};
+    if (by_cost && s.tie) {
+      const Settled full = shortest_paths(g, w, src, dist, parent, heap);
+      row.cost_ties = full.tie;
+      part.settled.assign(part.settled.size(), true);
+      s.pops += full.pops;
+    }
+    return s.pops;
   }
 };
 
@@ -418,12 +378,12 @@ RoutingTables RoutingTables::build(const Network& net,
     rt.net_ = &net;
     rt.reset_sparse(net);
   } else {
-    rt.rebuild_dense(net);
+    rt.work_.row_pops = rt.rebuild_dense(net);
   }
   return rt;
 }
 
-void RoutingTables::rebuild_dense(const Network& net) {
+std::uint64_t RoutingTables::rebuild_dense(const Network& net) {
   const std::size_t n = net.node_count();
   n_ = n;
   version_ = net.version();
@@ -434,19 +394,23 @@ void RoutingTables::rebuild_dense(const Network& net) {
   cost_ties_.resize(n);
   adj_ = Adjacency::of(net);
   DistanceHeap heap;
-  for (NodeId src = 0; src < n; ++src) dense_row(src, heap);
+  std::uint64_t pops = 0;
+  for (NodeId src = 0; src < n; ++src) pops += dense_row(src, heap);
+  return pops;
 }
 
-void RoutingTables::dense_row(NodeId src, DistanceHeap& heap) {
+std::uint64_t RoutingTables::dense_row(NodeId src, DistanceHeap& heap) {
   const std::size_t base = static_cast<std::size_t>(src) * n_;
   // Cost-weighted pass: distances and the cost tree cost_path() walks.
-  cost_ties_[src] =
+  const Settled by_cost =
       shortest_paths(adj_, adj_.cost.data(), src, cost_.data() + base,
                      parent_.data() + base, heap);
+  cost_ties_[src] = by_cost.tie;
   // Delay-weighted pass for the control plane. Its tree carries only
   // distances, which do not depend on how ties were broken.
-  shortest_paths(adj_, adj_.delay.data(), src, delay_.data() + base, nullptr,
-                 heap);
+  return by_cost.pops + shortest_paths(adj_, adj_.delay.data(), src,
+                                       delay_.data() + base, nullptr, heap)
+                            .pops;
 }
 
 void RoutingTables::reset_sparse(const Network& net) {
@@ -455,6 +419,7 @@ void RoutingTables::reset_sparse(const Network& net) {
   cache_->rows.clear();
   cache_->bytes = 0;
   adj_ = Adjacency::of(net);
+  cache_->regions = Regions(adj_);
 }
 
 void RoutingTables::check_synced() const {
@@ -469,56 +434,46 @@ void RoutingTables::check_synced() const {
 }
 
 RoutingTables::Row& RoutingTables::row_locked(NodeId src, Metric metric,
-                                              NodeId dst) const {
+                                              const NodeId* dst,
+                                              std::size_t count) const {
   Cache& c = *cache_;
   auto it = c.rows.find(src);
-  // A paused delay part holds dst's final distance when it lies below the
-  // least queued one, the first in heap order.
-  const auto final_at_dst = [&](const Row& r) {
-    return !r.delay.empty() &&
-           (r.queued.empty() || r.delay[dst] < r.delay[r.queued.front()]);
-  };
-  const bool held = it != c.rows.end() &&
-                    (metric == Metric::kCost ? !it->second.cost.empty()
-                                             : final_at_dst(it->second));
-  if (!held) {
+  if (it == c.rows.end()) {
     check_synced();
-    if (it == c.rows.end()) {
-      it = c.rows.emplace(src, Row{}).first;
-      if (c.rows.size() > c.max_rows) {
-        // Evict the least-recently-used row (ticks are unique, so the
-        // victim does not depend on map iteration order).
-        auto victim = c.rows.end();
-        for (auto r = c.rows.begin(); r != c.rows.end(); ++r) {
-          if (r->first == src) continue;
-          if (victim == c.rows.end() ||
-              r->second.last_used < victim->second.last_used) {
-            victim = r;
-          }
+    it = c.rows.emplace(src, Row{}).first;
+    if (c.rows.size() > c.max_rows) {
+      // Evict the least-recently-used row (ticks are unique, so the victim
+      // does not depend on map iteration order).
+      auto victim = c.rows.end();
+      for (auto r = c.rows.begin(); r != c.rows.end(); ++r) {
+        if (r->first == src) continue;
+        if (victim == c.rows.end() ||
+            r->second.last_used < victim->second.last_used) {
+          victim = r;
         }
-        c.bytes -= Cache::bytes_of(victim->second);
-        c.rows.erase(victim);
       }
-    }
-    Row& row = it->second;
-    if (metric == Metric::kCost) {
-      row.cost.resize(n_);
-      row.parent.resize(n_);
-      row.cost_ties = shortest_paths(adj_, adj_.cost.data(), src,
-                                     row.cost.data(), row.parent.data(),
-                                     c.heap);
-      c.bytes += n_ * (sizeof(double) + sizeof(NodeId));
-      c.peak_bytes = std::max(c.peak_bytes, c.bytes);
-    } else {
-      c.run_delay(adj_, src, row, Until{dst});
+      c.bytes -= Cache::bytes_of(victim->second);
+      c.rows.erase(victim);
     }
   }
-  it->second.last_used = ++c.tick;
-  return it->second;
+  Row& row = it->second;
+  const Part& part = metric == Metric::kCost ? row.cost : row.delay;
+  const auto settle_region = [&](std::uint32_t r) {
+    check_synced();
+    work_.row_pops += c.settle_part(adj_, metric, src, row, r);
+  };
+  if (part.dist.empty()) settle_region(kCore);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t r = c.regions.of[dst[i]];
+    if (r != kCore && !part.settled[r]) settle_region(r);
+  }
+  row.last_used = ++c.tick;
+  return row;
 }
 
-RoutingTables::PinnedRow RoutingTables::pin(NodeId src, Metric metric,
-                                            NodeId dst) const {
+inline RoutingTables::PinnedRow RoutingTables::pin(NodeId src, Metric metric,
+                                                   const NodeId* dst,
+                                                   std::size_t count) const {
   IFLOW_CHECK(src < n_);
   const bool by_cost = metric == Metric::kCost;
   if (cache_ == nullptr) {
@@ -528,19 +483,19 @@ RoutingTables::PinnedRow RoutingTables::pin(NodeId src, Metric metric,
             by_cost ? parent_.data() + base : nullptr};
   }
   std::unique_lock<std::mutex> lock(cache_->mu);
-  const Row& row = row_locked(src, metric, dst);
-  return {std::move(lock), (by_cost ? row.cost : row.delay).data(),
+  const Row& row = row_locked(src, metric, dst, count);
+  return {std::move(lock), (by_cost ? row.cost : row.delay).dist.data(),
           by_cost ? row.parent.data() : nullptr};
 }
 
 double RoutingTables::cost(NodeId a, NodeId b) const {
   IFLOW_CHECK(b < n_);
-  return pin(a, Metric::kCost).dist[b];
+  return pin(a, Metric::kCost, &b, 1).dist[b];
 }
 
 double RoutingTables::delay_ms(NodeId a, NodeId b) const {
   IFLOW_CHECK(b < n_);
-  return pin(a, Metric::kDelay, b).dist[b];
+  return pin(a, Metric::kDelay, &b, 1).dist[b];
 }
 
 bool RoutingTables::reachable(NodeId a, NodeId b) const {
@@ -550,7 +505,7 @@ bool RoutingTables::reachable(NodeId a, NodeId b) const {
 std::vector<NodeId> RoutingTables::cost_path(NodeId a, NodeId b) const {
   IFLOW_CHECK(b < n_);
   // One row: the source's predecessor chain gives the whole path.
-  const PinnedRow row = pin(a, Metric::kCost);
+  const PinnedRow row = pin(a, Metric::kCost, &b, 1);
   if (a == b) return {a};
   if (!std::isfinite(row.dist[b])) return {};
   std::vector<NodeId> path;
@@ -566,11 +521,9 @@ std::vector<NodeId> RoutingTables::cost_path(NodeId a, NodeId b) const {
 
 void RoutingTables::fill_costs(NodeId src, const NodeId* dst,
                                std::size_t count, double* out) const {
-  const PinnedRow row = pin(src, Metric::kCost);
-  for (std::size_t i = 0; i < count; ++i) {
-    IFLOW_CHECK(dst[i] < n_);
-    out[i] = row.dist[dst[i]];
-  }
+  for (std::size_t i = 0; i < count; ++i) IFLOW_CHECK(dst[i] < n_);
+  const PinnedRow row = pin(src, Metric::kCost, dst, count);
+  for (std::size_t i = 0; i < count; ++i) out[i] = row.dist[dst[i]];
 }
 
 std::size_t RoutingTables::cost_matrix(
@@ -584,23 +537,39 @@ std::size_t RoutingTables::cost_matrix(
   }
   for (std::size_t i = 0; i < m; ++i) IFLOW_CHECK(nodes[i] < n_);
   std::lock_guard<std::mutex> lock(cache_->mu);
+  Cache& c = *cache_;
+  std::uint64_t& pops = work_.matrix_pops;
   // A matrix row is read once, so a row whose costs the cache does not hold
   // is not worth a cache slot: inserting it would evict rows the planner
-  // reads again. resident(src) is src's cached cost part, or null, and
-  // full_row(src)[v] = cost(src, v) for every node v.
+  // reads again. `targets` holds (region, node) of the list's nodes in
+  // regions, by region. resident(src) is src's cached cost part with those
+  // regions settled, or null; full_row(src)[v] = cost(src, v) for every v
+  // of the core and of those regions.
+  std::vector<std::pair<std::uint32_t, NodeId>> targets;
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::uint32_t r = c.regions.of[nodes[j]];
+    if (r != kCore) targets.emplace_back(r, nodes[j]);
+  }
+  std::sort(targets.begin(), targets.end());
   const auto resident = [&](NodeId src) -> const double* {
-    const auto it = cache_->rows.find(src);
-    return it == cache_->rows.end() || it->second.cost.empty()
-               ? nullptr
-               : it->second.cost.data();
+    const auto it = c.rows.find(src);
+    if (it == c.rows.end() || it->second.cost.dist.empty()) return nullptr;
+    Row& row = it->second;
+    for (const auto& [r, v] : targets) {
+      if (row.cost.settled[r]) continue;
+      check_synced();
+      pops += c.settle_part(adj_, Metric::kCost, src, row, r);
+    }
+    return row.cost.dist.data();
   };
   std::vector<double> dist;
   const auto full_row = [&](NodeId src) -> const double* {
     if (const double* row = resident(src)) return row;
     check_synced();
     dist.resize(n_);
-    shortest_paths(adj_, adj_.cost.data(), src, dist.data(), nullptr,
-                   cache_->heap);
+    pops += shortest_paths(adj_, adj_.cost.data(), src, dist.data(), nullptr,
+                           c.heap)
+                .pops;
     return dist.data();
   };
   const auto read = [&](const double* row, double* to) {
@@ -619,22 +588,46 @@ std::size_t RoutingTables::cost_matrix(
   }
   if (!link.has_value()) {
     // Every row in full: a resident row's costs are read, and the others
-    // are priced region by region, from a search made on the first of them.
-    std::optional<RegionPasses> passes;
+    // are priced region by region (DESIGN.md §13, "Single-homed regions").
+    const double* w = adj_.cost.data();
+    const auto run = [&](const auto& target) {
+      pops += settle(adj_, w, dist.data(), nullptr, c.heap, target,
+                     c.regions.open.data())
+                  .pops;
+    };
     for (std::size_t i = 0; i < m; ++i) {
       if (const double* row = resident(nodes[i])) {
         read(row, out + i * m);
         continue;
       }
-      if (!passes.has_value()) {
-        check_synced();
-        passes.emplace(adj_, nodes, m);
+      check_synced();
+      dist.assign(n_, kInf);
+      c.heap.fit(n_);
+      dist[nodes[i]] = 0.0;
+      c.heap.push_or_decrease(nodes[i], 0.0);
+      const std::uint32_t home = c.regions.of[nodes[i]];
+      if (home != kCore) {
+        // A source inside a region settles it first; every path out of it
+        // crosses to t.
+        run(NoGoal{});
+        c.regions.cross(adj_, w, home, false, dist.data(), nullptr, c.heap);
       }
-      passes->row(nodes[i], cache_->heap, out + i * m);
+      run(NoGoal{});  // the core
+      // Each other region's pass settles until each of its targets is final.
+      for (std::size_t k = 0; k < targets.size(); ++k) {
+        const auto [r, v] = targets[k];
+        if (r == home) continue;
+        if (k == 0 || targets[k - 1].first != r) {
+          c.heap.clear();
+          c.regions.cross(adj_, w, r, true, dist.data(), nullptr, c.heap);
+        }
+        run(Until{v});
+      }
+      c.heap.clear();
+      read(dist.data(), out + i * m);
     }
     return m;
   }
-
   const auto [a, b] = *link;
   // Any path through the adjacency takes one of its links, the cheapest of
   // which is w.
@@ -695,7 +688,9 @@ std::size_t RoutingTables::cost_matrix(
   // nodes[j] from below). The bound is deflated by the factor 1 − rounding
   // and by rounding times the farthest source aimed at the row, so every
   // node on a best path keys at or below the entry's exact value and the
-  // goal pops with the bits a full pass gives it (DESIGN.md §13).
+  // goal pops with the bits a full pass gives it (DESIGN.md §13). A
+  // resident full row is +inf in the regions it has not settled, which no
+  // best path between two of the nodes enters.
   std::vector<double> potential;
   for (const std::size_t j : full_rows) {
     const double* row = full_row(nodes[j]);
@@ -720,8 +715,9 @@ std::size_t RoutingTables::cost_matrix(
         continue;
       }
       dist.resize(n_);
-      shortest_paths(adj_, adj_.cost.data(), nodes[i], dist.data(), nullptr,
-                     cache_->heap, Goal{nodes[j], potential.data()});
+      pops += shortest_paths(adj_, adj_.cost.data(), nodes[i], dist.data(),
+                             nullptr, c.heap, Goal{nodes[j], potential.data()})
+                  .pops;
       out[i * m + j] = dist[nodes[j]];
     }
   }
@@ -750,98 +746,105 @@ RoutingSyncStats RoutingTables::sync(const Network& net) {
   }
   // Cost changes and added links or nodes rebuild every row, and so does a
   // journal that no longer reaches back to this table's version. The sparse
-  // tier empties its cache; its rows come back on use.
+  // tier empties its cache and finds its regions again; its rows come back
+  // on use.
   if (!batch.has_value() || batch->reprice) {
     if (cache_ == nullptr) {
-      rebuild_dense(net);
+      work_.sync_pops += rebuild_dense(net);
     } else {
       reset_sparse(net);
     }
     st.full_rebuild = true;
     return st;
   }
-
-  // Link and node faults and restores. A row whose cost tree holds an
-  // equal-cost tie cannot be repaired, since Dijkstra's choice between equal
-  // candidates depends on the heap's pop order; nor can the row of a node
-  // that crashed or came back. The dense tier recomputes such a row and the
-  // sparse tier evicts it, both parts.
-  const auto doomed = [&](NodeId src, bool ties) {
-    return ties || contains(batch->nodes_down, src) ||
-           contains(batch->nodes_up, src);
+  // Link and node faults and restores. The adjacency flips the usable byte
+  // of each link the batch touches, so the passes below read the new state;
+  // on the sparse tier so do the bytes with the bridges closed (only a
+  // bridge joins two sides), and each event is the core's (a core node, a
+  // link with both ends in the core) or one region's, a bridge included
+  // (DESIGN.md §13, "Region parts").
+  bool core = false;
+  std::vector<std::uint32_t> touched;
+  const auto patch = [&](NodeId v, NodeId other_end) {
+    adj_.refresh_usable(net, v);
+    if (cache_ == nullptr) return;
+    Regions& reg = cache_->regions;
+    for (const std::uint32_t idx : net.incident(v)) {
+      const Link& l = net.links()[idx];
+      reg.open[idx] = reg.of[l.a] == reg.of[l.b] ? adj_.usable[idx] : 0;
+    }
+    const std::uint32_t r = reg.of[reg.of[v] == kCore ? other_end : v];
+    core = core || r == kCore;
+    if (r != kCore) touched.push_back(r);
   };
-  // A paused delay part the batch reaches is run to its end over the
-  // adjacency as it was, then repaired like a complete part. One it does
-  // not reach stays paused: none of its popped nodes has relaxed a changed
-  // link, so it is the state a pass over the new network is in at the same
-  // point (DESIGN.md §13, "Paused delay parts").
-  if (cache_ != nullptr) {
-    for (auto& [src, row] : cache_->rows) {
-      if (!row.queued.empty() && !doomed(src, row.cost_ties) &&
-          reaches(adj_, *batch, row.delay.data(),
-                  row.delay[row.queued.front()])) {
-        cache_->run_delay(adj_, src, row, NoGoal{});
-      }
-    }
-  }
-  // The adjacency flips the usable byte of each link the batch touches, so
-  // the passes below read the new state.
-  for (const auto& [a, b] : batch->links_down) adj_.refresh_usable(net, a);
-  for (const auto& [a, b] : batch->links_up) adj_.refresh_usable(net, a);
-  for (const NodeId z : batch->nodes_down) adj_.refresh_usable(net, z);
-  for (const NodeId z : batch->nodes_up) adj_.refresh_usable(net, z);
-  // Then every complete part a resident row holds is repaired in place
-  // (DESIGN.md §13): both on the dense tier, the cost and the delay part a
-  // sparse row has computed. A row whose cost repair meets a tie is
-  // recomputed or evicted like a doomed one.
-  if (repair_ == nullptr) repair_ = std::make_unique<RepairScratch>();
-  RepairScratch& scratch = *repair_;
-  scratch.fit(n_);
-  // The sparse tier's passes share its cache's heap, which the lock guards.
-  DistanceHeap& heap = cache_ == nullptr ? scratch.heap : cache_->heap;
-  heap.fit(n_);
-  const auto repair = [&](NodeId src, bool ties, double* cost, NodeId* parent,
-                          double* delay) {
-    Repair r = Repair::kTie;
-    if (!doomed(src, cost != nullptr && ties)) {
-      r = cost == nullptr ? Repair::kUntouched
-                          : repair_row(adj_, adj_.cost.data(), *batch, src,
-                                       cost, parent, scratch, heap);
-    }
-    if (r == Repair::kTie) {
-      ++st.rows_dropped;
-      return false;
-    }
-    const Repair d = delay == nullptr
-                         ? Repair::kUntouched
-                         : repair_row(adj_, adj_.delay.data(), *batch, src,
-                                      delay, nullptr, scratch, heap);
-    if (r == Repair::kRepaired || d == Repair::kRepaired) {
-      ++st.rows_patched;
-    } else {
-      ++st.rows_retained;
-    }
-    return true;
-  };
+  for (const auto& [a, b] : batch->links_down) patch(a, b);
+  for (const auto& [a, b] : batch->links_up) patch(a, b);
+  for (const NodeId z : batch->nodes_down) patch(z, z);
+  for (const NodeId z : batch->nodes_up) patch(z, z);
   if (cache_ == nullptr) {
+    // Every row is repaired in place (DESIGN.md §13), both metrics, but for
+    // one whose cost tree holds an equal-cost tie (Dijkstra's choice between
+    // equal candidates depends on the pop order) or whose source crashed or
+    // came back, which is recomputed like one whose cost repair meets a tie.
+    if (repair_ == nullptr) repair_ = std::make_unique<RepairScratch>();
+    RepairScratch& scratch = *repair_;
+    scratch.fit(n_);
     for (NodeId src = 0; src < n_; ++src) {
       const std::size_t base = static_cast<std::size_t>(src) * n_;
-      if (!repair(src, cost_ties_[src] != 0, cost_.data() + base,
-                  parent_.data() + base, delay_.data() + base)) {
-        dense_row(src, heap);
+      Repair r = Repair::kTie;
+      if (cost_ties_[src] == 0 && !contains(batch->nodes_down, src) &&
+          !contains(batch->nodes_up, src)) {
+        r = repair_row(adj_, adj_.cost.data(), *batch, src,
+                       cost_.data() + base, parent_.data() + base, scratch,
+                       work_.sync_pops);
+      }
+      if (r == Repair::kTie) {
+        ++st.rows_dropped;
+        work_.sync_pops += dense_row(src, scratch.heap);
+        continue;
+      }
+      const Repair d = repair_row(adj_, adj_.delay.data(), *batch, src,
+                                  delay_.data() + base, nullptr, scratch,
+                                  work_.sync_pops);
+      if (r == Repair::kRepaired || d == Repair::kRepaired) {
+        ++st.rows_patched;
+      } else {
+        ++st.rows_retained;
       }
     }
   } else {
-    const auto part = [](auto& v) { return v.empty() ? nullptr : v.data(); };
-    for (auto it = cache_->rows.begin(); it != cache_->rows.end();) {
+    Cache& c = *cache_;
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    // A row re-settles each touched region it holds; its other values keep
+    // their bits. A core or home-region event (its source's own crash or
+    // restore is one) reaches every value, and a full pass that met a tie
+    // may break it otherwise after any fault: those rows are evicted.
+    for (auto it = c.rows.begin(); it != c.rows.end();) {
       Row& row = it->second;
-      if (repair(it->first, row.cost_ties, part(row.cost), part(row.parent),
-                 row.queued.empty() ? part(row.delay) : nullptr)) {
-        ++it;
-      } else {
-        cache_->bytes -= Cache::bytes_of(row);
-        it = cache_->rows.erase(it);
+      if (core || row.cost_ties || contains(touched, c.regions.of[it->first])) {
+        ++st.rows_dropped;
+        c.bytes -= Cache::bytes_of(row);
+        it = c.rows.erase(it);
+        continue;
       }
+      bool patched = false;
+      for (const std::uint32_t r : touched) {
+        for (const Metric metric : {Metric::kCost, Metric::kDelay}) {
+          Part& part = metric == Metric::kCost ? row.cost : row.delay;
+          if (part.dist.empty() || !part.settled[r]) continue;
+          const Regions::Region& reg = c.regions.list[r];
+          for (std::uint32_t k = reg.begin; k < reg.end; ++k) {
+            const NodeId v = c.regions.members[k];
+            part.dist[v] = kInf;
+            if (metric == Metric::kCost) row.parent[v] = kInvalidNode;
+          }
+          work_.sync_pops += c.settle_part(adj_, metric, it->first, row, r);
+          patched = true;
+        }
+      }
+      ++(patched ? st.rows_patched : st.rows_retained);
+      ++it;
     }
   }
   version_ = net.version();
@@ -868,6 +871,12 @@ std::size_t RoutingTables::peak_memory_bytes() const {
 
 std::size_t RoutingTables::dense_equivalent_bytes(std::size_t n) {
   return n * row_bytes(n);
+}
+
+RoutingWork RoutingTables::work() const {
+  if (cache_ == nullptr) return work_;
+  std::lock_guard<std::mutex> lock(cache_->mu);
+  return work_;
 }
 
 }  // namespace iflow::net

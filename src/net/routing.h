@@ -12,31 +12,22 @@
 //     the cost tree's predecessor. Default below
 //     RoutingOptions::dense_node_limit nodes, where the matrices are small
 //     and every query is a flat array read.
-//   * sparse — per-source rows computed by Dijkstra on demand and kept in a
-//     bounded LRU cache, O(cached_rows · N) memory. Each metric of a row is
-//     computed on its first read: the cost part (distances and the cost
-//     tree's predecessors, 12 bytes per entry) in full, and the delay part
-//     (distances, 8 bytes) lazily: a delay read settles the pass only until
-//     the node it reads is final, then pauses it, keeping its queue (4
-//     bytes per queued node) for the next read to continue. Default at
+//   * sparse — per-source rows computed on demand and kept in a bounded LRU
+//     cache, O(cached_rows · N) memory. Each metric of a row is a part of N
+//     entries (cost: distances and the cost tree's predecessors, 12 bytes
+//     per entry; delay: distances, 8 bytes), settled region by region: its
+//     first read settles the core and the source's home region, and the
+//     first read of a node in another single-homed region (the far side of
+//     a bridge, e.g. a GT-ITM stub domain) settles that region. Default at
 //     scale (10k–100k-node topologies), where a dense matrix would not fit.
-// Both tiers store each source row's cost tree as predecessors, and
-// cost_path() walks the source row's tree on both. They produce
-// bitwise-identical answers for identical queries, paths included (the
-// same per-source Dijkstra runs either eagerly or lazily), so planner
-// digests do not depend on the tier. One private row reader serves every
-// query: the dense tier indexes its matrices, the sparse tier takes its
-// lock and computes a missing part.
-//
-// Every pass runs the one kernel in net/shortest_path.h over a compressed
-// adjacency the table keeps beside the rows. Repair is incremental:
-// `sync()` replays the Network's mutation log instead of rebuilding from
-// scratch. Quality-only changes (loss, jitter) are free. Link and node
-// faults and restores repair each resident row in place — all N on the
-// dense tier, the cached ones on the sparse tier — seeding only the nodes
-// beyond the fault and settling them with the kernel's loop. A paused delay
-// part the batch reaches is first run to its end, then repaired; one it
-// does not reach stays paused.
+// Both tiers store each source row's cost tree as predecessors, which
+// cost_path() walks, and give bitwise-identical answers, paths included, so
+// planner digests do not depend on the tier. Every pass runs the one kernel in
+// net/shortest_path.h over a compressed adjacency the table keeps beside the
+// rows. `sync()` replays the Network's mutation log instead of rebuilding:
+// quality-only changes (loss, jitter) are free; a link or node fault or restore
+// repairs each dense row in place and re-settles, in each sparse row holding
+// it, the region it touched.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +68,19 @@ struct RoutingSyncStats {
   bool quality_only = false;
   /// Resident rows the batch left exact as they were.
   std::size_t rows_retained = 0;
-  /// Resident rows the repair could not keep (an equal-cost tie, or their
-  /// own source crashed or came back): the dense tier recomputes them, the
-  /// sparse tier evicts them.
+  /// Resident rows the repair could not keep: recomputed on the dense tier
+  /// (a cost tie, or their source crashed or came back), evicted on the
+  /// sparse tier (a cost tie, or a fault in the core or their home region).
   std::size_t rows_dropped = 0;
-  /// Resident rows repaired in place.
+  /// Resident rows repaired in place (sparse: a region re-settled).
   std::size_t rows_patched = 0;
+};
+
+/// Kernel pops since build(), by caller, for the benches' count gates.
+struct RoutingWork {
+  std::uint64_t row_pops = 0;     // the rows, and the regions reads settle
+  std::uint64_t sync_pops = 0;    // sync()'s repairs and re-settled regions
+  std::uint64_t matrix_pops = 0;  // cost_matrix()'s passes
 };
 
 /// sync()'s O(N) repair scratch (defined in routing.cpp).
@@ -110,11 +108,12 @@ class RoutingTables {
   /// Replays the network's mutation log against this table in place:
   ///   * loss/jitter-only (or empty) batches just advance the recorded
   ///     version;
-  ///   * link and node faults and restores repair each resident row in
-  ///     place: only the nodes whose shortest paths the batch changed are
-  ///     recomputed. A row that cannot be repaired exactly (its cost tree
-  ///     holds an equal-cost tie, or its source crashed or came back) is
-  ///     recomputed on the dense tier and evicted on the sparse tier;
+  ///   * link and node faults and restores: each dense row is repaired in
+  ///     place, recomputing only the nodes whose shortest paths the batch
+  ///     changed, or recomputed when its cost tree holds an equal-cost tie
+  ///     or its source crashed or came back. Each sparse row re-settles the
+  ///     touched regions it holds, and is evicted when the batch touches
+  ///     the core or its home region or its cost part holds a tie;
   ///   * cost changes, added links or nodes and a truncated journal rebuild
   ///     every row (the sparse tier empties its cache).
   /// Either way every resident row holds what a fresh build of the same
@@ -129,9 +128,7 @@ class RoutingTables {
   double cost(NodeId a, NodeId b) const;
 
   /// One-way latency of the delay-optimal a→b path in milliseconds
-  /// (+inf when unreachable). On the sparse tier the read settles a's delay
-  /// pass only until b is final and pauses it there; the value has the bits
-  /// of a full pass.
+  /// (+inf when unreachable).
   double delay_ms(NodeId a, NodeId b) const;
 
   /// True when a usable a→b route exists (a == b included).
@@ -150,24 +147,20 @@ class RoutingTables {
   /// Square cost matrix among `nodes`: out[i·m + j] = cost(nodes[i],
   /// nodes[j]) bit for bit, `out` holding m·m entries. Returns the number of
   /// rows in which it rewrote an entry. The dense tier reads its matrix,
-  /// every row. The sparse tier reads a resident row's costs and prices a
-  /// row it does not hold without caching it, so the LRU, cached_rows() and
-  /// peak_memory_bytes() stay as they were: one depth-first search finds
-  /// the single-homed regions, the far sides of bridges, and each row runs
-  /// one cost-only pass over the rest of the network and one for each
-  /// region holding a node of the list, as far as those nodes (DESIGN.md
-  /// §13, "Single-homed regions").
+  /// every row. The sparse tier reads a resident row's costs (settling the
+  /// list's regions in it) and prices a row it does not hold without
+  /// caching it, so the LRU, cached_rows() and peak_memory_bytes() stay as
+  /// they were: one cost-only pass over the core and one for each region
+  /// holding a node of the list, as far as those nodes (DESIGN.md §13,
+  /// "Single-homed regions").
   ///
   /// With `since`, `out` already holds the matrix among the same `nodes` as
   /// of network version `since`, and the sparse tier (which CHECKs that it
   /// is synced) rewrites only the entries the journal batch since then can
-  /// change (DESIGN.md §13): none for a quality-only batch; for exactly one
-  /// link failure or restore, the entries a path through that adjacency
-  /// could tie or beat, found from cost-only Dijkstras at its two endpoints
-  /// and a rounding bound; every entry for any other batch or a truncated
-  /// journal. Of the rows with a flagged entry it recomputes some in full
-  /// and gives each other flagged entry a goal-directed pass aimed at a
-  /// full row's node. Every entry holds the bits a fresh Dijkstra gives it.
+  /// change (DESIGN.md §13, "Staleness rule"): none for a quality-only
+  /// batch, those a path through the adjacency of a lone link failure or
+  /// restore could tie or beat, and every entry otherwise. Every entry
+  /// holds the bits a fresh Dijkstra gives it.
   std::size_t cost_matrix(
       const NodeId* nodes, std::size_t m, double* out,
       std::optional<std::uint64_t> since = std::nullopt) const;
@@ -184,8 +177,7 @@ class RoutingTables {
   std::size_t cached_rows() const;
 
   /// Current table footprint in bytes (matrices, or the parts of the
-  /// resident rows, a paused delay part's queue included at 4 bytes per
-  /// queued node).
+  /// resident rows).
   std::size_t memory_bytes() const;
 
   /// High-water footprint since build (equals memory_bytes() when dense).
@@ -195,50 +187,55 @@ class RoutingTables {
   /// denominator of the scale bench's memory-ratio criterion.
   static std::size_t dense_equivalent_bytes(std::size_t n);
 
+  /// Kernel pops since build(), by caller.
+  RoutingWork work() const;
+
  private:
-  /// One lazily computed source row in two parts, each empty until the
-  /// first read of its metric: the cost part (distances and the cost tree's
-  /// predecessors) and the delay part. The delay part is paused while
-  /// `queued` holds nodes: its pass has settled the nodes below the least
-  /// queued distance, and `queued` is the rest of its heap, in heap order.
+  /// One metric of a sparse source row, empty until its first read: N
+  /// entries, +inf in the regions it has not settled, a bit per region.
+  struct Part {
+    std::vector<double> dist;
+    std::vector<bool> settled;
+  };
   struct Row {
-    std::vector<double> cost;    // cost-weighted distances
+    Part cost;
     std::vector<NodeId> parent;  // cost-tree predecessor
-    std::vector<double> delay;   // delay-weighted distances
-    std::vector<NodeId> queued;  // a paused delay pass's heap
-    /// The cost tree was built with an equal-cost tie, so sync() cannot
-    /// repair the row in place (as cost_ties_ on the dense tier).
+    Part delay;
+    /// The cost part is one full pass that met an equal-cost tie, so sync()
+    /// cannot re-settle a region of it exactly (as cost_ties_ when dense).
     bool cost_ties = false;
     std::uint64_t last_used = 0;  // LRU tick
   };
   enum class Metric : std::uint8_t { kCost, kDelay };
-  struct Cache;      // defined in routing.cpp; holds the mutex + row map
+  struct Cache;      // defined in routing.cpp; regions, mutex and row map
   struct PinnedRow;  // defined in routing.cpp; a row read under the lock
 
-  void rebuild_dense(const Network& net);
-  /// Dense tier: recomputes source row `src` of every matrix from scratch.
-  void dense_row(NodeId src, DistanceHeap& heap);
+  /// Dense tier: recompute every row, or source row `src` of every matrix,
+  /// from scratch; each returns the pops.
+  std::uint64_t rebuild_dense(const Network& net);
+  std::uint64_t dense_row(NodeId src, DistanceHeap& heap);
   void reset_sparse(const Network& net);
   /// Sparse tier: CHECKs that the network has not moved past the table's
   /// version before a lazy Dijkstra reads it.
   void check_synced() const;
-  /// Locates the row for `src`, computing it or its `metric` part when
-  /// missing, a delay part until `dst` is final; caller holds the cache
-  /// mutex.
-  Row& row_locked(NodeId src, Metric metric, NodeId dst) const;
+  /// Sparse tier, under the cache mutex: finds or inserts src's row (LRU),
+  /// starts its `metric` part and settles the regions of dst[0, count).
+  Row& row_locked(NodeId src, Metric metric, const NodeId* dst,
+                  std::size_t count) const;
   /// The one row reader behind cost(), delay_ms(), cost_path() and
   /// fill_costs(): the dense tier points into its matrices, the sparse tier
-  /// takes the cache lock and computes the row's `metric` part when missing
-  /// — a delay part as far as `dst`, the node the caller reads.
-  PinnedRow pin(NodeId src, Metric metric, NodeId dst = kInvalidNode) const;
+  /// locks the cache for row_locked().
+  PinnedRow pin(NodeId src, Metric metric, const NodeId* dst,
+                std::size_t count) const;
 
   std::size_t n_ = 0;
   std::uint64_t version_ = 0;
   /// The network as every full pass reads it (both tiers): rebuilt with the
   /// rows, its usable bytes patched in place by a fault sync.
   Adjacency adj_;
-  /// Kept across syncs on both tiers, so a fault sync allocates nothing.
+  /// Dense tier: kept across syncs, so a fault sync allocates nothing.
   std::unique_ptr<RepairScratch> repair_;
+  mutable RoutingWork work_;  // sparse reads write it under the cache lock
 
   // Dense tier storage (empty in sparse mode).
   std::vector<double> cost_;    // cost-weighted distances

@@ -1,11 +1,11 @@
 // The one shortest-path kernel behind every routing pass: the dense rows,
-// the lazy sparse rows, the rows and the goal-directed entries of the
-// coordinator matrix, the induced-subgraph distances of the hierarchy and
-// the in-place row repair. A pass seeds its heap and runs `settle`, the one
-// loop that pops nodes and relaxes their arcs: a full pass seeds the source,
-// the repair seeds the nodes a fault or restore changed, a matrix row's
-// region pass seeds the node where the region is entered, and a paused pass
-// puts its saved queue back (DESIGN.md §13).
+// the sparse rows' region parts, the rows and the goal-directed entries of
+// the coordinator matrix, the induced-subgraph distances of the hierarchy
+// and the in-place row repair. A pass seeds its heap and runs `settle`, the
+// one loop that pops nodes and relaxes their arcs: a full pass seeds the
+// source, the repair seeds the nodes a fault or restore changed, and a
+// region pass seeds the gateway where its region is entered (DESIGN.md
+// §13).
 //
 // It reads a compressed adjacency (each node's arcs in one contiguous range,
 // in Network::incident() order, with per-link weights and a usable byte)
@@ -80,9 +80,8 @@ struct Adjacency {
 /// place instead of queueing a duplicate. Keys and nodes sit in parallel
 /// arrays, and a pop picks the least of four children with arithmetic
 /// rather than branches, which the random keys would mispredict. A full pass
-/// pops every node it queues, a goal-directed pass or a repair that stops
-/// early clears the rest, and a paused pass saves them, so the slots are all
-/// free again between passes.
+/// pops every node it queues, and a pass that stops early clears the rest,
+/// so the slots are all free again between passes.
 class DistanceHeap {
  public:
   bool empty() const { return size_ == 0; }
@@ -95,23 +94,6 @@ class DistanceHeap {
   void clear() {
     for (std::size_t i = 0; i < size_; ++i) slot_[node_[i]] = kFree;
     size_ = 0;
-  }
-
-  /// Moves the queued nodes into `nodes` in heap order and empties the
-  /// heap, for a pass that pauses. When every key is its node's distance,
-  /// restore() rebuilds the same heap from the nodes and the distances.
-  void save(std::vector<NodeId>& nodes) {
-    nodes.assign(node_.begin(), node_.begin() + size_);
-    clear();
-  }
-
-  /// Puts nodes that save() took back at the same positions, each keyed by
-  /// dist[v]. The heap must be empty and fitted to the pass's n.
-  void restore(const std::vector<NodeId>& nodes, const double* dist) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      place(i, dist[nodes[i]], nodes[i]);
-    }
-    size_ = nodes.size();
   }
 
   /// Makes room for nodes [0, n).
@@ -183,24 +165,20 @@ class DistanceHeap {
 
 /// A full pass: every reached node settles, keyed by its distance.
 struct NoGoal {
-  static constexpr bool pause(const double*, const DistanceHeap&) {
+  static constexpr bool stop(const double*, const DistanceHeap&) {
     return false;
   }
   static constexpr bool reached(NodeId) { return false; }
   static constexpr double key(NodeId, double dist) { return dist; }
 };
 
-/// A paused pass: keyed like a full pass, it stops before a pop once
-/// `target`'s distance is below the least queued key, which makes it final,
-/// and leaves the rest queued. A sparse delay part saves the heap beside the
-/// distances and restores it to continue, so the pass pops the nodes an
-/// uninterrupted one pops, in the same order (DESIGN.md §13, "Paused delay
-/// parts"); a coordinator-matrix region's pass settles on to its next
-/// target and clears the heap after the last ("Single-homed regions").
+/// Keyed like a full pass, it stops before a pop once `target`'s distance
+/// is below the least queued key, which makes it final, and leaves the
+/// rest queued (a coordinator-matrix region's pass, DESIGN.md §13).
 struct Until {
   NodeId target = kInvalidNode;
 
-  bool pause(const double* dist, const DistanceHeap& heap) const {
+  bool stop(const double* dist, const DistanceHeap& heap) const {
     return dist[target] < heap.top_key();
   }
   static constexpr bool reached(NodeId) { return false; }
@@ -217,33 +195,44 @@ struct Goal {
   NodeId target = kInvalidNode;
   const double* potential = nullptr;
 
-  static constexpr bool pause(const double*, const DistanceHeap&) {
+  static constexpr bool stop(const double*, const DistanceHeap&) {
     return false;
   }
   bool reached(NodeId u) const { return u == target; }
   double key(NodeId v, double dist) const { return dist + potential[v]; }
 };
 
+/// What one pass did: whether a relaxation exactly matched its target's
+/// distance (a tie the pop order broke), and how many nodes it popped.
+struct Settled {
+  bool tie = false;
+  std::uint64_t pops = 0;
+};
+
 /// Settles the queued nodes of `heap` in key order: each pop relaxes the
 /// popped node's usable arcs under the per-link weight `w`, and a neighbour
 /// whose distance falls gets the new distance, its predecessor when
 /// `parent` is given, and a lowered key. The caller seeds the heap with
-/// nodes whose `dist` it has set. Returns true when some relaxation exactly
-/// matched its target's current distance: an equal-cost tie, which the pop
-/// order broke. With a Goal it stops when the target pops and frees the
-/// slots of the nodes still queued; with Until it stops before a pop and
-/// keeps them queued.
+/// nodes whose `dist` it has set. A link is usable when its byte in
+/// `usable` is non-zero: g.usable by default, or a copy in which the caller
+/// closed some links (the sparse tier's region bridges). With a Goal it
+/// stops when the target pops and frees the slots of the nodes still
+/// queued; with Until it stops before a pop and keeps them queued. Inlined
+/// into each caller, as the dense repair's speed needs.
 template <typename Target = NoGoal>
-inline bool settle(const Adjacency& g, const double* w, double* dist,
-                   NodeId* parent, DistanceHeap& heap,
-                   const Target& goal = {}) {
+[[gnu::always_inline]] inline Settled settle(
+    const Adjacency& g, const double* w, double* dist, NodeId* parent,
+    DistanceHeap& heap, const Target& goal = {},
+    const std::uint8_t* usable = nullptr) {
   const std::uint32_t* first = g.first.data();
   const Adjacency::Arc* arcs = g.arcs.data();
-  const std::uint8_t* usable = g.usable.data();
+  if (usable == nullptr) usable = g.usable.data();
   bool tie = false;
+  std::uint64_t pops = 0;
   while (!heap.empty()) {
-    if (goal.pause(dist, heap)) break;
+    if (goal.stop(dist, heap)) break;
     const NodeId u = heap.pop();
+    ++pops;
     if (goal.reached(u)) {
       heap.clear();
       break;
@@ -262,7 +251,7 @@ inline bool settle(const Adjacency& g, const double* w, double* dist,
       }
     }
   }
-  return tie;
+  return {tie, pops};
 }
 
 /// Single-source shortest paths from `src` over the usable links of `g`,
@@ -270,12 +259,12 @@ inline bool settle(const Adjacency& g, const double* w, double* dist,
 /// array): seeds `src` alone and settles. A full pass fills dist[0, n) —
 /// +inf where unreachable — and, when `parent` is given, each reached
 /// node's predecessor (kInvalidNode for `src` and unreached nodes), and
-/// returns settle()'s tie flag. With a Goal, only dist[goal.target] is final
-/// when the pass returns; with Until, the pass may return paused.
+/// returns what settle() reports. With a Goal, only dist[goal.target] is
+/// final when the pass returns.
 template <typename Target = NoGoal>
-inline bool shortest_paths(const Adjacency& g, const double* w, NodeId src,
-                           double* dist, NodeId* parent, DistanceHeap& heap,
-                           const Target& goal = {}) {
+inline Settled shortest_paths(const Adjacency& g, const double* w, NodeId src,
+                              double* dist, NodeId* parent, DistanceHeap& heap,
+                              const Target& goal = {}) {
   const std::size_t n = g.first.size() - 1;
   std::fill(dist, dist + n, std::numeric_limits<double>::infinity());
   if (parent != nullptr) std::fill(parent, parent + n, kInvalidNode);

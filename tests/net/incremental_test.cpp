@@ -187,14 +187,15 @@ TEST(IncrementalRoutingTest, SparseSyncMatchesRebuildWithIntegerWeights) {
   }
 }
 
-// Replays `length` seeded events on a sparse table whose delay parts are
-// read only partly between events: a few delays from random sources to the
-// end of short random walks, so most parts stay paused across the next
-// sync. After every sync each pair read so far, and a sample of other pairs
-// (cost, delay and cost path), must match a fresh build.
-void run_paused_script(std::uint64_t seed, int length, bool integer_weights) {
+// Replays `length` seeded events on a sparse table whose rows are read
+// only partly between events: both metrics from random sources to the end
+// of short random walks, so most parts hold a few regions when the next
+// sync comes. After every sync each pair read so far, and a sample of other
+// pairs (cost, delay and cost path), must match a fresh build. Over the
+// script some rows re-settle a region and some are left alone.
+void run_region_script(std::uint64_t seed, int length, bool integer_weights) {
   Prng prng(seed);
-  Network net = make_transit_stub(TransitStubParams{}, prng);
+  Network net = make_transit_stub(rooted_in_transit(), prng);
   if (integer_weights) net = with_integer_weights(net);
   const std::size_t n = net.node_count();
   RoutingOptions opts;
@@ -204,7 +205,7 @@ void run_paused_script(std::uint64_t seed, int length, bool integer_weights) {
   std::vector<std::pair<NodeId, NodeId>> down_links;
   std::vector<NodeId> down_nodes;
   std::vector<std::pair<NodeId, NodeId>> read;
-  int paused_syncs = 0;
+  std::size_t patched = 0, retained = 0;
   for (int i = 0; i < length; ++i) {
     for (int k = 0; k < 4; ++k) {
       const auto a = static_cast<NodeId>(prng.index(n));
@@ -215,20 +216,21 @@ void run_paused_script(std::uint64_t seed, int length, bool integer_weights) {
         b = l.a == b ? l.b : l.a;
       }
       rt.delay_ms(a, b);
+      rt.cost(a, b);
       read.emplace_back(a, b);
     }
-    // Every part's footprint is a multiple of 4n bytes, so any other
-    // remainder is a queue: some part is paused when the event comes.
-    if (rt.memory_bytes() % (4 * n) != 0) ++paused_syncs;
     apply(net, next_event(net, prng, down_links, down_nodes));
     const std::size_t resident = rt.cached_rows();
     const RoutingSyncStats st = rt.sync(net);
     EXPECT_FALSE(st.full_rebuild);
     EXPECT_EQ(st.rows_retained + st.rows_patched + st.rows_dropped, resident);
     EXPECT_EQ(rt.cached_rows(), resident - st.rows_dropped);
+    patched += st.rows_patched;
+    retained += st.rows_retained;
     const RoutingTables fresh = RoutingTables::build(net, opts);
     for (const auto& [a, b] : read) {
       ASSERT_EQ(rt.delay_ms(a, b), fresh.delay_ms(a, b)) << a << "->" << b;
+      ASSERT_EQ(rt.cost(a, b), fresh.cost(a, b)) << a << "->" << b;
     }
     for (int k = 0; k < 8; ++k) {
       const auto a = static_cast<NodeId>(prng.index(n));
@@ -238,22 +240,24 @@ void run_paused_script(std::uint64_t seed, int length, bool integer_weights) {
       ASSERT_EQ(rt.cost_path(a, b), fresh.cost_path(a, b)) << a << "->" << b;
     }
   }
-  EXPECT_GT(paused_syncs, length / 2);
+  EXPECT_GT(patched, 0u);
+  EXPECT_GT(retained, 0u);
 }
 
-TEST(IncrementalRoutingTest, SparseSyncKeepsPausedDelayPartsExact) {
+TEST(IncrementalRoutingTest, SparseSyncKeepsRegionPartsExact) {
   for (const std::uint64_t seed : {13u, 31u}) {
-    run_paused_script(seed, 30, /*integer_weights=*/false);
+    run_region_script(seed, 30, /*integer_weights=*/false);
   }
   for (const std::uint64_t seed : {7u, 19u}) {
-    run_paused_script(seed, 30, /*integer_weights=*/true);
+    run_region_script(seed, 30, /*integer_weights=*/true);
   }
 }
 
 TEST(IncrementalRoutingTest, SparseSyncRepairsRowsWhoseTreesCrossedTheLink) {
-  // Line graph: every shortest-path tree crosses the middle link, so its
-  // failure and its restore change every cached row. Each is repaired in
-  // place: none is dropped, and the cache stays warm.
+  // Line graph: the region search roots at node 1, so node 0 is a region of
+  // its own behind link (0, 1), which every other row's trees cross. Its
+  // failure and its restore change every cached row: the others re-settle
+  // node 0 in place, and row 0, whose home region it is, is evicted.
   Network net;
   for (int i = 0; i < 6; ++i) net.add_node();
   for (NodeId i = 0; i + 1 < 6; ++i) net.add_link(i, i + 1, 1.0, 10.0, 1e6);
@@ -266,17 +270,17 @@ TEST(IncrementalRoutingTest, SparseSyncRepairsRowsWhoseTreesCrossedTheLink) {
 
   for (const bool restore : {false, true}) {
     if (restore) {
-      net.restore_link(2, 3);
+      net.restore_link(0, 1);
     } else {
-      net.fail_link(2, 3);
+      net.fail_link(0, 1);
     }
     const RoutingSyncStats st = rt.sync(net);
     EXPECT_FALSE(st.full_rebuild);
     EXPECT_FALSE(st.quality_only);
-    EXPECT_EQ(st.rows_patched, 6u);
-    EXPECT_EQ(st.rows_dropped, 0u);
+    EXPECT_EQ(st.rows_patched, 5u);
+    EXPECT_EQ(st.rows_dropped, 1u);
     EXPECT_EQ(st.rows_retained, 0u);
-    EXPECT_EQ(rt.cached_rows(), 6u);
+    EXPECT_EQ(rt.cached_rows(), 5u);
     expect_equivalent(net, rt);
   }
 }
@@ -304,14 +308,18 @@ TEST(IncrementalRoutingTest, SparseSyncEmptiesTheCacheOnACostChange) {
 }
 
 TEST(IncrementalRoutingTest, SparseSyncRetainsRowsOffTheFailedLink) {
-  // Triangle with one expensive-and-slow edge (0, 2): neither the cost nor
-  // the delay shortest-path tree uses it, so failing it must retain every
-  // cached row unchanged.
+  // A triangle core and a triangle region hung off node 2 by one link. The
+  // cached rows read only the core, so failing a link inside the region
+  // must retain every one of them unchanged.
   Network net;
-  for (int i = 0; i < 3; ++i) net.add_node();
+  for (int i = 0; i < 6; ++i) net.add_node();
   net.add_link(0, 1, 1.0, 10.0, 1e6);
   net.add_link(1, 2, 1.0, 10.0, 1e6);
   net.add_link(0, 2, 5.0, 50.0, 1e6);
+  net.add_link(2, 3, 1.0, 10.0, 1e6);
+  net.add_link(3, 4, 1.0, 10.0, 1e6);
+  net.add_link(4, 5, 1.0, 10.0, 1e6);
+  net.add_link(3, 5, 5.0, 50.0, 1e6);
   RoutingOptions opts;
   opts.mode = RoutingMode::kSparse;
   opts.max_cached_rows = 3;
@@ -319,12 +327,13 @@ TEST(IncrementalRoutingTest, SparseSyncRetainsRowsOffTheFailedLink) {
   for (NodeId a = 0; a < 3; ++a) rt.cost(a, 0);
   ASSERT_EQ(rt.cached_rows(), 3u);
 
-  net.fail_link(0, 2);
+  net.fail_link(3, 5);
   const RoutingSyncStats st = rt.sync(net);
   EXPECT_FALSE(st.full_rebuild);
   EXPECT_EQ(st.rows_retained, 3u);
   EXPECT_EQ(st.rows_dropped, 0u);
   EXPECT_EQ(rt.cached_rows(), 3u);
+  EXPECT_EQ(rt.work().sync_pops, 0u);
   expect_equivalent(net, rt);
 }
 
@@ -383,6 +392,49 @@ TEST(IncrementalRoutingTest, JournalTruncationBoundaryIsExact) {
   expect_equivalent(net, rt);
 }
 
+TEST(IncrementalRoutingTest, JournalWindowStaysExactAsItWraps) {
+  // Past capacity the journal overwrites its oldest entry in place. At 5000
+  // and 10000 mutations the window still holds exactly the last kCapacity
+  // versions in order, with their own endpoints, and its boundary is where
+  // it was: a reader at the oldest retained base replays, one version
+  // older gets nullopt, and a table synced there patches or rebuilds.
+  constexpr std::size_t kCapacity = 4096;  // network.cpp kMutationLogCapacity
+  Network net;
+  for (int i = 0; i < 3; ++i) net.add_node();
+  net.add_link(0, 1, 1.0, 10.0, 1e6);
+  net.add_link(1, 2, 1.0, 10.0, 1e6);
+  const auto endpoint = [](std::uint64_t version) {
+    return static_cast<NodeId>(version % 2);  // links (0, 1) and (1, 2)
+  };
+  for (const std::uint64_t total : {5000u, 10000u}) {
+    RoutingTables behind, at_base;
+    while (net.version() < total) {
+      const std::uint64_t next = net.version() + 1;
+      net.degrade_link(endpoint(next), endpoint(next) + 1, Degradation{});
+      if (next == total - kCapacity - 1) behind = RoutingTables::build(net);
+      if (next == total - kCapacity) at_base = RoutingTables::build(net);
+    }
+    const std::uint64_t base = total - kCapacity;
+    EXPECT_FALSE(net.mutations_since(base - 1).has_value());
+    const auto window = net.mutations_since(base);
+    ASSERT_TRUE(window.has_value());
+    ASSERT_EQ(window->size(), kCapacity);
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+      const Mutation& m = (*window)[i];
+      ASSERT_EQ(m.version, base + 1 + i);
+      ASSERT_EQ(m.kind, MutationKind::kQuality);
+      ASSERT_EQ(m.a, endpoint(m.version));
+    }
+    const auto tail = net.mutations_since(total - 3);
+    ASSERT_TRUE(tail.has_value());
+    ASSERT_EQ(tail->size(), 3u);
+    EXPECT_EQ(tail->back().version, total);
+    EXPECT_TRUE(net.mutations_since(total)->empty());
+    EXPECT_TRUE(at_base.sync(net).quality_only);
+    EXPECT_TRUE(behind.sync(net).full_rebuild);
+  }
+}
+
 TEST(IncrementalRoutingTest, SparseSyncSurvivesLogTruncation) {
   // More mutations than the journal holds: sync must fall back to a clean
   // reset instead of applying a partial batch.
@@ -403,9 +455,9 @@ TEST(IncrementalRoutingTest, SparseSyncSurvivesLogTruncation) {
 }
 
 TEST(IncrementalRoutingTest, CrashedLeafNodeRowsArePatchedInPlace) {
-  // A line graph: crashing an endpoint leaves every other node's shortest-
-  // path trees otherwise intact, so cached rows are repaired in place (the
-  // dead node's entries set to infinity) instead of recomputed.
+  // A line graph: crashing the end node 0, a region of its own behind link
+  // (0, 1), leaves every other node's rows otherwise intact, so cached rows
+  // re-settle that region in place (to infinity) instead of being evicted.
   Network net;
   for (int i = 0; i < 6; ++i) net.add_node();
   for (NodeId i = 0; i + 1 < 6; ++i) net.add_link(i, i + 1, 1.0, 10.0, 1e6);
@@ -413,13 +465,13 @@ TEST(IncrementalRoutingTest, CrashedLeafNodeRowsArePatchedInPlace) {
   opts.mode = RoutingMode::kSparse;
   opts.max_cached_rows = 6;
   RoutingTables rt = RoutingTables::build(net, opts);
-  for (NodeId a = 0; a < 5; ++a) rt.cost(a, 0);  // warm rows 0..4
-  net.crash_node(5);
+  for (NodeId a = 1; a < 6; ++a) rt.cost(a, 0);  // warm rows 1..5
+  net.crash_node(0);
   const RoutingSyncStats st = rt.sync(net);
   EXPECT_EQ(st.rows_dropped, 0u);
   EXPECT_EQ(st.rows_patched, 5u);
-  EXPECT_FALSE(rt.reachable(0, 5));
-  EXPECT_TRUE(std::isinf(rt.cost(2, 5)));
+  EXPECT_FALSE(rt.reachable(5, 0));
+  EXPECT_TRUE(std::isinf(rt.cost(2, 0)));
   expect_equivalent(net, rt);
 }
 

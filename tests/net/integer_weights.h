@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "net/gtitm.h"
 #include "net/network.h"
 
 namespace iflow::net {
@@ -18,6 +19,18 @@ inline Network with_integer_weights(const Network& net) {
                  l.bandwidth_bps);
   }
   return out;
+}
+
+/// A transit–stub shape whose transit nodes out-degree every stub node:
+/// eight gateway links and two ring links each, against at most seven
+/// domain links and one gateway link. The region search roots at the node
+/// with the most arcs, so here its core is the transit ring and each stub
+/// domain is one single-homed region.
+inline TransitStubParams rooted_in_transit() {
+  TransitStubParams p;
+  p.transit_count = 3;
+  p.stub_domains_per_transit = 8;
+  return p;
 }
 
 }  // namespace iflow::net

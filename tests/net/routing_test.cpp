@@ -35,6 +35,16 @@ Network make_line(int n, double cost = 1.0, double delay = 10.0) {
   return net;
 }
 
+std::vector<NodeId> every_node(const Network& net) {
+  std::vector<NodeId> all(net.node_count());
+  for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
+  return all;
+}
+
+bool contains(const std::vector<NodeId>& v, NodeId x) {
+  return std::find(v.begin(), v.end(), x) != v.end();
+}
+
 TEST(RoutingTest, LineDistancesAreAdditive) {
   Network net = make_line(5, 2.0, 10.0);
   const RoutingTables rt = RoutingTables::build(net);
@@ -325,38 +335,46 @@ TEST(RoutingTest, SparseCacheHonoursRowCapAndTracksPeak) {
             RoutingTables::dense_equivalent_bytes(net.node_count()));
 }
 
-/// Reads every delay of `src`'s row, which runs its delay pass to the end.
+/// Reads every delay of `src`'s row, which settles every region of its
+/// delay part.
 void read_delay_row(const RoutingTables& rt, NodeId src) {
   for (NodeId b = 0; b < rt.node_count(); ++b) rt.delay_ms(src, b);
 }
 
 TEST(RoutingTest, SparseRowComputesEachMetricOnItsFirstRead) {
   Prng prng(88);
-  const Network net = make_transit_stub(TransitStubParams{}, prng);
+  const TransitStubParams p = rooted_in_transit();
+  const Network net = make_transit_stub(p, prng);
   const RoutingTables dense = RoutingTables::build(net);
   RoutingOptions opts;
   opts.mode = RoutingMode::kSparse;
   const RoutingTables rt = RoutingTables::build(net, opts);
   const std::size_t n = net.node_count();
-  // A delay read computes only the delay part: 8 bytes per entry, and 4 per
-  // node its paused pass keeps queued.
-  EXPECT_EQ(bits(rt.delay_ms(3, 90)), bits(dense.delay_ms(3, 90)));
-  EXPECT_EQ(rt.cached_rows(), 1u);
-  const std::size_t paused = rt.memory_bytes();
-  EXPECT_GT(paused, n * 8u);
-  EXPECT_EQ((paused - n * 8u) % 4u, 0u);
-  EXPECT_EQ(rt.peak_memory_bytes(), paused);
-  // Reading the rest of the row runs the pass to its end and frees the
-  // queue.
-  read_delay_row(rt, 3);
+  // A delay read from a stub node to a node of another domain computes
+  // only the delay part, 8 bytes per entry, and settles only the source's
+  // domain, the transit core and the read node's domain.
+  const NodeId src = stub_domain_members(p, 3)[2];
+  const NodeId dst = stub_domain_members(p, 9)[5];
+  EXPECT_EQ(bits(rt.delay_ms(src, dst)), bits(dense.delay_ms(src, dst)));
   EXPECT_EQ(rt.cached_rows(), 1u);
   EXPECT_EQ(rt.memory_bytes(), n * 8u);
+  EXPECT_EQ(rt.work().row_pops,
+            static_cast<std::uint64_t>(p.transit_count +
+                                       2 * p.stub_domain_size));
+  // Reading the rest of the row settles every other domain once: each node
+  // is popped once in all, and the part does not grow.
+  read_delay_row(rt, src);
+  EXPECT_EQ(rt.cached_rows(), 1u);
+  EXPECT_EQ(rt.memory_bytes(), n * 8u);
+  EXPECT_EQ(rt.work().row_pops, n);
   // The first cost read adds the cost part: a distance and a predecessor.
-  EXPECT_EQ(bits(rt.cost(3, 90)), bits(dense.cost(3, 90)));
+  EXPECT_EQ(bits(rt.cost(src, dst)), bits(dense.cost(src, dst)));
   EXPECT_EQ(rt.cached_rows(), 1u);
   EXPECT_EQ(rt.memory_bytes(), n * 20u);
   EXPECT_EQ(rt.peak_memory_bytes(), n * 20u);
-  EXPECT_EQ(rt.cost_path(3, 90), dense.cost_path(3, 90));
+  EXPECT_EQ(rt.cost_path(src, dst), dense.cost_path(src, dst));
+  EXPECT_EQ(rt.work().sync_pops, 0u);
+  EXPECT_EQ(rt.work().matrix_pops, 0u);
 }
 
 TEST(RoutingTest, CostMatrixRunsAPassForARowHeldOnlyForDelay) {
@@ -443,13 +461,16 @@ void expect_rows_match_a_fresh_build(
 }
 
 TEST(RoutingTest, SparseSyncRepairsEachPartARowHolds) {
-  // Three rows of one stub domain: one read for delay only, one for cost
-  // only, one for both, each delay part in full. The failed link lies in
-  // both trees of every row.
+  // Three rows from outside stub domain 2, each holding the domain: one read
+  // for delay only, one for cost only, one for both, each part in full. The
+  // failed link is inside the domain and lies in both trees of every row,
+  // so each part re-settles the domain from its gateway, and nothing else.
+  const TransitStubParams p = rooted_in_transit();
   Prng prng(89);
-  Network net = make_transit_stub(TransitStubParams{}, prng);
-  const std::vector<NodeId> domain = stub_domain_members({}, 2);
-  const NodeId by_delay = domain[0], by_cost = domain[1], both = domain[2];
+  Network net = make_transit_stub(p, prng);
+  const std::vector<NodeId> domain = stub_domain_members(p, 2);
+  const NodeId by_delay = 0, by_cost = stub_domain_members(p, 5)[1],
+               both = stub_domain_members(p, 9)[3];
   const RoutingTables probe = RoutingTables::build(net);
   const auto in_trees = [&](const Link& l, NodeId src) {
     const auto child = [&](NodeId x, NodeId y) {
@@ -458,9 +479,11 @@ TEST(RoutingTest, SparseSyncRepairsEachPartARowHolds) {
     };
     return child(l.a, l.b) || child(l.b, l.a);
   };
+  const auto inside = [&](NodeId v) { return contains(domain, v); };
   NodeId a = kInvalidNode, b = kInvalidNode;
   for (const Link& l : net.links()) {
-    if (!in_trees(l, by_delay) || !in_trees(l, by_cost) || !in_trees(l, both)) {
+    if (!inside(l.a) || !inside(l.b) || !in_trees(l, by_delay) ||
+        !in_trees(l, by_cost) || !in_trees(l, both)) {
       continue;
     }
     net.fail_link(l.a, l.b);
@@ -476,11 +499,14 @@ TEST(RoutingTest, SparseSyncRepairsEachPartARowHolds) {
 
   RoutingOptions opts;
   opts.mode = RoutingMode::kSparse;
+  const auto warm = [&](const RoutingTables& rt) {
+    read_delay_row(rt, by_delay);
+    for (const NodeId v : every_node(net)) rt.cost(by_cost, v);
+    for (const NodeId v : every_node(net)) rt.cost(both, v);
+    read_delay_row(rt, both);
+  };
   RoutingTables rt = RoutingTables::build(net, opts);
-  read_delay_row(rt, by_delay);
-  rt.cost(by_cost, 0);
-  rt.cost(both, 0);
-  read_delay_row(rt, both);
+  warm(rt);
   const std::size_t bytes = rt.memory_bytes();
   ASSERT_EQ(bytes, net.node_count() * (8u + 12u + 20u));
   for (const bool restore : {false, true}) {
@@ -489,17 +515,18 @@ TEST(RoutingTest, SparseSyncRepairsEachPartARowHolds) {
     } else {
       net.fail_link(a, b);
     }
+    const std::uint64_t pops = rt.work().sync_pops;
     const RoutingSyncStats st = rt.sync(net);
     EXPECT_EQ(st.rows_patched, 3u) << "restore " << restore;
     EXPECT_EQ(rt.memory_bytes(), bytes);
+    // Four parts, each re-settling the domain alone.
+    EXPECT_GT(rt.work().sync_pops, pops);
+    EXPECT_LE(rt.work().sync_pops - pops, 4 * domain.size());
     expect_rows_match_a_fresh_build(
         net, rt, {{by_delay, false}, {by_cost, true}, {both, true}});
     // The checks read every part; drop the ones the rows did not hold.
     rt = RoutingTables::build(net, opts);
-    read_delay_row(rt, by_delay);
-    rt.cost(by_cost, 0);
-    rt.cost(both, 0);
-    read_delay_row(rt, both);
+    warm(rt);
   }
 }
 
@@ -1000,35 +1027,59 @@ void expect_matches_reference(const Network& net, const RoutingTables& rt,
   }
 }
 
-std::vector<NodeId> every_node(const Network& net) {
-  std::vector<NodeId> all(net.node_count());
-  for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
-  return all;
+/// True when two arcs offer some node of the reference cost row its exact
+/// distance: a tie any Dijkstra meets, whatever its pop order.
+bool holds_a_real_tie(const Network& net, const ReferenceRow& ref) {
+  for (NodeId v = 0; v < net.node_count(); ++v) {
+    int offers = 0;
+    for (const std::uint32_t idx : net.incident(v)) {
+      const Link& l = net.links()[idx];
+      const NodeId u = l.a == v ? l.b : l.a;
+      if (net.usable(idx) && std::isfinite(ref.cost[u]) &&
+          ref.cost[u] + l.cost_per_byte == ref.cost[v]) {
+        ++offers;
+      }
+    }
+    if (offers > 1) return true;
+  }
+  return false;
 }
 
 TEST(RoutingTest, CostTieEvictsTheRowWithItsDelayPart) {
+  const TransitStubParams p = rooted_in_transit();
   Prng prng(90);
-  Network net = with_integer_weights(make_transit_stub({}, prng));
+  Network net = with_integer_weights(make_transit_stub(p, prng));
   // Two sources whose cost trees hold a tie: one read for both metrics,
-  // one only for delay, which holds no cost tree to repair. Both delay parts
-  // are read in full.
+  // whose cost part meets the tie and is recomputed as one full pass, one
+  // only for delay, which holds no cost tree. Both parts are read in full.
+  // The failed link is inside the last stub domain, which neither source is
+  // in, so the delay-only row re-settles it.
+  const std::vector<NodeId> last =
+      stub_domain_members(p, stub_domain_count(p) - 1);
   std::vector<NodeId> tied;
   for (NodeId v = 0; v < net.node_count() && tied.size() < 2; ++v) {
-    if (reference_row(net, v).cost_tie) tied.push_back(v);
+    if (!contains(last, v) && holds_a_real_tie(net, reference_row(net, v))) {
+      tied.push_back(v);
+    }
   }
   ASSERT_EQ(tied.size(), 2u);
+  Link inside;
+  for (const Link& l : net.links()) {
+    if (contains(last, l.a) && contains(last, l.b)) inside = l;
+  }
+  ASSERT_TRUE(contains(last, inside.a));
   RoutingOptions opts;
   opts.mode = RoutingMode::kSparse;
   RoutingTables rt = RoutingTables::build(net, opts);
-  rt.cost(tied[0], 0);
+  for (const NodeId v : every_node(net)) rt.cost(tied[0], v);
   read_delay_row(rt, tied[0]);
   read_delay_row(rt, tied[1]);
   const std::size_t n = net.node_count();
   ASSERT_EQ(rt.memory_bytes(), n * (20u + 8u));
-  const Link l = net.links().back();
-  net.fail_link(l.a, l.b);
+  net.fail_link(inside.a, inside.b);
   const RoutingSyncStats st = rt.sync(net);
   EXPECT_EQ(st.rows_dropped, 1u);
+  EXPECT_EQ(st.rows_patched, 1u);
   EXPECT_EQ(rt.cached_rows(), 1u);
   EXPECT_EQ(rt.memory_bytes(), n * 8u);
   expect_rows_match_a_fresh_build(net, rt,
@@ -1345,167 +1396,345 @@ TEST(RoutingReferenceTest, CostMatrixMixesResidentAndMissingRows) {
   EXPECT_EQ(rt.cached_rows(), rows);
 }
 
-std::vector<double> reference_delays(const Network& net, NodeId src) {
-  std::vector<double> dist;
-  std::vector<NodeId> parent;
-  reference_pass(net, src, /*by_cost=*/false, dist, parent);
-  return dist;
+/// The stub domain holding node v, or -1 for a transit node.
+int domain_of(const TransitStubParams& p, NodeId v) {
+  const int k = static_cast<int>(v) - p.transit_count;
+  return k < 0 ? -1 : k / p.stub_domain_size;
 }
 
-/// Reads the delay parts of one sparse table at seeded (source, node) pairs
-/// in random order and checks each value against the reference bit for
-/// bit. A read changes only its own row, so each part's queue bytes follow
-/// from the table's footprint, and most reads must leave their part paused.
-/// Reading the rows in full then completes every part.
-void expect_paused_reads_match_reference(const Network& net, Prng& prng) {
+/// Reads cost, delay and cost path of a sparse table of `net` at seeded
+/// pairs in random order, and checks each value against the reference bit
+/// for bit. Two sources are transit nodes, in the core, and six sit in
+/// stub domains; each is read at nodes of its own domain, of the core and
+/// of other domains.
+void expect_region_reads_match_reference(const Network& net,
+                                         const TransitStubParams& p,
+                                         Prng& prng) {
   RoutingOptions opts;
   opts.mode = RoutingMode::kSparse;
   const RoutingTables rt = RoutingTables::build(net, opts);
-  const std::size_t n = net.node_count();
-  std::map<NodeId, std::vector<double>> ref;
+  const int domains = stub_domain_count(p);
+  const auto transit = [&] {
+    return static_cast<NodeId>(prng.index(p.transit_count));
+  };
+  const auto member = [&](int d) {
+    return prng.pick(stub_domain_members(p, d));
+  };
+  std::map<NodeId, ReferenceRow> ref;
+  while (ref.size() < 2) ref.emplace(transit(), ReferenceRow{});
   while (ref.size() < 8) {
-    const auto a = static_cast<NodeId>(prng.index(n));
-    ref.emplace(a, reference_delays(net, a));
+    ref.emplace(member(static_cast<int>(prng.index(domains))), ReferenceRow{});
   }
   std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (const auto& [a, delays] : ref) {
-    for (int k = 0; k < 16; ++k) {
-      pairs.emplace_back(a, static_cast<NodeId>(prng.index(n)));
+  for (auto& [a, row] : ref) {
+    row = reference_row(net, a);
+    ASSERT_FALSE(row.cost_tie) << "source " << a;
+    const int home = domain_of(p, a);
+    for (int k = 0; k < 4; ++k) {
+      pairs.emplace_back(a, home < 0 ? transit() : member(home));
+      pairs.emplace_back(a, transit());
+      pairs.emplace_back(a, member(static_cast<int>(prng.index(domains))));
     }
   }
   prng.shuffle(pairs);
-  std::map<NodeId, std::size_t> queue_bytes;
-  std::size_t paused = 0;
   for (const auto& [a, b] : pairs) {
-    const auto [it, first] = queue_bytes.try_emplace(a, 0);
-    const std::size_t before = rt.memory_bytes();
-    const double got = rt.delay_ms(a, b);
-    it->second += rt.memory_bytes() - before - (first ? n * 8u : 0u);
-    ASSERT_EQ(bits(got), bits(ref[a][b])) << a << "->" << b;
-    if (it->second > 0) ++paused;
+    const ReferenceRow& r = ref.at(a);
+    ASSERT_EQ(bits(rt.cost(a, b)), bits(r.cost[b])) << a << "->" << b;
+    ASSERT_EQ(bits(rt.delay_ms(a, b)), bits(r.delay[b])) << a << "->" << b;
+    ASSERT_EQ(rt.cost_path(a, b), tree_path(r.parent, a, b)) << a << "->" << b;
   }
-  EXPECT_GE(paused, pairs.size() / 2);
-  for (const auto& [a, delays] : ref) {
-    for (NodeId b = 0; b < n; ++b) {
-      ASSERT_EQ(bits(rt.delay_ms(a, b)), bits(delays[b])) << a << "->" << b;
-    }
-  }
-  EXPECT_EQ(rt.memory_bytes(), ref.size() * n * 8u);
 }
 
-TEST(RoutingReferenceTest, PausedDelayPartsMatchTheReference) {
+TEST(RoutingReferenceTest, RegionPartsMatchTheReference) {
   Prng prng(104);
-  expect_paused_reads_match_reference(make_transit_stub(scale_to(1000), prng),
-                                      prng);
-  expect_paused_reads_match_reference(
-      with_integer_weights(make_transit_stub({}, prng)), prng);
+  for (const int size : {1000, 3000}) {
+    const TransitStubParams p = scale_to(size);
+    expect_region_reads_match_reference(make_transit_stub(p, prng), p, prng);
+  }
+  // On a world full of equal-cost paths the parts that meet a tie are
+  // recomputed as one full pass, so every path, read in any order, is the
+  // dense tier's.
+  const Network tied = with_integer_weights(make_transit_stub({}, prng));
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const RoutingTables sparse = RoutingTables::build(tied, opts);
+  const RoutingTables dense = RoutingTables::build(tied);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const NodeId a : every_node(tied)) {
+    for (const NodeId b : every_node(tied)) pairs.emplace_back(a, b);
+  }
+  prng.shuffle(pairs);
+  for (const auto& [a, b] : pairs) {
+    ASSERT_EQ(sparse.cost_path(a, b), dense.cost_path(a, b)) << a << "->" << b;
+    ASSERT_EQ(bits(sparse.delay_ms(a, b)), bits(dense.delay_ms(a, b)));
+  }
 }
 
-/// A world and one source whose delay part a read of `mid`, the node at the
-/// median reference delay, pauses. The pass has then popped every node at
-/// or below delay[mid] and no other, and its least queued key is
-/// `frontier`, the least delay above delay[mid]: a fault reaches the part
-/// when it changes a link with an endpoint at or below the frontier.
-struct PausedPart {
-  Network world;
-  NodeId src = 5;
-  std::vector<double> delay;
-  NodeId mid = kInvalidNode;
-  double frontier = 0.0;
+/// A row from a member of stub domain 1 of a GT-ITM world, read
+/// for both metrics at a few nodes, through one sync of a fault: checks
+/// what the sync did with the row and compares the row with a fresh build.
+struct RegionSync {
+  TransitStubParams p = rooted_in_transit();
+  Network net;
+  NodeId src = kInvalidNode;
 
-  explicit PausedPart(std::uint64_t seed) {
-    Prng prng(seed);
-    world = make_transit_stub({}, prng);
-    delay = reference_delays(world, src);
-    std::vector<double> sorted = delay;
-    std::sort(sorted.begin(), sorted.end());
-    const double settled = sorted[sorted.size() / 2];
-    mid = static_cast<NodeId>(
-        std::find(delay.begin(), delay.end(), settled) - delay.begin());
-    frontier = *std::upper_bound(sorted.begin(), sorted.end(), settled);
+  RegionSync() {
+    Prng prng(94);
+    net = make_transit_stub(p, prng);
+    src = stub_domain_members(p, 1)[3];
   }
 
-  bool popped(NodeId v) const { return delay[v] <= delay[mid]; }
-  bool beyond(NodeId v) const { return delay[v] > frontier; }
-
-  /// The first link whose endpoints pass `where` and whose failure moves
-  /// some delay from the source; null when there is none.
-  const Link* link_where(const std::function<bool(NodeId)>& where) const {
-    for (const Link& l : world.links()) {
-      if (!where(l.a) || !where(l.b)) continue;
-      Network probe = world;
+  /// The first link with both ends in domain d whose failure keeps the
+  /// network connected.
+  Link inside(int d) const {
+    const std::vector<NodeId> members = stub_domain_members(p, d);
+    for (const Link& l : net.links()) {
+      if (!contains(members, l.a) || !contains(members, l.b)) continue;
+      Network probe = net;
       probe.fail_link(l.a, l.b);
-      if (reference_delays(probe, src) != delay) return &l;
+      if (probe.connected()) return l;
     }
-    return nullptr;
+    return {};
   }
 
-  /// Pauses the part, applies `fault`, syncs, checks the sync's stats and
-  /// footprint — the part stays paused exactly when the fault misses it —
-  /// and compares the row with a fresh build.
-  void expect_sync(const std::function<void(Network&)>& fault,
-                   bool reaches) const {
-    Network net = world;
+  /// Reads src's row at `reads`, applies `fault`, syncs and checks the row:
+  /// evicted, or kept, and re-settling a region with at most `max_pops`
+  /// pops when `patched`, or with none.
+  void expect(const std::vector<NodeId>& reads,
+              const std::function<void(Network&)>& fault, bool evicted,
+              bool patched, std::uint64_t max_pops) const {
+    Network world = net;
     RoutingOptions opts;
     opts.mode = RoutingMode::kSparse;
-    RoutingTables rt = RoutingTables::build(net, opts);
-    ASSERT_EQ(bits(rt.delay_ms(src, mid)), bits(delay[mid]));
-    const std::size_t n = net.node_count();
-    const std::size_t bytes = rt.memory_bytes();
-    ASSERT_GT(bytes, n * 8u);
-    fault(net);
-    const RoutingSyncStats st = rt.sync(net);
+    RoutingTables rt = RoutingTables::build(world, opts);
+    for (const NodeId v : reads) {
+      rt.cost(src, v);
+      rt.delay_ms(src, v);
+    }
+    fault(world);
+    const RoutingSyncStats st = rt.sync(world);
     EXPECT_FALSE(st.full_rebuild);
-    EXPECT_EQ(st.rows_patched, reaches ? 1u : 0u);
-    EXPECT_EQ(st.rows_retained, reaches ? 0u : 1u);
-    EXPECT_EQ(rt.cached_rows(), 1u);
-    EXPECT_EQ(rt.memory_bytes(), reaches ? n * 8u : bytes);
-    expect_rows_match_a_fresh_build(net, rt, {{src, false}});
+    EXPECT_EQ(st.rows_dropped, evicted ? 1u : 0u);
+    EXPECT_EQ(st.rows_patched, patched ? 1u : 0u);
+    EXPECT_EQ(st.rows_retained, evicted || patched ? 0u : 1u);
+    EXPECT_EQ(rt.cached_rows(), evicted ? 0u : 1u);
+    EXPECT_LE(rt.work().sync_pops, patched ? max_pops : 0u);
+    expect_rows_match_a_fresh_build(world, rt, {{src, true}});
   }
 };
 
-TEST(RoutingTest, SparseSyncLeavesAPartPausedWhenAFailedLinkIsBeyondIt) {
-  // The pass has not reached the link, so it continues over the new network
-  // on the next read.
-  const PausedPart p(94);
-  const Link* l = p.link_where([&](NodeId v) { return p.beyond(v); });
-  ASSERT_NE(l, nullptr);
-  p.expect_sync([&](Network& net) { net.fail_link(l->a, l->b); },
-                /*reaches=*/false);
+TEST(RoutingTest, SparseSyncRetainsARowThatHoldsNoFaultedRegion) {
+  // The row holds domain 1, the core and domain 4; the fault is inside
+  // domain 7. Its values there were never computed, and none it holds
+  // depends on them.
+  const RegionSync w;
+  const std::vector<NodeId> reads{stub_domain_members(w.p, 1)[0], 2,
+                                  stub_domain_members(w.p, 4)[5]};
+  const Link l = w.inside(7);
+  ASSERT_NE(l.a, kInvalidNode);
+  w.expect(reads, [&](Network& net) { net.fail_link(l.a, l.b); },
+           /*evicted=*/false, /*patched=*/false, /*max_pops=*/0);
+  w.expect(reads, [&](Network& net) { net.crash_node(l.a); },
+           /*evicted=*/false, /*patched=*/false, /*max_pops=*/0);
 }
 
-TEST(RoutingTest, SparseSyncFinishesAndRepairsAPartAFailedLinkIsInside) {
-  // Both endpoints are popped: the pass is finished over the old network,
-  // then repaired in place like a complete part.
-  const PausedPart p(94);
-  const Link* l = p.link_where([&](NodeId v) { return p.popped(v); });
-  ASSERT_NE(l, nullptr);
-  p.expect_sync([&](Network& net) { net.fail_link(l->a, l->b); },
-                /*reaches=*/true);
+TEST(RoutingTest, SparseSyncReSettlesOnlyTheFaultedRegion) {
+  // The row also holds domain 7, where the link fails: each part re-settles
+  // that domain from its gateway, at most one pop per member.
+  const RegionSync w;
+  const std::vector<NodeId> reads{2, stub_domain_members(w.p, 7)[4]};
+  const Link l = w.inside(7);
+  ASSERT_NE(l.a, kInvalidNode);
+  const std::uint64_t region = static_cast<std::uint64_t>(w.p.stub_domain_size);
+  w.expect(reads, [&](Network& net) { net.fail_link(l.a, l.b); },
+           /*evicted=*/false, /*patched=*/true, /*max_pops=*/2 * region);
+  // A crashed member and a failed gateway link cut nodes off: the domain
+  // is re-settled to +inf where a fresh pass leaves it.
+  w.expect(reads, [&](Network& net) { net.crash_node(l.b); },
+           /*evicted=*/false, /*patched=*/true, /*max_pops=*/2 * region);
+  const NodeId gateway = gateway_of(w.net, w.p, 7);
+  for (const std::uint32_t idx : w.net.incident(gateway)) {
+    const Link& bridge = w.net.links()[idx];
+    if (domain_of(w.p, bridge.a) >= 0 && domain_of(w.p, bridge.b) >= 0) {
+      continue;
+    }
+    w.expect(reads, [&](Network& net) { net.fail_link(bridge.a, bridge.b); },
+             /*evicted=*/false, /*patched=*/true, /*max_pops=*/2 * region);
+  }
 }
 
-TEST(RoutingTest, SparseSyncFinishesAPartACrashBesideItsPoppedNodesReaches) {
-  // The crashed node is beyond the frontier, but a popped neighbour relaxed
-  // a link to it.
-  const PausedPart p(94);
-  NodeId crashed = kInvalidNode;
-  for (NodeId z = 0; z < p.world.node_count() && crashed == kInvalidNode;
-       ++z) {
-    if (!p.beyond(z)) continue;
-    for (const std::uint32_t idx : p.world.incident(z)) {
-      const Link& l = p.world.links()[idx];
-      if (p.popped(l.a == z ? l.b : l.a)) crashed = z;
+TEST(RoutingTest, SparseSyncEvictsARowWhoseCoreOrHomeRegionAFaultReaches) {
+  // A fault in the core, in the source's own domain, at that domain's
+  // gateway, at the transit node it hangs off, or at the source itself
+  // can move every value the row holds.
+  const RegionSync w;
+  const std::vector<NodeId> reads{stub_domain_members(w.p, 1)[0], 2,
+                                  stub_domain_members(w.p, 7)[4]};
+  const NodeId gateway = gateway_of(w.net, w.p, 1);
+  NodeId attach = kInvalidNode;
+  for (const std::uint32_t idx : w.net.incident(gateway)) {
+    const Link& l = w.net.links()[idx];
+    const NodeId other = l.a == gateway ? l.b : l.a;
+    if (domain_of(w.p, other) < 0) attach = other;
+  }
+  ASSERT_NE(attach, kInvalidNode);
+  Link core;
+  for (const Link& l : w.net.links()) {
+    if (domain_of(w.p, l.a) >= 0 || domain_of(w.p, l.b) >= 0) continue;
+    Network probe = w.net;
+    probe.fail_link(l.a, l.b);
+    if (probe.connected()) core = l;
+  }
+  ASSERT_NE(core.a, kInvalidNode);
+  const Link home = w.inside(1);
+  ASSERT_NE(home.a, kInvalidNode);
+  const std::vector<std::function<void(Network&)>> faults{
+      [&](Network& net) { net.fail_link(core.a, core.b); },
+      [&](Network& net) { net.fail_link(home.a, home.b); },
+      [&](Network& net) { net.crash_node(gateway); },
+      [&](Network& net) { net.crash_node(attach); },
+      [&](Network& net) { net.crash_node(w.src); },
+  };
+  for (const auto& fault : faults) {
+    w.expect(reads, fault, /*evicted=*/true, /*patched=*/false,
+             /*max_pops=*/0);
+  }
+}
+
+/// Checks cost, delay and cost path of every pair of a sparse table of
+/// `net` against the reference, reading `sources` first (so the table
+/// holds their rows through `sync`s), then syncs after each of `faults`
+/// and checks again.
+void expect_synced_reads_match_reference(
+    Network& net, const std::vector<NodeId>& sources,
+    const std::vector<std::function<void(Network&)>>& faults) {
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  RoutingTables rt = RoutingTables::build(net, opts);
+  std::vector<NodeId> all = every_node(net);
+  for (const auto& fault : faults) {
+    expect_matches_reference(net, rt, sources);
+    expect_matches_reference(net, rt, all);
+    fault(net);
+    ASSERT_FALSE(rt.sync(net).full_rebuild);
+  }
+  expect_matches_reference(net, rt, sources);
+  expect_matches_reference(net, rt, all);
+}
+
+TEST(RoutingReferenceTest, AFailedAndRestoredBridgeMatchesTheReference) {
+  // Rows from inside domain 6 and from outside it, read before the gateway
+  // link fails: the inside rows are evicted, and the outside rows re-settle
+  // the domain, which a down bridge leaves at +inf.
+  const TransitStubParams p = rooted_in_transit();
+  Prng prng(111);
+  Network net = make_transit_stub(p, prng);
+  const NodeId gateway = gateway_of(net, p, 6);
+  NodeId attach = kInvalidNode;
+  for (const std::uint32_t idx : net.incident(gateway)) {
+    const Link& l = net.links()[idx];
+    if (domain_of(p, l.a == gateway ? l.b : l.a) < 0) {
+      attach = l.a == gateway ? l.b : l.a;
     }
   }
-  ASSERT_NE(crashed, kInvalidNode);
-  p.expect_sync([&](Network& net) { net.crash_node(crashed); },
-                /*reaches=*/true);
+  ASSERT_NE(attach, kInvalidNode);
+  const std::vector<NodeId> sources{gateway, stub_domain_members(p, 6)[5], 0,
+                                    attach, stub_domain_members(p, 11)[2]};
+  expect_synced_reads_match_reference(
+      net, sources,
+      {[&](Network& n) { n.fail_link(gateway, attach); },
+       [&](Network& n) { n.restore_link(gateway, attach); }});
 }
 
-TEST(RoutingTest, PausedDelayPartsResumeFromPoolThreads) {
-  // The pool's threads read the same few delay parts at random depths, so
-  // each part is started, paused and resumed by several threads under the
-  // table's lock. Every value must equal a serial read's.
+TEST(RoutingReferenceTest, ADoubledGatewayLinkIsNoBridge) {
+  // A twin of domain 3's gateway link leaves no bridge there: the gateway
+  // joins the core, and a core source's first read pops it too.
+  const TransitStubParams p = rooted_in_transit();
+  Prng prng(112);
+  Network net = make_transit_stub(p, prng);
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  const auto first_read_pops = [&] {
+    const RoutingTables rt = RoutingTables::build(net, opts);
+    rt.cost(0, 1);
+    return rt.work().row_pops;
+  };
+  const std::uint64_t single = first_read_pops();
+  const NodeId gateway = gateway_of(net, p, 3);
+  NodeId attach = kInvalidNode;
+  for (const std::uint32_t idx : net.incident(gateway)) {
+    const Link l = net.links()[idx];
+    if (domain_of(p, l.a) < 0 || domain_of(p, l.b) < 0) {
+      attach = l.a == gateway ? l.b : l.a;
+      net.add_link(l.a, l.b, l.cost_per_byte * 1.5, l.delay_ms * 0.5, 1e6);
+      break;
+    }
+  }
+  ASSERT_NE(attach, kInvalidNode);
+  EXPECT_GT(first_read_pops(), single);
+  // Failing the adjacency takes both links down: a core event.
+  expect_synced_reads_match_reference(
+      net, {gateway, 0, stub_domain_members(p, 3)[6]},
+      {[&](Network& n) { n.fail_link(gateway, attach); },
+       [&](Network& n) { n.restore_link(gateway, attach); }});
+}
+
+TEST(RoutingReferenceTest, ANestedBridgeMatchesTheReference) {
+  // A member with one link hangs inside its domain's region. Its failure is
+  // the domain's event: rows from elsewhere re-settle the domain, the
+  // member's own row and its domain's are evicted.
+  const TransitStubParams p = rooted_in_transit();
+  Prng prng(106);
+  Network net = make_transit_stub(p, prng);
+  NodeId pendant = kInvalidNode;
+  int d = 0;
+  for (; d < stub_domain_count(p) && pendant == kInvalidNode; ++d) {
+    pendant = pendant_of(net, p, d);
+  }
+  ASSERT_NE(pendant, kInvalidNode);
+  const Link bridge = net.links()[net.incident(pendant).front()];
+  const NodeId other = bridge.a == pendant ? bridge.b : bridge.a;
+  expect_synced_reads_match_reference(
+      net, {pendant, other, gateway_of(net, p, d - 1), 1,
+            stub_domain_members(p, (d + 3) % stub_domain_count(p))[0]},
+      {[&](Network& n) { n.fail_link(bridge.a, bridge.b); },
+       [&](Network& n) { n.restore_link(bridge.a, bridge.b); }});
+}
+
+TEST(RoutingReferenceTest, AWorldWithoutBridgesIsOneCore) {
+  // A ring with chords has no bridge: every first read is a full pass, and
+  // any fault evicts every row.
+  Prng prng(113);
+  Network ring;
+  const NodeId n = 24;
+  for (NodeId v = 0; v < n; ++v) ring.add_node();
+  for (NodeId v = 0; v < n; ++v) {
+    ring.add_link(v, (v + 1) % n, prng.uniform(1.0, 3.0),
+                  prng.uniform(1.0, 9.0), 1e6);
+    if (v % 5 == 0) {
+      ring.add_link(v, (v + 7) % n, prng.uniform(2.0, 6.0),
+                    prng.uniform(1.0, 9.0), 1e6);
+    }
+  }
+  RoutingOptions opts;
+  opts.mode = RoutingMode::kSparse;
+  RoutingTables rt = RoutingTables::build(ring, opts);
+  rt.cost(3, 4);
+  EXPECT_EQ(rt.work().row_pops, n);
+  rt.delay_ms(9, 4);
+  ring.fail_link(10, 11);
+  const RoutingSyncStats st = rt.sync(ring);
+  EXPECT_EQ(st.rows_dropped, 2u);
+  EXPECT_EQ(rt.cached_rows(), 0u);
+  expect_synced_reads_match_reference(
+      ring, {3, 9}, {[&](Network& net) { net.crash_node(17); },
+                     [&](Network& net) { net.restore_link(10, 11); }});
+}
+
+TEST(RoutingTest, RegionPartsSettleFromPoolThreads) {
+  // The pool's threads read a few shared rows for both metrics at random
+  // nodes, so the parts are started and their regions settled by several
+  // threads under the table's lock. Every value must equal a serial read's.
   Prng prng(95);
   const Network net = make_transit_stub(scale_to(528), prng);
   const std::size_t n = net.node_count();
@@ -1523,15 +1752,27 @@ TEST(RoutingTest, PausedDelayPartsResumeFromPoolThreads) {
                   static_cast<NodeId>(prng.index(n))};
     }
     std::vector<double> got(reads.size());
+    std::vector<std::vector<NodeId>> paths(reads.size());
     pool.parallel_blocks(reads.size(), [&](std::size_t begin,
                                            std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
-        got[i] = shared.delay_ms(reads[i].first, reads[i].second);
+        const auto [a, b] = reads[i];
+        if (i % 2 == 0) {
+          got[i] = shared.delay_ms(a, b);
+        } else {
+          got[i] = shared.cost(a, b);
+          paths[i] = shared.cost_path(a, b);
+        }
       }
     });
     for (std::size_t i = 0; i < reads.size(); ++i) {
       const auto [a, b] = reads[i];
-      ASSERT_EQ(bits(got[i]), bits(serial.delay_ms(a, b))) << a << "->" << b;
+      const double want =
+          i % 2 == 0 ? serial.delay_ms(a, b) : serial.cost(a, b);
+      ASSERT_EQ(bits(got[i]), bits(want)) << a << "->" << b;
+      if (i % 2 == 1) {
+        ASSERT_EQ(paths[i], serial.cost_path(a, b)) << a << "->" << b;
+      }
     }
   }
 }
